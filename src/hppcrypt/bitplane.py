@@ -10,6 +10,11 @@ the machine operates on whole rows of packed words at once:
 * N/S propagation is a shift by a whole row (with the edge row wrapped),
 * velocity inversion just swaps plane references.
 
+A lattice is the bare tuple (e, s, w, n) of its four planes:
+:func:`planes_from_block` and :func:`planes_to_block` convert to and from
+the cipher's block serialization, and the ``*_planes`` kernels take and
+return plane tuples, so the cipher's round loop builds no objects.
+
 Results are bit-identical to the per-cell engine in
 :mod:`hppcrypt.lattice`; the test suite proves it primitive by primitive.
 """
@@ -17,27 +22,21 @@ Results are bit-identical to the per-cell engine in
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
 from .errors import ParameterError
-from .lattice import Lattice, block_size, check_walls
-
-
-class Geometry(NamedTuple):
-    side: int
-    size: int  # side * side, bits per plane
-    full: int  # (1 << size) - 1
-    row0: int  # bits of the top row
-    col_first: int  # bits of column 0 in every row
-    col_last: int  # bits of column side-1 in every row
-    not_col_first: int
-    not_col_last: int
+from .lattice import check_walls
 
 
 @lru_cache(maxsize=None)
-def geometry(n: int) -> Geometry:
+def geometry(n: int) -> tuple[int, ...]:
+    """Plane masks of a 2^n lattice, as the tuple (side, size, full, row0,
+    col_first, col_last, not_col_first, not_col_last): size = side^2 bits
+    per plane, full has all of them set, row0 the top row, col_first and
+    col_last column 0 and column side-1 of every row, and the not_ masks
+    their complements within full."""
     if n < 1:
         raise ParameterError(f"lattice exponent must be >= 1, got {n}")
     side = 1 << n
@@ -46,40 +45,11 @@ def geometry(n: int) -> Geometry:
     row0 = (1 << side) - 1
     col_first = sum(1 << (r * side) for r in range(side))
     col_last = col_first << (side - 1)
-    return Geometry(
+    return (
         side, size, full, row0,
         col_first, col_last,
         full ^ col_first, full ^ col_last,
     )
-
-
-class BitPlaneLattice:
-    """Four direction planes for one lattice, packed as integers."""
-
-    __slots__ = ("n", "east", "south", "west", "north")
-
-    def __init__(self, n: int, east: int, south: int, west: int, north: int):
-        geom = geometry(n)
-        if (east | south | west | north) >> geom.size:
-            raise ParameterError("plane bits outside the lattice")
-        self.n = n
-        self.east = east
-        self.south = south
-        self.west = west
-        self.north = north
-
-    def planes(self) -> tuple[int, int, int, int]:
-        return self.east, self.south, self.west, self.north
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BitPlaneLattice)
-            and self.n == other.n
-            and self.planes() == other.planes()
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.planes()))
 
 
 def _pack_plane(bits: np.ndarray) -> int:
@@ -93,38 +63,21 @@ def _unpack_plane(plane: int, size: int) -> np.ndarray:
     return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[:size]
 
 
-def _planes_from_cells(cells: np.ndarray) -> tuple[int, int, int, int]:
-    return tuple(_pack_plane((cells >> shift) & 1) for shift in (3, 2, 1, 0))
-
-
-def _cells_from_planes(planes: tuple[int, int, int, int], size: int) -> np.ndarray:
-    cells = np.zeros(size, dtype=np.uint8)
-    for shift, plane in zip((3, 2, 1, 0), planes):
-        cells |= _unpack_plane(plane, size) << shift
-    return cells
-
-
-def to_bitplanes(lat: Lattice) -> BitPlaneLattice:
-    cells = np.frombuffer(lat.cells, dtype=np.uint8)
-    return BitPlaneLattice(lat.n, *_planes_from_cells(cells))
-
-
-def from_bitplanes(bp: BitPlaneLattice) -> Lattice:
-    size = geometry(bp.n).size
-    return Lattice(bp.n, _cells_from_planes(bp.planes(), size).tobytes())
-
-
 def planes_from_block(block: bytes, n: int) -> tuple[int, int, int, int]:
     """Straight from the two-cells-per-byte serialization to planes."""
     pairs = np.frombuffer(block, dtype=np.uint8)
     cells = np.empty(pairs.size * 2, dtype=np.uint8)
     cells[0::2] = pairs >> 4
     cells[1::2] = pairs & 0xF
-    return _planes_from_cells(cells)
+    return tuple(_pack_plane((cells >> shift) & 1) for shift in (3, 2, 1, 0))
 
 
 def planes_to_block(planes: tuple[int, int, int, int], n: int) -> bytes:
-    cells = _cells_from_planes(planes, geometry(n).size)
+    """Inverse of :func:`planes_from_block`."""
+    size = 1 << (2 * n)
+    cells = np.zeros(size, dtype=np.uint8)
+    for shift, plane in zip((3, 2, 1, 0), planes):
+        cells |= _unpack_plane(plane, size) << shift
     return ((cells[0::2] << 4) | cells[1::2]).astype(np.uint8).tobytes()
 
 
@@ -138,9 +91,6 @@ def wall_mask(walls: Iterable[tuple[int, int]], n: int) -> int:
     return mask
 
 
-# Low-level plane arithmetic. These take and return bare plane tuples so
-# the cipher's round loop can run without constructing objects.
-
 def collide_planes(e: int, s: int, w: int, n: int) -> tuple[int, int, int, int]:
     # A colliding cell (exactly E+W or exactly S+N) toggles all four bits.
     flip = (e & w & ~(s | n)) | (s & n & ~(e | w))
@@ -148,14 +98,14 @@ def collide_planes(e: int, s: int, w: int, n: int) -> tuple[int, int, int, int]:
 
 
 def propagate_planes(
-    e: int, s: int, w: int, n: int, geom: Geometry
+    e: int, s: int, w: int, n: int, geom: tuple
 ) -> tuple[int, int, int, int]:
-    side = geom.side
-    tail = geom.size - side
-    e = ((e & geom.not_col_last) << 1) | ((e & geom.col_last) >> (side - 1))
-    w = ((w & geom.not_col_first) >> 1) | ((w & geom.col_first) << (side - 1))
-    s = ((s << side) & geom.full) | (s >> tail)
-    n = (n >> side) | ((n & geom.row0) << tail)
+    side, size, full, row0, col_first, col_last, not_col_first, not_col_last = geom
+    tail = size - side
+    e = ((e & not_col_last) << 1) | ((e & col_last) >> (side - 1))
+    w = ((w & not_col_first) >> 1) | ((w & col_first) << (side - 1))
+    s = ((s << side) & full) | (s >> tail)
+    n = (n >> side) | ((n & row0) << tail)
     return e, s, w, n
 
 
@@ -174,27 +124,3 @@ def reflect_planes(
 def invert_planes(e: int, s: int, w: int, n: int) -> tuple[int, int, int, int]:
     return w, n, e, s
 
-
-# Whole-lattice wrappers mirroring the reference engine's operations.
-
-def collide(bp: BitPlaneLattice) -> BitPlaneLattice:
-    return BitPlaneLattice(bp.n, *collide_planes(*bp.planes()))
-
-
-def propagate(bp: BitPlaneLattice) -> BitPlaneLattice:
-    return BitPlaneLattice(bp.n, *propagate_planes(*bp.planes(), geometry(bp.n)))
-
-
-def reflect(bp: BitPlaneLattice, walls: Iterable[tuple[int, int]]) -> BitPlaneLattice:
-    return BitPlaneLattice(
-        bp.n, *reflect_planes(*bp.planes(), wall_mask(walls, bp.n))
-    )
-
-
-def invert_all(bp: BitPlaneLattice) -> BitPlaneLattice:
-    return BitPlaneLattice(bp.n, *invert_planes(*bp.planes()))
-
-
-def hpp_step(bp: BitPlaneLattice) -> BitPlaneLattice:
-    e, s, w, n = collide_planes(*bp.planes())
-    return BitPlaneLattice(bp.n, *propagate_planes(e, s, w, n, geometry(bp.n)))

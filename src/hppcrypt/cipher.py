@@ -43,6 +43,23 @@ def min_recommended_rounds(n: int) -> int:
     return 1 << n
 
 
+def _key_coordinates(key: bytes, m: int):
+    """Yield the (row, col) pair of each 2m-bit group of the key, read as
+    :func:`derive_walls` describes, duplicates included."""
+    group = 2 * m
+    bits = 8 * len(key)
+    if bits < group:
+        raise ParameterError(
+            f"key yields no walls: need at least {group} bits, got {bits}"
+        )
+    value = int.from_bytes(key, "big") >> (bits % group)
+    coord_mask = (1 << m) - 1
+    for _ in range(bits // group):
+        g = value & ((1 << group) - 1)
+        yield g >> m, g & coord_mask
+        value >>= group
+
+
 def derive_walls(key: bytes, n: int) -> frozenset:
     """Decode a key into wall positions.
 
@@ -51,25 +68,7 @@ def derive_walls(key: bytes, n: int) -> frozenset:
     Trailing bits that do not fill a group are discarded, and duplicate
     coordinates collapse (a cell either is a wall or is not).
     """
-    group = 2 * n
-    bits = 8 * len(key)
-    if bits < group:
-        raise ParameterError(
-            f"key yields no walls: need at least {group} bits, got {bits}"
-        )
-    value = int.from_bytes(key, "big") >> (bits % group)
-    coord_mask = (1 << n) - 1
-    walls = set()
-    for _ in range(bits // group):
-        g = value & ((1 << group) - 1)
-        walls.add((g >> n, g & coord_mask))
-        value >>= group
-    return frozenset(walls)
-
-
-def raw_wall_count(key: bytes, n: int) -> int:
-    """Number of 2n-bit groups in the key, before duplicates collapse."""
-    return (8 * len(key)) // (2 * n)
+    return frozenset(_key_coordinates(key, n))
 
 
 @dataclass(frozen=True)

@@ -38,11 +38,27 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _exponent(value: str) -> int:
-    n = int(value)
+def _integer(name: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParameterError(f"{name} must be an integer, got {text!r}") from None
+
+
+def _exponent(name: str, text: str) -> int:
+    n = _integer(name, text)
     if not 2 <= n <= 12:
-        raise argparse.ArgumentTypeError(f"n must be in [2, 12], got {n}")
+        raise ParameterError(f"{name} must be in [2, 12], got {n}")
     return n
+
+
+def _exponent_flag(text: str) -> int:
+    # argparse prints the message of an ArgumentTypeError; any other error
+    # becomes a generic "invalid value" line.
+    try:
+        return _exponent("n", text)
+    except ParameterError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _resolve_key(args) -> bytes | None:
@@ -60,14 +76,6 @@ def _resolve_walls(args) -> frozenset | None:
     if args.walls_file is None:
         return None
     return parse_walls_text(Path(args.walls_file).read_text(encoding="utf-8"))
-
-
-def _resolve_seed(args, file_conf=None) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    if file_conf and "seed" in file_conf:
-        return int(file_conf["seed"])
-    return int(os.environ.get("HPP_SEED", "0"))
 
 
 def cmd_encrypt(args) -> int:
@@ -121,7 +129,7 @@ def cmd_keyspace(args) -> int:
     return 0
 
 
-def _parse_rounds_range(text: str) -> tuple[int, int, int]:
+def _parse_rounds_range(name: str, text: str) -> tuple[int, int, int]:
     parts = text.split(":")
     try:
         if len(parts) == 1:
@@ -131,15 +139,29 @@ def _parse_rounds_range(text: str) -> tuple[int, int, int]:
             return (int(parts[0]), int(parts[1]), int(parts[2]))
     except ValueError:
         pass
-    raise ParameterError(f"rounds must be an integer or start:step:stop, got {text!r}")
+    raise ParameterError(f"{name} must be an integer or start:step:stop, got {text!r}")
 
 
-def _parse_region(text: str) -> tuple[int, int, int]:
+def _parse_region(name: str, text: str) -> tuple[int, int, int]:
     try:
         row0, col0, size = (int(p) for p in text.split(","))
         return (row0, col0, size)
     except ValueError:
-        raise ParameterError(f"region must be row0,col0,size, got {text!r}") from None
+        raise ParameterError(f"{name} must be row0,col0,size, got {text!r}") from None
+
+
+# The keys of an experiment config file besides protocol, each with the
+# field it sets and the parser of its text. The flag of the same name wins
+# over the file.
+_EXPERIMENT_FIELDS = {
+    "n": ("n", _exponent),
+    "trials": ("trials", _integer),
+    "rounds": ("rounds_range", _parse_rounds_range),
+    "key_len": ("key_len", _integer),
+    "region": ("wall_region", _parse_region),
+    "seed": ("seed", _integer),
+    "bit": ("bit_index", _integer),
+}
 
 
 def _parse_config_file(path: str) -> dict:
@@ -157,34 +179,26 @@ def _parse_config_file(path: str) -> dict:
 
 def cmd_experiment(args) -> int:
     file_conf = _parse_config_file(args.config) if args.config else {}
+    valid_keys = ("protocol", *_EXPERIMENT_FIELDS)
+    for key in file_conf:
+        if key not in valid_keys:
+            raise ParameterError(
+                f"unknown config key {key!r}; valid keys: {', '.join(valid_keys)}"
+            )
     protocol = args.protocol or file_conf.get("protocol")
     if protocol is None:
         raise ParameterError("experiment needs --protocol (or protocol= in --config)")
-    if protocol not in PROTOCOLS:
-        raise ParameterError(f"unknown protocol {protocol!r}")
 
-    overrides: dict = {"seed": _resolve_seed(args, file_conf)}
-    if args.n is not None:
-        overrides["n"] = args.n
-    elif "n" in file_conf:
-        overrides["n"] = int(file_conf["n"])
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    elif "trials" in file_conf:
-        overrides["trials"] = int(file_conf["trials"])
-    if args.rounds is not None:
-        overrides["rounds_range"] = _parse_rounds_range(args.rounds)
-    elif "rounds" in file_conf:
-        overrides["rounds_range"] = _parse_rounds_range(file_conf["rounds"])
-    if args.key_len is not None:
-        overrides["key_len"] = args.key_len
-    elif "key_len" in file_conf:
-        overrides["key_len"] = int(file_conf["key_len"])
-    if args.region is not None:
-        overrides["wall_region"] = _parse_region(args.region)
-    elif "region" in file_conf:
-        overrides["wall_region"] = _parse_region(file_conf["region"])
-    bit_index = args.bit if args.bit is not None else int(file_conf.get("bit", "0"))
+    overrides: dict = {}
+    for key, (field, parse) in _EXPERIMENT_FIELDS.items():
+        text = getattr(args, key)
+        if text is None:
+            text = file_conf.get(key)
+        if text is not None:
+            overrides[field] = parse(key, text)
+    if "seed" not in overrides:
+        overrides["seed"] = _integer("HPP_SEED", os.environ.get("HPP_SEED", "0"))
+    bit_index = overrides.pop("bit_index", 0)
 
     config = default_config(protocol, **overrides)
     report = run_protocol(config, bit_index=bit_index)
@@ -301,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser("encrypt", help="encrypt a file into a container")
-    p.add_argument("--n", type=_exponent, required=True, help="lattice exponent")
+    p.add_argument("--n", type=_exponent_flag, required=True, help="lattice exponent")
     p.add_argument("--rounds", type=int, help="default 2^(n+1)")
     add_key_flags(p)
     p.add_argument("--in", dest="infile", required=True)
@@ -315,19 +329,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decrypt)
 
     p = sub.add_parser("keyspace", help="count wall configurations")
-    p.add_argument("--n", type=_exponent, required=True)
+    p.add_argument("--n", type=_exponent_flag, required=True)
     p.add_argument("-K", "--walls", type=int, required=True, help="wall count")
     p.set_defaults(func=cmd_keyspace)
 
     p = sub.add_parser("experiment", help="run an avalanche protocol")
     p.add_argument("--protocol", choices=PROTOCOLS)
-    p.add_argument("--n", type=_exponent)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int, help="default: HPP_SEED env var, then 0")
+    p.add_argument("--n")
+    p.add_argument("--trials")
+    p.add_argument("--seed", help="default: HPP_SEED env var, then 0")
     p.add_argument("--rounds", help="round count or start:step:stop range")
-    p.add_argument("--key-len", type=int, help="key length in bytes")
+    p.add_argument("--key-len", help="key length in bytes")
     p.add_argument("--region", help="row0,col0,size wall restriction")
-    p.add_argument("--bit", type=int, help="plaintext bit for single-bit")
+    p.add_argument("--bit", help="plaintext bit for single-bit")
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--csv", help="write points as CSV")
     p.add_argument("--svg", help="write a chart as SVG")
@@ -339,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_img2block)
 
     p = sub.add_parser("block2img", help="raw lattice block to PGM image")
-    p.add_argument("--n", type=_exponent, help="inferred from size if omitted")
+    p.add_argument("--n", type=_exponent_flag, help="inferred from size if omitted")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
     p.set_defaults(func=cmd_block2img)

@@ -22,19 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from . import lattice as _lattice
-from .cipher import CipherParams, derive_walls, encrypt_block
+from .cipher import CipherParams, _key_coordinates, derive_walls, encrypt_block
 from .errors import ParameterError
 from .imaging import GrayImage, image_to_lattice, lattice_to_image
 from .lattice import block_size
-
-PROTOCOLS = (
-    "avalanche-key",
-    "avalanche-text",
-    "avalanche-key-concentrated",
-    "strict-key",
-    "strict-text",
-    "single-bit",
-)
 
 _MASK64 = (1 << 64) - 1
 
@@ -164,22 +155,10 @@ def _region_walls(key: bytes, n: int, region: tuple[int, int, int] | None) -> fr
     if region is None:
         return derive_walls(key, n)
     row0, col0, size = region
-    m = size.bit_length() - 1
-    group = 2 * m
-    bits = 8 * len(key)
-    if bits < group:
-        raise ParameterError(
-            f"key yields no walls: need at least {group} bits, got {bits}"
-        )
-    value = int.from_bytes(key, "big") >> (bits % group)
-    coord_mask = (1 << m) - 1
-    counts: dict[tuple[int, int], int] = {}
-    for _ in range(bits // group):
-        g = value & ((1 << group) - 1)
-        cell = (row0 + (g >> m), col0 + (g & coord_mask))
-        counts[cell] = counts.get(cell, 0) + 1
-        value >>= group
-    return frozenset(cell for cell, k in counts.items() if k & 1)
+    odd = set()
+    for row, col in _key_coordinates(key, size.bit_length() - 1):
+        odd ^= {(row0 + row, col0 + col)}
+    return frozenset(odd)
 
 
 def _report(config, xs, per_trial: np.ndarray) -> ExperimentReport:
@@ -490,18 +469,21 @@ def emit_svg_plot(report: ExperimentReport, path: str | Path) -> None:
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
+_RUNS = {
+    "avalanche-key": avalanche_key,
+    "avalanche-text": avalanche_text,
+    "avalanche-key-concentrated": avalanche_key_concentrated,
+    "strict-key": strict_avalanche_key,
+    "strict-text": strict_avalanche_text,
+    "single-bit": strict_avalanche_single_bit,
+}
+
+PROTOCOLS = tuple(_RUNS)
+
+
 def run_protocol(config: ExperimentConfig, bit_index: int = 0) -> ExperimentReport:
-    """Dispatch a config to its protocol implementation."""
-    if config.protocol == "avalanche-key":
-        return avalanche_key(config)
-    if config.protocol == "avalanche-text":
-        return avalanche_text(config)
-    if config.protocol == "avalanche-key-concentrated":
-        return avalanche_key_concentrated(config)
-    if config.protocol == "strict-key":
-        return strict_avalanche_key(config)
-    if config.protocol == "strict-text":
-        return strict_avalanche_text(config)
+    """Dispatch a config to its protocol implementation; `bit_index` is
+    the plaintext bit that the single-bit protocol flips."""
     if config.protocol == "single-bit":
         return strict_avalanche_single_bit(config, bit_index)
-    raise ParameterError(f"unknown protocol {config.protocol!r}")
+    return _RUNS[config.protocol](config)

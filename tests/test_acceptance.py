@@ -114,15 +114,15 @@ def test_criterion_4_engine_equivalence():
     for _ in range(1000):
         lat = random_lattice(rnd, 6)
         walls = random_walls(rnd, 6, rnd.randint(0, 32))
-        planes = bp.to_bitplanes(lat)
-        if bp.from_bitplanes(bp.collide(planes)) != ref.collide(lat):
-            mismatches += 1
-        if bp.from_bitplanes(bp.propagate(planes)) != ref.propagate(lat):
-            mismatches += 1
-        if bp.from_bitplanes(bp.reflect(planes, walls)) != ref.reflect(lat, walls):
-            mismatches += 1
-        if bp.from_bitplanes(bp.invert_all(planes)) != ref.invert_all(lat):
-            mismatches += 1
+        planes = bp.planes_from_block(to_bytes(lat), 6)
+        for got, want in (
+            (bp.collide_planes(*planes), ref.collide(lat)),
+            (bp.propagate_planes(*planes, bp.geometry(6)), ref.propagate(lat)),
+            (bp.reflect_planes(*planes, bp.wall_mask(walls, 6)), ref.reflect(lat, walls)),
+            (bp.invert_planes(*planes), ref.invert_all(lat)),
+        ):
+            if from_bytes(bp.planes_to_block(got, 6), 6) != want:
+                mismatches += 1
     for i in range(50):
         rounds = rnd.randint(0, 16) if i < 45 else rnd.choice([32, 64, 128])
         params = CipherParams(6, rounds, random_walls(rnd, 6, 32))

@@ -28,17 +28,40 @@ def random_walls(rnd, n, count):
     )
 
 
+def to_planes(lat):
+    return bp.planes_from_block(ref.to_bytes(lat), lat.n)
+
+
+def to_lattice(planes, n):
+    return ref.from_bytes(bp.planes_to_block(planes, n), n)
+
+
+def cell_planes(lat):
+    """The (E, S, W, N) planes built cell by cell: bit i of a plane is the
+    direction bit of cell i, counted row-major."""
+    planes = [0, 0, 0, 0]
+    for i, value in enumerate(lat.cells):
+        for p, bit in enumerate((ref.E_BIT, ref.S_BIT, ref.W_BIT, ref.N_BIT)):
+            if value & bit:
+                planes[p] |= 1 << i
+    return tuple(planes)
+
+
+def hpp_step(planes, n):
+    return bp.propagate_planes(*bp.collide_planes(*planes), bp.geometry(n))
+
+
 @given(lattices())
 @settings(deadline=None)
 def test_round_trip_identity(lat):
-    assert bp.from_bitplanes(bp.to_bitplanes(lat)) == lat
+    assert to_lattice(to_planes(lat), lat.n) == lat
 
 
 def test_round_trip_large():
     rnd = random.Random(11)
     for n in (5, 6):
         lat = random_lattice(rnd, n)
-        assert bp.from_bitplanes(bp.to_bitplanes(lat)) == lat
+        assert to_lattice(to_planes(lat), n) == lat
 
 
 def test_matches_reference_engine_per_primitive():
@@ -48,33 +71,32 @@ def test_matches_reference_engine_per_primitive():
         n = rnd.randint(1, 5)
         lat = random_lattice(rnd, n)
         walls = random_walls(rnd, n, rnd.randint(0, 5))
-        planes = bp.to_bitplanes(lat)
-        assert bp.from_bitplanes(bp.collide(planes)) == ref.collide(lat)
-        assert bp.from_bitplanes(bp.propagate(planes)) == ref.propagate(lat)
-        assert bp.from_bitplanes(bp.invert_all(planes)) == ref.invert_all(lat)
-        assert bp.from_bitplanes(bp.reflect(planes, walls)) == ref.reflect(lat, walls)
-        assert bp.from_bitplanes(bp.hpp_step(planes)) == ref.hpp_step(lat)
+        planes = to_planes(lat)
+        geom = bp.geometry(n)
+        mask = bp.wall_mask(walls, n)
+        assert to_lattice(bp.collide_planes(*planes), n) == ref.collide(lat)
+        assert to_lattice(bp.propagate_planes(*planes, geom), n) == ref.propagate(lat)
+        assert to_lattice(bp.invert_planes(*planes), n) == ref.invert_all(lat)
+        assert to_lattice(bp.reflect_planes(*planes, mask), n) == ref.reflect(lat, walls)
+        assert to_lattice(hpp_step(planes, n), n) == ref.hpp_step(lat)
 
 
 def test_gold_vector_on_bitplanes():
-    lat = ref.from_bytes(bytes.fromhex("90A2F5155D100000"), 2)
-    planes = bp.hpp_step(bp.hpp_step(bp.to_bitplanes(lat)))
-    assert ref.to_bytes(bp.from_bitplanes(planes)) == bytes.fromhex(
-        "179002A850F85010"
-    )
+    planes = bp.planes_from_block(bytes.fromhex("90A2F5155D100000"), 2)
+    planes = hpp_step(hpp_step(planes, 2), 2)
+    assert bp.planes_to_block(planes, 2) == bytes.fromhex("179002A850F85010")
 
 
 def test_empty_lattice_fixed_point():
-    planes = bp.BitPlaneLattice(3, 0, 0, 0, 0)
-    assert bp.collide(planes) == planes
-    assert bp.propagate(planes) == planes
-    assert bp.invert_all(planes) == planes
-    assert bp.reflect(planes, {(1, 1)}) == planes
+    planes = (0, 0, 0, 0)
+    assert bp.collide_planes(*planes) == planes
+    assert bp.propagate_planes(*planes, bp.geometry(3)) == planes
+    assert bp.invert_planes(*planes) == planes
+    assert bp.reflect_planes(*planes, bp.wall_mask({(1, 1)}, 3)) == planes
 
 
 def test_invert_is_plane_swap():
-    planes = bp.BitPlaneLattice(1, 1, 2, 4, 8)
-    assert bp.invert_all(planes).planes() == (4, 8, 1, 2)
+    assert bp.invert_planes(1, 2, 4, 8) == (4, 8, 1, 2)
 
 
 def test_wall_mask_positions():
@@ -84,15 +106,10 @@ def test_wall_mask_positions():
         bp.wall_mask({(4, 0)}, 2)
 
 
-def test_plane_bits_must_fit():
-    with pytest.raises(ParameterError):
-        bp.BitPlaneLattice(1, 1 << 4, 0, 0, 0)
-
-
 def test_block_conversion_agrees_with_serialization():
     rnd = random.Random(5)
     for n in (1, 2, 4, 6):
         block = rnd.randbytes(ref.block_size(n))
         planes = bp.planes_from_block(block, n)
-        assert planes == bp.to_bitplanes(ref.from_bytes(block, n)).planes()
+        assert planes == cell_planes(ref.from_bytes(block, n))
         assert bp.planes_to_block(planes, n) == block

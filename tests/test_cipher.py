@@ -17,7 +17,6 @@ from hppcrypt.cipher import (
     encrypt_stream,
     keyspace_count,
     ones_density,
-    raw_wall_count,
 )
 from hppcrypt.errors import FormatError, ParameterError
 
@@ -50,9 +49,12 @@ def test_derive_walls_duplicates_collapse():
 
 
 def test_derive_walls_paper_counts():
+    # Keys whose groups are all distinct: 8 bytes give 8 walls at n=4 and
+    # 48 bytes give 32 walls at n=6, one per 2n-bit group.
+    assert derive_walls(bytes(range(8)), 4) == {(0, g) for g in range(8)}
+    key = sum(g << (12 * (31 - g)) for g in range(32)).to_bytes(48, "big")
+    assert derive_walls(key, 6) == {(0, g) for g in range(32)}
     rnd = random.Random(0)
-    assert raw_wall_count(rnd.randbytes(8), 4) == 8
-    assert raw_wall_count(rnd.randbytes(48), 6) == 32
     assert len(derive_walls(rnd.randbytes(48), 6)) <= 32
 
 

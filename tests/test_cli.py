@@ -184,6 +184,36 @@ def test_experiment_config_file(tmp_path, capsys):
     assert csv.read_bytes() != first
 
 
+@pytest.mark.parametrize("line, env_seed, message", [
+    ("n=abc", None, "n must be an integer, got 'abc'"),
+    ("n=1", None, "n must be in [2, 12], got 1"),
+    ("n=13", None, "n must be in [2, 12], got 13"),
+    ("seed=zz", None, "seed must be an integer, got 'zz'"),
+    ("bit=q", None, "bit must be an integer, got 'q'"),
+    ("trails=2", None, "unknown config key 'trails'; valid keys: protocol, n, trials"),
+    ("", "xyz", "HPP_SEED must be an integer, got 'xyz'"),
+], ids=["n=abc", "n=1", "n=13", "seed=zz", "bit=q", "trails=2", "HPP_SEED=xyz"])
+def test_experiment_hostile_config_exits_2(tmp_path, capsys, monkeypatch,
+                                           line, env_seed, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the protocol ran on a bad config")
+
+    monkeypatch.setattr("hppcrypt.cli.run_protocol", no_work)
+    if env_seed is None:
+        monkeypatch.delenv("HPP_SEED", raising=False)
+    else:
+        monkeypatch.setenv("HPP_SEED", env_seed)
+    conf = tmp_path / "exp.conf"
+    conf.write_text(
+        "protocol=avalanche-text\ntrials=1\nrounds=2\nkey_len=3\n" + line + "\n"
+    )
+    assert run("experiment", "--config", str(conf)) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
+
+
 def test_experiment_seed_env_fallback(tmp_path, capsys, monkeypatch):
     args = ("experiment", "--protocol", "avalanche-text", "--n", "3",
             "--trials", "1", "--rounds", "4", "--key-len", "3")

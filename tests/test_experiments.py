@@ -5,6 +5,7 @@ from hppcrypt.errors import ParameterError
 from hppcrypt.experiments import (
     ExperimentConfig,
     ExperimentReport,
+    _region_walls,
     avalanche_key,
     avalanche_key_concentrated,
     avalanche_text,
@@ -144,6 +145,22 @@ def test_region_validation():
         tiny_config("avalanche-key-concentrated", wall_region=(4, 4, 8))
     with pytest.raises(ParameterError):
         tiny_config("avalanche-key-concentrated", wall_region=(0, 0, 3))
+
+
+def test_region_walls_hand_decoded():
+    # Region side 4 (m=2): 01101100 splits into 0110, 1100 -> (1, 2), (3, 0),
+    # each shifted by the region's origin (4, 8).
+    assert _region_walls(bytes([0b01101100]), 4, (4, 8, 4)) == {(5, 10), (7, 8)}
+    # Region side 8 (m=3): 8 bits hold one 6-bit group 101011 -> (5, 3);
+    # the trailing bits 11 are dropped.
+    assert _region_walls(bytes([0b10101111]), 4, (2, 2, 8)) == {(7, 5)}
+    # Two 6-bit groups, both (0, 0): a cell drawn twice cancels out.
+    assert _region_walls(bytes(2), 4, (0, 0, 8)) == frozenset()
+    # Groups 0110, 0110, 1100, 0000: the repeated (1, 2) cancels, the rest stay.
+    assert _region_walls(bytes([0b01100110, 0b11000000]), 4, (0, 0, 4)) == {
+        (3, 0), (0, 0)
+    }
+    assert _region_walls(bytes([0b01101100]), 2, None) == {(1, 2), (3, 0)}
 
 
 def test_degenerate_region_matches_plain_key_avalanche():
