@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -189,6 +191,35 @@ def test_concentrated_matches_published_points():
         )
         report = avalanche_key_concentrated(cfg)
         assert abs(report.ys[0] - expect) <= 0.015
+
+
+# sha256 of the emit_csv output of each curve protocol at a small fixed
+# config with several round counts (round 0 included where the range
+# starts there). Recorded before the curves reused round prefixes; any
+# change that keeps the protocols' arithmetic must reproduce them.
+GOLDEN_CURVE_CSV = {
+    "avalanche-key": (
+        dict(n=4, trials=2, rounds_range=(0, 3, 15), key_len=8, seed=3),
+        "d8f7b2af4c66cd91792bec3ff0c550c796cb95e4b3d762986941f34c366511e1",
+    ),
+    "avalanche-key-concentrated": (
+        dict(n=4, trials=2, rounds_range=(1, 5, 21), key_len=4,
+             wall_region=(4, 8, 4), seed=9),
+        "ce4fcf774b0387a426dd38481d3292ef0ab7912f4ec6deddf5b2e0fa215176f7",
+    ),
+    "avalanche-text": (
+        dict(n=3, trials=3, rounds_range=(0, 2, 12), key_len=3, seed=11),
+        "b1a18b77018e968919d64714cc6edae053a8669455a420ce6871ce0f9ef041c0",
+    ),
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(GOLDEN_CURVE_CSV))
+def test_curve_csv_matches_golden_digest(tmp_path, protocol):
+    overrides, digest = GOLDEN_CURVE_CSV[protocol]
+    path = tmp_path / "curve.csv"
+    emit_csv(run_protocol(default_config(protocol, **overrides)), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_run_protocol_dispatch():
