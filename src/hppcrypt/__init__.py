@@ -8,6 +8,7 @@ from .cipher import (
     default_rounds,
     derive_walls,
     encrypt_block,
+    encrypt_rounds,
     encrypt_stream,
     keyspace_count,
     ones_density,
@@ -30,6 +31,7 @@ __all__ = [
     "default_rounds",
     "derive_walls",
     "encrypt_block",
+    "encrypt_rounds",
     "encrypt_stream",
     "from_bytes",
     "keyspace_count",

@@ -58,11 +58,6 @@ def _pack_plane(bits: np.ndarray) -> int:
     )
 
 
-def _unpack_plane(plane: int, size: int) -> np.ndarray:
-    raw = plane.to_bytes((size + 7) // 8, "little")
-    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[:size]
-
-
 def planes_from_block(block: bytes, n: int) -> tuple[int, int, int, int]:
     """Straight from the two-cells-per-byte serialization to planes."""
     pairs = np.frombuffer(block, dtype=np.uint8)
@@ -72,13 +67,38 @@ def planes_from_block(block: bytes, n: int) -> tuple[int, int, int, int]:
     return tuple(_pack_plane((cells >> shift) & 1) for shift in (3, 2, 1, 0))
 
 
+# _SPREAD[b] holds the eight cells of one plane byte b (cell i at bit i)
+# as four little-endian block bytes: byte j gets cell 2j at bit 4 and cell
+# 2j+1 at bit 0, i.e. the bit of that plane's direction before it is
+# shifted to its place in the cell nibble.
+_SPREAD = np.array(
+    [
+        sum(
+            (((b >> (2 * j)) & 1) << 4 | ((b >> (2 * j + 1)) & 1)) << (8 * j)
+            for j in range(4)
+        )
+        for b in range(256)
+    ],
+    dtype="<u4",
+)
+
+
 def planes_to_block(planes: tuple[int, int, int, int], n: int) -> bytes:
     """Inverse of :func:`planes_from_block`."""
     size = 1 << (2 * n)
-    cells = np.zeros(size, dtype=np.uint8)
-    for shift, plane in zip((3, 2, 1, 0), planes):
-        cells |= _unpack_plane(plane, size) << shift
-    return ((cells[0::2] << 4) | cells[1::2]).astype(np.uint8).tobytes()
+    # One table lookup for the four planes laid end to end, one row per
+    # plane; E, S, W, N are then shifted into nibble bits 3 to 0 in place,
+    # which keeps the peak memory at a few copies of the block.
+    raw = b"".join(plane.to_bytes((size + 7) // 8, "little") for plane in planes)
+    spread = _SPREAD[np.frombuffer(raw, dtype=np.uint8).reshape(4, -1)]
+    cells = spread[0]
+    cells <<= 1
+    cells |= spread[1]
+    cells <<= 1
+    cells |= spread[2]
+    cells <<= 1
+    cells |= spread[3]
+    return cells.tobytes()[: size // 2]
 
 
 def wall_mask(walls: Iterable[tuple[int, int]], n: int) -> int:

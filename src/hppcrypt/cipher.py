@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,6 +30,13 @@ from .lattice import block_size
 MAGIC = b"HPPC"
 VERSION = 1
 _HEADER = struct.Struct(">4sBBIQ")  # magic, version, n, rounds, original length
+
+# Bounds on what encrypt_stream writes and on what a container header may
+# ask decryption to run: lattice exponents from 2 to 12 (an 8 MiB
+# block) and at most 2^16 rounds, 8 times the default 2^(n+1) at n=12.
+MIN_EXPONENT = 2
+MAX_EXPONENT = 12
+MAX_ROUNDS = 1 << 16
 
 
 def default_rounds(n: int) -> int:
@@ -98,25 +106,55 @@ def _cached_wall_mask(walls: frozenset, n: int) -> int:
     return bitplane.wall_mask(walls, n)
 
 
+def _check_block_length(block: bytes, n: int) -> None:
+    if len(block) != block_size(n):
+        raise FormatError(
+            f"block must be {block_size(n)} bytes for n={n}, got {len(block)}"
+        )
+
+
 def encrypt_block(block: bytes, params: CipherParams, engine: str = "bitplane") -> bytes:
     """Encrypt (equivalently, decrypt) one 2^(2n-1)-byte block.
 
     The map is an involution for every choice of parameters and preserves
     the number of set bits exactly.
     """
-    if len(block) != block_size(params.n):
-        raise FormatError(
-            f"block must be {block_size(params.n)} bytes for n={params.n}, "
-            f"got {len(block)}"
-        )
     if engine == "bitplane":
-        return _encrypt_bitplane(block, params)
+        return next(encrypt_rounds(block, params, (params.rounds,)))
     if engine == "reference":
+        _check_block_length(block, params.n)
         return _encrypt_reference(block, params)
     raise ParameterError(f"unknown engine {engine!r}")
 
 
-def _encrypt_bitplane(block: bytes, params: CipherParams) -> bytes:
+def encrypt_rounds(
+    block: bytes, params: CipherParams, counts: Iterable[int]
+) -> Iterator[bytes]:
+    """Yield the ciphertext of one block at each round count in `counts`,
+    all from a single run of the bit-plane engine.
+
+    Up to the final J, the schedule for r rounds is a prefix of the one
+    for any r' > r, so the rounds run once, up to the largest count, and
+    at each count J is applied to the state of that moment. The ciphertext
+    at count r is ``encrypt_block(block, CipherParams(n, r, walls))``.
+    `counts` must be strictly ascending and lie in [0, params.rounds];
+    the block length and the counts are checked before this returns.
+    """
+    _check_block_length(block, params.n)
+    counts = tuple(counts)
+    if any(not 0 <= r <= params.rounds for r in counts) or any(
+        a >= b for a, b in zip(counts, counts[1:])
+    ):
+        raise ParameterError(
+            f"round counts must ascend strictly within [0, {params.rounds}], "
+            f"got {counts}"
+        )
+    return _trajectory(block, params, counts)
+
+
+def _trajectory(
+    block: bytes, params: CipherParams, counts: tuple[int, ...]
+) -> Iterator[bytes]:
     geom = bitplane.geometry(params.n)
     mask = _cached_wall_mask(params.walls, params.n)
     e, s, w, n = bitplane.planes_from_block(block, params.n)
@@ -124,13 +162,15 @@ def _encrypt_bitplane(block: bytes, params: CipherParams) -> bytes:
     e, s, w, n = bitplane.collide_planes(e, s, w, n)
     if mask:
         e, s, w, n = bitplane.reflect_planes(e, s, w, n, mask)
-    for _ in range(params.rounds):
-        e, s, w, n = bitplane.propagate_planes(e, s, w, n, geom)
-        e, s, w, n = bitplane.collide_planes(e, s, w, n)
-        if mask:
-            e, s, w, n = bitplane.reflect_planes(e, s, w, n, mask)
-    e, s, w, n = bitplane.invert_planes(e, s, w, n)
-    return bitplane.planes_to_block((e, s, w, n), params.n)
+    done = 0
+    for count in counts:
+        for _ in range(count - done):
+            e, s, w, n = bitplane.propagate_planes(e, s, w, n, geom)
+            e, s, w, n = bitplane.collide_planes(e, s, w, n)
+            if mask:
+                e, s, w, n = bitplane.reflect_planes(e, s, w, n, mask)
+        done = count
+        yield bitplane.planes_to_block(bitplane.invert_planes(e, s, w, n), params.n)
 
 
 def _encrypt_reference(block: bytes, params: CipherParams) -> bytes:
@@ -179,8 +219,15 @@ class CipherContainer:
             raise FormatError(f"bad magic {magic!r}")
         if version != VERSION:
             raise FormatError(f"unsupported container version {version}")
-        if n < 1:
-            raise FormatError(f"bad lattice exponent {n} in header")
+        if not MIN_EXPONENT <= n <= MAX_EXPONENT:
+            raise FormatError(
+                f"lattice exponent {n} in header is outside "
+                f"[{MIN_EXPONENT}, {MAX_EXPONENT}]"
+            )
+        if rounds > MAX_ROUNDS:
+            raise FormatError(
+                f"{rounds} rounds in header exceeds the limit of {MAX_ROUNDS}"
+            )
         return cls(n, rounds, original_length, data[_HEADER.size:])
 
     def block_count(self) -> int:
@@ -197,9 +244,20 @@ def encrypt_stream(
     """Encrypt arbitrary-length data: zero-pad to whole blocks, encrypt
     each block independently, record the true length in the header.
 
-    Walls come from the key unless an explicit wall set is given.
+    Walls come from the key unless an explicit wall set is given. The
+    lattice exponent and the round count must lie within the bounds that
+    :meth:`CipherContainer.from_bytes` accepts, so every container written
+    here loads again.
     """
+    if not MIN_EXPONENT <= n <= MAX_EXPONENT:
+        raise ParameterError(
+            f"n must be in [{MIN_EXPONENT}, {MAX_EXPONENT}], got {n}"
+        )
     params = _resolve_params(key, n, rounds, walls)
+    if params.rounds > MAX_ROUNDS:
+        raise ParameterError(
+            f"rounds must be at most {MAX_ROUNDS}, got {params.rounds}"
+        )
     bs = block_size(n)
     padded = data + bytes(-len(data) % bs)
     payload = b"".join(

@@ -17,6 +17,8 @@ import numpy as np
 
 from .cipher import (
     MAGIC,
+    MAX_EXPONENT,
+    MIN_EXPONENT,
     CipherContainer,
     CipherParams,
     approx_scientific,
@@ -47,8 +49,10 @@ def _integer(name: str, text: str) -> int:
 
 def _exponent(name: str, text: str) -> int:
     n = _integer(name, text)
-    if not 2 <= n <= 12:
-        raise ParameterError(f"{name} must be in [2, 12], got {n}")
+    if not MIN_EXPONENT <= n <= MAX_EXPONENT:
+        raise ParameterError(
+            f"{name} must be in [{MIN_EXPONENT}, {MAX_EXPONENT}], got {n}"
+        )
     return n
 
 

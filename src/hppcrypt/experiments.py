@@ -7,8 +7,12 @@ matter how trials are scheduled.
 
 Avalanche curves measure, per round count r, the average fraction of
 ciphertext bits inverted when a single input bit (key or plaintext) is
-flipped. Strict-avalanche protocols measure that probability separately
-for every ciphertext bit at a fixed round count. Plaintext flips can only
+flipped. Each encryption of a curve runs once to the largest round count
+and reads the ciphertext at every smaller count on the way
+(:func:`~hppcrypt.cipher.encrypt_rounds`), so a curve costs max r rounds
+per flip, not the sum of its round counts. Strict-avalanche protocols
+measure that probability separately for every ciphertext bit at a fixed
+round count. Plaintext flips can only
 ever reach half of the cells: a flipped cell influences only the
 checkerboard class of parity (row+col+rounds) mod 2, which caps the text
 avalanche near 0.25 where the key avalanche approaches 0.5.
@@ -22,7 +26,13 @@ from pathlib import Path
 import numpy as np
 
 from . import lattice as _lattice
-from .cipher import CipherParams, _key_coordinates, derive_walls, encrypt_block
+from .cipher import (
+    CipherParams,
+    _key_coordinates,
+    derive_walls,
+    encrypt_block,
+    encrypt_rounds,
+)
 from .errors import ParameterError
 from .imaging import GrayImage, image_to_lattice, lattice_to_image
 from .lattice import block_size
@@ -172,36 +182,34 @@ def _report(config, xs, per_trial: np.ndarray) -> ExperimentReport:
 
 
 def _avalanche_curve(config: ExperimentConfig, flip_key: bool) -> ExperimentReport:
+    """Per trial: one reference trajectory, then one trajectory per flipped
+    key or text bit, each run once up to the largest round count, so a
+    curve costs max r rounds per flip, not the sum over its round counts.
+    Each round count keeps a running total that the flips add to in bit
+    order, so the floats match encrypting at each count separately."""
     rounds = config.round_values()
-    block_bits = 8 * config.block_len
-    key_bits = 8 * config.key_len
+    n, region, top = config.n, config.wall_region, rounds[-1]
     per_trial = np.zeros((len(rounds), config.trials))
     for t in range(config.trials):
         rng = trial_rng(config.seed, t)
         text = rng.bytes(config.block_len)
         key = rng.bytes(config.key_len)
-        walls = _region_walls(key, config.n, config.wall_region)
+        params = CipherParams(n, top, _region_walls(key, n, region))
         if flip_key:
-            flipped_walls = [
-                _region_walls(flip_bit(key, i), config.n, config.wall_region)
-                for i in range(key_bits)
-            ]
+            flip_count = 8 * config.key_len
+            flips = (
+                (text, CipherParams(n, top, _region_walls(flip_bit(key, i), n, region)))
+                for i in range(flip_count)
+            )
         else:
-            flipped_texts = [flip_bit(text, i) for i in range(block_bits)]
-        for ri, r in enumerate(rounds):
-            params = CipherParams(config.n, r, walls)
-            c_ref = encrypt_block(text, params)
-            total = 0.0
-            if flip_key:
-                for w in flipped_walls:
-                    c2 = encrypt_block(text, CipherParams(config.n, r, w))
-                    total += inverted_fraction(c_ref, c2)
-                per_trial[ri, t] = total / key_bits
-            else:
-                for text2 in flipped_texts:
-                    c2 = encrypt_block(text2, params)
-                    total += inverted_fraction(c_ref, c2)
-                per_trial[ri, t] = total / block_bits
+            flip_count = 8 * config.block_len
+            flips = ((flip_bit(text, i), params) for i in range(flip_count))
+        c_ref = list(encrypt_rounds(text, params, rounds))
+        totals = [0.0] * len(rounds)
+        for text2, params2 in flips:
+            for ri, c2 in enumerate(encrypt_rounds(text2, params2, rounds)):
+                totals[ri] += inverted_fraction(c_ref[ri], c2)
+        per_trial[:, t] = [total / flip_count for total in totals]
     return _report(config, rounds, per_trial)
 
 

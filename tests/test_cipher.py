@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from hppcrypt import lattice as L
 from hppcrypt.cipher import (
+    MAX_ROUNDS,
     CipherContainer,
     CipherParams,
     approx_scientific,
@@ -14,6 +15,7 @@ from hppcrypt.cipher import (
     default_rounds,
     derive_walls,
     encrypt_block,
+    encrypt_rounds,
     encrypt_stream,
     keyspace_count,
     ones_density,
@@ -216,6 +218,53 @@ def test_engines_agree():
         assert encrypt_block(block, params) == encrypt_block(block, params, "reference")
 
 
+# --- round trajectories ---------------------------------------------------
+
+def check_trajectory(rnd, n):
+    """encrypt_rounds at random ascending counts, 0 included, against a
+    separate encryption at each count by both engines."""
+    params = random_params(rnd, n, max_rounds=20)
+    k = min(params.rounds, rnd.randint(0, 5))
+    picks = rnd.sample(range(1, params.rounds + 1), k)
+    counts = (0, *sorted(picks))
+    block = rnd.randbytes(L.block_size(n))
+    got = list(encrypt_rounds(block, params, counts))
+    assert len(got) == len(counts)
+    for r, ct in zip(counts, got):
+        at_r = CipherParams(n, r, params.walls)
+        assert ct == encrypt_block(block, at_r)
+        assert ct == encrypt_block(block, at_r, "reference")
+
+
+def test_encrypt_rounds_matches_engines_seeded():
+    rnd = random.Random(17)
+    for n in (2, 3, 4, 5, 2, 3, 4, 5):
+        check_trajectory(rnd, n)
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(2, 5))
+@settings(deadline=None, max_examples=25)
+def test_encrypt_rounds_matches_engines(seed, n):
+    check_trajectory(random.Random(seed), n)
+
+
+def test_encrypt_rounds_empty_counts_and_block_length():
+    params = CipherParams(3, 8, frozenset({(1, 1)}))
+    assert list(encrypt_rounds(bytes(32), params, ())) == []
+    with pytest.raises(FormatError):
+        encrypt_rounds(bytes(31), params, (0,))
+
+
+@pytest.mark.parametrize(
+    "counts", [(2, 1), (3, 3), (-1, 2), (0, 9), (9,)],
+    ids=["descending", "repeated", "negative", "above", "only-above"],
+)
+def test_encrypt_rounds_rejects_bad_counts(counts):
+    params = CipherParams(3, 8, frozenset({(1, 1)}))
+    with pytest.raises(ParameterError):
+        encrypt_rounds(bytes(32), params, counts)
+
+
 def test_cipher_params_validation():
     with pytest.raises(ParameterError):
         CipherParams(4, -1, frozenset())
@@ -302,6 +351,19 @@ def test_container_format_errors():
         CipherContainer.from_bytes(good + b"\x00")  # breaks block multiple
     with pytest.raises(FormatError):
         CipherContainer(3, 1, original_length=33, payload=bytes(32))
+
+    def header(n, rounds):
+        return CipherContainer(n, rounds, 0, bytes(L.block_size(n))).to_bytes()
+
+    # header bounds: n in [2, 12], at most MAX_ROUNDS rounds
+    for n, rounds in ((2, MAX_ROUNDS), (12, 0)):
+        assert CipherContainer.from_bytes(header(n, rounds)).rounds == rounds
+    for n, rounds in ((2, MAX_ROUNDS + 1), (1, 0), (13, 0)):
+        with pytest.raises(FormatError):
+            CipherContainer.from_bytes(header(n, rounds))
+        # ... and encrypt_stream refuses to write such a header
+        with pytest.raises(ParameterError):
+            encrypt_stream(b"payload", b"key", n, rounds)
 
 
 # --- keyspace and density -------------------------------------------------

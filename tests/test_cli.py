@@ -1,7 +1,10 @@
 import random
+import struct
+import time
 
 import pytest
 
+from hppcrypt.cipher import MAX_ROUNDS
 from hppcrypt.cli import main
 from hppcrypt.imaging import GrayImage, read_pgm, write_pgm
 
@@ -70,6 +73,40 @@ def test_corrupt_container_exits_1(tmp_path):
     bad.write_bytes(b"not a container at all")
     assert run("decrypt", "--key-hex", "aa",
                "--in", str(bad), "--out", str(tmp_path / "o.bin")) == 1
+
+
+@pytest.mark.parametrize("n, rounds, message", [
+    (40, 8, "lattice exponent 40 in header is outside [2, 12]"),
+    (2, 2**32 - 1, "4294967295 rounds in header exceeds the limit of 65536"),
+], ids=["n=40", "rounds=2^32-1"])
+def test_hostile_container_header_exits_1(tmp_path, capsys, n, rounds, message):
+    # 26 bytes: the 18-byte header and one 8-byte block of payload
+    bad = tmp_path / "hostile.hppc"
+    bad.write_bytes(struct.pack(">4sBBIQ", b"HPPC", 1, n, rounds, 8) + bytes(8))
+    start = time.perf_counter()
+    code = run("decrypt", "--key-hex", "a1b2c3d4",
+               "--in", str(bad), "--out", str(tmp_path / "o.bin"))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: {message}"]
+
+
+def test_encrypt_rounds_limit(tmp_path, capsys):
+    plain = tmp_path / "p.bin"
+    plain.write_bytes(b"\x5a" * 8)
+    box, back = tmp_path / "c.hppc", tmp_path / "back.bin"
+    assert run("encrypt", "--n", "2", "--rounds", str(MAX_ROUNDS + 1),
+               "--key-hex", "a1", "--in", str(plain), "--out", str(box)) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: rounds must be at most {MAX_ROUNDS}, got {MAX_ROUNDS + 1}"
+    ]
+    assert not box.exists()
+    # the largest round count encrypt accepts still decrypts
+    assert run("encrypt", "--n", "2", "--rounds", str(MAX_ROUNDS),
+               "--key-hex", "a1", "--in", str(plain), "--out", str(box)) == 0
+    assert run("decrypt", "--key-hex", "a1", "--in", str(box), "--out", str(back)) == 0
+    assert back.read_bytes() == plain.read_bytes()
 
 
 def test_walls_file_flow(tmp_path):
