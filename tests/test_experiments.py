@@ -222,6 +222,33 @@ def test_curve_csv_matches_golden_digest(tmp_path, protocol):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+# sha256 of the emit_csv output of each strict protocol at a small fixed
+# config, with the plaintext bit that single-bit flips. Recorded before the
+# protocols shared one trial driver.
+GOLDEN_STRICT_CSV = {
+    "strict-key": (
+        dict(n=3, trials=3, rounds_range=(16, 1, 16), key_len=3, seed=5), 0,
+        "cccdd672a81c8317b4da1c96d0b40a7bc87c91da75b502785ef33dc9b4c3e318",
+    ),
+    "strict-text": (
+        dict(n=3, trials=3, rounds_range=(16, 1, 16), key_len=3, seed=5), 0,
+        "eb321ab719e1f4f2e9d3df5ce3b598d579f648a819e5a201deebf65b7ecc1dff",
+    ),
+    "single-bit": (
+        dict(n=4, trials=5, seed=5), 13,
+        "605b4d5b00b39e103d7bdfc6276eb735c4c3003e091c5157062df58831c1e18f",
+    ),
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(GOLDEN_STRICT_CSV))
+def test_strict_csv_matches_golden_digest(tmp_path, protocol):
+    overrides, bit, digest = GOLDEN_STRICT_CSV[protocol]
+    path = tmp_path / "strict.csv"
+    emit_csv(run_protocol(default_config(protocol, **overrides), bit_index=bit), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 def test_run_protocol_dispatch():
     for protocol in ("avalanche-key", "avalanche-text"):
         report = run_protocol(tiny_config(protocol))
