@@ -164,7 +164,7 @@ _EXPERIMENT_FIELDS = {
     "key_len": ("key_len", _integer),
     "region": ("wall_region", _parse_region),
     "seed": ("seed", _integer),
-    "bit": ("bit_index", _integer),
+    "bit": ("bit", _integer),
 }
 
 
@@ -202,10 +202,9 @@ def cmd_experiment(args) -> int:
             overrides[field] = parse(key, text)
     if "seed" not in overrides:
         overrides["seed"] = _integer("HPP_SEED", os.environ.get("HPP_SEED", "0"))
-    bit_index = overrides.pop("bit_index", 0)
 
     config = default_config(protocol, **overrides)
-    report = run_protocol(config, bit_index=bit_index)
+    report = run_protocol(config)
 
     if args.csv:
         emit_csv(report, args.csv)
@@ -215,7 +214,8 @@ def cmd_experiment(args) -> int:
         print(f"wrote {args.svg}")
 
     print(f"protocol={protocol} n={config.n} trials={config.trials} seed={config.seed}")
-    if protocol.startswith("avalanche"):
+    _, per_bit = PROTOCOLS[protocol]
+    if not per_bit:
         for x, y, s in zip(report.xs, report.ys, report.stddevs):
             print(f"r={x} p={y:.5f} stddev={s:.5f}")
     elif protocol == "single-bit":
@@ -223,7 +223,7 @@ def cmd_experiment(args) -> int:
         hot = [y for y in report.ys if y > 0.0]
         mean_hot = sum(hot) / len(hot) if hot else 0.0
         print(
-            f"bit={bit_index}: {zero}/{len(report.ys)} ciphertext bits never "
+            f"bit={config.bit}: {zero}/{len(report.ys)} ciphertext bits never "
             f"invert; the other {len(hot)} invert with mean probability "
             f"{mean_hot:.4f}"
         )

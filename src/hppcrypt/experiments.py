@@ -5,14 +5,18 @@ Philox generator keyed by (seed, trial index), so trials are independent
 sub-streams and a report is reproducible bit for bit from its config no
 matter how trials are scheduled.
 
-Avalanche curves measure, per round count r, the average fraction of
-ciphertext bits inverted when a single input bit (key or plaintext) is
-flipped. Each encryption of a curve runs once to the largest round count
-and reads the ciphertext at every smaller count on the way
+:func:`run_protocol` runs all six protocols through one trial loop: per
+trial, draw a text and a key, derive the walls (inside the config's wall
+region, if it has one) and flip one key or plaintext bit at a time. An
+:class:`ExperimentConfig` holds every input of a run and refuses a bad
+one before any work starts. Avalanche curves measure, per round count r,
+the average fraction of ciphertext bits inverted by a flip. Each
+encryption of a curve runs once to the largest round count and reads the
+ciphertext at every smaller count on the way
 (:func:`~hppcrypt.cipher.encrypt_rounds`), so a curve costs max r rounds
 per flip, not the sum of its round counts. Strict-avalanche protocols
-measure that probability separately for every ciphertext bit at a fixed
-round count. Plaintext flips can only
+(Webster and Tavares' criterion) measure that probability separately for
+every ciphertext bit at a fixed round count. Plaintext flips can only
 ever reach half of the cells: a flipped cell influences only the
 checkerboard class of parity (row+col+rounds) mod 2, which caps the text
 avalanche near 0.25 where the key avalanche approaches 0.5.
@@ -27,6 +31,7 @@ import numpy as np
 
 from . import lattice as _lattice
 from .cipher import (
+    MAX_ROUNDS,
     CipherParams,
     _key_coordinates,
     derive_walls,
@@ -39,6 +44,27 @@ from .lattice import block_size
 
 _MASK64 = (1 << 64) - 1
 
+# protocol -> (flip_key, per_bit): whether it flips key bits rather than
+# plaintext bits, and whether it reports one probability per ciphertext
+# bit at a single round count rather than a curve over round counts.
+PROTOCOLS = {
+    # mean fraction inverted per key-bit flip; approaches 0.5
+    "avalanche-key": (True, False),
+    # per plaintext-bit flip; plateaus near 0.24, not 0.5, because a text
+    # flip reaches only one checkerboard class
+    "avalanche-text": (False, False),
+    # key avalanche with every wall drawn inside the wall region (the key
+    # is reread as region-relative coordinates)
+    "avalanche-key-concentrated": (True, False),
+    # over all key-bit flips every bit should sit near 0.5 (observed 0.47)
+    "strict-key": (True, True),
+    # over all plaintext-bit flips; clusters near 0.25
+    "strict-text": (False, True),
+    # only plaintext bit `bit` flips: exactly the opposite-parity half of
+    # the bits never inverts, the rest invert about half the time
+    "single-bit": (False, True),
+}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -48,19 +74,15 @@ class ExperimentConfig:
     trials: int
     seed: int
     key_len: int  # bytes
-    block_len: int  # bytes, always 2^(2n-1)
     wall_region: tuple[int, int, int] | None = None  # row0, col0, side
+    bit: int = 0  # the plaintext bit that single-bit flips
 
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
             raise ParameterError(f"unknown protocol {self.protocol!r}")
+        flip_key, per_bit = PROTOCOLS[self.protocol]
         if self.n < 1:
             raise ParameterError(f"lattice exponent must be >= 1, got {self.n}")
-        if self.block_len != block_size(self.n):
-            raise ParameterError(
-                f"block length {self.block_len} does not match n={self.n} "
-                f"(expected {block_size(self.n)})"
-            )
         if self.trials < 1:
             raise ParameterError(f"trials must be >= 1, got {self.trials}")
         if self.key_len < 1:
@@ -68,6 +90,14 @@ class ExperimentConfig:
         start, step, stop = self.rounds_range
         if start < 0 or step < 1 or stop < start:
             raise ParameterError(f"empty rounds range {self.rounds_range}")
+        if stop > MAX_ROUNDS:
+            raise ParameterError(f"rounds must be at most {MAX_ROUNDS}, got {stop}")
+        if per_bit and len(range(start, stop + 1, step)) != 1:
+            raise ParameterError(
+                "strict-avalanche protocols use a single round count, "
+                f"got range {self.rounds_range}"
+            )
+        m = self.n
         if self.wall_region is not None:
             row0, col0, size = self.wall_region
             side = 1 << self.n
@@ -80,6 +110,21 @@ class ExperimentConfig:
                     f"wall region {self.wall_region} does not fit a "
                     f"{side}x{side} lattice"
                 )
+            m = size.bit_length() - 1
+        elif self.protocol == "avalanche-key-concentrated":
+            raise ParameterError("avalanche-key-concentrated needs a wall region")
+        if flip_key and (8 * self.key_len) % (2 * m):
+            raise ParameterError(
+                f"key of {self.key_len} bytes does not split into "
+                f"{2 * m}-bit wall coordinates"
+            )
+        if not 0 <= self.bit < 8 * self.block_len:
+            raise ParameterError(f"bit index {self.bit} outside the block")
+
+    @property
+    def block_len(self) -> int:
+        """Block bytes, 2^(2n-1)."""
+        return block_size(self.n)
 
     def round_values(self) -> tuple[int, ...]:
         start, step, stop = self.rounds_range
@@ -115,7 +160,6 @@ def default_config(protocol: str, **overrides) -> ExperimentConfig:
     n = fields["n"]
     fields.setdefault("seed", 0)
     fields.setdefault("key_len", default_key_len(n))
-    fields.setdefault("block_len", block_size(n))
     return ExperimentConfig(protocol=protocol, **fields)
 
 
@@ -181,126 +225,72 @@ def _report(config, xs, per_trial: np.ndarray) -> ExperimentReport:
     )
 
 
-def _avalanche_curve(config: ExperimentConfig, flip_key: bool) -> ExperimentReport:
-    """Per trial: one reference trajectory, then one trajectory per flipped
-    key or text bit, each run once up to the largest round count, so a
-    curve costs max r rounds per flip, not the sum over its round counts.
-    Each round count keeps a running total that the flips add to in bit
-    order, so the floats match encrypting at each count separately."""
-    rounds = config.round_values()
-    n, region, top = config.n, config.wall_region, rounds[-1]
-    per_trial = np.zeros((len(rounds), config.trials))
+def _trials(config: ExperimentConfig, flip_key: bool, flips):
+    """The trial loop of every protocol. Per trial, yield the reference
+    (text, params) and a generator of the (text, params) pairs with one
+    key or plaintext bit flipped, in the order of `flips`. The text and
+    then the key come from trial_rng(seed, t); the walls come from
+    _region_walls, and every params runs to the largest round count.
+    A trial's flips must be consumed before the next trial is drawn."""
+    n, region, top = config.n, config.wall_region, config.round_values()[-1]
     for t in range(config.trials):
         rng = trial_rng(config.seed, t)
         text = rng.bytes(config.block_len)
         key = rng.bytes(config.key_len)
         params = CipherParams(n, top, _region_walls(key, n, region))
         if flip_key:
-            flip_count = 8 * config.key_len
-            flips = (
+            flipped = (
                 (text, CipherParams(n, top, _region_walls(flip_bit(key, i), n, region)))
-                for i in range(flip_count)
+                for i in flips
             )
         else:
-            flip_count = 8 * config.block_len
-            flips = ((flip_bit(text, i), params) for i in range(flip_count))
+            flipped = ((flip_bit(text, i), params) for i in flips)
+        yield (text, params), flipped
+
+
+def _curve(config: ExperimentConfig, trials, flip_count: int) -> ExperimentReport:
+    """Mean inverted fraction per round count. Each encryption is one
+    trajectory up to the largest round count, so a curve costs max r
+    rounds per flip, not the sum over its round counts. Each round count
+    keeps a running total that the flips add to in flip order, so the
+    floats match encrypting at each count separately."""
+    rounds = config.round_values()
+    per_trial = np.zeros((len(rounds), config.trials))
+    for t, ((text, params), flipped) in enumerate(trials):
         c_ref = list(encrypt_rounds(text, params, rounds))
         totals = [0.0] * len(rounds)
-        for text2, params2 in flips:
+        for text2, params2 in flipped:
             for ri, c2 in enumerate(encrypt_rounds(text2, params2, rounds)):
                 totals[ri] += inverted_fraction(c_ref[ri], c2)
         per_trial[:, t] = [total / flip_count for total in totals]
     return _report(config, rounds, per_trial)
 
 
-def _check_key_splits(config: ExperimentConfig) -> None:
-    m = config.n
-    if config.wall_region is not None:
-        m = config.wall_region[2].bit_length() - 1
-    if (8 * config.key_len) % (2 * m):
-        raise ParameterError(
-            f"key of {config.key_len} bytes does not split into "
-            f"{2 * m}-bit wall coordinates"
-        )
-
-
-def avalanche_key(config: ExperimentConfig) -> ExperimentReport:
-    """Mean fraction of ciphertext bits inverted per single key-bit flip,
-    as a function of the round count."""
-    _check_key_splits(config)
-    return _avalanche_curve(config, flip_key=True)
-
-
-def avalanche_text(config: ExperimentConfig) -> ExperimentReport:
-    """Mean fraction of ciphertext bits inverted per single plaintext-bit
-    flip. Plateaus near 0.24, not 0.5: a text flip only reaches one
-    checkerboard class."""
-    return _avalanche_curve(config, flip_key=False)
-
-
-def avalanche_key_concentrated(config: ExperimentConfig) -> ExperimentReport:
-    """Key avalanche with all walls drawn inside a sub-square of the
-    lattice (the key is reread as region-relative coordinates)."""
-    if config.wall_region is None:
-        raise ParameterError("avalanche-key-concentrated needs a wall region")
-    _check_key_splits(config)
-    return _avalanche_curve(config, flip_key=True)
-
-
-def _single_round_count(config: ExperimentConfig) -> int:
-    rounds = config.round_values()
-    if len(rounds) != 1:
-        raise ParameterError(
-            "strict-avalanche protocols use a single round count, "
-            f"got range {config.rounds_range}"
-        )
-    return rounds[0]
-
-
-def _strict(config: ExperimentConfig, flips: list[int], flip_key: bool) -> ExperimentReport:
-    r = _single_round_count(config)
+def _strict(config: ExperimentConfig, trials, flip_count: int) -> ExperimentReport:
+    """Inversion probability of each ciphertext bit at the single round
+    count, from exact per-bit counts."""
     block_bits = 8 * config.block_len
     per_trial = np.zeros((block_bits, config.trials))
     acc = np.zeros(block_bits, dtype=np.int64)
-    for t in range(config.trials):
-        rng = trial_rng(config.seed, t)
-        text = rng.bytes(config.block_len)
-        key = rng.bytes(config.key_len)
-        params = CipherParams(config.n, r, derive_walls(key, config.n))
+    for t, ((text, params), flipped) in enumerate(trials):
         c_ref = np.frombuffer(encrypt_block(text, params), dtype=np.uint8)
         acc[:] = 0
-        for i in flips:
-            if flip_key:
-                p2 = CipherParams(config.n, r, derive_walls(flip_bit(key, i), config.n))
-                c2 = encrypt_block(text, p2)
-            else:
-                c2 = encrypt_block(flip_bit(text, i), params)
-            diff = c_ref ^ np.frombuffer(c2, dtype=np.uint8)
+        for text2, params2 in flipped:
+            diff = c_ref ^ np.frombuffer(encrypt_block(text2, params2), dtype=np.uint8)
             acc += np.unpackbits(diff)
-        per_trial[:, t] = acc / len(flips)
+        per_trial[:, t] = acc / flip_count
     return _report(config, range(block_bits), per_trial)
 
 
-def strict_avalanche_key(config: ExperimentConfig) -> ExperimentReport:
-    """Per-ciphertext-bit inversion probability over all single key-bit
-    flips; every bit should sit near 0.5 (observed around 0.47)."""
-    return _strict(config, list(range(8 * config.key_len)), flip_key=True)
-
-
-def strict_avalanche_text(config: ExperimentConfig) -> ExperimentReport:
-    """Per-ciphertext-bit inversion probability over all single
-    plaintext-bit flips; clusters near 0.25 because each flip reaches only
-    one checkerboard class."""
-    return _strict(config, list(range(8 * config.block_len)), flip_key=False)
-
-
-def strict_avalanche_single_bit(config: ExperimentConfig, bit_index: int) -> ExperimentReport:
-    """Per-ciphertext-bit inversion probability when only one fixed
-    plaintext bit is flipped: exactly the opposite-parity half of the bits
-    never inverts, the rest invert about half the time."""
-    if not 0 <= bit_index < 8 * config.block_len:
-        raise ParameterError(f"bit index {bit_index} outside the block")
-    return _strict(config, [bit_index], flip_key=False)
+def run_protocol(config: ExperimentConfig) -> ExperimentReport:
+    """Run the config's protocol; the one entry point for all six."""
+    flip_key, per_bit = PROTOCOLS[config.protocol]
+    if config.protocol == "single-bit":
+        flips = (config.bit,)
+    else:
+        flips = range(8 * (config.key_len if flip_key else config.block_len))
+    reduce = _strict if per_bit else _curve
+    return reduce(config, _trials(config, flip_key, flips), len(flips))
 
 
 def reachable_bits(n: int, bit_index: int, rounds: int) -> np.ndarray:
@@ -401,7 +391,7 @@ def emit_svg_plot(report: ExperimentReport, path: str | Path) -> None:
     for per-bit protocols. Byte-deterministic for a given report."""
     if not report.xs:
         raise ParameterError("cannot emit an empty report")
-    curve = not report.config.protocol.startswith(("strict", "single"))
+    curve = not PROTOCOLS[report.config.protocol][1]
     y_max = 0.6 if curve else 1.0
     x_max = max(max(report.xs), 1)
     plot_w = _SVG_W - _ML - _MR
@@ -476,22 +466,3 @@ def emit_svg_plot(report: ExperimentReport, path: str | Path) -> None:
     out.append("</svg>")
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
 
-
-_RUNS = {
-    "avalanche-key": avalanche_key,
-    "avalanche-text": avalanche_text,
-    "avalanche-key-concentrated": avalanche_key_concentrated,
-    "strict-key": strict_avalanche_key,
-    "strict-text": strict_avalanche_text,
-    "single-bit": strict_avalanche_single_bit,
-}
-
-PROTOCOLS = tuple(_RUNS)
-
-
-def run_protocol(config: ExperimentConfig, bit_index: int = 0) -> ExperimentReport:
-    """Dispatch a config to its protocol implementation; `bit_index` is
-    the plaintext bit that the single-bit protocol flips."""
-    if config.protocol == "single-bit":
-        return strict_avalanche_single_bit(config, bit_index)
-    return _RUNS[config.protocol](config)

@@ -112,6 +112,8 @@ def read_pgm(path: str | Path) -> GrayImage:
             values = [int(t) for t in tokens[:count]]
         except ValueError:
             raise FormatError("bad sample in ASCII PGM") from None
+        if min(values) < 0:
+            raise FormatError(f"negative sample {min(values)} in ASCII PGM")
     pixels = bytearray(count)
     for i, v in enumerate(values):
         if v > maxval:

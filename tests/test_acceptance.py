@@ -16,15 +16,7 @@ from hppcrypt.cipher import (
     encrypt_block,
     keyspace_count,
 )
-from hppcrypt.experiments import (
-    avalanche_key,
-    avalanche_text,
-    default_config,
-    strict_avalanche_key,
-    strict_avalanche_single_bit,
-    strict_avalanche_text,
-    trial_rng,
-)
+from hppcrypt.experiments import default_config, run_protocol, trial_rng
 from hppcrypt.lattice import Lattice, block_size, from_bytes, parity_counts, to_bytes
 
 
@@ -141,7 +133,7 @@ def test_criterion_5_fig7_key_avalanche():
     points = {}
     for r in (10, 60, 128, 200):
         cfg = default_config("avalanche-key", rounds_range=(r, 1, r), seed=42)
-        points[r] = avalanche_key(cfg).ys[0]
+        points[r] = run_protocol(cfg).ys[0]
     ok = (
         abs(points[10] - 0.009) <= 0.005
         and abs(points[60] - 0.425) <= 0.015
@@ -158,7 +150,7 @@ def test_criterion_6_fig8_text_plateau():
     # n=4, 128-byte blocks, 8-byte keys, 20 trials; plateau sampled at
     # r in {100, 208}.
     cfg = default_config("avalanche-text", rounds_range=(100, 108, 208), seed=42)
-    report = avalanche_text(cfg)
+    report = run_protocol(cfg)
     plateau = report.mean_y()
     ok = abs(plateau - 0.240) <= 0.005 and plateau < 0.26
     check(6, "fig 8 text plateau", ok,
@@ -167,8 +159,8 @@ def test_criterion_6_fig8_text_plateau():
 
 
 def test_criterion_7_strict_avalanche_means():
-    key_report = strict_avalanche_key(default_config("strict-key", trials=200, seed=42))
-    text_report = strict_avalanche_text(default_config("strict-text", trials=200, seed=42))
+    key_report = run_protocol(default_config("strict-key", trials=200, seed=42))
+    text_report = run_protocol(default_config("strict-text", trials=200, seed=42))
     key_mean = key_report.mean_y()
     text_mean = text_report.mean_y()
     ok = abs(key_mean - 0.47) <= 0.02 and abs(text_mean - 0.25) <= 0.02
@@ -178,8 +170,8 @@ def test_criterion_7_strict_avalanche_means():
 
 
 def test_criterion_8_fig12_single_bit_split():
-    cfg = default_config("single-bit", trials=1000, seed=42)
-    report = strict_avalanche_single_bit(cfg, 0)
+    cfg = default_config("single-bit", trials=1000, seed=42, bit=0)
+    report = run_protocol(cfg)
     zero_set = {i for i, y in enumerate(report.ys) if y == 0.0}
     side = 1 << cfg.n
     # flipped cell (0,0), 64 rounds: reachable cells have even row+col

@@ -221,6 +221,14 @@ def test_experiment_config_file(tmp_path, capsys):
     assert csv.read_bytes() != first
 
 
+@pytest.fixture
+def no_run(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the protocol ran on a bad config")
+
+    monkeypatch.setattr("hppcrypt.cli.run_protocol", no_work)
+
+
 @pytest.mark.parametrize("line, env_seed, message", [
     ("n=abc", None, "n must be an integer, got 'abc'"),
     ("n=1", None, "n must be in [2, 12], got 1"),
@@ -230,12 +238,8 @@ def test_experiment_config_file(tmp_path, capsys):
     ("trails=2", None, "unknown config key 'trails'; valid keys: protocol, n, trials"),
     ("", "xyz", "HPP_SEED must be an integer, got 'xyz'"),
 ], ids=["n=abc", "n=1", "n=13", "seed=zz", "bit=q", "trails=2", "HPP_SEED=xyz"])
-def test_experiment_hostile_config_exits_2(tmp_path, capsys, monkeypatch,
+def test_experiment_hostile_config_exits_2(tmp_path, capsys, monkeypatch, no_run,
                                            line, env_seed, message):
-    def no_work(*args, **kwargs):
-        raise AssertionError("the protocol ran on a bad config")
-
-    monkeypatch.setattr("hppcrypt.cli.run_protocol", no_work)
     if env_seed is None:
         monkeypatch.delenv("HPP_SEED", raising=False)
     else:
@@ -249,6 +253,25 @@ def test_experiment_hostile_config_exits_2(tmp_path, capsys, monkeypatch,
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("flags, config", [
+    (("--protocol", "strict-key", "--n", "2", "--rounds", "100000000",
+      "--trials", "1", "--key-len", "1"), None),
+    ((), "protocol=avalanche-text\nn=3\ntrials=1\nkey_len=3\n"
+         "rounds=0:1:100000000\n"),
+], ids=["flag", "config"])
+def test_experiment_rounds_limit(tmp_path, capsys, no_run, flags, config):
+    if config is not None:
+        conf = tmp_path / "exp.conf"
+        conf.write_text(config)
+        flags = ("--config", str(conf))
+    start = time.perf_counter()
+    assert run("experiment", *flags) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: rounds must be at most {MAX_ROUNDS}, got 100000000"
+    ]
 
 
 def test_experiment_seed_env_fallback(tmp_path, capsys, monkeypatch):

@@ -3,14 +3,12 @@ import hashlib
 import numpy as np
 import pytest
 
+from hppcrypt.cipher import MAX_ROUNDS
 from hppcrypt.errors import ParameterError
 from hppcrypt.experiments import (
     ExperimentConfig,
     ExperimentReport,
     _region_walls,
-    avalanche_key,
-    avalanche_key_concentrated,
-    avalanche_text,
     default_config,
     emit_csv,
     emit_svg_plot,
@@ -19,9 +17,6 @@ from hppcrypt.experiments import (
     partial_key_leak_demo,
     reachable_bits,
     run_protocol,
-    strict_avalanche_key,
-    strict_avalanche_single_bit,
-    strict_avalanche_text,
     trial_rng,
 )
 from hppcrypt.imaging import GrayImage
@@ -60,8 +55,8 @@ def test_trial_rng_substreams_differ_and_repeat():
 
 def test_reports_are_bit_identical_across_runs(tmp_path):
     cfg = tiny_config("avalanche-text")
-    first = avalanche_text(cfg)
-    second = avalanche_text(cfg)
+    first = run_protocol(cfg)
+    second = run_protocol(cfg)
     assert first == second
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     emit_csv(first, a)
@@ -71,7 +66,7 @@ def test_reports_are_bit_identical_across_runs(tmp_path):
 
 def test_curve_report_shape():
     cfg = tiny_config("avalanche-key")
-    report = avalanche_key(cfg)
+    report = run_protocol(cfg)
     assert report.xs == (2, 4, 6)
     assert all(0.0 <= y <= 1.0 for y in report.ys)
     assert all(s >= 0.0 for s in report.stddevs)
@@ -80,7 +75,7 @@ def test_curve_report_shape():
 
 def test_strict_report_has_one_entry_per_ciphertext_bit():
     cfg = default_config("strict-key", trials=3, seed=1)
-    report = strict_avalanche_key(cfg)
+    report = run_protocol(cfg)
     assert len(report.ys) == 8 * cfg.block_len == 1024
     assert report.xs == tuple(range(1024))
     assert all(0.0 <= y <= 1.0 for y in report.ys)
@@ -89,10 +84,10 @@ def test_strict_report_has_one_entry_per_ciphertext_bit():
 def test_single_bit_zero_class_is_exactly_opposite_parity():
     # 64 trials: an influenced bit misses all of them with chance 2^-64,
     # so the zero set must equal the unreachable parity class exactly.
-    cfg = default_config("single-bit", trials=64, seed=3)
     rounds = 64
     for bit in (0, 4, 13):
-        report = strict_avalanche_single_bit(cfg, bit)
+        cfg = default_config("single-bit", trials=64, seed=3, bit=bit)
+        report = run_protocol(cfg)
         zero_set = {i for i, y in enumerate(report.ys) if y == 0.0}
         side = 1 << cfg.n
         cell = bit // 4
@@ -111,33 +106,38 @@ def test_single_bit_zero_class_is_exactly_opposite_parity():
 
 def test_single_bit_rejects_out_of_range_index():
     with pytest.raises(ParameterError):
-        strict_avalanche_single_bit(default_config("single-bit", trials=1), 1024)
+        default_config("single-bit", trials=1, bit=1024)
 
 
 def test_strict_key_paper_scale_band():
     # At the protocol's native 1000 trials every per-bit probability sits
     # in a narrow band around 0.47.
-    report = strict_avalanche_key(default_config("strict-key", seed=42))
+    report = run_protocol(default_config("strict-key", seed=42))
     assert abs(report.mean_y() - 0.47) <= 0.02
     assert min(report.ys) >= 0.40
     assert max(report.ys) <= 0.55
 
 
 def test_strict_text_clusters_near_quarter():
-    report = strict_avalanche_text(default_config("strict-text", trials=30, seed=42))
+    report = run_protocol(default_config("strict-text", trials=30, seed=42))
     assert abs(report.mean_y() - 0.25) <= 0.03
     assert max(report.ys) < 0.45  # nothing near 0.5
 
 
 def test_avalanche_key_requires_splittable_key():
     with pytest.raises(ParameterError):
-        avalanche_key(tiny_config("avalanche-key", key_len=1))  # 8 bits % 6 != 0
+        tiny_config("avalanche-key", key_len=1)  # 8 bits % 6 != 0
+
+
+def test_strict_key_requires_splittable_key():
+    # 8 key bits make one 6-bit wall coordinate at n=3 and two dropped bits
+    with pytest.raises(ParameterError, match="does not split"):
+        default_config("strict-key", n=3, key_len=1, trials=1)
 
 
 def test_concentrated_requires_region():
-    cfg = tiny_config("avalanche-key")
     with pytest.raises(ParameterError):
-        avalanche_key_concentrated(cfg)
+        tiny_config("avalanche-key-concentrated", wall_region=None)
 
 
 def test_region_validation():
@@ -169,8 +169,8 @@ def test_degenerate_region_matches_plain_key_avalanche():
     # Seed 5 draws duplicate-free walls in every trial and flip, where the
     # whole-grid region is exactly the plain derivation.
     kwargs = dict(n=4, trials=2, rounds_range=(4, 4, 8), key_len=8, seed=5)
-    plain = avalanche_key(default_config("avalanche-key", **kwargs))
-    degenerate = avalanche_key_concentrated(
+    plain = run_protocol(default_config("avalanche-key", **kwargs))
+    degenerate = run_protocol(
         default_config("avalanche-key-concentrated", wall_region=(0, 0, 16), **kwargs)
     )
     assert plain.ys == degenerate.ys
@@ -178,7 +178,7 @@ def test_degenerate_region_matches_plain_key_avalanche():
 
 def test_text_avalanche_matches_published_early_point():
     cfg = default_config("avalanche-text", rounds_range=(10, 1, 10), seed=42)
-    report = avalanche_text(cfg)
+    report = run_protocol(cfg)
     assert abs(report.ys[0] - 0.03529) <= 0.005
 
 
@@ -189,15 +189,17 @@ def test_concentrated_matches_published_points():
         cfg = default_config(
             "avalanche-key-concentrated", rounds_range=(r, 1, r), seed=42
         )
-        report = avalanche_key_concentrated(cfg)
+        report = run_protocol(cfg)
         assert abs(report.ys[0] - expect) <= 0.015
 
 
-# sha256 of the emit_csv output of each curve protocol at a small fixed
-# config with several round counts (round 0 included where the range
-# starts there). Recorded before the curves reused round prefixes; any
-# change that keeps the protocols' arithmetic must reproduce them.
-GOLDEN_CURVE_CSV = {
+# sha256 of the emit_csv output of each protocol at a small fixed config:
+# several round counts for the curves (round 0 included where the range
+# starts there), plaintext bit 13 for single-bit. The curve digests were
+# recorded before the curves reused round prefixes, the strict ones before
+# the six protocols shared one trial loop; any change that keeps the
+# protocols' arithmetic must reproduce them.
+GOLDEN_CSV = {
     "avalanche-key": (
         dict(n=4, trials=2, rounds_range=(0, 3, 15), key_len=8, seed=3),
         "d8f7b2af4c66cd91792bec3ff0c550c796cb95e4b3d762986941f34c366511e1",
@@ -211,49 +213,43 @@ GOLDEN_CURVE_CSV = {
         dict(n=3, trials=3, rounds_range=(0, 2, 12), key_len=3, seed=11),
         "b1a18b77018e968919d64714cc6edae053a8669455a420ce6871ce0f9ef041c0",
     ),
-}
-
-
-@pytest.mark.parametrize("protocol", sorted(GOLDEN_CURVE_CSV))
-def test_curve_csv_matches_golden_digest(tmp_path, protocol):
-    overrides, digest = GOLDEN_CURVE_CSV[protocol]
-    path = tmp_path / "curve.csv"
-    emit_csv(run_protocol(default_config(protocol, **overrides)), path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
-
-
-# sha256 of the emit_csv output of each strict protocol at a small fixed
-# config, with the plaintext bit that single-bit flips. Recorded before the
-# protocols shared one trial driver.
-GOLDEN_STRICT_CSV = {
     "strict-key": (
-        dict(n=3, trials=3, rounds_range=(16, 1, 16), key_len=3, seed=5), 0,
+        dict(n=3, trials=3, rounds_range=(16, 1, 16), key_len=3, seed=5),
         "cccdd672a81c8317b4da1c96d0b40a7bc87c91da75b502785ef33dc9b4c3e318",
     ),
     "strict-text": (
-        dict(n=3, trials=3, rounds_range=(16, 1, 16), key_len=3, seed=5), 0,
+        dict(n=3, trials=3, rounds_range=(16, 1, 16), key_len=3, seed=5),
         "eb321ab719e1f4f2e9d3df5ce3b598d579f648a819e5a201deebf65b7ecc1dff",
     ),
     "single-bit": (
-        dict(n=4, trials=5, seed=5), 13,
+        dict(n=4, trials=5, seed=5, bit=13),
         "605b4d5b00b39e103d7bdfc6276eb735c4c3003e091c5157062df58831c1e18f",
     ),
 }
 
 
-@pytest.mark.parametrize("protocol", sorted(GOLDEN_STRICT_CSV))
-def test_strict_csv_matches_golden_digest(tmp_path, protocol):
-    overrides, bit, digest = GOLDEN_STRICT_CSV[protocol]
-    path = tmp_path / "strict.csv"
-    emit_csv(run_protocol(default_config(protocol, **overrides), bit_index=bit), path)
+@pytest.mark.parametrize("protocol", sorted(GOLDEN_CSV))
+def test_protocol_csv_matches_golden_digest(tmp_path, protocol):
+    overrides, digest = GOLDEN_CSV[protocol]
+    path = tmp_path / "report.csv"
+    emit_csv(run_protocol(default_config(protocol, **overrides)), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_strict_protocols_honour_the_wall_region():
+    plain = run_protocol(default_config("strict-key", trials=2, seed=4))
+    region = run_protocol(
+        default_config("strict-key", trials=2, seed=4, wall_region=(0, 0, 4))
+    )
+    assert region.config.wall_region == (0, 0, 4)
+    assert region.ys != plain.ys
 
 
 def test_run_protocol_dispatch():
     for protocol in ("avalanche-key", "avalanche-text"):
         report = run_protocol(tiny_config(protocol))
         assert report.config.protocol == protocol
-    report = run_protocol(default_config("single-bit", trials=2, seed=1), bit_index=5)
+    report = run_protocol(default_config("single-bit", trials=2, seed=1, bit=5))
     assert len(report.ys) == 1024
 
 
@@ -264,8 +260,13 @@ def test_config_validation():
         tiny_config("avalanche-key", rounds_range=(6, 2, 4))
     with pytest.raises(ParameterError):
         tiny_config("avalanche-key", trials=0)
-    with pytest.raises(ParameterError):
-        ExperimentConfig("avalanche-key", 3, (1, 1, 1), 1, 0, 3, 999)
+    with pytest.raises(ParameterError, match="single round count"):
+        default_config("strict-text", rounds_range=(8, 8, 16))
+    with pytest.raises(ParameterError, match=f"at most {MAX_ROUNDS}"):
+        tiny_config("avalanche-text", rounds_range=(0, 1, MAX_ROUNDS + 1))
+    assert tiny_config("avalanche-text", rounds_range=(MAX_ROUNDS, 1, MAX_ROUNDS))
+    with pytest.raises(ParameterError, match="outside the block"):
+        tiny_config("single-bit", rounds_range=(4, 1, 4), bit=-1)
 
 
 # --- leak demo -------------------------------------------------------------
@@ -303,7 +304,7 @@ def test_leak_demo_tile_validation():
 # --- emitters --------------------------------------------------------------
 
 def make_report(xs, ys, protocol="avalanche-text", n=2):
-    cfg = ExperimentConfig(protocol, n, (1, 1, max(len(xs), 1)), 1, 0, 1, 8)
+    cfg = ExperimentConfig(protocol, n, (1, 1, max(len(xs), 1)), 1, 0, 1)
     return ExperimentReport(cfg, tuple(xs), tuple(ys), tuple(0.0 for _ in xs))
 
 

@@ -102,6 +102,7 @@ def test_read_pgm_errors(tmp_path):
         "truncated.pgm": b"P5 4 4 15\n" + bytes(3),
         "truncated_header.pgm": b"P5 4 4",
         "sample_above_maxval.pgm": b"P2 1 1 10\n12\n",
+        "negative_sample.pgm": b"P2 2 2 15\n-3 0 0 0\n",
         "junk_token.pgm": b"P5 x 2 15\n" + bytes(4),
     }
     for name, payload in cases.items():
