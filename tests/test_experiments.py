@@ -236,6 +236,37 @@ def test_protocol_csv_matches_golden_digest(tmp_path, protocol):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+# Configs with more lattices per trial than one batch of the fast engine
+# holds (1 + 384 at n=6, 1 + 1024 at n=4), so a trial spans several
+# batches and the last one is partial; recorded before batching existed.
+GOLDEN_CSV_BATCHES = {
+    "avalanche-key": (
+        dict(n=6, key_len=48, trials=1, rounds_range=(2, 3, 11), seed=21),
+        "002183cfaa2ac5fcdc092f9af036134f5cd70ae14d2decfa8aa8661596c9c0c6",
+    ),
+    "avalanche-text": (
+        dict(n=4, key_len=8, trials=1, rounds_range=(1, 4, 13), seed=21),
+        "0e203282ee1254fe7d3ae4883a6da9745c8d9ab0ba631cf0d7b11a29600349aa",
+    ),
+    "strict-key": (
+        dict(n=4, key_len=128, trials=1, rounds_range=(8, 1, 8), seed=21),
+        "5b5d5bad9de4344391c00ba66604e242b2add4a91f3269a898672ad62d307450",
+    ),
+    "strict-text": (
+        dict(n=4, trials=1, rounds_range=(8, 1, 8), seed=21),
+        "03c0a95901d5c114de7342029aacf4bdf85cba1ef53a13484b9cf836671df516",
+    ),
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(GOLDEN_CSV_BATCHES))
+def test_multi_batch_csv_matches_golden_digest(tmp_path, protocol):
+    overrides, digest = GOLDEN_CSV_BATCHES[protocol]
+    path = tmp_path / "report.csv"
+    emit_csv(run_protocol(default_config(protocol, **overrides)), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 def test_strict_protocols_honour_the_wall_region():
     plain = run_protocol(default_config("strict-key", trials=2, seed=4))
     region = run_protocol(
