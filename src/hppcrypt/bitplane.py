@@ -1,28 +1,40 @@
-"""Word-parallel HPP engine on direction bit planes.
+"""Word-parallel HPP engine on direction bit planes, B lattices at once.
 
 Each direction (E, S, W, N) gets one plane holding one bit per cell. The
-2^n rows are packed back to back into a single arbitrary-precision
-integer, 2^n bits per row, so bit r*2^n + c is cell (row r, col c) and
-the machine operates on whole rows of packed words at once:
+2^n rows of a lattice are packed back to back into a single
+arbitrary-precision integer, 2^n bits per row, so bit r*2^n + c is cell
+(row r, col c). A batch of B lattices of the same n lies back to back in
+the same four integers: lattice b occupies bits [b*4^n, (b+1)*4^n) of
+every plane, which is exactly the cell order of B blocks laid end to end
+in the cipher's serialization. One bitwise operation then advances every
+row of every lattice at once (bit-slicing, as in Biham's DES):
 
-* collision is one bitwise expression over the four planes,
+* the cell-local step M (collision, then reflection on wall cells) is
+  one fused kernel, :func:`collide_planes`: with f the collision flip
+  and `mask` the wall cells, d = f ^ ((e ^ w) & mask) toggles E and W,
+  and likewise for S and N,
 * E/W propagation is a masked shift that rotates every row by one bit,
-* N/S propagation is a shift by a whole row (with the edge row wrapped),
+* N/S propagation is a shift by a whole row, with the edge row of each
+  lattice wrapped to the other edge of the same lattice,
 * velocity inversion just swaps plane references.
 
-A lattice is the bare tuple (e, s, w, n) of its four planes:
+A batch is the bare tuple (e, s, w, n) of its four planes:
 :func:`planes_from_block` and :func:`planes_to_block` convert to and from
-the cipher's block serialization, and the ``*_planes`` kernels take and
-return plane tuples, so the cipher's round loop builds no objects.
+the cipher's block serialization, :func:`wall_mask` builds the wall plane
+of a batch from one wall set per lattice, and the ``*_planes`` kernels
+take and return plane tuples, so the cipher's round loop builds no
+objects. :func:`reflect_planes` is reflection alone, the half of M that
+:func:`collide_planes` fuses in.
 
 Results are bit-identical to the per-cell engine in
-:mod:`hppcrypt.lattice`; the test suite proves it primitive by primitive.
+:mod:`hppcrypt.lattice`; the test suite proves it primitive by primitive
+and lattice by lattice within a batch.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 
@@ -30,25 +42,32 @@ from .errors import ParameterError
 from .lattice import check_walls
 
 
-@lru_cache(maxsize=None)
-def geometry(n: int) -> tuple[int, ...]:
-    """Plane masks of a 2^n lattice, as the tuple (side, size, full, row0,
-    col_first, col_last, not_col_first, not_col_last): size = side^2 bits
-    per plane, full has all of them set, row0 the top row, col_first and
-    col_last column 0 and column side-1 of every row, and the not_ masks
-    their complements within full."""
+def _tile(pattern: int, width: int, count: int) -> int:
+    """`count` copies of a `width`-bit pattern laid back to back."""
+    return pattern * (((1 << (width * count)) - 1) // ((1 << width) - 1))
+
+
+@lru_cache(maxsize=8)
+def geometry(n: int, lattices: int = 1) -> tuple[int, ...]:
+    """Plane masks of a batch of `lattices` 2^n lattices, as the tuple
+    (side, tail, col_first, col_last, row_first, row_last): side = 2^n
+    bits per row, tail = 4^n - side the shift from a lattice's first row
+    to its last, col_first and col_last column 0 and column side-1 of
+    every row, row_first and row_last row 0 and row side-1 of every
+    lattice."""
     if n < 1:
         raise ParameterError(f"lattice exponent must be >= 1, got {n}")
+    if lattices < 1:
+        raise ParameterError(f"a batch holds at least 1 lattice, got {lattices}")
     side = 1 << n
     size = side * side
-    full = (1 << size) - 1
-    row0 = (1 << side) - 1
-    col_first = sum(1 << (r * side) for r in range(side))
-    col_last = col_first << (side - 1)
+    tail = size - side
+    col_first = _tile(1, side, side * lattices)
+    row_first = _tile((1 << side) - 1, size, lattices)
     return (
-        side, size, full, row0,
-        col_first, col_last,
-        full ^ col_first, full ^ col_last,
+        side, tail,
+        col_first, col_first << (side - 1),
+        row_first, row_first << tail,
     )
 
 
@@ -58,8 +77,9 @@ def _pack_plane(bits: np.ndarray) -> int:
     )
 
 
-def planes_from_block(block: bytes, n: int) -> tuple[int, int, int, int]:
-    """Straight from the two-cells-per-byte serialization to planes."""
+def planes_from_block(block: bytes) -> tuple[int, int, int, int]:
+    """Straight from the two-cells-per-byte serialization to planes; a
+    run of B blocks gives the planes of a batch of B lattices."""
     pairs = np.frombuffer(block, dtype=np.uint8)
     cells = np.empty(pairs.size * 2, dtype=np.uint8)
     cells[0::2] = pairs >> 4
@@ -83,49 +103,68 @@ _SPREAD = np.array(
 )
 
 
-def planes_to_block(planes: tuple[int, int, int, int], n: int) -> bytes:
-    """Inverse of :func:`planes_from_block`."""
-    size = 1 << (2 * n)
+def planes_to_block(planes: tuple[int, int, int, int], cells: int) -> bytes:
+    """Inverse of :func:`planes_from_block` for planes of `cells` cells
+    (4^n per lattice, times the lattices of a batch)."""
     # One table lookup for the four planes laid end to end, one row per
     # plane; E, S, W, N are then shifted into nibble bits 3 to 0 in place,
     # which keeps the peak memory at a few copies of the block.
-    raw = b"".join(plane.to_bytes((size + 7) // 8, "little") for plane in planes)
+    raw = b"".join(plane.to_bytes((cells + 7) // 8, "little") for plane in planes)
     spread = _SPREAD[np.frombuffer(raw, dtype=np.uint8).reshape(4, -1)]
-    cells = spread[0]
-    cells <<= 1
-    cells |= spread[1]
-    cells <<= 1
-    cells |= spread[2]
-    cells <<= 1
-    cells |= spread[3]
-    return cells.tobytes()[: size // 2]
+    out = spread[0]
+    out <<= 1
+    out |= spread[1]
+    out <<= 1
+    out |= spread[2]
+    out <<= 1
+    out |= spread[3]
+    return out.tobytes()[: cells // 2]
 
 
-def wall_mask(walls: Iterable[tuple[int, int]], n: int) -> int:
-    """Plane mask with one bit set per wall cell."""
-    walls = check_walls(walls, n)
+def wall_mask(wall_sets: Sequence[Iterable[tuple[int, int]]], n: int) -> int:
+    """Wall plane of a batch: one bit set per wall cell, lattice b's walls
+    taken from wall_sets[b]."""
     side = 1 << n
-    mask = 0
-    for row, col in walls:
-        mask |= 1 << (row * side + col)
-    return mask
+    size = side * side
+    bits = np.zeros(len(wall_sets) * size, dtype=np.uint8)
+    bits[[
+        b * size + row * side + col
+        for b, walls in enumerate(wall_sets)
+        for row, col in check_walls(walls, n)
+    ]] = 1
+    return _pack_plane(bits)
 
 
-def collide_planes(e: int, s: int, w: int, n: int) -> tuple[int, int, int, int]:
-    # A colliding cell (exactly E+W or exactly S+N) toggles all four bits.
+def collide_planes(
+    e: int, s: int, w: int, n: int, mask: int
+) -> tuple[int, int, int, int]:
+    """The cell-local step M: collide every cell, then reflect the wall
+    cells in `mask` (0 for collision alone)."""
+    # A colliding cell (exactly E+W or exactly S+N) toggles all four bits;
+    # a wall cell then swaps E with W and S with N, i.e. toggles both
+    # where the two differ. d is the toggle of both steps together.
     flip = (e & w & ~(s | n)) | (s & n & ~(e | w))
-    return e ^ flip, s ^ flip, w ^ flip, n ^ flip
+    d = flip ^ ((e ^ w) & mask)
+    e ^= d
+    w ^= d
+    d = flip ^ ((s ^ n) & mask)
+    return e, s ^ d, w, n ^ d
 
 
 def propagate_planes(
     e: int, s: int, w: int, n: int, geom: tuple
 ) -> tuple[int, int, int, int]:
-    side, size, full, row0, col_first, col_last, not_col_first, not_col_last = geom
-    tail = size - side
-    e = ((e & not_col_last) << 1) | ((e & col_last) >> (side - 1))
-    w = ((w & not_col_first) >> 1) | ((w & col_first) << (side - 1))
-    s = ((s << side) & full) | (s >> tail)
-    n = (n >> side) | ((n & row0) << tail)
+    side, tail, col_first, col_last, row_first, row_last = geom
+    # Each plane's edge bits x wrap to the opposite edge of the same row
+    # (E, W) or of the same lattice (S, N); the others shift by one cell.
+    x = e & col_last
+    e = ((e ^ x) << 1) | (x >> (side - 1))
+    x = w & col_first
+    w = ((w ^ x) >> 1) | (x << (side - 1))
+    x = s & row_last
+    s = ((s ^ x) << side) | (x >> tail)
+    x = n & row_first
+    n = ((n ^ x) >> side) | (x << tail)
     return e, s, w, n
 
 
@@ -143,4 +182,3 @@ def reflect_planes(
 
 def invert_planes(e: int, s: int, w: int, n: int) -> tuple[int, int, int, int]:
     return w, n, e, s
-

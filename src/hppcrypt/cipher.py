@@ -13,15 +13,19 @@ same parameters returns the input, so decryption is literally the same
 function. Propagation and the cell-local maps both preserve the particle
 count, so the ciphertext always has exactly as many 1-bits as the
 plaintext; :func:`ones_density` exists to diagnose that leak.
+
+The bit-plane engine has one round loop, behind :func:`encrypt_rounds`,
+which runs a batch of blocks (each under its own walls) at once;
+:func:`encrypt_block` is a batch of one, and streams run in batches of
+at most :func:`batch_size` blocks.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import bitplane, lattice
 from .errors import FormatError, ParameterError
@@ -37,6 +41,11 @@ _HEADER = struct.Struct(">4sBBIQ")  # magic, version, n, rounds, original length
 MIN_EXPONENT = 2
 MAX_EXPONENT = 12
 MAX_ROUNDS = 1 << 16
+
+# The most lattice cells one batch of the fast engine holds, which bounds
+# the size of its planes (8 KiB each) and of its packing buffers: 256
+# lattices at n=4, 16 at n=6, and a single lattice from n=8 on.
+BATCH_CELLS = 1 << 16
 
 
 def default_rounds(n: int) -> int:
@@ -101,9 +110,9 @@ class CipherParams:
                    derive_walls(key, n))
 
 
-@lru_cache(maxsize=1024)
-def _cached_wall_mask(walls: frozenset, n: int) -> int:
-    return bitplane.wall_mask(walls, n)
+def batch_size(n: int) -> int:
+    """Blocks per batch of the fast engine at lattice exponent n."""
+    return max(1, BATCH_CELLS >> (2 * n))
 
 
 def _check_block_length(block: bytes, n: int) -> None:
@@ -119,58 +128,74 @@ def encrypt_block(block: bytes, params: CipherParams, engine: str = "bitplane") 
     The map is an involution for every choice of parameters and preserves
     the number of set bits exactly.
     """
-    if engine == "bitplane":
-        return next(encrypt_rounds(block, params, (params.rounds,)))
+    if engine not in ("bitplane", "reference"):
+        raise ParameterError(f"unknown engine {engine!r}")
+    _check_block_length(block, params.n)
     if engine == "reference":
-        _check_block_length(block, params.n)
         return _encrypt_reference(block, params)
-    raise ParameterError(f"unknown engine {engine!r}")
+    return next(encrypt_rounds(block, params, (params.rounds,)))
 
 
 def encrypt_rounds(
-    block: bytes, params: CipherParams, counts: Iterable[int]
+    blocks: bytes,
+    params: CipherParams | Sequence[CipherParams],
+    counts: Iterable[int],
 ) -> Iterator[bytes]:
-    """Yield the ciphertext of one block at each round count in `counts`,
-    all from a single run of the bit-plane engine.
+    """Yield the ciphertexts of a batch of blocks at each round count in
+    `counts`, all from a single run of the bit-plane engine.
 
-    Up to the final J, the schedule for r rounds is a prefix of the one
-    for any r' > r, so the rounds run once, up to the largest count, and
-    at each count J is applied to the state of that moment. The ciphertext
-    at count r is ``encrypt_block(block, CipherParams(n, r, walls))``.
-    `counts` must be strictly ascending and lie in [0, params.rounds];
-    the block length and the counts are checked before this returns.
+    `blocks` is one or more blocks laid back to back, and `params` either
+    one CipherParams for all of them or a sequence with one per block, all
+    of the same n. At each count the batch's ciphertexts are yielded back
+    to back; block b's is ``encrypt_block(block_b, CipherParams(n, r,
+    walls_b))``. Up to the final J, the schedule for r rounds is a prefix
+    of the one for any r' > r, so the rounds run once, up to the largest
+    count, and at each count J is applied to the state of that moment.
+    `counts` must be strictly ascending and lie in [0, rounds] for every
+    params; the lengths and the counts are checked before this returns.
+    The planes hold the whole batch, so a caller bounds its memory by the
+    batch it passes (see :func:`batch_size`).
     """
-    _check_block_length(block, params.n)
+    batch = params
+    if not isinstance(params, Sequence):  # one CipherParams for every block
+        batch = [params] * max(1, len(blocks) // block_size(params.n))
+    if not batch:
+        raise ParameterError("a batch needs at least one block")
+    n = batch[0].n
+    if any(p.n != n for p in batch):
+        raise ParameterError("every block of a batch needs the same lattice exponent")
+    if len(blocks) != len(batch) * block_size(n):
+        raise FormatError(
+            f"{len(batch)} block(s) for n={n} take "
+            f"{len(batch) * block_size(n)} bytes, got {len(blocks)}"
+        )
     counts = tuple(counts)
-    if any(not 0 <= r <= params.rounds for r in counts) or any(
+    top = min(p.rounds for p in batch)
+    if any(not 0 <= r <= top for r in counts) or any(
         a >= b for a, b in zip(counts, counts[1:])
     ):
         raise ParameterError(
-            f"round counts must ascend strictly within [0, {params.rounds}], "
-            f"got {counts}"
+            f"round counts must ascend strictly within [0, {top}], got {counts}"
         )
-    return _trajectory(block, params, counts)
+    mask = bitplane.wall_mask([p.walls for p in batch], n)
+    return _trajectory(blocks, n, len(batch), mask, counts)
 
 
 def _trajectory(
-    block: bytes, params: CipherParams, counts: tuple[int, ...]
+    blocks: bytes, n: int, lattices: int, mask: int, counts: tuple[int, ...]
 ) -> Iterator[bytes]:
-    geom = bitplane.geometry(params.n)
-    mask = _cached_wall_mask(params.walls, params.n)
-    e, s, w, n = bitplane.planes_from_block(block, params.n)
-
-    e, s, w, n = bitplane.collide_planes(e, s, w, n)
-    if mask:
-        e, s, w, n = bitplane.reflect_planes(e, s, w, n, mask)
+    # The fast engine's only round loop.
+    geom = bitplane.geometry(n, lattices)
+    cells = lattices << (2 * n)
+    e, s, w, nn = bitplane.planes_from_block(blocks)
+    e, s, w, nn = bitplane.collide_planes(e, s, w, nn, mask)
     done = 0
     for count in counts:
         for _ in range(count - done):
-            e, s, w, n = bitplane.propagate_planes(e, s, w, n, geom)
-            e, s, w, n = bitplane.collide_planes(e, s, w, n)
-            if mask:
-                e, s, w, n = bitplane.reflect_planes(e, s, w, n, mask)
+            e, s, w, nn = bitplane.propagate_planes(e, s, w, nn, geom)
+            e, s, w, nn = bitplane.collide_planes(e, s, w, nn, mask)
         done = count
-        yield bitplane.planes_to_block(bitplane.invert_planes(e, s, w, n), params.n)
+        yield bitplane.planes_to_block(bitplane.invert_planes(e, s, w, nn), cells)
 
 
 def _encrypt_reference(block: bytes, params: CipherParams) -> bytes:
@@ -258,12 +283,8 @@ def encrypt_stream(
         raise ParameterError(
             f"rounds must be at most {MAX_ROUNDS}, got {params.rounds}"
         )
-    bs = block_size(n)
-    padded = data + bytes(-len(data) % bs)
-    payload = b"".join(
-        encrypt_block(padded[i:i + bs], params) for i in range(0, len(padded), bs)
-    )
-    return CipherContainer(n, params.rounds, len(data), payload)
+    padded = data + bytes(-len(data) % block_size(n))
+    return CipherContainer(n, params.rounds, len(data), _encrypt_blocks(padded, params))
 
 
 def decrypt_stream(
@@ -274,13 +295,17 @@ def decrypt_stream(
     """Decrypt a container; lattice exponent and rounds come from its
     header."""
     params = _resolve_params(key, container.n, container.rounds, walls)
-    bs = block_size(container.n)
-    payload = container.payload
-    plain = b"".join(
-        decrypt_block(payload[i:i + bs], params)
-        for i in range(0, len(payload), bs)
+    return _encrypt_blocks(container.payload, params)[: container.original_length]
+
+
+def _encrypt_blocks(data: bytes, params: CipherParams) -> bytes:
+    """Encrypt whole blocks under one params, in batches of at most
+    batch_size(n) blocks."""
+    step = batch_size(params.n) * block_size(params.n)
+    return b"".join(
+        next(encrypt_rounds(data[i:i + step], params, (params.rounds,)))
+        for i in range(0, len(data), step)
     )
-    return plain[: container.original_length]
 
 
 def _resolve_params(

@@ -65,6 +65,15 @@ def _exponent_flag(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(
+            f"{path} is not UTF-8 text (bad byte at offset {exc.start})"
+        ) from None
+
+
 def _resolve_key(args) -> bytes | None:
     if args.key_hex is not None:
         try:
@@ -79,7 +88,7 @@ def _resolve_key(args) -> bytes | None:
 def _resolve_walls(args) -> frozenset | None:
     if args.walls_file is None:
         return None
-    return parse_walls_text(Path(args.walls_file).read_text(encoding="utf-8"))
+    return parse_walls_text(_read_text(args.walls_file))
 
 
 def cmd_encrypt(args) -> int:
@@ -170,7 +179,7 @@ _EXPERIMENT_FIELDS = {
 
 def _parse_config_file(path: str) -> dict:
     conf = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

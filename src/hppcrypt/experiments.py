@@ -9,14 +9,21 @@ matter how trials are scheduled.
 trial, draw a text and a key, derive the walls (inside the config's wall
 region, if it has one) and flip one key or plaintext bit at a time. An
 :class:`ExperimentConfig` holds every input of a run and refuses a bad
-one before any work starts. Avalanche curves measure, per round count r,
-the average fraction of ciphertext bits inverted by a flip. Each
-encryption of a curve runs once to the largest round count and reads the
-ciphertext at every smaller count on the way
-(:func:`~hppcrypt.cipher.encrypt_rounds`), so a curve costs max r rounds
-per flip, not the sum of its round counts. Strict-avalanche protocols
-(Webster and Tavares' criterion) measure that probability separately for
-every ciphertext bit at a fixed round count. Plaintext flips can only
+one before any work starts. A trial's reference encryption and its
+flipped encryptions run as batches of the fast engine
+(:func:`~hppcrypt.cipher.encrypt_rounds`, at most
+:func:`~hppcrypt.cipher.batch_size` blocks each, so a strict-key trial at
+n=4 is one batch of 65), and each batch is compared with the reference
+in one numpy pass. Avalanche curves measure, per round count r, the
+average fraction of ciphertext bits inverted by a flip. Each batch of a
+curve runs once to the largest round count and reads the ciphertexts at
+every smaller count on the way, so a curve costs max r rounds per flip,
+not the sum of its round counts; the fractions are added to each round
+count's total one flip at a time, in flip order, so the floats do not
+depend on the batching. Strict-avalanche protocols (Webster and
+Tavares' criterion) measure that probability separately for every
+ciphertext bit at a fixed round count, from exact integer counts.
+Plaintext flips can only
 ever reach half of the cells: a flipped cell influences only the
 checkerboard class of parity (row+col+rounds) mod 2, which caps the text
 avalanche near 0.25 where the key avalanche approaches 0.5.
@@ -25,6 +32,7 @@ avalanche near 0.25 where the key avalanche approaches 0.5.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +42,7 @@ from .cipher import (
     MAX_ROUNDS,
     CipherParams,
     _key_coordinates,
+    batch_size,
     derive_walls,
     encrypt_block,
     encrypt_rounds,
@@ -43,6 +52,7 @@ from .imaging import GrayImage, image_to_lattice, lattice_to_image
 from .lattice import block_size
 
 _MASK64 = (1 << 64) - 1
+_POPCOUNT8 = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
 # protocol -> (flip_key, per_bit): whether it flips key bits rather than
 # plaintext bits, and whether it reports one probability per ciphertext
@@ -226,12 +236,15 @@ def _report(config, xs, per_trial: np.ndarray) -> ExperimentReport:
 
 
 def _trials(config: ExperimentConfig, flip_key: bool, flips):
-    """The trial loop of every protocol. Per trial, yield the reference
-    (text, params) and a generator of the (text, params) pairs with one
-    key or plaintext bit flipped, in the order of `flips`. The text and
-    then the key come from trial_rng(seed, t); the walls come from
-    _region_walls, and every params runs to the largest round count.
-    A trial's flips must be consumed before the next trial is drawn."""
+    """The trial loop of every protocol. Per trial, yield a generator of
+    the trial's encryptions in batches (blocks back to back, one params
+    per block) of at most batch_size(n) blocks: the reference (text,
+    params) first, then one with a key or plaintext bit flipped for each
+    index in `flips`, in that order. The text and then the key come from
+    trial_rng(seed, t); the walls come from _region_walls, and every
+    params runs to the largest round count. Flipped blocks are built one
+    batch at a time, and a trial's batches must be consumed before the
+    next trial is drawn."""
     n, region, top = config.n, config.wall_region, config.round_values()[-1]
     for t in range(config.trials):
         rng = trial_rng(config.seed, t)
@@ -245,39 +258,58 @@ def _trials(config: ExperimentConfig, flip_key: bool, flips):
             )
         else:
             flipped = ((flip_bit(text, i), params) for i in flips)
-        yield (text, params), flipped
+        yield _batches(chain([(text, params)], flipped), batch_size(n))
+
+
+def _batches(encryptions, size: int):
+    while batch := list(islice(encryptions, size)):
+        texts, params = zip(*batch)
+        yield b"".join(texts), params
+
+
+def _diffs(batches, counts):
+    """Run a trial's batches up to every round count in `counts` and yield
+    (ri, rows): at counts[ri], one row per block of the batch holding its
+    ciphertext XOR the reference's. The reference is the first block of
+    the first batch, so its own row is all zero."""
+    refs = []
+    for blocks, params in batches:
+        for ri, ct in enumerate(encrypt_rounds(blocks, params, counts)):
+            rows = np.frombuffer(ct, dtype=np.uint8).reshape(len(params), -1)
+            if ri == len(refs):  # first batch: keep the reference row
+                refs.append(rows[0].copy())
+            yield ri, rows ^ refs[ri]
 
 
 def _curve(config: ExperimentConfig, trials, flip_count: int) -> ExperimentReport:
-    """Mean inverted fraction per round count. Each encryption is one
+    """Mean inverted fraction per round count. Each batch is one
     trajectory up to the largest round count, so a curve costs max r
     rounds per flip, not the sum over its round counts. Each round count
-    keeps a running total that the flips add to in flip order, so the
-    floats match encrypting at each count separately."""
+    keeps a running total that every encryption adds its fraction to, one
+    at a time in flip order (the reference adds an exact 0.0), so the
+    floats match encrypting each flip at each count separately."""
     rounds = config.round_values()
+    block_bits = 8 * config.block_len
     per_trial = np.zeros((len(rounds), config.trials))
-    for t, ((text, params), flipped) in enumerate(trials):
-        c_ref = list(encrypt_rounds(text, params, rounds))
+    for t, batches in enumerate(trials):
         totals = [0.0] * len(rounds)
-        for text2, params2 in flipped:
-            for ri, c2 in enumerate(encrypt_rounds(text2, params2, rounds)):
-                totals[ri] += inverted_fraction(c_ref[ri], c2)
+        for ri, rows in _diffs(batches, rounds):
+            for count in _POPCOUNT8[rows].sum(axis=1).tolist():
+                totals[ri] += count / block_bits
         per_trial[:, t] = [total / flip_count for total in totals]
     return _report(config, rounds, per_trial)
 
 
 def _strict(config: ExperimentConfig, trials, flip_count: int) -> ExperimentReport:
     """Inversion probability of each ciphertext bit at the single round
-    count, from exact per-bit counts."""
+    count, from exact per-bit counts: one numpy pass per batch."""
     block_bits = 8 * config.block_len
     per_trial = np.zeros((block_bits, config.trials))
     acc = np.zeros(block_bits, dtype=np.int64)
-    for t, ((text, params), flipped) in enumerate(trials):
-        c_ref = np.frombuffer(encrypt_block(text, params), dtype=np.uint8)
+    for t, batches in enumerate(trials):
         acc[:] = 0
-        for text2, params2 in flipped:
-            diff = c_ref ^ np.frombuffer(encrypt_block(text2, params2), dtype=np.uint8)
-            acc += np.unpackbits(diff)
+        for _, rows in _diffs(batches, config.round_values()):
+            acc += np.unpackbits(rows, axis=1).sum(axis=0, dtype=np.int64)
         per_trial[:, t] = acc / flip_count
     return _report(config, range(block_bits), per_trial)
 
@@ -303,9 +335,6 @@ def reachable_bits(n: int, bit_index: int, rounds: int) -> np.ndarray:
     cells = np.arange(side * side)
     cell_parity = (cells // side + cells % side) & 1
     return np.repeat(cell_parity == target, 4)
-
-
-_POPCOUNT4 = np.array([bin(v).count("1") for v in range(16)], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -347,7 +376,7 @@ def partial_key_leak_demo(
     decoded = np.frombuffer(decoded_lat.cells, dtype=np.uint8).reshape(side, side)
 
     tiles = side // tile_size
-    diff_bits = _POPCOUNT4[original ^ decoded]
+    diff_bits = _POPCOUNT8[original ^ decoded]
     tile_diff = tuple(
         tuple(
             float(

@@ -106,14 +106,16 @@ def test_criterion_4_engine_equivalence():
     for _ in range(1000):
         lat = random_lattice(rnd, 6)
         walls = random_walls(rnd, 6, rnd.randint(0, 32))
-        planes = bp.planes_from_block(to_bytes(lat), 6)
+        planes = bp.planes_from_block(to_bytes(lat))
+        mask = bp.wall_mask([walls], 6)
         for got, want in (
-            (bp.collide_planes(*planes), ref.collide(lat)),
+            (bp.collide_planes(*planes, 0), ref.collide(lat)),
+            (bp.collide_planes(*planes, mask), ref.reflect(ref.collide(lat), walls)),
             (bp.propagate_planes(*planes, bp.geometry(6)), ref.propagate(lat)),
-            (bp.reflect_planes(*planes, bp.wall_mask(walls, 6)), ref.reflect(lat, walls)),
+            (bp.reflect_planes(*planes, mask), ref.reflect(lat, walls)),
             (bp.invert_planes(*planes), ref.invert_all(lat)),
         ):
-            if from_bytes(bp.planes_to_block(got, 6), 6) != want:
+            if from_bytes(bp.planes_to_block(got, 1 << 12), 6) != want:
                 mismatches += 1
     for i in range(50):
         rounds = rnd.randint(0, 16) if i < 45 else rnd.choice([32, 64, 128])
@@ -123,7 +125,7 @@ def test_criterion_4_engine_equivalence():
             mismatches += 1
     elapsed = time.perf_counter() - start
     check(4, "engine equivalence", mismatches == 0,
-          f"1000x4 primitives + 50 encryptions bit-identical on 64x64 "
+          f"1000x5 primitives + 50 encryptions bit-identical on 64x64 "
           f"({mismatches} mismatches, {elapsed:.0f} s)")
 
 

@@ -29,11 +29,11 @@ def random_walls(rnd, n, count):
 
 
 def to_planes(lat):
-    return bp.planes_from_block(ref.to_bytes(lat), lat.n)
+    return bp.planes_from_block(ref.to_bytes(lat))
 
 
 def to_lattice(planes, n):
-    return ref.from_bytes(bp.planes_to_block(planes, n), n)
+    return ref.from_bytes(bp.planes_to_block(planes, 1 << (2 * n)), n)
 
 
 def cell_planes(lat):
@@ -48,7 +48,7 @@ def cell_planes(lat):
 
 
 def hpp_step(planes, n):
-    return bp.propagate_planes(*bp.collide_planes(*planes), bp.geometry(n))
+    return bp.propagate_planes(*bp.collide_planes(*planes, 0), bp.geometry(n))
 
 
 @given(lattices())
@@ -73,8 +73,10 @@ def test_matches_reference_engine_per_primitive():
         walls = random_walls(rnd, n, rnd.randint(0, 5))
         planes = to_planes(lat)
         geom = bp.geometry(n)
-        mask = bp.wall_mask(walls, n)
-        assert to_lattice(bp.collide_planes(*planes), n) == ref.collide(lat)
+        mask = bp.wall_mask([walls], n)
+        assert to_lattice(bp.collide_planes(*planes, 0), n) == ref.collide(lat)
+        assert to_lattice(bp.collide_planes(*planes, mask), n) == ref.reflect(
+            ref.collide(lat), walls)
         assert to_lattice(bp.propagate_planes(*planes, geom), n) == ref.propagate(lat)
         assert to_lattice(bp.invert_planes(*planes), n) == ref.invert_all(lat)
         assert to_lattice(bp.reflect_planes(*planes, mask), n) == ref.reflect(lat, walls)
@@ -82,17 +84,18 @@ def test_matches_reference_engine_per_primitive():
 
 
 def test_gold_vector_on_bitplanes():
-    planes = bp.planes_from_block(bytes.fromhex("90A2F5155D100000"), 2)
+    planes = bp.planes_from_block(bytes.fromhex("90A2F5155D100000"))
     planes = hpp_step(hpp_step(planes, 2), 2)
-    assert bp.planes_to_block(planes, 2) == bytes.fromhex("179002A850F85010")
+    assert bp.planes_to_block(planes, 16) == bytes.fromhex("179002A850F85010")
 
 
 def test_empty_lattice_fixed_point():
     planes = (0, 0, 0, 0)
-    assert bp.collide_planes(*planes) == planes
-    assert bp.propagate_planes(*planes, bp.geometry(3)) == planes
+    mask = bp.wall_mask([{(1, 1)}], 3)
+    assert bp.collide_planes(*planes, mask) == planes
+    assert bp.propagate_planes(*planes, bp.geometry(3, 4)) == planes
     assert bp.invert_planes(*planes) == planes
-    assert bp.reflect_planes(*planes, bp.wall_mask({(1, 1)}, 3)) == planes
+    assert bp.reflect_planes(*planes, mask) == planes
 
 
 def test_invert_is_plane_swap():
@@ -100,16 +103,46 @@ def test_invert_is_plane_swap():
 
 
 def test_wall_mask_positions():
-    mask = bp.wall_mask({(0, 0), (3, 3)}, 2)
+    mask = bp.wall_mask([{(0, 0), (3, 3)}], 2)
     assert mask == (1 << 0) | (1 << 15)
+    # lattice b's walls sit at offset b * 16 of the batch plane
+    batch = bp.wall_mask([{(3, 3)}, set(), {(0, 0), (1, 2)}], 2)
+    assert batch == (1 << 15) | (1 << 32) | (1 << (32 + 6))
     with pytest.raises(ParameterError):
-        bp.wall_mask({(4, 0)}, 2)
+        bp.wall_mask([set(), {(4, 0)}], 2)
 
 
 def test_block_conversion_agrees_with_serialization():
     rnd = random.Random(5)
     for n in (1, 2, 4, 6):
         block = rnd.randbytes(ref.block_size(n))
-        planes = bp.planes_from_block(block, n)
+        planes = bp.planes_from_block(block)
         assert planes == cell_planes(ref.from_bytes(block, n))
-        assert bp.planes_to_block(planes, n) == block
+        assert bp.planes_to_block(planes, 1 << (2 * n)) == block
+
+
+def test_batch_kernels_match_reference_lattice_by_lattice():
+    # B lattices back to back in one set of planes, each with its own
+    # walls: every kernel must act on each lattice as the oracle does,
+    # with propagation wrapping inside each lattice, not into the next.
+    rnd = random.Random(31)
+    for case in range(30):
+        n = rnd.randint(1, 5)
+        count = rnd.randint(2, 5)
+        lats = [random_lattice(rnd, n) for _ in range(count)]
+        walls = [random_walls(rnd, n, rnd.randint(0, 5)) for _ in range(count)]
+        planes = bp.planes_from_block(b"".join(ref.to_bytes(lat) for lat in lats))
+        mask = bp.wall_mask(walls, n)
+        size = ref.block_size(n)
+        for got, want in (
+            (bp.propagate_planes(*planes, bp.geometry(n, count)),
+             [ref.propagate(lat) for lat in lats]),
+            (bp.collide_planes(*planes, 0), [ref.collide(lat) for lat in lats]),
+            (bp.collide_planes(*planes, mask),
+             [ref.reflect(ref.collide(lat), w) for lat, w in zip(lats, walls)]),
+            (bp.reflect_planes(*planes, mask),
+             [ref.reflect(lat, w) for lat, w in zip(lats, walls)]),
+        ):
+            block = bp.planes_to_block(got, count << (2 * n))
+            assert [ref.from_bytes(block[b * size:(b + 1) * size], n)
+                    for b in range(count)] == want

@@ -248,6 +248,62 @@ def test_encrypt_rounds_matches_engines(seed, n):
     check_trajectory(random.Random(seed), n)
 
 
+@st.composite
+def batches(draw):
+    """A batch of 1 to 6 blocks at n=2..5 with walls of their own (some on
+    the last row or the last column), their params (one shared params or
+    one per block) and ascending round counts."""
+    n = draw(st.integers(2, 5))
+    side = 1 << n
+    coord = st.integers(0, side - 1)
+    edge = st.one_of(st.tuples(st.just(side - 1), coord),
+                     st.tuples(coord, st.just(side - 1)))
+    top = draw(st.integers(0, 12))
+    count = draw(st.integers(1, 6))
+    blocks = [draw(st.binary(min_size=L.block_size(n), max_size=L.block_size(n)))
+              for _ in range(count)]
+    walls = [draw(st.frozensets(st.tuples(coord, coord), max_size=4))
+             | draw(st.frozensets(edge, max_size=3))
+             for _ in range(count)]
+    if draw(st.booleans()):
+        walls = [walls[0]] * count
+        params = CipherParams(n, top, walls[0])
+    else:
+        params = [CipherParams(n, top, w) for w in walls]
+    counts = sorted(draw(st.sets(st.integers(0, top), max_size=4)))
+    return n, blocks, walls, params, counts
+
+
+@given(batches())
+@settings(deadline=None, max_examples=40)
+def test_batched_encrypt_rounds_matches_reference(batch):
+    n, blocks, walls, params, counts = batch
+    got = list(encrypt_rounds(b"".join(blocks), params, counts))
+    assert len(got) == len(counts)
+    bs = L.block_size(n)
+    for r, ct in zip(counts, got):
+        assert len(ct) == len(blocks) * bs
+        for b, (block, w) in enumerate(zip(blocks, walls)):
+            want = encrypt_block(block, CipherParams(n, r, w), "reference")
+            assert ct[b * bs:(b + 1) * bs] == want
+
+
+def test_encrypt_rounds_batch_shape_errors():
+    params = CipherParams(3, 8, frozenset({(1, 1)}))
+    with pytest.raises(FormatError):
+        encrypt_rounds(bytes(96), [params, params], (0,))
+    with pytest.raises(FormatError):
+        encrypt_rounds(bytes(48), params, (0,))
+    with pytest.raises(ParameterError):
+        encrypt_rounds(b"", [], (0,))
+    with pytest.raises(ParameterError):
+        encrypt_rounds(bytes(40), [params, CipherParams(2, 8, frozenset())], (0,))
+    with pytest.raises(ParameterError):
+        encrypt_rounds(bytes(64), [params, CipherParams(3, 4, frozenset())], (5,))
+    with pytest.raises(FormatError):
+        encrypt_block(bytes(64), params)
+
+
 def test_encrypt_rounds_empty_counts_and_block_length():
     params = CipherParams(3, 8, frozenset({(1, 1)}))
     assert list(encrypt_rounds(bytes(32), params, ())) == []

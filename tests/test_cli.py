@@ -255,6 +255,24 @@ def test_experiment_hostile_config_exits_2(tmp_path, capsys, monkeypatch, no_run
     assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("flag", ["--config", "--walls-file"])
+def test_non_utf8_text_file_exits_1(tmp_path, capsys, no_run, flag):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe n=4\n")
+    plain = tmp_path / "p.bin"
+    plain.write_bytes(bytes(8))
+    if flag == "--config":
+        argv = ("experiment", "--config", str(bad))
+    else:
+        argv = ("encrypt", "--n", "2", "--walls-file", str(bad),
+                "--in", str(plain), "--out", str(tmp_path / "c.hppc"))
+    assert run(*argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {bad} is not UTF-8 text (bad byte at offset 0)"
+    ]
+    assert not (tmp_path / "c.hppc").exists()
+
+
 @pytest.mark.parametrize("flags, config", [
     (("--protocol", "strict-key", "--n", "2", "--rounds", "100000000",
       "--trials", "1", "--key-len", "1"), None),
