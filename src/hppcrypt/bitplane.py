@@ -1,30 +1,30 @@
 """Word-parallel HPP engine on direction bit planes, B lattices at once.
 
-Each direction (E, S, W, N) gets one plane holding one bit per cell. The
-2^n rows of a lattice are packed back to back into a single
-arbitrary-precision integer, 2^n bits per row, so bit r*2^n + c is cell
-(row r, col c). A batch of B lattices of the same n lies back to back in
-the same four integers: lattice b occupies bits [b*4^n, (b+1)*4^n) of
-every plane, which is exactly the cell order of B blocks laid end to end
-in the cipher's serialization. One bitwise operation then advances every
-row of every lattice at once (bit-slicing, as in Biham's DES):
+Each direction (E, S, W, N) gets one plane holding one bit per cell, an
+arbitrary-precision integer. A batch of B lattices of the same n is laid
+out row-interleaved: row r of lattice b occupies the 2^n bits starting at
+(r*B + b)*2^n of every plane, so cell (r, c) of lattice b is bit
+(r*B + b)*2^n + c. Row r of every lattice thus forms one contiguous row
+block of B*2^n bits, and one bitwise operation advances every row of every
+lattice at once (bit-slicing, as in Biham's DES):
 
 * the cell-local step M (collision, then reflection on wall cells) is
-  one fused kernel, :func:`collide_planes`: with f the collision flip
-  and `mask` the wall cells, d = f ^ ((e ^ w) & mask) toggles E and W,
-  and likewise for S and N,
+  one fused kernel, :func:`collide_planes`, of 14 bitwise operations on
+  non-negative integers,
 * E/W propagation is a masked shift that rotates every row by one bit,
-* N/S propagation is a shift by a whole row, with the edge row of each
-  lattice wrapped to the other edge of the same lattice,
+* N/S propagation is a shift by one row block, with only the top or the
+  bottom row block of the whole batch wrapped to the other end: row
+  side-1 of every lattice wraps to row 0 of the same lattice at once,
 * velocity inversion just swaps plane references.
 
 A batch is the bare tuple (e, s, w, n) of its four planes:
 :func:`planes_from_block` and :func:`planes_to_block` convert to and from
-the cipher's block serialization, :func:`wall_mask` builds the wall plane
-of a batch from one wall set per lattice, and the ``*_planes`` kernels
-take and return plane tuples, so the cipher's round loop builds no
-objects. :func:`reflect_planes` is reflection alone, the half of M that
-:func:`collide_planes` fuses in.
+B blocks of the cipher's serialization laid end to end (transposing
+lattice-major rows into the row-interleaved order and back),
+:func:`wall_mask` builds the wall plane of a batch from one wall set per
+lattice, and the ``*_planes`` kernels take and return plane tuples, so
+the cipher's round loop builds no objects. :func:`reflect_planes` is
+reflection alone, the half of M that :func:`collide_planes` fuses in.
 
 Results are bit-identical to the per-cell engine in
 :mod:`hppcrypt.lattice`; the test suite proves it primitive by primitive
@@ -33,8 +33,9 @@ and lattice by lattice within a batch.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Sequence
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -49,25 +50,26 @@ def _tile(pattern: int, width: int, count: int) -> int:
 
 @lru_cache(maxsize=8)
 def geometry(n: int, lattices: int = 1) -> tuple[int, ...]:
-    """Plane masks of a batch of `lattices` 2^n lattices, as the tuple
-    (side, tail, col_first, col_last, row_first, row_last): side = 2^n
-    bits per row, tail = 4^n - side the shift from a lattice's first row
-    to its last, col_first and col_last column 0 and column side-1 of
-    every row, row_first and row_last row 0 and row side-1 of every
-    lattice."""
+    """Shifts and plane masks of a row-interleaved batch of `lattices`
+    2^n lattices, as the tuple
+    (side, row, top, col_first, col_last, first_row, below_top):
+    side = 2^n bits per lattice row, row = lattices*side bits per row
+    block (row r of every lattice), top = row*(side-1) the offset of the
+    last row block, col_first and col_last column 0 and column side-1 of
+    every lattice row, first_row the first row block and below_top every
+    row block but the last."""
     if n < 1:
         raise ParameterError(f"lattice exponent must be >= 1, got {n}")
     if lattices < 1:
         raise ParameterError(f"a batch holds at least 1 lattice, got {lattices}")
     side = 1 << n
-    size = side * side
-    tail = size - side
+    row = side * lattices
+    top = row * (side - 1)
     col_first = _tile(1, side, side * lattices)
-    row_first = _tile((1 << side) - 1, size, lattices)
     return (
-        side, tail,
+        side, row, top,
         col_first, col_first << (side - 1),
-        row_first, row_first << tail,
+        (1 << row) - 1, (1 << top) - 1,
     )
 
 
@@ -77,10 +79,22 @@ def _pack_plane(bits: np.ndarray) -> int:
     )
 
 
-def planes_from_block(block: bytes) -> tuple[int, int, int, int]:
-    """Straight from the two-cells-per-byte serialization to planes; a
-    run of B blocks gives the planes of a batch of B lattices."""
-    pairs = np.frombuffer(block, dtype=np.uint8)
+def _swap_rows(data: np.ndarray, side: int, outer: int) -> np.ndarray:
+    """The serialized lattice rows in `data` (side/2 >= 1 whole bytes
+    each), read as an (outer, -1) grid and transposed: lattice-major
+    blocks to row-interleaved order with outer = lattices, and back with
+    outer = side. Rows move as words of up to 8 bytes."""
+    unit = min(side // 2, 8)
+    return data.view(f"<u{unit}").reshape(
+        outer, -1, side // 2 // unit).transpose(1, 0, 2)
+
+
+def planes_from_block(blocks: bytes, n: int) -> tuple[int, int, int, int]:
+    """Straight from the two-cells-per-byte serialization to planes: a run
+    of B blocks of a 2^n lattice gives the planes of a batch of B."""
+    side = 1 << n
+    pairs = np.frombuffer(blocks, dtype=np.uint8)
+    pairs = _swap_rows(pairs, side, 2 * pairs.size >> (2 * n)).ravel().view(np.uint8)
     cells = np.empty(pairs.size * 2, dtype=np.uint8)
     cells[0::2] = pairs >> 4
     cells[1::2] = pairs & 0xF
@@ -103,9 +117,13 @@ _SPREAD = np.array(
 )
 
 
-def planes_to_block(planes: tuple[int, int, int, int], cells: int) -> bytes:
-    """Inverse of :func:`planes_from_block` for planes of `cells` cells
-    (4^n per lattice, times the lattices of a batch)."""
+def planes_to_block(
+    planes: tuple[int, int, int, int], n: int, lattices: int = 1
+) -> bytes:
+    """Inverse of :func:`planes_from_block` for a batch of `lattices`
+    2^n lattices: their blocks laid end to end."""
+    side = 1 << n
+    cells = lattices * side * side
     # One table lookup for the four planes laid end to end, one row per
     # plane; E, S, W, N are then shifted into nibble bits 3 to 0 in place,
     # which keeps the peak memory at a few copies of the block.
@@ -118,20 +136,33 @@ def planes_to_block(planes: tuple[int, int, int, int], cells: int) -> bytes:
     out |= spread[2]
     out <<= 1
     out |= spread[3]
-    return out.tobytes()[: cells // 2]
+    return _swap_rows(out.view(np.uint8)[: cells // 2], side, side).tobytes()
 
 
-def wall_mask(wall_sets: Sequence[Iterable[tuple[int, int]]], n: int) -> int:
+def wall_mask(wall_sets: Sequence[Collection[tuple[int, int]]], n: int) -> int:
     """Wall plane of a batch: one bit set per wall cell, lattice b's walls
-    taken from wall_sets[b]."""
+    taken from wall_sets[b]. Every coordinate is bounds-checked; the first
+    one outside the lattice raises the ParameterError of
+    :func:`hppcrypt.lattice.check_walls`."""
     side = 1 << n
-    size = side * side
-    bits = np.zeros(len(wall_sets) * size, dtype=np.uint8)
-    bits[[
-        b * size + row * side + col
-        for b, walls in enumerate(wall_sets)
-        for row, col in check_walls(walls, n)
-    ]] = 1
+    lattices = len(wall_sets)
+    counts = [len(walls) for walls in wall_sets]
+    try:
+        coords = np.fromiter(
+            chain.from_iterable(chain.from_iterable(wall_sets)),
+            dtype=np.int64, count=2 * sum(counts),
+        ).reshape(-1, 2)
+    except OverflowError:  # a coordinate beyond int64 is outside any lattice
+        check_walls(chain.from_iterable(wall_sets), n)
+        raise
+    # Read as unsigned, a negative coordinate is as far outside as any.
+    outside = np.flatnonzero(coords.view(np.uint64) >= side)
+    if outside.size:
+        check_walls([tuple(coords[outside[0] // 2].tolist())], n)
+    rows, cols = coords[:, 0], coords[:, 1]
+    lattice_of = np.repeat(np.arange(lattices), counts)
+    bits = np.zeros(lattices * side * side, dtype=np.uint8)
+    bits[(rows * lattices + lattice_of) * side + cols] = 1
     return _pack_plane(bits)
 
 
@@ -143,41 +174,48 @@ def collide_planes(
     # A colliding cell (exactly E+W or exactly S+N) toggles all four bits;
     # a wall cell then swaps E with W and S with N, i.e. toggles both
     # where the two differ. d is the toggle of both steps together.
-    flip = (e & w & ~(s | n)) | (s & n & ~(e | w))
-    d = flip ^ ((e ^ w) & mask)
+    #
+    # The collision flip (e & w & ~(s | n)) | (s & n & ~(e | w)) holds
+    # exactly where e == w, s == n and e != s. With a = e ^ w, b = s ^ n
+    # and x = e ^ s that is x & ~(a | b), written x ^ (x & (a | b)) so no
+    # operand is ever negative: & on a negative int takes CPython's slow
+    # two's-complement path. a and b are also the E/W and S/N differences
+    # reflection toggles, so M is 14 operations.
+    a = e ^ w
+    b = s ^ n
+    x = e ^ s
+    flip = x ^ (x & (a | b))
+    d = flip ^ (a & mask)
     e ^= d
     w ^= d
-    d = flip ^ ((s ^ n) & mask)
+    d = flip ^ (b & mask)
     return e, s ^ d, w, n ^ d
 
 
 def propagate_planes(
     e: int, s: int, w: int, n: int, geom: tuple
 ) -> tuple[int, int, int, int]:
-    side, tail, col_first, col_last, row_first, row_last = geom
-    # Each plane's edge bits x wrap to the opposite edge of the same row
-    # (E, W) or of the same lattice (S, N); the others shift by one cell.
+    side, row, top, col_first, col_last, first_row, below_top = geom
+    # E and W: each plane's edge bits x wrap to the opposite edge of the
+    # same lattice row; the others shift by one cell.
     x = e & col_last
     e = ((e ^ x) << 1) | (x >> (side - 1))
     x = w & col_first
     w = ((w ^ x) >> 1) | (x << (side - 1))
-    x = s & row_last
-    s = ((s ^ x) << side) | (x >> tail)
-    x = n & row_first
-    n = ((n ^ x) >> side) | (x << tail)
+    # S and N: every row block shifts by one; the last row block (row
+    # side-1 of every lattice) wraps to the first and vice versa.
+    s = ((s & below_top) << row) | (s >> top)
+    n = (n >> row) | ((n & first_row) << top)
     return e, s, w, n
 
 
 def reflect_planes(
     e: int, s: int, w: int, n: int, mask: int
 ) -> tuple[int, int, int, int]:
-    keep = ~mask
-    return (
-        (e & keep) | (w & mask),
-        (s & keep) | (n & mask),
-        (w & keep) | (e & mask),
-        (n & keep) | (s & mask),
-    )
+    # Swapping two bits toggles both where they differ.
+    d = (e ^ w) & mask
+    t = (s ^ n) & mask
+    return e ^ d, s ^ t, w ^ d, n ^ t
 
 
 def invert_planes(e: int, s: int, w: int, n: int) -> tuple[int, int, int, int]:

@@ -186,8 +186,7 @@ def _trajectory(
 ) -> Iterator[bytes]:
     # The fast engine's only round loop.
     geom = bitplane.geometry(n, lattices)
-    cells = lattices << (2 * n)
-    e, s, w, nn = bitplane.planes_from_block(blocks)
+    e, s, w, nn = bitplane.planes_from_block(blocks, n)
     e, s, w, nn = bitplane.collide_planes(e, s, w, nn, mask)
     done = 0
     for count in counts:
@@ -195,7 +194,8 @@ def _trajectory(
             e, s, w, nn = bitplane.propagate_planes(e, s, w, nn, geom)
             e, s, w, nn = bitplane.collide_planes(e, s, w, nn, mask)
         done = count
-        yield bitplane.planes_to_block(bitplane.invert_planes(e, s, w, nn), cells)
+        yield bitplane.planes_to_block(
+            bitplane.invert_planes(e, s, w, nn), n, lattices)
 
 
 def _encrypt_reference(block: bytes, params: CipherParams) -> bytes:

@@ -106,7 +106,7 @@ def test_criterion_4_engine_equivalence():
     for _ in range(1000):
         lat = random_lattice(rnd, 6)
         walls = random_walls(rnd, 6, rnd.randint(0, 32))
-        planes = bp.planes_from_block(to_bytes(lat))
+        planes = bp.planes_from_block(to_bytes(lat), 6)
         mask = bp.wall_mask([walls], 6)
         for got, want in (
             (bp.collide_planes(*planes, 0), ref.collide(lat)),
@@ -115,7 +115,7 @@ def test_criterion_4_engine_equivalence():
             (bp.reflect_planes(*planes, mask), ref.reflect(lat, walls)),
             (bp.invert_planes(*planes), ref.invert_all(lat)),
         ):
-            if from_bytes(bp.planes_to_block(got, 1 << 12), 6) != want:
+            if from_bytes(bp.planes_to_block(got, 6), 6) != want:
                 mismatches += 1
     for i in range(50):
         rounds = rnd.randint(0, 16) if i < 45 else rnd.choice([32, 64, 128])

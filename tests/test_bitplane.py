@@ -1,3 +1,4 @@
+import dis
 import random
 
 import pytest
@@ -29,11 +30,11 @@ def random_walls(rnd, n, count):
 
 
 def to_planes(lat):
-    return bp.planes_from_block(ref.to_bytes(lat))
+    return bp.planes_from_block(ref.to_bytes(lat), lat.n)
 
 
 def to_lattice(planes, n):
-    return ref.from_bytes(bp.planes_to_block(planes, 1 << (2 * n)), n)
+    return ref.from_bytes(bp.planes_to_block(planes, n), n)
 
 
 def cell_planes(lat):
@@ -84,9 +85,9 @@ def test_matches_reference_engine_per_primitive():
 
 
 def test_gold_vector_on_bitplanes():
-    planes = bp.planes_from_block(bytes.fromhex("90A2F5155D100000"))
+    planes = bp.planes_from_block(bytes.fromhex("90A2F5155D100000"), 2)
     planes = hpp_step(hpp_step(planes, 2), 2)
-    assert bp.planes_to_block(planes, 16) == bytes.fromhex("179002A850F85010")
+    assert bp.planes_to_block(planes, 2) == bytes.fromhex("179002A850F85010")
 
 
 def test_empty_lattice_fixed_point():
@@ -105,24 +106,31 @@ def test_invert_is_plane_swap():
 def test_wall_mask_positions():
     mask = bp.wall_mask([{(0, 0), (3, 3)}], 2)
     assert mask == (1 << 0) | (1 << 15)
-    # lattice b's walls sit at offset b * 16 of the batch plane
+    # wall (r, c) of lattice b sits at bit (r * B + b) * 4 + c of a batch
+    # of B = 3 lattices of side 4
     batch = bp.wall_mask([{(3, 3)}, set(), {(0, 0), (1, 2)}], 2)
-    assert batch == (1 << 15) | (1 << 32) | (1 << (32 + 6))
-    with pytest.raises(ParameterError):
+    assert batch == (1 << 39) | (1 << 8) | (1 << 22)
+    with pytest.raises(ParameterError, match=r"wall \(4, 0\) outside 4x4"):
         bp.wall_mask([set(), {(4, 0)}], 2)
+    with pytest.raises(ParameterError, match=r"wall \(0, -1\) outside 4x4"):
+        bp.wall_mask([{(1, 1)}, {(2, 2), (0, -1)}], 2)
+    with pytest.raises(ParameterError, match=r"wall \(-1, 0\) outside 2x2"):
+        bp.wall_mask([{(-1, 0)}], 1)
+    with pytest.raises(ParameterError, match=r"outside 4x4"):
+        bp.wall_mask([{(1 << 70, 0)}], 2)
 
 
 def test_block_conversion_agrees_with_serialization():
     rnd = random.Random(5)
     for n in (1, 2, 4, 6):
         block = rnd.randbytes(ref.block_size(n))
-        planes = bp.planes_from_block(block)
+        planes = bp.planes_from_block(block, n)
         assert planes == cell_planes(ref.from_bytes(block, n))
-        assert bp.planes_to_block(planes, 1 << (2 * n)) == block
+        assert bp.planes_to_block(planes, n) == block
 
 
 def test_batch_kernels_match_reference_lattice_by_lattice():
-    # B lattices back to back in one set of planes, each with its own
+    # B lattices row-interleaved in one set of planes, each with its own
     # walls: every kernel must act on each lattice as the oracle does,
     # with propagation wrapping inside each lattice, not into the next.
     rnd = random.Random(31)
@@ -131,7 +139,8 @@ def test_batch_kernels_match_reference_lattice_by_lattice():
         count = rnd.randint(2, 5)
         lats = [random_lattice(rnd, n) for _ in range(count)]
         walls = [random_walls(rnd, n, rnd.randint(0, 5)) for _ in range(count)]
-        planes = bp.planes_from_block(b"".join(ref.to_bytes(lat) for lat in lats))
+        planes = bp.planes_from_block(
+            b"".join(ref.to_bytes(lat) for lat in lats), n)
         mask = bp.wall_mask(walls, n)
         size = ref.block_size(n)
         for got, want in (
@@ -143,6 +152,54 @@ def test_batch_kernels_match_reference_lattice_by_lattice():
             (bp.reflect_planes(*planes, mask),
              [ref.reflect(lat, w) for lat, w in zip(lats, walls)]),
         ):
-            block = bp.planes_to_block(got, count << (2 * n))
+            block = bp.planes_to_block(got, n, count)
             assert [ref.from_bytes(block[b * size:(b + 1) * size], n)
                     for b in range(count)] == want
+
+
+def test_batch_layout_is_row_interleaved():
+    # Bit (r*B + b)*2^n + c of plane k is direction k of cell (r, c) of
+    # lattice b; n = 1, where a lattice row is a single byte, is the edge.
+    rnd = random.Random(41)
+    dirs = (ref.E_BIT, ref.S_BIT, ref.W_BIT, ref.N_BIT)
+    for n in range(1, 6):
+        side = 1 << n
+        for count in range(1, 6):
+            lats = [random_lattice(rnd, n) for _ in range(count)]
+            blocks = b"".join(ref.to_bytes(lat) for lat in lats)
+            planes = bp.planes_from_block(blocks, n)
+            for k, bit in enumerate(dirs):
+                want = 0
+                for b, lat in enumerate(lats):
+                    for r in range(side):
+                        for c in range(side):
+                            if lat.cell(r, c) & bit:
+                                want |= 1 << ((r * count + b) * side + c)
+                assert planes[k] == want, (n, count, k)
+            assert bp.planes_to_block(planes, n, count) == blocks
+
+
+def test_collide_exhaustive_and_never_negative():
+    # All 16 cell states, each without and with a wall: cell 2v of an 8x8
+    # lattice holds state v on a plain cell, cell 2v+1 on a wall cell.
+    walls = {divmod(2 * v + 1, 8) for v in range(16)}
+    lat = Lattice(3, bytes(v for v in range(16) for _ in range(2)) + bytes(32))
+    planes = to_planes(lat)
+    mask = bp.wall_mask([walls], 3)
+    assert to_lattice(bp.collide_planes(*planes, mask), 3) == ref.reflect(
+        ref.collide(lat), walls)
+    assert to_lattice(bp.collide_planes(*planes, 0), 3) == ref.collide(lat)
+    # No plane is ever a negative int, whose & takes CPython's slow
+    # two's-complement path: every result is non-negative, and the round
+    # kernels never use ~, the only operator that turns a non-negative
+    # int negative.
+    rnd = random.Random(53)
+    for _ in range(5):
+        planes = tuple(rnd.getrandbits(1 << 16) for _ in range(4))
+        mask = rnd.getrandbits(1 << 16)
+        for out in (bp.collide_planes(*planes, mask),
+                    bp.collide_planes(*planes, 0)):
+            assert min(out) >= 0
+    for kernel in (bp.collide_planes, bp.propagate_planes):
+        assert "UNARY_INVERT" not in {
+            op.opname for op in dis.get_instructions(kernel)}
