@@ -22,7 +22,11 @@ A batch is the bare tuple (e, s, w, n) of its four planes:
 B blocks of the cipher's serialization laid end to end (transposing
 lattice-major rows into the row-interleaved order and back),
 :func:`wall_mask` builds the wall plane of a batch from one wall set per
-lattice, and the ``*_planes`` kernels take and return plane tuples, so
+lattice (:func:`coordinate_mask` from an array of coordinates),
+:func:`plane_bits` unpacks one plane into a (side, B, side) array of bits
+(:func:`pack_plane` packs it back), :func:`tile_plane` repeats one
+lattice's plane in every lattice of a batch, and the ``*_planes``
+kernels take and return plane tuples, so
 the cipher's round loop builds no objects. :func:`reflect_planes` is
 reflection alone, the half of M that :func:`collide_planes` fuses in.
 
@@ -73,10 +77,35 @@ def geometry(n: int, lattices: int = 1) -> tuple[int, ...]:
     )
 
 
-def _pack_plane(bits: np.ndarray) -> int:
+def pack_plane(bits: np.ndarray) -> int:
+    """The plane whose bit i is bits.flat[i] (nonzero means set): the
+    inverse of :func:`plane_bits`."""
     return int.from_bytes(
         np.packbits(bits, bitorder="little").tobytes(), "little"
     )
+
+
+def plane_bits(plane: int, n: int, lattices: int = 1) -> np.ndarray:
+    """The cells of one plane of a batch of `lattices` 2^n lattices as 0/1
+    bytes of shape (side, lattices, side): [r, b, c] is cell (r, c) of
+    lattice b, so the array in C order is the row-interleaved layout."""
+    side = 1 << n
+    cells = lattices * side * side
+    raw = np.frombuffer(plane.to_bytes((cells + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=cells, bitorder="little").reshape(
+        side, lattices, side)
+
+
+def tile_plane(plane: int, n: int, lattices: int) -> int:
+    """The plane of a batch of `lattices` copies of the 2^n lattice whose
+    plane is `plane`: each lattice row repeated in place across its row
+    block."""
+    side = 1 << n
+    if side < 8:  # rows narrower than a byte
+        return pack_plane(np.repeat(plane_bits(plane, n), lattices, axis=1))
+    rows = np.frombuffer(plane.to_bytes(side * side // 8, "little"), dtype=np.uint8)
+    return int.from_bytes(
+        np.repeat(rows.reshape(side, 1, -1), lattices, axis=1).tobytes(), "little")
 
 
 def _swap_rows(data: np.ndarray, side: int, outer: int) -> np.ndarray:
@@ -98,7 +127,7 @@ def planes_from_block(blocks: bytes, n: int) -> tuple[int, int, int, int]:
     cells = np.empty(pairs.size * 2, dtype=np.uint8)
     cells[0::2] = pairs >> 4
     cells[1::2] = pairs & 0xF
-    return tuple(_pack_plane((cells >> shift) & 1) for shift in (3, 2, 1, 0))
+    return tuple(pack_plane((cells >> shift) & 1) for shift in (3, 2, 1, 0))
 
 
 # _SPREAD[b] holds the eight cells of one plane byte b (cell i at bit i)
@@ -141,11 +170,7 @@ def planes_to_block(
 
 def wall_mask(wall_sets: Sequence[Collection[tuple[int, int]]], n: int) -> int:
     """Wall plane of a batch: one bit set per wall cell, lattice b's walls
-    taken from wall_sets[b]. Every coordinate is bounds-checked; the first
-    one outside the lattice raises the ParameterError of
-    :func:`hppcrypt.lattice.check_walls`."""
-    side = 1 << n
-    lattices = len(wall_sets)
+    taken from wall_sets[b], checked as in :func:`coordinate_mask`."""
     counts = [len(walls) for walls in wall_sets]
     try:
         coords = np.fromiter(
@@ -155,15 +180,33 @@ def wall_mask(wall_sets: Sequence[Collection[tuple[int, int]]], n: int) -> int:
     except OverflowError:  # a coordinate beyond int64 is outside any lattice
         check_walls(chain.from_iterable(wall_sets), n)
         raise
+    lattice_of = np.repeat(np.arange(len(wall_sets)), counts)
+    return coordinate_mask(coords, lattice_of, len(wall_sets), n)
+
+
+def coordinate_mask(
+    coords: np.ndarray, lattice_of: np.ndarray, lattices: int, n: int,
+    odd: bool = False,
+) -> int:
+    """Plane of a batch of `lattices` lattices with a bit set at each
+    (row, col) of the int64 array `coords` (shape (k, 2)), coordinate i
+    in lattice lattice_of[i]. A cell listed more than once is set once,
+    or with `odd` only if it is listed an odd number of times. Every
+    coordinate is bounds-checked in one pass; the first one outside the
+    lattice raises the ParameterError of
+    :func:`hppcrypt.lattice.check_walls`."""
+    side = 1 << n
     # Read as unsigned, a negative coordinate is as far outside as any.
     outside = np.flatnonzero(coords.view(np.uint64) >= side)
     if outside.size:
         check_walls([tuple(coords[outside[0] // 2].tolist())], n)
-    rows, cols = coords[:, 0], coords[:, 1]
-    lattice_of = np.repeat(np.arange(lattices), counts)
+    index = (coords[:, 0] * lattices + lattice_of) * side + coords[:, 1]
+    if odd:  # a cell listed an even number of times cancels
+        index, times = np.unique(index, return_counts=True)
+        index = index[times & 1 == 1]
     bits = np.zeros(lattices * side * side, dtype=np.uint8)
-    bits[(rows * lattices + lattice_of) * side + cols] = 1
-    return _pack_plane(bits)
+    bits[index] = 1
+    return pack_plane(bits)
 
 
 def collide_planes(

@@ -14,10 +14,13 @@ function. Propagation and the cell-local maps both preserve the particle
 count, so the ciphertext always has exactly as many 1-bits as the
 plaintext; :func:`ones_density` exists to diagnose that leak.
 
-The bit-plane engine has one round loop, behind :func:`encrypt_rounds`,
-which runs a batch of blocks (each under its own walls) at once;
+The bit-plane engine has one round loop, :func:`_trajectory`, which runs
+the plane tuple of a batch of lattices under one wall plane and yields
+plane tuples. :func:`encrypt_rounds` puts blocks through it (each under
+its own walls): blocks to planes, the loop, planes back to blocks;
 :func:`encrypt_block` is a batch of one, and streams run in batches of
-at most :func:`batch_size` blocks.
+at most :func:`batch_size` blocks. The experiment protocols call the
+loop directly, with planes and wall planes they build themselves.
 """
 
 from __future__ import annotations
@@ -177,25 +180,33 @@ def encrypt_rounds(
         raise ParameterError(
             f"round counts must ascend strictly within [0, {top}], got {counts}"
         )
+    lattices = len(batch)
     mask = bitplane.wall_mask([p.walls for p in batch], n)
-    return _trajectory(blocks, n, len(batch), mask, counts)
+    planes = bitplane.planes_from_block(blocks, n)
+    return (
+        bitplane.planes_to_block(out, n, lattices)
+        for out in _trajectory(planes, n, lattices, mask, counts)
+    )
 
 
 def _trajectory(
-    blocks: bytes, n: int, lattices: int, mask: int, counts: tuple[int, ...]
-) -> Iterator[bytes]:
-    # The fast engine's only round loop.
+    planes: tuple[int, int, int, int], n: int, lattices: int, mask: int,
+    counts: tuple[int, ...],
+) -> Iterator[tuple[int, int, int, int]]:
+    """The fast engine's only round loop. Run the planes of a batch of
+    `lattices` 2^n lattices under the wall plane `mask` up to the largest
+    of `counts` (ascending) and yield, at each count, the planes after J:
+    the batch's ciphertexts at that round count, as planes."""
     geom = bitplane.geometry(n, lattices)
-    e, s, w, nn = bitplane.planes_from_block(blocks, n)
-    e, s, w, nn = bitplane.collide_planes(e, s, w, nn, mask)
+    e, s, w, nn = bitplane.collide_planes(*planes, mask)
+    del planes  # hold one set of planes, not two, while the rounds run
     done = 0
     for count in counts:
         for _ in range(count - done):
             e, s, w, nn = bitplane.propagate_planes(e, s, w, nn, geom)
             e, s, w, nn = bitplane.collide_planes(e, s, w, nn, mask)
         done = count
-        yield bitplane.planes_to_block(
-            bitplane.invert_planes(e, s, w, nn), n, lattices)
+        yield bitplane.invert_planes(e, s, w, nn)
 
 
 def _encrypt_reference(block: bytes, params: CipherParams) -> bytes:

@@ -10,49 +10,50 @@ trial, draw a text and a key, derive the walls (inside the config's wall
 region, if it has one) and flip one key or plaintext bit at a time. An
 :class:`ExperimentConfig` holds every input of a run and refuses a bad
 one before any work starts. A trial's reference encryption and its
-flipped encryptions run as batches of the fast engine
-(:func:`~hppcrypt.cipher.encrypt_rounds`, at most
-:func:`~hppcrypt.cipher.batch_size` blocks each, so a strict-key trial at
-n=4 is one batch of 65), and each batch is compared with the reference
-in one numpy pass. Avalanche curves measure, per round count r, the
-average fraction of ciphertext bits inverted by a flip. Each batch of a
-curve runs once to the largest round count and reads the ciphertexts at
-every smaller count on the way, so a curve costs max r rounds per flip,
-not the sum of its round counts; the fractions are added to each round
-count's total one flip at a time, in flip order, so the floats do not
-depend on the batching. Strict-avalanche protocols (Webster and
-Tavares' criterion) measure that probability separately for every
-ciphertext bit at a fixed round count, from exact integer counts.
-Plaintext flips can only
-ever reach half of the cells: a flipped cell influences only the
-checkerboard class of parity (row+col+rounds) mod 2, which caps the text
-avalanche near 0.25 where the key avalanche approaches 0.5.
+flipped encryptions run as batches of the fast engine's round loop, at
+most :func:`~hppcrypt.cipher.batch_size` lattices each (a strict-key
+trial at n=4 is one batch of 65), and never pass through bytes: the
+reference text is read into planes once, each batch is built as planes
+(a text flip toggles one plane bit, a key flip one bit of one wall
+coordinate) and each batch is compared with the reference as planes.
+Avalanche curves measure, per round count r, the average fraction of
+ciphertext bits inverted by a flip. Each batch of a curve runs once to
+the largest round count and reads the ciphertexts at every smaller count
+on the way, so a curve costs max r rounds per flip, not the sum of its
+round counts; the inverted bits are popcounts, added up as one integer
+per round count and divided once per trial, which gives the same floats
+as adding each flip's fraction in turn. Strict-avalanche protocols
+(Webster and Tavares' criterion) measure that probability separately for
+every ciphertext bit at a fixed round count, from exact integer counts.
+Plaintext flips can only ever reach half of the cells: a flipped cell
+influences only the checkerboard class of parity (row+col+rounds) mod 2,
+which caps the text avalanche near 0.25 where the key avalanche
+approaches 0.5.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
 
+from . import bitplane
 from . import lattice as _lattice
 from .cipher import (
     MAX_ROUNDS,
     CipherParams,
     _key_coordinates,
+    _trajectory,
     batch_size,
     derive_walls,
     encrypt_block,
-    encrypt_rounds,
 )
 from .errors import ParameterError
 from .imaging import GrayImage, image_to_lattice, lattice_to_image
 from .lattice import block_size
 
 _MASK64 = (1 << 64) - 1
-_POPCOUNT8 = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
 # protocol -> (flip_key, per_bit): whether it flips key bits rather than
 # plaintext bits, and whether it reports one probability per ciphertext
@@ -194,13 +195,16 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 
 def flip_bit(data: bytes, index: int) -> bytes:
-    """Flip bit `index` of the MSB-first bitstream view of `data`."""
+    """Flip bit `index` of the MSB-first bitstream view of `data`: the
+    byte-level definition of a flip, which the protocols build as planes."""
     out = bytearray(data)
     out[index >> 3] ^= 0x80 >> (index & 7)
     return bytes(out)
 
 
 def inverted_fraction(a: bytes, b: bytes) -> float:
+    """Fraction of the bits that differ between two equal-length blocks:
+    the byte-level definition of what the curves count as planes."""
     if len(a) != len(b):
         raise ParameterError("blocks must have equal length")
     diff = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
@@ -237,80 +241,140 @@ def _report(config, xs, per_trial: np.ndarray) -> ExperimentReport:
 
 def _trials(config: ExperimentConfig, flip_key: bool, flips):
     """The trial loop of every protocol. Per trial, yield a generator of
-    the trial's encryptions in batches (blocks back to back, one params
-    per block) of at most batch_size(n) blocks: the reference (text,
-    params) first, then one with a key or plaintext bit flipped for each
-    index in `flips`, in that order. The text and then the key come from
-    trial_rng(seed, t); the walls come from _region_walls, and every
-    params runs to the largest round count. Flipped blocks are built one
-    batch at a time, and a trial's batches must be consumed before the
-    next trial is drawn."""
+    the trial's batches of at most batch_size(n) lattices, each as
+    (lattices, planes, mask): the reference (text, key) is lattice 0 of
+    the first batch, then one lattice with a key or plaintext bit flipped
+    for each index in `flips`, in that order. The text and then the key
+    come from trial_rng(seed, t); the reference walls come from
+    _region_walls and pass through CipherParams. Only the reference text
+    is read from bytes; every batch is built as planes, one batch at a
+    time, and a trial's batches must be consumed before the next trial is
+    drawn."""
     n, region, top = config.n, config.wall_region, config.round_values()[-1]
+    size = batch_size(n)
+    lattice_flips = np.concatenate(([-1], flips))  # -1: the reference, no flip
     for t in range(config.trials):
         rng = trial_rng(config.seed, t)
         text = rng.bytes(config.block_len)
         key = rng.bytes(config.key_len)
         params = CipherParams(n, top, _region_walls(key, n, region))
+        ref = bitplane.planes_from_block(text, n)
         if flip_key:
-            flipped = (
-                (text, CipherParams(n, top, _region_walls(flip_bit(key, i), n, region)))
-                for i in flips
-            )
+            build = _key_flips(key, n, region, ref)
         else:
-            flipped = ((flip_bit(text, i), params) for i in flips)
-        yield _batches(chain([(text, params)], flipped), batch_size(n))
+            build = _text_flips(n, ref, bitplane.wall_mask([params.walls], n))
+        yield (
+            build(lattice_flips[i:i + size])
+            for i in range(0, len(lattice_flips), size)
+        )
 
 
-def _batches(encryptions, size: int):
-    while batch := list(islice(encryptions, size)):
-        texts, params = zip(*batch)
-        yield b"".join(texts), params
+def _text_flips(n: int, ref: tuple, mask: int):
+    """Batch builder for plaintext flips under one wall plane: every
+    lattice starts as the reference, and the one that flips block bit i
+    toggles plane i % 4 at cell i // 4."""
+    side = 1 << n
+
+    def build(batch: np.ndarray):
+        lattices = len(batch)
+        at = np.flatnonzero(batch >= 0)
+        bit = batch[at]
+        coords = np.stack((bit >> (n + 2), (bit >> 2) & (side - 1)), axis=1)
+        planes = []
+        for k, plane in enumerate(ref):
+            on = bit & 3 == k
+            flipped = bitplane.coordinate_mask(coords[on], at[on], lattices, n)
+            planes.append(bitplane.tile_plane(plane, n, lattices) ^ flipped)
+        return lattices, tuple(planes), bitplane.tile_plane(mask, n, lattices)
+
+    return build
 
 
-def _diffs(batches, counts):
-    """Run a trial's batches up to every round count in `counts` and yield
-    (ri, rows): at counts[ri], one row per block of the batch holding its
-    ciphertext XOR the reference's. The reference is the first block of
-    the first batch, so its own row is all zero."""
+def _key_flips(key: bytes, n: int, region, ref: tuple):
+    """Batch builder for key flips: the key is decoded once into wall
+    coordinates, and flipping key bit i toggles one bit of one of them.
+    Cells are walls as in _region_walls: when listed at all, or in a
+    region when listed an odd number of times."""
+    m = n if region is None else region[2].bit_length() - 1
+    base = np.array(list(_key_coordinates(key, m)), dtype=np.int64)
+    offset = np.array((0, 0) if region is None else region[:2], dtype=np.int64)
+    # Key bit i (MSB first) is bit p = 8*len(key) - 1 - i of the key read
+    # as an integer: bit p % 2m of coordinate p // 2m, a row bit from m on.
+    # ExperimentConfig makes the key split into whole 2m-bit groups.
+    last = 8 * len(key) - 1
+
+    def build(batch: np.ndarray):
+        at = np.flatnonzero(batch >= 0)
+        p = last - batch[at]
+        q = p % (2 * m)
+        coords = np.repeat(base[None], len(batch), axis=0)
+        coords[at, p // (2 * m), (q < m).astype(np.intp)] ^= 1 << (q % m)
+        coords += offset
+        mask = bitplane.coordinate_mask(
+            coords.reshape(-1, 2), np.repeat(np.arange(len(batch)), len(base)),
+            len(batch), n, odd=region is not None)
+        planes = tuple(bitplane.tile_plane(p, n, len(batch)) for p in ref)
+        return len(batch), planes, mask
+
+    return build
+
+
+def _runs(batches, counts, n: int):
+    """Run a trial's batches, each along one trajectory up to the largest
+    round count, and yield (ri, lattices, planes, ref): at counts[ri], a
+    batch's ciphertext planes and the reference's, one lattice's planes.
+    The reference is lattice 0 of the first batch, so its own lattice
+    never differs from it."""
     refs = []
-    for blocks, params in batches:
-        for ri, ct in enumerate(encrypt_rounds(blocks, params, counts)):
-            rows = np.frombuffer(ct, dtype=np.uint8).reshape(len(params), -1)
-            if ri == len(refs):  # first batch: keep the reference row
-                refs.append(rows[0].copy())
-            yield ri, rows ^ refs[ri]
+    for lattices, planes, mask in batches:
+        for ri, out in enumerate(_trajectory(planes, n, lattices, mask, counts)):
+            if ri == len(refs):  # first batch: keep the reference lattice
+                refs.append([
+                    bitplane.pack_plane(bitplane.plane_bits(p, n, lattices)[:, :1])
+                    for p in out
+                ])
+            yield ri, lattices, out, refs[ri]
 
 
 def _curve(config: ExperimentConfig, trials, flip_count: int) -> ExperimentReport:
     """Mean inverted fraction per round count. Each batch is one
     trajectory up to the largest round count, so a curve costs max r
-    rounds per flip, not the sum over its round counts. Each round count
-    keeps a running total that every encryption adds its fraction to, one
-    at a time in flip order (the reference adds an exact 0.0), so the
-    floats match encrypting each flip at each count separately."""
-    rounds = config.round_values()
+    rounds per flip, not the sum over its round counts. A block is a bit
+    permutation of its four planes, so the bits a batch inverts at one
+    count are the popcounts of its planes XOR the reference's, tiled.
+    Each round count keeps an integer total over all flips, divided once
+    per trial: block_bits is a power of two and every partial sum is
+    exact, so the floats equal adding each flip's fraction in turn."""
+    n, rounds = config.n, config.round_values()
     block_bits = 8 * config.block_len
     per_trial = np.zeros((len(rounds), config.trials))
     for t, batches in enumerate(trials):
-        totals = [0.0] * len(rounds)
-        for ri, rows in _diffs(batches, rounds):
-            for count in _POPCOUNT8[rows].sum(axis=1).tolist():
-                totals[ri] += count / block_bits
-        per_trial[:, t] = [total / flip_count for total in totals]
+        totals = [0] * len(rounds)
+        for ri, lattices, planes, ref in _runs(batches, rounds, n):
+            totals[ri] += sum(
+                (p ^ bitplane.tile_plane(r, n, lattices)).bit_count()
+                for p, r in zip(planes, ref)
+            )
+        per_trial[:, t] = [total / block_bits / flip_count for total in totals]
     return _report(config, rounds, per_trial)
 
 
 def _strict(config: ExperimentConfig, trials, flip_count: int) -> ExperimentReport:
     """Inversion probability of each ciphertext bit at the single round
-    count, from exact per-bit counts: one numpy pass per batch."""
+    count, from exact per-bit counts. Block bit 4c + k is plane k at cell
+    c, so a batch adds, per plane, its bits XOR the reference's summed
+    over its lattices."""
+    n = config.n
     block_bits = 8 * config.block_len
     per_trial = np.zeros((block_bits, config.trials))
-    acc = np.zeros(block_bits, dtype=np.int64)
+    acc = np.zeros((1 << n, 1 << n, 4), dtype=np.int64)
     for t, batches in enumerate(trials):
         acc[:] = 0
-        for _, rows in _diffs(batches, config.round_values()):
-            acc += np.unpackbits(rows, axis=1).sum(axis=0, dtype=np.int64)
-        per_trial[:, t] = acc / flip_count
+        for _, lattices, planes, ref in _runs(batches, config.round_values(), n):
+            for k, (p, r) in enumerate(zip(planes, ref)):
+                diff = bitplane.plane_bits(p, n, lattices) ^ bitplane.plane_bits(r, n)
+                acc[..., k] += diff.sum(axis=1, dtype=np.int64)
+        per_trial[:, t] = acc.ravel() / flip_count
     return _report(config, range(block_bits), per_trial)
 
 
@@ -318,9 +382,9 @@ def run_protocol(config: ExperimentConfig) -> ExperimentReport:
     """Run the config's protocol; the one entry point for all six."""
     flip_key, per_bit = PROTOCOLS[config.protocol]
     if config.protocol == "single-bit":
-        flips = (config.bit,)
+        flips = np.array([config.bit])
     else:
-        flips = range(8 * (config.key_len if flip_key else config.block_len))
+        flips = np.arange(8 * (config.key_len if flip_key else config.block_len))
     reduce = _strict if per_bit else _curve
     return reduce(config, _trials(config, flip_key, flips), len(flips))
 
@@ -376,18 +440,11 @@ def partial_key_leak_demo(
     decoded = np.frombuffer(decoded_lat.cells, dtype=np.uint8).reshape(side, side)
 
     tiles = side // tile_size
-    diff_bits = _POPCOUNT8[original ^ decoded]
+    diff_bits = np.unpackbits((original ^ decoded)[..., None], axis=-1)
+    counts = diff_bits.reshape(tiles, tile_size, tiles, tile_size, 8).sum(
+        axis=(1, 3, 4))
     tile_diff = tuple(
-        tuple(
-            float(
-                diff_bits[
-                    i * tile_size:(i + 1) * tile_size,
-                    j * tile_size:(j + 1) * tile_size,
-                ].sum()
-            ) / (4 * tile_size * tile_size)
-            for j in range(tiles)
-        )
-        for i in range(tiles)
+        tuple(row) for row in (counts / (4 * tile_size * tile_size)).tolist()
     )
     return LeakDemoResult(
         lattice_to_image(_lattice.from_bytes(ct, lat.n)),

@@ -1,6 +1,7 @@
 import dis
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -177,6 +178,41 @@ def test_batch_layout_is_row_interleaved():
                                 want |= 1 << ((r * count + b) * side + c)
                 assert planes[k] == want, (n, count, k)
             assert bp.planes_to_block(planes, n, count) == blocks
+
+
+def test_plane_bits_and_tile_plane_follow_the_batch_layout():
+    # plane_bits(P, n, B)[r, b, c] is bit (r*B + b)*2^n + c of P, and
+    # tile_plane of one lattice's bits is the plane of B copies of it, as
+    # planes_from_block gives for the block repeated B times.
+    rnd = random.Random(43)
+    for n in range(1, 6):
+        side = 1 << n
+        for count in (1, 2, 3, 7):
+            plane = rnd.getrandbits(count * side * side)
+            bits = bp.plane_bits(plane, n, count)
+            assert bits.shape == (side, count, side)
+            r, b, c = (rnd.randrange(side), rnd.randrange(count), rnd.randrange(side))
+            assert bits[r, b, c] == plane >> ((r * count + b) * side + c) & 1
+            assert bp.pack_plane(bits) == plane
+            block = rnd.randbytes(ref.block_size(n))
+            one = bp.planes_from_block(block, n)
+            assert tuple(bp.tile_plane(p, n, count) for p in one) == (
+                bp.planes_from_block(block * count, n))
+
+
+def test_coordinate_mask_counts_and_bounds():
+    coords = np.array([[1, 2], [1, 2], [3, 0], [1, 2], [0, 1], [0, 1]])
+    lattice_of = np.array([0, 0, 0, 1, 1, 1])
+    # Plain: a cell listed at all is set, however often.
+    assert bp.coordinate_mask(coords, lattice_of, 2, 2) == bp.wall_mask(
+        [{(1, 2), (3, 0)}, {(1, 2), (0, 1)}], 2)
+    # Odd: a cell listed an even number of times cancels.
+    assert bp.coordinate_mask(coords, lattice_of, 2, 2, odd=True) == bp.wall_mask(
+        [{(3, 0)}, {(1, 2)}], 2)
+    with pytest.raises(ParameterError, match=r"wall \(0, 4\) outside 4x4"):
+        bp.coordinate_mask(np.array([[1, 1], [0, 4]]), np.array([0, 1]), 2, 2)
+    with pytest.raises(ParameterError, match=r"wall \(-1, 0\) outside 4x4"):
+        bp.coordinate_mask(np.array([[-1, 0]]), np.array([0]), 1, 2, odd=True)
 
 
 def test_collide_exhaustive_and_never_negative():

@@ -3,12 +3,18 @@ import hashlib
 import numpy as np
 import pytest
 
-from hppcrypt.cipher import MAX_ROUNDS
+from hppcrypt import bitplane, experiments
+from hppcrypt.bitplane import plane_bits, planes_from_block, wall_mask
+from hppcrypt.cipher import MAX_ROUNDS, CipherParams, encrypt_block
 from hppcrypt.errors import ParameterError
 from hppcrypt.experiments import (
+    PROTOCOLS,
     ExperimentConfig,
     ExperimentReport,
+    _key_flips,
     _region_walls,
+    _report,
+    _text_flips,
     default_config,
     emit_csv,
     emit_svg_plot,
@@ -20,6 +26,7 @@ from hppcrypt.experiments import (
     trial_rng,
 )
 from hppcrypt.imaging import GrayImage
+from hppcrypt.lattice import block_size
 
 
 def tiny_config(protocol, **overrides):
@@ -300,6 +307,151 @@ def test_config_validation():
         tiny_config("single-bit", rounds_range=(4, 1, 4), bit=-1)
 
 
+# --- plane-space trials against the byte-level definition -----------------
+
+# Tiny configs of all six protocols: n = 2 and 3, one or two trials,
+# several round counts for the curves, and wall regions on both the key
+# and the text side.
+TINY = {
+    "avalanche-key": dict(n=2, key_len=2, trials=2, rounds_range=(0, 3, 9), seed=1),
+    "avalanche-text": dict(n=3, key_len=3, trials=1, rounds_range=(1, 4, 9), seed=2),
+    "avalanche-key-concentrated": dict(
+        n=3, key_len=3, trials=2, rounds_range=(2, 2, 6), wall_region=(2, 4, 4),
+        seed=3),
+    "strict-key": dict(n=3, key_len=3, trials=2, rounds_range=(5, 1, 5), seed=4),
+    "strict-text": dict(
+        n=2, key_len=1, trials=2, rounds_range=(6, 1, 6), wall_region=(0, 2, 2),
+        seed=5),
+    "single-bit": dict(n=3, key_len=3, trials=2, rounds_range=(4, 1, 4), bit=13,
+                       seed=6),
+}
+TINY_REGION_STRICT_KEY = dict(
+    n=3, key_len=1, trials=2, rounds_range=(3, 1, 3), wall_region=(0, 0, 4), seed=7)
+
+
+def direct_report(cfg):
+    """A protocol by its definition, one flip at a time: flip_bit on the
+    key or text bytes, walls from _region_walls, the per-cell reference
+    engine at every round count, then inverted_fraction per flip for the
+    curves or per-bit XOR counts for the strict protocols."""
+    flip_key, per_bit = PROTOCOLS[cfg.protocol]
+    if cfg.protocol == "single-bit":
+        flips = [cfg.bit]
+    else:
+        flips = range(8 * (cfg.key_len if flip_key else cfg.block_len))
+    rounds = cfg.round_values()
+    block_bits = 8 * cfg.block_len
+    per_trial = np.zeros((block_bits if per_bit else len(rounds), cfg.trials))
+
+    def encrypt(text, key, r):
+        walls = _region_walls(key, cfg.n, cfg.wall_region)
+        return encrypt_block(text, CipherParams(cfg.n, r, walls), engine="reference")
+
+    for t in range(cfg.trials):
+        rng = trial_rng(cfg.seed, t)
+        text = rng.bytes(cfg.block_len)
+        key = rng.bytes(cfg.key_len)
+        pairs = [
+            (text, flip_bit(key, i)) if flip_key else (flip_bit(text, i), key)
+            for i in flips
+        ]
+        for ri, r in enumerate(rounds):
+            reference = encrypt(text, key, r)
+            cts = [encrypt(b, k, r) for b, k in pairs]
+            if per_bit:
+                xor = [bytes(x ^ y for x, y in zip(ct, reference)) for ct in cts]
+                counts = np.unpackbits(
+                    np.frombuffer(b"".join(xor), dtype=np.uint8).reshape(len(cts), -1),
+                    axis=1).sum(axis=0)
+                per_trial[:, t] = counts / len(cts)
+            else:
+                per_trial[ri, t] = sum(
+                    inverted_fraction(reference, ct) for ct in cts) / len(cts)
+    return _report(cfg, range(block_bits) if per_bit else rounds, per_trial)
+
+
+@pytest.mark.parametrize(
+    "protocol, overrides",
+    [*sorted(TINY.items()), ("strict-key", TINY_REGION_STRICT_KEY)],
+)
+def test_protocols_match_their_per_flip_definition(monkeypatch, protocol, overrides):
+    # Exact equality, no tolerance: the plane-space reducers must give the
+    # floats of the per-flip definition, also when a trial spans several
+    # batches (here forced down to 5 lattices each, the last one partial).
+    cfg = default_config(protocol, **overrides)
+    want = direct_report(cfg)
+    got = run_protocol(cfg)
+    assert got.ys == want.ys and got.stddevs == want.stddevs and got.xs == want.xs
+    monkeypatch.setattr(experiments, "batch_size", lambda n: 5)
+    assert run_protocol(cfg) == want
+
+
+def test_protocols_build_no_blocks(monkeypatch):
+    # Trials are built and reduced as planes: no block packing and no
+    # per-flip byte work on the protocol path.
+    def refuse(*args, **kwargs):
+        raise AssertionError("byte-level path reached")
+
+    monkeypatch.setattr(bitplane, "planes_to_block", refuse)
+    monkeypatch.setattr(experiments, "flip_bit", refuse)
+    for protocol, overrides in sorted(TINY.items()):
+        assert run_protocol(default_config(protocol, **overrides)).ys
+
+
+@pytest.mark.parametrize(
+    "key, n, region",
+    [
+        # groups 0110 0110 0110 1100: (1, 2) three times, so a flip in one
+        # of its copies leaves it a wall
+        (bytes([0b01100110, 0b01101100]), 2, None),
+        (trial_rng(71, 0).bytes(6), 3, None),
+        # region side 4: groups 0110 0110 1100 0000, (1, 2) twice cancels,
+        # and a flip in one copy makes both cells walls
+        (bytes([0b01100110, 0b11000000]), 3, (2, 4, 4)),
+        (trial_rng(71, 1).bytes(9), 4, (4, 8, 8)),
+    ],
+)
+def test_key_flip_masks_match_flipped_key_walls(key, n, region):
+    text = trial_rng(72, n).bytes(block_size(n))
+    ref = planes_from_block(text, n)
+    flips = np.arange(8 * len(key))
+    build = _key_flips(key, n, region, ref)
+    keys = [key] + [flip_bit(key, int(i)) for i in flips]
+    # the first batch holds the reference (-1), a later one only flips
+    for batch, batch_keys in (
+        (np.concatenate(([-1], flips[:5])), keys[:6]),
+        (flips[5:], keys[6:]),
+    ):
+        lattices, planes, mask = build(batch)
+        assert lattices == len(batch_keys)
+        assert planes == planes_from_block(text * lattices, n)
+        bits = plane_bits(mask, n, lattices)
+        for b, k in enumerate(batch_keys):
+            want = plane_bits(wall_mask([_region_walls(k, n, region)], n), n)
+            assert np.array_equal(bits[:, b:b + 1], want), (b, k)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_text_flip_planes_match_flipped_blocks(n):
+    rng = trial_rng(73, n)
+    text = rng.bytes(block_size(n))
+    side = 1 << n
+    walls = frozenset(
+        (int(r), int(c)) for r, c in rng.integers(0, side, (rng.integers(0, 6), 2)))
+    ref = planes_from_block(text, n)
+    bits = 8 * block_size(n)
+    flips = rng.permutation(bits)[:min(bits, 48)]
+    build = _text_flips(n, ref, wall_mask([walls], n))
+    for batch in (np.concatenate(([-1], flips[:30])), flips[30:]):
+        if not len(batch):
+            continue
+        lattices, planes, mask = build(batch)
+        blocks = b"".join(text if i < 0 else flip_bit(text, int(i)) for i in batch)
+        assert lattices == len(batch)
+        assert planes == planes_from_block(blocks, n)
+        assert mask == wall_mask([walls] * lattices, n)
+
+
 # --- leak demo -------------------------------------------------------------
 
 def test_leak_demo_identical_keys_decode_perfectly():
@@ -324,6 +476,28 @@ def test_leak_demo_high_rounds_leak_nothing():
     image = random_image(0)
     result = partial_key_leak_demo(image, frozenset({(32, 32)}), frozenset(), rounds=128)
     assert all(f > 0.4 for row in result.tile_diff for f in row)
+
+
+def test_leak_demo_tile_diff_counts_bits_per_tile():
+    image = random_image(3, 32)
+    ts = 8
+    result = partial_key_leak_demo(
+        image, frozenset({(5, 9), (20, 30)}), frozenset({(5, 9)}), rounds=6,
+        tile_size=ts)
+    want = tuple(
+        tuple(
+            sum(
+                bin(image.pixel(x, y) ^ result.decrypted.pixel(x, y)).count("1")
+                for y in range(i * ts, (i + 1) * ts)
+                for x in range(j * ts, (j + 1) * ts)
+            ) / (4 * ts * ts)
+            for j in range(4)
+        )
+        for i in range(4)
+    )
+    assert result.tile_diff == want
+    flat = [f for row in want for f in row]
+    assert min(flat) == 0.0 < max(flat)
 
 
 def test_leak_demo_tile_validation():
