@@ -8,7 +8,6 @@ from .cipher import (
     default_rounds,
     derive_walls,
     encrypt_block,
-    encrypt_rounds,
     encrypt_stream,
     keyspace_count,
     ones_density,
@@ -31,7 +30,6 @@ __all__ = [
     "default_rounds",
     "derive_walls",
     "encrypt_block",
-    "encrypt_rounds",
     "encrypt_stream",
     "from_bytes",
     "keyspace_count",

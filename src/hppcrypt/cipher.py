@@ -16,18 +16,18 @@ plaintext; :func:`ones_density` exists to diagnose that leak.
 
 The bit-plane engine has one round loop, :func:`_trajectory`, which runs
 the plane tuple of a batch of lattices under one wall plane and yields
-plane tuples. :func:`encrypt_rounds` puts blocks through it (each under
-its own walls): blocks to planes, the loop, planes back to blocks;
-:func:`encrypt_block` is a batch of one, and streams run in batches of
-at most :func:`batch_size` blocks. The experiment protocols call the
-loop directly, with planes and wall planes they build themselves.
+plane tuples. :func:`_encrypt_blocks` is the one path from bytes to it:
+blocks to planes in batches of at most :func:`batch_size` blocks, the
+loop, planes back to blocks. :func:`encrypt_block` is a batch of one and
+the streams run whole payloads through it. The experiment protocols call
+the loop directly, with planes and wall planes they build themselves.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import bitplane, lattice
@@ -136,57 +136,7 @@ def encrypt_block(block: bytes, params: CipherParams, engine: str = "bitplane") 
     _check_block_length(block, params.n)
     if engine == "reference":
         return _encrypt_reference(block, params)
-    return next(encrypt_rounds(block, params, (params.rounds,)))
-
-
-def encrypt_rounds(
-    blocks: bytes,
-    params: CipherParams | Sequence[CipherParams],
-    counts: Iterable[int],
-) -> Iterator[bytes]:
-    """Yield the ciphertexts of a batch of blocks at each round count in
-    `counts`, all from a single run of the bit-plane engine.
-
-    `blocks` is one or more blocks laid back to back, and `params` either
-    one CipherParams for all of them or a sequence with one per block, all
-    of the same n. At each count the batch's ciphertexts are yielded back
-    to back; block b's is ``encrypt_block(block_b, CipherParams(n, r,
-    walls_b))``. Up to the final J, the schedule for r rounds is a prefix
-    of the one for any r' > r, so the rounds run once, up to the largest
-    count, and at each count J is applied to the state of that moment.
-    `counts` must be strictly ascending and lie in [0, rounds] for every
-    params; the lengths and the counts are checked before this returns.
-    The planes hold the whole batch, so a caller bounds its memory by the
-    batch it passes (see :func:`batch_size`).
-    """
-    batch = params
-    if not isinstance(params, Sequence):  # one CipherParams for every block
-        batch = [params] * max(1, len(blocks) // block_size(params.n))
-    if not batch:
-        raise ParameterError("a batch needs at least one block")
-    n = batch[0].n
-    if any(p.n != n for p in batch):
-        raise ParameterError("every block of a batch needs the same lattice exponent")
-    if len(blocks) != len(batch) * block_size(n):
-        raise FormatError(
-            f"{len(batch)} block(s) for n={n} take "
-            f"{len(batch) * block_size(n)} bytes, got {len(blocks)}"
-        )
-    counts = tuple(counts)
-    top = min(p.rounds for p in batch)
-    if any(not 0 <= r <= top for r in counts) or any(
-        a >= b for a, b in zip(counts, counts[1:])
-    ):
-        raise ParameterError(
-            f"round counts must ascend strictly within [0, {top}], got {counts}"
-        )
-    lattices = len(batch)
-    mask = bitplane.wall_mask([p.walls for p in batch], n)
-    planes = bitplane.planes_from_block(blocks, n)
-    return (
-        bitplane.planes_to_block(out, n, lattices)
-        for out in _trajectory(planes, n, lattices, mask, counts)
-    )
+    return _encrypt_blocks(block, params)
 
 
 def _trajectory(
@@ -195,8 +145,11 @@ def _trajectory(
 ) -> Iterator[tuple[int, int, int, int]]:
     """The fast engine's only round loop. Run the planes of a batch of
     `lattices` 2^n lattices under the wall plane `mask` up to the largest
-    of `counts` (ascending) and yield, at each count, the planes after J:
-    the batch's ciphertexts at that round count, as planes."""
+    of `counts` and yield, at each count, the planes after J: the batch's
+    ciphertexts at that round count, as planes. Up to the final J, the
+    schedule for r rounds is a prefix of the one for any r' > r, so the
+    rounds run once. The counts must be non-negative and strictly
+    ascending; every caller validates them, and none is checked here."""
     geom = bitplane.geometry(n, lattices)
     e, s, w, nn = bitplane.collide_planes(*planes, mask)
     del planes  # hold one set of planes, not two, while the rounds run
@@ -311,12 +264,20 @@ def decrypt_stream(
 
 def _encrypt_blocks(data: bytes, params: CipherParams) -> bytes:
     """Encrypt whole blocks under one params, in batches of at most
-    batch_size(n) blocks."""
-    step = batch_size(params.n) * block_size(params.n)
-    return b"".join(
-        next(encrypt_rounds(data[i:i + step], params, (params.rounds,)))
-        for i in range(0, len(data), step)
-    )
+    batch_size(n) blocks: the one path from bytes to the round loop.
+    Every batch shares one wall plane, tiled to its lattice count."""
+    n = params.n
+    bs = block_size(n)
+    step = batch_size(n) * bs
+    wall = bitplane.wall_mask([params.walls], n)
+    out = []
+    for i in range(0, len(data), step):
+        lattices = min(step, len(data) - i) // bs
+        mask = bitplane.tile_plane(wall, n, lattices)
+        (planes,) = _trajectory(bitplane.planes_from_block(data[i:i + step], n),
+                                n, lattices, mask, (params.rounds,))
+        out.append(bitplane.planes_to_block(planes, n, lattices))
+    return b"".join(out)
 
 
 def _resolve_params(

@@ -55,6 +55,10 @@ from .lattice import block_size
 
 _MASK64 = (1 << 64) - 1
 
+# The most trials one run may ask for; the paper-scale defaults use at
+# most 1000.
+MAX_TRIALS = 1 << 16
+
 # protocol -> (flip_key, per_bit): whether it flips key bits rather than
 # plaintext bits, and whether it reports one probability per ciphertext
 # bit at a single round count rather than a curve over round counts.
@@ -94,10 +98,19 @@ class ExperimentConfig:
         flip_key, per_bit = PROTOCOLS[self.protocol]
         if self.n < 1:
             raise ParameterError(f"lattice exponent must be >= 1, got {self.n}")
-        if self.trials < 1:
-            raise ParameterError(f"trials must be >= 1, got {self.trials}")
-        if self.key_len < 1:
-            raise ParameterError(f"key length must be >= 1, got {self.key_len}")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ParameterError(
+                f"trials must be in [1, {MAX_TRIALS}], got {self.trials}"
+            )
+        if not 0 <= self.seed <= _MASK64:
+            raise ParameterError(f"seed must be in [0, 2^64), got {self.seed}")
+        # At most one block of key: 8*block_len key flips per trial, the
+        # same as the text protocols' plaintext flips.
+        if not 1 <= self.key_len <= self.block_len:
+            raise ParameterError(
+                f"key length must be in [1, {self.block_len}] bytes for "
+                f"n={self.n}, got {self.key_len}"
+            )
         start, step, stop = self.rounds_range
         if start < 0 or step < 1 or stop < start:
             raise ParameterError(f"empty rounds range {self.rounds_range}")

@@ -30,8 +30,6 @@ _ROTATE2_TABLE = bytes(
     ((v << 2) | (v >> 2)) & 0xF if v < 16 else v for v in range(256)
 )
 
-WallSet = frozenset  # of (row, col) pairs
-
 
 class Lattice:
     """Immutable 2^n x 2^n grid of 4-bit cells."""

@@ -4,18 +4,20 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hppcrypt import bitplane as bp
 from hppcrypt import lattice as L
 from hppcrypt.cipher import (
     MAX_ROUNDS,
     CipherContainer,
     CipherParams,
+    _trajectory,
     approx_scientific,
+    batch_size,
     decrypt_block,
     decrypt_stream,
     default_rounds,
     derive_walls,
     encrypt_block,
-    encrypt_rounds,
     encrypt_stream,
     keyspace_count,
     ones_density,
@@ -124,6 +126,10 @@ def test_wrong_block_length_rejected():
         encrypt_block(bytes(127), params)
     with pytest.raises(FormatError):
         encrypt_block(bytes(129), params)
+    # whole multiples of the block length are still not one block
+    for length in (0, 256):
+        with pytest.raises(FormatError):
+            encrypt_block(bytes(length), params)
 
 
 def test_unknown_engine_rejected():
@@ -220,15 +226,25 @@ def test_engines_agree():
 
 # --- round trajectories ---------------------------------------------------
 
+def trajectory_blocks(blocks, wall_sets, n, counts):
+    """One run of the round loop on a batch of blocks laid back to back,
+    lattice b under wall_sets[b]: the batch's ciphertexts at each count."""
+    lattices = len(wall_sets)
+    planes = bp.planes_from_block(blocks, n)
+    mask = bp.wall_mask(wall_sets, n)
+    return [bp.planes_to_block(out, n, lattices)
+            for out in _trajectory(planes, n, lattices, mask, tuple(counts))]
+
+
 def check_trajectory(rnd, n):
-    """encrypt_rounds at random ascending counts, 0 included, against a
+    """The round loop at random ascending counts, 0 included, against a
     separate encryption at each count by both engines."""
     params = random_params(rnd, n, max_rounds=20)
     k = min(params.rounds, rnd.randint(0, 5))
     picks = rnd.sample(range(1, params.rounds + 1), k)
     counts = (0, *sorted(picks))
     block = rnd.randbytes(L.block_size(n))
-    got = list(encrypt_rounds(block, params, counts))
+    got = trajectory_blocks(block, [params.walls], n, counts)
     assert len(got) == len(counts)
     for r, ct in zip(counts, got):
         at_r = CipherParams(n, r, params.walls)
@@ -236,7 +252,7 @@ def check_trajectory(rnd, n):
         assert ct == encrypt_block(block, at_r, "reference")
 
 
-def test_encrypt_rounds_matches_engines_seeded():
+def test_trajectory_matches_engines_seeded():
     rnd = random.Random(17)
     for n in (2, 3, 4, 5, 2, 3, 4, 5):
         check_trajectory(rnd, n)
@@ -244,15 +260,15 @@ def test_encrypt_rounds_matches_engines_seeded():
 
 @given(st.integers(0, 2**64 - 1), st.integers(2, 5))
 @settings(deadline=None, max_examples=25)
-def test_encrypt_rounds_matches_engines(seed, n):
+def test_trajectory_matches_engines(seed, n):
     check_trajectory(random.Random(seed), n)
 
 
 @st.composite
 def batches(draw):
     """A batch of 1 to 6 blocks at n=2..5 with walls of their own (some on
-    the last row or the last column), their params (one shared params or
-    one per block) and ascending round counts."""
+    the last row or the last column) or one wall set shared by all, and
+    ascending round counts."""
     n = draw(st.integers(2, 5))
     side = 1 << n
     coord = st.integers(0, side - 1)
@@ -267,18 +283,15 @@ def batches(draw):
              for _ in range(count)]
     if draw(st.booleans()):
         walls = [walls[0]] * count
-        params = CipherParams(n, top, walls[0])
-    else:
-        params = [CipherParams(n, top, w) for w in walls]
     counts = sorted(draw(st.sets(st.integers(0, top), max_size=4)))
-    return n, blocks, walls, params, counts
+    return n, blocks, walls, counts
 
 
 @given(batches())
 @settings(deadline=None, max_examples=40)
-def test_batched_encrypt_rounds_matches_reference(batch):
-    n, blocks, walls, params, counts = batch
-    got = list(encrypt_rounds(b"".join(blocks), params, counts))
+def test_batched_trajectory_matches_reference(batch):
+    n, blocks, walls, counts = batch
+    got = trajectory_blocks(b"".join(blocks), walls, n, counts)
     assert len(got) == len(counts)
     bs = L.block_size(n)
     for r, ct in zip(counts, got):
@@ -286,39 +299,6 @@ def test_batched_encrypt_rounds_matches_reference(batch):
         for b, (block, w) in enumerate(zip(blocks, walls)):
             want = encrypt_block(block, CipherParams(n, r, w), "reference")
             assert ct[b * bs:(b + 1) * bs] == want
-
-
-def test_encrypt_rounds_batch_shape_errors():
-    params = CipherParams(3, 8, frozenset({(1, 1)}))
-    with pytest.raises(FormatError):
-        encrypt_rounds(bytes(96), [params, params], (0,))
-    with pytest.raises(FormatError):
-        encrypt_rounds(bytes(48), params, (0,))
-    with pytest.raises(ParameterError):
-        encrypt_rounds(b"", [], (0,))
-    with pytest.raises(ParameterError):
-        encrypt_rounds(bytes(40), [params, CipherParams(2, 8, frozenset())], (0,))
-    with pytest.raises(ParameterError):
-        encrypt_rounds(bytes(64), [params, CipherParams(3, 4, frozenset())], (5,))
-    with pytest.raises(FormatError):
-        encrypt_block(bytes(64), params)
-
-
-def test_encrypt_rounds_empty_counts_and_block_length():
-    params = CipherParams(3, 8, frozenset({(1, 1)}))
-    assert list(encrypt_rounds(bytes(32), params, ())) == []
-    with pytest.raises(FormatError):
-        encrypt_rounds(bytes(31), params, (0,))
-
-
-@pytest.mark.parametrize(
-    "counts", [(2, 1), (3, 3), (-1, 2), (0, 9), (9,)],
-    ids=["descending", "repeated", "negative", "above", "only-above"],
-)
-def test_encrypt_rounds_rejects_bad_counts(counts):
-    params = CipherParams(3, 8, frozenset({(1, 1)}))
-    with pytest.raises(ParameterError):
-        encrypt_rounds(bytes(32), params, counts)
 
 
 def test_cipher_params_validation():
@@ -342,6 +322,24 @@ def test_stream_round_trip():
     assert container.rounds == 32
     assert container.original_length == 5000
     assert container.block_count() == 40  # 5000 padded to 5120
+    assert decrypt_stream(container, key) == data
+
+
+def test_stream_spans_batches():
+    # 600 blocks at n=4: two full batches of 256 and a tail of 88, each
+    # block encrypted as if alone.
+    n, bs = 4, L.block_size(4)
+    assert batch_size(n) == 256
+    rnd = random.Random(14)
+    data = rnd.randbytes(600 * bs)
+    key = rnd.randbytes(8)
+    container = encrypt_stream(data, key, n)
+    params = CipherParams.from_key(key, n)
+    blocks = [data[i:i + bs] for i in range(0, len(data), bs)]
+    got = [container.payload[i:i + bs] for i in range(0, len(data), bs)]
+    assert got == [encrypt_block(block, params) for block in blocks]
+    for b in (0, 255, 256, 511, 512, 599):
+        assert got[b] == encrypt_block(blocks[b], params, "reference")
     assert decrypt_stream(container, key) == data
 
 

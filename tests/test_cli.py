@@ -92,7 +92,7 @@ def test_hostile_container_header_exits_1(tmp_path, capsys, n, rounds, message):
     assert lines == [f"error: {message}"]
 
 
-def test_encrypt_rounds_limit(tmp_path, capsys):
+def test_encrypt_round_count_limit(tmp_path, capsys):
     plain = tmp_path / "p.bin"
     plain.write_bytes(b"\x5a" * 8)
     box, back = tmp_path / "c.hppc", tmp_path / "back.bin"
@@ -229,6 +229,9 @@ def no_run(monkeypatch):
     monkeypatch.setattr("hppcrypt.cli.run_protocol", no_work)
 
 
+HUGE = 1 << 70  # 1180591620717411303424
+
+
 @pytest.mark.parametrize("line, env_seed, message", [
     ("n=abc", None, "n must be an integer, got 'abc'"),
     ("n=1", None, "n must be in [2, 12], got 1"),
@@ -237,7 +240,17 @@ def no_run(monkeypatch):
     ("bit=q", None, "bit must be an integer, got 'q'"),
     ("trails=2", None, "unknown config key 'trails'; valid keys: protocol, n, trials"),
     ("", "xyz", "HPP_SEED must be an integer, got 'xyz'"),
-], ids=["n=abc", "n=1", "n=13", "seed=zz", "bit=q", "trails=2", "HPP_SEED=xyz"])
+    (f"key_len={HUGE}", None,
+     f"key length must be in [1, 128] bytes for n=4, got {HUGE}"),
+    (f"protocol=strict-key\nkey_len={HUGE}", None,
+     f"key length must be in [1, 128] bytes for n=4, got {HUGE}"),
+    (f"trials={HUGE}", None, f"trials must be in [1, 65536], got {HUGE}"),
+    (f"seed={1 << 64}", None, f"seed must be in [0, 2^64), got {1 << 64}"),
+    ("seed=-1", None, "seed must be in [0, 2^64), got -1"),
+    ("", str(1 << 64), f"seed must be in [0, 2^64), got {1 << 64}"),
+], ids=["n=abc", "n=1", "n=13", "seed=zz", "bit=q", "trails=2", "HPP_SEED=xyz",
+        "key_len=huge-text", "key_len=huge-key", "trials=huge", "seed=2^64",
+        "seed=-1", "HPP_SEED=2^64"])
 def test_experiment_hostile_config_exits_2(tmp_path, capsys, monkeypatch, no_run,
                                            line, env_seed, message):
     if env_seed is None:
@@ -248,7 +261,9 @@ def test_experiment_hostile_config_exits_2(tmp_path, capsys, monkeypatch, no_run
     conf.write_text(
         "protocol=avalanche-text\ntrials=1\nrounds=2\nkey_len=3\n" + line + "\n"
     )
+    start = time.perf_counter()
     assert run("experiment", "--config", str(conf)) == 2
+    assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert "Traceback" not in err
     lines = err.splitlines()

@@ -8,6 +8,7 @@ from hppcrypt.bitplane import plane_bits, planes_from_block, wall_mask
 from hppcrypt.cipher import MAX_ROUNDS, CipherParams, encrypt_block
 from hppcrypt.errors import ParameterError
 from hppcrypt.experiments import (
+    MAX_TRIALS,
     PROTOCOLS,
     ExperimentConfig,
     ExperimentReport,
@@ -294,8 +295,11 @@ def test_run_protocol_dispatch():
 def test_config_validation():
     with pytest.raises(ParameterError):
         default_config("no-such-protocol")
-    with pytest.raises(ParameterError):
-        tiny_config("avalanche-key", rounds_range=(6, 2, 4))
+    # the round counts reach the round loop unchecked, so every range
+    # must give non-negative, strictly ascending counts
+    for bad_range in ((6, 2, 4), (-1, 1, 4), (2, 0, 4)):
+        with pytest.raises(ParameterError):
+            tiny_config("avalanche-key", rounds_range=bad_range)
     with pytest.raises(ParameterError):
         tiny_config("avalanche-key", trials=0)
     with pytest.raises(ParameterError, match="single round count"):
@@ -305,6 +309,23 @@ def test_config_validation():
     assert tiny_config("avalanche-text", rounds_range=(MAX_ROUNDS, 1, MAX_ROUNDS))
     with pytest.raises(ParameterError, match="outside the block"):
         tiny_config("single-bit", rounds_range=(4, 1, 4), bit=-1)
+    # sizes that reach the trial loop are bounded: at most one block of
+    # key (n=3: 32 bytes), MAX_TRIALS trials, a seed of 64 bits; the key
+    # lengths split into whole 6-bit wall coordinates
+    huge = 1 << 70
+    for protocol in ("avalanche-text", "avalanche-key"):
+        for key_len in (33, 3 * huge):
+            with pytest.raises(ParameterError, match="key length must be in"):
+                tiny_config(protocol, key_len=key_len)
+    assert default_config("strict-key", key_len=block_size(4)).key_len == 128
+    for trials in (MAX_TRIALS + 1, huge):
+        with pytest.raises(ParameterError, match="trials must be in"):
+            tiny_config("avalanche-text", trials=trials)
+    assert tiny_config("avalanche-text", trials=MAX_TRIALS).trials == MAX_TRIALS
+    for seed in (-1, 1 << 64, huge):
+        with pytest.raises(ParameterError, match="seed must be in"):
+            tiny_config("avalanche-text", seed=seed)
+    assert tiny_config("avalanche-text", seed=(1 << 64) - 1)
 
 
 # --- plane-space trials against the byte-level definition -----------------
