@@ -4,6 +4,13 @@ Each 4-bit cell value doubles as a gray level, so a 2^n lattice is a
 2^n x 2^n image with 16 shades. Files are netpbm PGM: both P2 (ASCII)
 and P5 (binary) are read, deeper inputs are quantized down to 0..15 on
 read, and files are always written as P5 with maxval 15.
+
+Apart from parsing ASCII (P2) samples, no step of the bridge loops over
+pixels in Python: a raster is checked against its maxval by deleting the
+legal sample values with ``bytes.translate`` (whatever is left is out of
+range) and quantized by one ``translate`` through a 256-entry table
+built from :func:`_quantize` once per file. Header tokens and ASCII samples must be plain decimal
+digits, so a sign or an underscore that :func:`int` would take is refused.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import FormatError, ParameterError
-from .lattice import Lattice
+from .lattice import _NIBBLES, Lattice
 
 
 @dataclass(frozen=True)
@@ -30,7 +37,7 @@ class GrayImage:
             raise FormatError(
                 f"expected {self.width * self.height} pixels, got {len(self.pixels)}"
             )
-        if max(self.pixels) > 0xF:
+        if self.pixels.translate(None, _NIBBLES):
             raise FormatError("pixel values must be 0..15")
 
     def pixel(self, x: int, y: int) -> int:
@@ -80,10 +87,14 @@ def _parse_header(data: bytes) -> tuple[bytes, int, int, int, int]:
             i += 1
         if start == i:
             raise FormatError("truncated PGM header")
+        token = data[start:i]
         try:
-            fields.append(int(data[start:i]))
+            # Plain ASCII decimal only: int() would also take a sign or "_".
+            if not token.isdigit():
+                raise ValueError
+            fields.append(int(token))
         except ValueError:
-            raise FormatError(f"bad PGM header token {data[start:i]!r}") from None
+            raise FormatError(f"bad PGM header token {token!r}") from None
     if i >= len(data):
         raise FormatError("truncated PGM header")
     i += 1  # single whitespace byte separates the header from the raster
@@ -103,23 +114,31 @@ def read_pgm(path: str | Path) -> GrayImage:
         raster = data[offset:offset + count]
         if len(raster) < count:
             raise FormatError("PGM raster shorter than header promises")
-        values = raster
+        # What survives deleting 0..maxval is out of range, in raster order.
+        over = raster.translate(None, bytes(range(maxval + 1)))
+        if over:
+            raise FormatError(f"sample {over[0]} exceeds maxval {maxval}")
     else:
-        tokens = data[offset - 1:].split()
-        if len(tokens) < count:
+        samples = data[offset - 1:].split()[:count]
+        if len(samples) < count:
             raise FormatError("PGM raster shorter than header promises")
         try:
-            values = [int(t) for t in tokens[:count]]
+            values = [int(t) for t in samples]
         except ValueError:
             raise FormatError("bad sample in ASCII PGM") from None
         if min(values) < 0:
             raise FormatError(f"negative sample {min(values)} in ASCII PGM")
-    pixels = bytearray(count)
-    for i, v in enumerate(values):
-        if v > maxval:
-            raise FormatError(f"sample {v} exceeds maxval {maxval}")
-        pixels[i] = _quantize(v, maxval)
-    return GrayImage(width, height, bytes(pixels))
+        # split() leaves no empty token, so the join is all digits exactly
+        # when every sample is; this refuses "+3", "1_0" and "-0".
+        if not b"".join(samples).isdigit():
+            raise FormatError("bad sample in ASCII PGM")
+        if max(values) > maxval:
+            first = next(v for v in values if v > maxval)
+            raise FormatError(f"sample {first} exceeds maxval {maxval}")
+        raster = bytes(values)
+    # Samples above maxval were refused, so clamping their entries is moot.
+    table = bytes(_quantize(min(v, maxval), maxval) for v in range(256))
+    return GrayImage(width, height, raster.translate(table))
 
 
 def write_pgm(image: GrayImage, path: str | Path) -> None:

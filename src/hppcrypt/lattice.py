@@ -6,8 +6,12 @@ the cell value encodes them as bit 3 = East, bit 2 = South, bit 1 = West,
 bit 0 = North. North moves toward row-1 and West toward col-1, wrapping
 modulo the side length on every edge.
 
-Everything here favors clarity over speed; it is the oracle the
-word-parallel engine in :mod:`hppcrypt.bitplane` is tested against.
+The rules (collide, propagate, reflect) stay per cell and favor clarity
+over speed; they are the oracle the word-parallel engine in
+:mod:`hppcrypt.bitplane` is tested against. Serialization and validation
+are table-driven byte operations instead (``bytes.translate``, slice
+assignment, one big-integer OR), so reading or writing a block never
+loops over its cells in Python.
 """
 
 from __future__ import annotations
@@ -30,6 +34,15 @@ _ROTATE2_TABLE = bytes(
     ((v << 2) | (v >> 2)) & 0xF if v < 16 else v for v in range(256)
 )
 
+# Deleting these from a byte string leaves exactly its bytes above 15.
+_NIBBLES = bytes(range(16))
+
+# Serialization tables: a byte's high and low nibble, and a nibble moved
+# into the high half (cells never exceed 15, so only 0..15 are looked up).
+_HI = bytes(v >> 4 for v in range(256))
+_LO = bytes(v & 0xF for v in range(256))
+_SHIFT4 = bytes((v << 4) & 0xFF for v in range(256))
+
 
 class Lattice:
     """Immutable 2^n x 2^n grid of 4-bit cells."""
@@ -45,7 +58,7 @@ class Lattice:
             raise FormatError(
                 f"expected {side * side} cells for n={n}, got {len(cells)}"
             )
-        if max(cells) > 0xF:
+        if cells.translate(None, _NIBBLES):
             raise ParameterError("cell values must fit in 4 bits")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "side", side)
@@ -177,9 +190,11 @@ def hpp_step(lat: Lattice) -> Lattice:
 def to_bytes(lat: Lattice) -> bytes:
     """Pack cells two per byte, row-major, first cell of each pair in the
     high nibble. A 2^n lattice packs into 2^(2n-1) bytes."""
-    cells = lat.cells
-    it = iter(cells)
-    return bytes((a << 4) | b for a, b in zip(it, it))
+    high = lat.cells[0::2].translate(_SHIFT4)
+    low = lat.cells[1::2]
+    # The two halves share no bit, so one OR of them as integers packs all.
+    packed = int.from_bytes(high, "big") | int.from_bytes(low, "big")
+    return packed.to_bytes(len(high), "big")
 
 
 def from_bytes(data: bytes, n: int) -> Lattice:
@@ -189,11 +204,10 @@ def from_bytes(data: bytes, n: int) -> Lattice:
         raise FormatError(
             f"block must be {expected} bytes for n={n}, got {len(data)}"
         )
-    cells = bytearray()
-    for byte in data:
-        cells.append(byte >> 4)
-        cells.append(byte & 0xF)
-    return Lattice(n, bytes(cells))
+    cells = bytearray(2 * expected)
+    cells[0::2] = data.translate(_HI)
+    cells[1::2] = data.translate(_LO)
+    return Lattice(n, cells)
 
 
 def block_size(n: int) -> int:

@@ -348,6 +348,16 @@ def test_img2block_rejects_non_square(tmp_path):
     assert run("img2block", "--in", str(src), "--out", str(tmp_path / "b.block")) == 1
 
 
+@pytest.mark.parametrize("raster", [b"P5 3 1 10\n" + bytes([3, 12, 11]),
+                                    b"P2 3 1 10\n3 12 11\n"])
+def test_img2block_rejects_sample_above_maxval(tmp_path, capsys, raster):
+    src = tmp_path / "over.pgm"
+    src.write_bytes(raster)
+    assert run("img2block", "--in", str(src), "--out", str(tmp_path / "b.block")) == 1
+    assert capsys.readouterr().err == "error: sample 12 exceeds maxval 10\n"
+    assert not (tmp_path / "b.block").exists()
+
+
 def test_image_encryption_demo_chain(tmp_path, capsys):
     # 64x64 image, one central wall, 128 rounds: the rendered ciphertext
     # is noise-like, differing from the original in over 40% of its bits.

@@ -181,6 +181,47 @@ def test_serialization_round_trip(lat):
     assert from_bytes(to_bytes(lat), lat.n) == lat
 
 
+# The serialization by definition, one cell at a time: cells pair up in
+# order and the first of each pair goes to the high nibble.
+def to_bytes_per_cell(lat):
+    it = iter(lat.cells)
+    return bytes((a << 4) | b for a, b in zip(it, it))
+
+
+def from_bytes_per_cell(data, n):
+    cells = bytearray()
+    for byte in data:
+        cells.append(byte >> 4)
+        cells.append(byte & 0xF)
+    return Lattice(n, bytes(cells))
+
+
+blocks = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(
+        st.just(n), st.binary(min_size=block_size(n), max_size=block_size(n))
+    )
+)
+
+
+@given(lattices(1, 6))
+@settings(deadline=None)
+def test_to_bytes_matches_per_cell_definition(lat):
+    packed = to_bytes(lat)
+    assert packed == to_bytes_per_cell(lat)
+    assert len(packed) == block_size(lat.n)
+    assert from_bytes(packed, lat.n) == lat
+
+
+@given(blocks)
+@settings(deadline=None)
+def test_from_bytes_matches_per_cell_definition(block):
+    n, data = block
+    lat = from_bytes(data, n)
+    assert lat == from_bytes_per_cell(data, n)
+    assert from_bytes(bytearray(data), n) == lat
+    assert to_bytes(lat) == data
+
+
 def test_from_bytes_rejects_wrong_length():
     with pytest.raises(FormatError):
         from_bytes(bytes(7), 2)
@@ -195,6 +236,24 @@ def test_lattice_validation():
         Lattice(2, bytes(15))
     with pytest.raises(ParameterError):
         Lattice(0, b"\x00")
+
+
+@pytest.mark.parametrize("bad", [16, 255])
+@pytest.mark.parametrize("where", [0, 7, 15])
+def test_lattice_rejects_any_cell_above_15(bad, where):
+    cells = bytearray(16)
+    cells[where] = bad
+    for raw in (bytes(cells), cells):
+        with pytest.raises(ParameterError, match="cell values must fit in 4 bits"):
+            Lattice(2, raw)
+
+
+def test_lattice_accepts_every_nibble():
+    cells = bytes(range(16))
+    for raw in (cells, bytearray(cells)):
+        lat = Lattice(2, raw)
+        assert lat.cells == cells
+        assert isinstance(lat.cells, bytes)
 
 
 def test_parse_walls_text():
