@@ -50,6 +50,10 @@ MAX_ROUNDS = 1 << 16
 # lattices at n=4, 16 at n=6, and a single lattice from n=8 on.
 BATCH_CELLS = 1 << 16
 
+# The most decimal digits keyspace_count computes, below Python's default
+# limit of 4300 digits on converting an int to a string.
+MAX_KEYSPACE_DIGITS = 4000
+
 
 def default_rounds(n: int) -> int:
     """Recommended round count 2^(n+1): twice the lattice's maximal
@@ -293,13 +297,30 @@ def _resolve_params(
 def keyspace_count(n: int, k: int) -> int:
     """Number of distinct wall configurations for K walls on a 2^n lattice:
     the number of size-K multisets over the 2^(2n) cells,
-    C(2^(2n) + K - 1, K), computed exactly."""
+    C(2^(2n) + K - 1, K), computed exactly. A count of more than
+    MAX_KEYSPACE_DIGITS decimal digits is refused, and one that is surely
+    that large is refused before it is computed."""
     if n < 1:
         raise ParameterError(f"lattice exponent must be >= 1, got {n}")
     if k < 0:
         raise ParameterError(f"wall count must be >= 0, got {k}")
     cells = 1 << (2 * n)
-    return math.comb(cells + k - 1, k)
+    top, j = cells + k - 1, min(k, cells - 1)
+    # C(top, j) >= (top / j)^j; one digit of margin covers float rounding,
+    # and what passes has j <= 13,300 or so (top / j >= 2), cheap to count.
+    if j and j * (math.log10(top) - math.log10(j)) > MAX_KEYSPACE_DIGITS + 1:
+        raise _keyspace_too_large(n, k)
+    count = math.comb(top, k)
+    if count >= 10**MAX_KEYSPACE_DIGITS:
+        raise _keyspace_too_large(n, k)
+    return count
+
+
+def _keyspace_too_large(n: int, k: int) -> ParameterError:
+    return ParameterError(
+        f"the key space of {k} walls at n={n} has more than "
+        f"{MAX_KEYSPACE_DIGITS} digits"
+    )
 
 
 def approx_scientific(value: int) -> str:

@@ -284,7 +284,17 @@ def cmd_block2img(args) -> int:
     return 0
 
 
+# The longest --min-time bench accepts: it times six engine rows, so a
+# run takes at least six times this.
+MAX_BENCH_SECONDS = 60.0
+
+
 def cmd_bench(args) -> int:
+    if not 0 < args.min_time <= MAX_BENCH_SECONDS:  # also refuses nan
+        raise ParameterError(
+            f"--min-time must be in (0, {MAX_BENCH_SECONDS:g}] seconds, "
+            f"got {args.min_time}"
+        )
     print(f"{'n':>3} {'rounds':>6} {'engine':>10} {'blocks/s':>10} {'kB/s':>10}")
     for n in (4, 5, 6):
         rounds = default_rounds(n)

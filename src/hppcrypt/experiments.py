@@ -7,28 +7,36 @@ matter how trials are scheduled.
 
 :func:`run_protocol` runs all six protocols through one trial loop: per
 trial, draw a text and a key, derive the walls (inside the config's wall
-region, if it has one) and flip one key or plaintext bit at a time. An
-:class:`ExperimentConfig` holds every input of a run and refuses a bad
-one before any work starts. A trial's reference encryption and its
-flipped encryptions run as batches of the fast engine's round loop, at
-most :func:`~hppcrypt.cipher.batch_size` lattices each (a strict-key
-trial at n=4 is one batch of 65), and never pass through bytes: the
-reference text is read into planes once, each batch is built as planes
-(a text flip toggles one plane bit, a key flip one bit of one wall
-coordinate) and each batch is compared with the reference as planes.
-Avalanche curves measure, per round count r, the average fraction of
-ciphertext bits inverted by a flip. Each batch of a curve runs once to
-the largest round count and reads the ciphertexts at every smaller count
-on the way, so a curve costs max r rounds per flip, not the sum of its
-round counts; the inverted bits are popcounts, added up as one integer
-per round count and divided once per trial, which gives the same floats
-as adding each flip's fraction in turn. Strict-avalanche protocols
-(Webster and Tavares' criterion) measure that probability separately for
-every ciphertext bit at a fixed round count, from exact integer counts.
-Plaintext flips can only ever reach half of the cells: a flipped cell
-influences only the checkerboard class of parity (row+col+rounds) mod 2,
-which caps the text avalanche near 0.25 where the key avalanche
-approaches 0.5.
+region, if it has one) and flip one key bit per lattice, or two
+plaintext bits (see below). An :class:`ExperimentConfig` holds every
+input of a run and refuses a bad one before any work starts. A trial's
+reference encryption and its flipped encryptions run as batches of the
+fast engine's round loop, at most :func:`~hppcrypt.cipher.batch_size`
+lattices each (a strict-key trial at n=4 is one batch of 65), and never
+pass through bytes: the reference text is read into planes once, each
+batch is built as planes (a text flip toggles one plane bit, a key flip
+one bit of one wall coordinate) and each batch is compared with the
+reference as planes. Avalanche curves measure, per round count r, the
+average fraction of ciphertext bits inverted by a flip. Each batch of a
+curve runs once to the largest round count and reads the ciphertexts at
+every smaller count on the way, so a curve costs max r rounds per
+flipped lattice, not the sum of its round counts; the inverted bits are
+popcounts, added up as one integer per round count and divided once per
+trial, which gives the same floats as adding each flip's fraction in
+turn. Strict-avalanche protocols (Webster and Tavares' criterion)
+measure that probability separately for every ciphertext bit at a fixed
+round count, from exact integer counts. Plaintext flips can only ever
+reach half of the cells: a flipped cell influences only the checkerboard
+class of parity (row+col+rounds) mod 2, which caps the text avalanche
+near 0.25 where the key avalanche approaches 0.5. The text protocols use
+this to run two flips per lattice, one in a cell with row+col even and
+one with row+col odd. That is exact: M and J are cell-local, P moves
+every particle to a cell of the other class and all lattices of a trial
+share their walls, so the two classes evolve as separate lattices, and
+the pair inverts the disjoint union of the bits each flip inverts alone.
+The reducers add popcounts or per-bit counts, so they get the same
+integers from half the lattices. Key flips cannot pair: a wall acts on
+both classes.
 """
 
 from __future__ import annotations
@@ -256,16 +264,21 @@ def _trials(config: ExperimentConfig, flip_key: bool, flips):
     """The trial loop of every protocol. Per trial, yield a generator of
     the trial's batches of at most batch_size(n) lattices, each as
     (lattices, planes, mask): the reference (text, key) is lattice 0 of
-    the first batch, then one lattice with a key or plaintext bit flipped
-    for each index in `flips`, in that order. The text and then the key
-    come from trial_rng(seed, t); the reference walls come from
-    _region_walls and pass through CipherParams. Only the reference text
-    is read from bytes; every batch is built as planes, one batch at a
-    time, and a trial's batches must be consumed before the next trial is
-    drawn."""
+    the first batch, then one lattice with a key bit flipped for each
+    index in `flips`, in that order, or one lattice per row of
+    _checkerboard_pairs(flips, n) with both of its plaintext bits
+    flipped. The text and then the key come from trial_rng(seed, t); the
+    reference walls come from _region_walls and pass through CipherParams.
+    Only the reference text is read from bytes; every batch is built as
+    planes, one batch at a time, and a trial's batches must be consumed
+    before the next trial is drawn."""
     n, region, top = config.n, config.wall_region, config.round_values()[-1]
     size = batch_size(n)
-    lattice_flips = np.concatenate(([-1], flips))  # -1: the reference, no flip
+    # -1: no flip; the reference lattice flips nothing
+    if flip_key:
+        lattice_flips = np.concatenate(([-1], flips))
+    else:
+        lattice_flips = np.concatenate(([[-1, -1]], _checkerboard_pairs(flips, n)))
     for t in range(config.trials):
         rng = trial_rng(config.seed, t)
         text = rng.bytes(config.block_len)
@@ -282,16 +295,33 @@ def _trials(config: ExperimentConfig, flip_key: bool, flips):
         )
 
 
+def _checkerboard_pairs(flips: np.ndarray, n: int) -> np.ndarray:
+    """The plaintext flips as rows (even, odd) of a (k, 2) array: the
+    flips of cells with row+col even in column 0 and odd in column 1,
+    each in the order of `flips`, row i pairing the i-th of each class;
+    -1 fills the shorter column. A lattice flipped in both cells of a row
+    differs from the reference exactly in the disjoint union of the two
+    single-flip differences (see the module docstring)."""
+    cell = flips >> 2
+    odd = ((cell >> n) + cell) & 1  # row + col; col is even iff cell is
+    classes = flips[odd == 0], flips[odd == 1]
+    pairs = np.full((max(map(len, classes)), 2), -1, dtype=np.int64)
+    for k, flips_k in enumerate(classes):
+        pairs[:len(flips_k), k] = flips_k
+    return pairs
+
+
 def _text_flips(n: int, ref: tuple, mask: int):
     """Batch builder for plaintext flips under one wall plane: every
-    lattice starts as the reference, and the one that flips block bit i
-    toggles plane i % 4 at cell i // 4."""
+    lattice starts as the reference, and lattice b toggles, for each
+    block bit i >= 0 in row b of the (lattices, 2) batch, plane i % 4 at
+    cell i // 4."""
     side = 1 << n
 
     def build(batch: np.ndarray):
         lattices = len(batch)
-        at = np.flatnonzero(batch >= 0)
-        bit = batch[at]
+        at = np.nonzero(batch >= 0)[0]
+        bit = batch[batch >= 0]
         coords = np.stack((bit >> (n + 2), (bit >> 2) & (side - 1)), axis=1)
         planes = []
         for k, plane in enumerate(ref):
@@ -376,7 +406,8 @@ def _strict(config: ExperimentConfig, trials, flip_count: int) -> ExperimentRepo
     """Inversion probability of each ciphertext bit at the single round
     count, from exact per-bit counts. Block bit 4c + k is plane k at cell
     c, so a batch adds, per plane, its bits XOR the reference's summed
-    over its lattices."""
+    over its lattices: in uint16, exact because a batch holds at most
+    BATCH_CELLS >> 2 = 16384 lattices (n=1)."""
     n = config.n
     block_bits = 8 * config.block_len
     per_trial = np.zeros((block_bits, config.trials))
@@ -386,7 +417,7 @@ def _strict(config: ExperimentConfig, trials, flip_count: int) -> ExperimentRepo
         for _, lattices, planes, ref in _runs(batches, config.round_values(), n):
             for k, (p, r) in enumerate(zip(planes, ref)):
                 diff = bitplane.plane_bits(p, n, lattices) ^ bitplane.plane_bits(r, n)
-                acc[..., k] += diff.sum(axis=1, dtype=np.int64)
+                acc[..., k] += diff.sum(axis=1, dtype=np.uint16)
         per_trial[:, t] = acc.ravel() / flip_count
     return _report(config, range(block_bits), per_trial)
 

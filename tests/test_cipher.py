@@ -453,6 +453,11 @@ def test_keyspace_validation():
         keyspace_count(0, 1)
     with pytest.raises(ParameterError):
         keyspace_count(4, -1)
+    # counts of more than 4000 digits are refused, exactly at the limit
+    assert len(str(keyspace_count(12, 845))) == 3997
+    for k in (846, 2000, 10**100):
+        with pytest.raises(ParameterError, match="more than 4000 digits"):
+            keyspace_count(12, k)
 
 
 def test_approx_scientific_small_values():

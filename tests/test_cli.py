@@ -1,9 +1,11 @@
+import math
 import random
 import struct
 import time
 
 import pytest
 
+from hppcrypt import cli
 from hppcrypt.cipher import MAX_ROUNDS
 from hppcrypt.cli import main
 from hppcrypt.imaging import GrayImage, read_pgm, write_pgm
@@ -174,6 +176,31 @@ def test_keyspace_published_values(capsys):
 def test_keyspace_single_wall(capsys):
     assert run("keyspace", "--n", "4", "-K", "1") == 0
     assert "256" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n, walls", [
+    ("12", "2000"),  # 8,714 digits, beyond Python's int-to-str limit
+    ("12", "1" + "0" * 100),  # C(top, 2^24 - 1): unbounded work
+    ("2", "1" + "0" * 400),  # beyond a float
+    ("2", "9" * 4000),
+], ids=["n12-K2000", "n12-K1e100", "n2-K1e400", "n2-K4000digits"])
+def test_keyspace_huge_count_exits_2(capsys, monkeypatch, n, walls):
+    def refuse(*args):
+        raise AssertionError("math.comb reached")
+
+    monkeypatch.setattr(math, "comb", refuse)
+    assert run("keyspace", "--n", n, "-K", walls) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("error:") == 1
+    assert "more than 4000 digits" in err
+
+
+def test_keyspace_digit_limit_is_exact(capsys):
+    assert run("keyspace", "--n", "12", "-K", "845") == 0
+    assert "≈ 6.6e3996" in capsys.readouterr().out
+    assert run("keyspace", "--n", "12", "-K", "846") == 2
+    assert "more than 4000 digits" in capsys.readouterr().err
 
 
 def test_unknown_protocol_exits_2():
@@ -394,3 +421,33 @@ def test_bench_rows_and_engine_order(capsys):
         rates[(fields[0], fields[2])] = float(fields[3])
     for n in ("4", "5", "6"):
         assert rates[(n, "bitplane")] >= rates[(n, "reference")]
+
+
+@pytest.mark.parametrize(
+    "value, ok",
+    [("nan", False), ("inf", False), ("-inf", False), ("0", False),
+     ("-1", False), ("61", False), ("1e400", False), ("0.001", True),
+     ("60", True)],
+)
+def test_bench_min_time_must_be_finite_and_positive(capsys, monkeypatch, value, ok):
+    # The timed calls are stubs that give up after a few thousand calls,
+    # so a --min-time the loop never reaches fails here instead of hanging.
+    calls = []
+
+    def stub(*args, **kwargs):
+        calls.append(args)
+        if len(calls) > 5000:
+            raise AssertionError("bench kept timing")
+        return b"block"
+
+    monkeypatch.setattr(cli, "encrypt_block", stub)
+    monkeypatch.setattr(cli, "encrypt_stream", stub)
+    clock = iter(range(10**6))
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: next(clock))
+    assert run("bench", f"--min-time={value}") == (0 if ok else 2)
+    out, err = capsys.readouterr()
+    if ok:
+        assert len(out.splitlines()) == 7
+    else:
+        assert calls == [] and out == ""
+        assert err.count("error:") == 1 and "--min-time" in err

@@ -5,13 +5,14 @@ import pytest
 
 from hppcrypt import bitplane, experiments
 from hppcrypt.bitplane import plane_bits, planes_from_block, wall_mask
-from hppcrypt.cipher import MAX_ROUNDS, CipherParams, encrypt_block
+from hppcrypt.cipher import MAX_ROUNDS, CipherParams, batch_size, encrypt_block
 from hppcrypt.errors import ParameterError
 from hppcrypt.experiments import (
     MAX_TRIALS,
     PROTOCOLS,
     ExperimentConfig,
     ExperimentReport,
+    _checkerboard_pairs,
     _key_flips,
     _region_walls,
     _report,
@@ -454,6 +455,9 @@ def test_key_flip_masks_match_flipped_key_walls(key, n, region):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_text_flip_planes_match_flipped_blocks(n):
+    # Paired batches as the trials build them: the reference row (-1, -1),
+    # then (even, odd) pairs, and rows with one flip where one class runs
+    # out (a random subset of the bits leaves some).
     rng = trial_rng(73, n)
     text = rng.bytes(block_size(n))
     side = 1 << n
@@ -461,16 +465,155 @@ def test_text_flip_planes_match_flipped_blocks(n):
         (int(r), int(c)) for r, c in rng.integers(0, side, (rng.integers(0, 6), 2)))
     ref = planes_from_block(text, n)
     bits = 8 * block_size(n)
-    flips = rng.permutation(bits)[:min(bits, 48)]
+    pairs = _checkerboard_pairs(rng.permutation(bits)[:min(bits, 96)], n)
+    assert len(pairs) > 30 or n == 1
     build = _text_flips(n, ref, wall_mask([walls], n))
-    for batch in (np.concatenate(([-1], flips[:30])), flips[30:]):
+    for batch in (np.concatenate(([[-1, -1]], pairs[:30])), pairs[30:]):
         if not len(batch):
             continue
         lattices, planes, mask = build(batch)
-        blocks = b"".join(text if i < 0 else flip_bit(text, int(i)) for i in batch)
+        blocks = []
+        for row in batch:
+            block = text
+            for i in row[row >= 0]:
+                block = flip_bit(block, int(i))
+            blocks.append(block)
         assert lattices == len(batch)
-        assert planes == planes_from_block(blocks, n)
+        assert planes == planes_from_block(b"".join(blocks), n)
         assert mask == wall_mask([walls] * lattices, n)
+
+
+def cell_parity(bit, n):
+    """row + col of the cell of block bit `bit`, mod 2."""
+    cell = bit // 4
+    return (cell // (1 << n) + cell % (1 << n)) & 1
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_checkerboard_pairs_cover_each_flip_once(n):
+    bits = 8 * block_size(n)
+    rng = trial_rng(74, n)
+    for flips in (np.arange(bits), rng.permutation(bits)[:bits // 3 + 1],
+                  np.array([bits - 1])):
+        pairs = _checkerboard_pairs(flips, n)
+        assert pairs.shape[1] == 2
+        assert sorted(pairs[pairs >= 0].tolist()) == sorted(flips.tolist())
+        for k in (0, 1):  # column 0 holds even cells, column 1 odd ones
+            column = pairs[:, k]
+            assert all(cell_parity(int(i), n) == k for i in column[column >= 0])
+            # each class keeps the order of the flips
+            assert column[column >= 0].tolist() == [
+                int(i) for i in flips if cell_parity(int(i), n) == k]
+        assert (pairs.max(axis=1) >= 0).all()
+        odd = sum(cell_parity(int(i), n) for i in flips)
+        assert len(pairs) == max(odd, len(flips) - odd)
+    # every cell class holds half of the bits: the full list pairs up
+    assert len(_checkerboard_pairs(np.arange(bits), n)) == bits // 2
+
+
+@pytest.mark.parametrize("protocol", ["avalanche-text", "strict-text", "single-bit"])
+def test_text_trials_flip_each_bit_once(monkeypatch, protocol):
+    # Through the trial loop, with batches forced down to 5 lattices: per
+    # trial the reference flips nothing, every flip index appears in
+    # exactly one lattice, and no lattice flips two cells of one class.
+    cfg = default_config(protocol, **TINY[protocol])
+    builds = []
+    text_flips = experiments._text_flips
+
+    def recording(n, ref, mask):
+        batches = []
+        builds.append(batches)
+        build = text_flips(n, ref, mask)
+
+        def record(batch):
+            batches.append(batch.copy())
+            return build(batch)
+        return record
+
+    monkeypatch.setattr(experiments, "_text_flips", recording)
+    monkeypatch.setattr(experiments, "batch_size", lambda n: 5)
+    run_protocol(cfg)
+    flips = ([cfg.bit] if protocol == "single-bit"
+             else list(range(8 * cfg.block_len)))
+    assert len(builds) == cfg.trials
+    for batches in builds:
+        rows = np.concatenate(batches)
+        assert rows[0].tolist() == [-1, -1]
+        assert (rows[1:].max(axis=1) >= 0).all()
+        assert sorted(rows[rows >= 0].tolist()) == flips
+        for row in rows[1:]:
+            row = row[row >= 0]
+            assert len({cell_parity(int(i), cfg.n) for i in row}) == len(row)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_opposite_parity_flips_invert_disjoint_bits(n):
+    # The fact the text trials rest on, checked on the per-cell engine: a
+    # flip in an even cell and one in an odd cell invert disjoint sets of
+    # ciphertext bits, and flipping both inverts exactly their union.
+    side = 1 << n
+    bits = 8 * block_size(n)
+    rng = trial_rng(75, n)
+    even = [i for i in range(bits) if cell_parity(i, n) == 0]
+    odd = [i for i in range(bits) if cell_parity(i, n) == 1]
+    region = (side // 2, 0, side // 2) if n > 1 else (0, 0, 2)
+    for case in range(6):
+        text = rng.bytes(block_size(n))
+        key = rng.bytes(n)
+        walls = _region_walls(key, n, region if case % 2 else None)
+        i, j = int(rng.choice(even)), int(rng.choice(odd))
+        for r in (0, 1, 2, int(rng.integers(3, 4 * side))):
+            params = CipherParams(n, r, walls)
+
+            def diff(block):
+                ct = encrypt_block(block, params, engine="reference")
+                return int.from_bytes(ct, "big") ^ int.from_bytes(ref, "big")
+
+            ref = encrypt_block(text, params, engine="reference")
+            d_i, d_j = diff(flip_bit(text, i)), diff(flip_bit(text, j))
+            assert d_i & d_j == 0
+            assert diff(flip_bit(flip_bit(text, i), j)) == d_i | d_j
+            assert d_i and d_j  # each flip inverts at least its own bits
+
+
+def lattice_rounds(monkeypatch, cfg):
+    """Lattices times rounds that run_protocol(cfg) runs in the round loop."""
+    work = []
+    trajectory = experiments._trajectory
+
+    def counting(planes, n, lattices, mask, counts):
+        work.append(lattices * max(counts))
+        return trajectory(planes, n, lattices, mask, counts)
+
+    monkeypatch.setattr(experiments, "_trajectory", counting)
+    run_protocol(cfg)
+    return sum(work)
+
+
+@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+def test_round_loop_work(monkeypatch, protocol):
+    # Text curves and strict-text run their flips two to a lattice, one
+    # from each checkerboard class; key flips and single-bit's one flip
+    # take a lattice each.
+    flip_key, per_bit = PROTOCOLS[protocol]
+    cfg = default_config(
+        protocol, n=3, key_len=3, trials=2, seed=8, bit=13,
+        rounds_range=(7, 1, 7) if per_bit else (0, 3, 9),
+        wall_region=(0, 4, 4) if protocol == "avalanche-key-concentrated" else None)
+    flips = 8 * (cfg.key_len if flip_key else cfg.block_len)
+    if protocol == "single-bit":
+        lattices = 2
+    elif flip_key:
+        lattices = 1 + flips
+    else:
+        lattices = 1 + flips // 2
+    top = cfg.round_values()[-1]
+    assert lattice_rounds(monkeypatch, cfg) == cfg.trials * lattices * top
+
+
+def test_strict_batch_counts_fit_uint16():
+    # _strict sums a batch's inverted bits per ciphertext bit in uint16
+    assert all(batch_size(n) <= np.iinfo(np.uint16).max for n in range(1, 13))
 
 
 # --- leak demo -------------------------------------------------------------
