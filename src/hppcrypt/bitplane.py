@@ -24,8 +24,9 @@ lattice-major rows into the row-interleaved order and back),
 :func:`wall_mask` builds the wall plane of a batch from one wall set per
 lattice (:func:`coordinate_mask` from an array of coordinates),
 :func:`plane_bits` unpacks one plane into a (side, B, side) array of bits
-(:func:`pack_plane` packs it back), :func:`tile_plane` repeats one
-lattice's plane in every lattice of a batch, and the ``*_planes``
+(:func:`pack_plane` packs it back), :func:`tile_plane` repeats each
+lattice of a batch in place (:func:`stride_plane` takes every k-th
+lattice back out), and the ``*_planes``
 kernels take and return plane tuples, so
 the cipher's round loop builds no objects. :func:`reflect_planes` is
 reflection alone, the half of M that :func:`collide_planes` fuses in.
@@ -96,16 +97,32 @@ def plane_bits(plane: int, n: int, lattices: int = 1) -> np.ndarray:
         side, lattices, side)
 
 
-def tile_plane(plane: int, n: int, lattices: int) -> int:
-    """The plane of a batch of `lattices` copies of the 2^n lattice whose
-    plane is `plane`: each lattice row repeated in place across its row
-    block."""
+def tile_plane(plane: int, n: int, copies: int, lattices: int = 1) -> int:
+    """The plane of a batch of lattices*copies 2^n lattices made from the
+    plane of a batch of `lattices`: lattice b repeated `copies` times in
+    place, as lattices b*copies to (b+1)*copies - 1. Each lattice row is
+    repeated within its row block."""
     side = 1 << n
     if side < 8:  # rows narrower than a byte
-        return pack_plane(np.repeat(plane_bits(plane, n), lattices, axis=1))
-    rows = np.frombuffer(plane.to_bytes(side * side // 8, "little"), dtype=np.uint8)
+        return pack_plane(np.repeat(plane_bits(plane, n, lattices), copies, axis=1))
+    rows = np.frombuffer(
+        plane.to_bytes(lattices * side * side // 8, "little"), dtype=np.uint8)
     return int.from_bytes(
-        np.repeat(rows.reshape(side, 1, -1), lattices, axis=1).tobytes(), "little")
+        np.repeat(rows.reshape(side * lattices, 1, -1), copies, axis=1).tobytes(),
+        "little")
+
+
+def stride_plane(plane: int, n: int, lattices: int, stride: int) -> int:
+    """The plane of a batch of `lattices` 2^n lattices taken from a batch
+    of lattices*stride: lattice b of the result is lattice b*stride, so
+    stride_plane(tile_plane(P, n, k, B), n, B, k) == P."""
+    side = 1 << n
+    if side < 8:  # rows narrower than a byte
+        return pack_plane(plane_bits(plane, n, lattices * stride)[:, ::stride])
+    rows = np.frombuffer(
+        plane.to_bytes(lattices * stride * side * side // 8, "little"), dtype=np.uint8)
+    return int.from_bytes(
+        rows.reshape(side * lattices, stride, -1)[:, 0].tobytes(), "little")
 
 
 def _swap_rows(data: np.ndarray, side: int, outer: int) -> np.ndarray:

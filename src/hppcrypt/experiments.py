@@ -9,14 +9,18 @@ matter how trials are scheduled.
 trial, draw a text and a key, derive the walls (inside the config's wall
 region, if it has one) and flip one key bit per lattice, or two
 plaintext bits (see below). An :class:`ExperimentConfig` holds every
-input of a run and refuses a bad one before any work starts. A trial's
-reference encryption and its flipped encryptions run as batches of the
-fast engine's round loop, at most :func:`~hppcrypt.cipher.batch_size`
-lattices each (a strict-key trial at n=4 is one batch of 65), and never
-pass through bytes: the reference text is read into planes once, each
-batch is built as planes (a text flip toggles one plane bit, a key flip
-one bit of one wall coordinate) and each batch is compared with the
-reference as planes. Avalanche curves measure, per round count r, the
+input of a run and refuses a bad one before any work starts. A trial is
+its reference encryption and its flipped encryptions, L lattices, and
+trials run as batches of the fast engine's round loop, at most
+:func:`~hppcrypt.cipher.batch_size` lattices each. Whole trials share a
+batch, as many as fit (three strict-key trials of 65 lattices at n=4,
+128 single-bit trials of 2), and a trial longer than a batch is cut into
+several. No lattice passes through bytes: the reference texts of a batch
+are read into planes at once, each batch is built as planes (a text flip
+toggles one plane bit, a key flip one bit of one wall coordinate) and
+each lattice is compared with its own trial's reference as planes.
+Every trial keeps its own draws and walls, so how trials share batches
+changes no result. Avalanche curves measure, per round count r, the
 average fraction of ciphertext bits inverted by a flip. Each batch of a
 curve runs once to the largest round count and reads the ciphertexts at
 every smaller count on the way, so a curve costs max r rounds per
@@ -42,6 +46,7 @@ both classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -261,37 +266,43 @@ def _report(config, xs, per_trial: np.ndarray) -> ExperimentReport:
 
 
 def _trials(config: ExperimentConfig, flip_key: bool, flips):
-    """The trial loop of every protocol. Per trial, yield a generator of
-    the trial's batches of at most batch_size(n) lattices, each as
-    (lattices, planes, mask): the reference (text, key) is lattice 0 of
-    the first batch, then one lattice with a key bit flipped for each
-    index in `flips`, in that order, or one lattice per row of
+    """The trial loop of every protocol. A trial is L lattices: its
+    reference (text, key) first, then one lattice with a key bit flipped
+    for each index in `flips`, in that order, or one lattice per row of
     _checkerboard_pairs(flips, n) with both of its plaintext bits
-    flipped. The text and then the key come from trial_rng(seed, t); the
-    reference walls come from _region_walls and pass through CipherParams.
-    Only the reference text is read from bytes; every batch is built as
-    planes, one batch at a time, and a trial's batches must be consumed
-    before the next trial is drawn."""
-    n, region, top = config.n, config.wall_region, config.round_values()[-1]
-    size = batch_size(n)
+    flipped. Whole trials share a batch of the round loop, as many as
+    fit in batch_size(n) lattices and at least one: a trial longer than
+    a batch is cut into batches of batch_size(n) lattices, the last one
+    partial. Yield one group per batch of trials, as (trials, batches):
+    a generator of the group's batches, each as (lattices, planes, mask)
+    with lattices = trials * b, in which trial j of the group holds
+    lattices j*b to (j+1)*b - 1. Trial t draws its text and then its key
+    from trial_rng(seed, t) and its walls come from _region_walls. Only
+    the reference texts are read from bytes, once per group; every batch
+    is built as planes, one batch at a time, and a group's batches must
+    be consumed before the next group is drawn."""
+    n, region = config.n, config.wall_region
     # -1: no flip; the reference lattice flips nothing
     if flip_key:
         lattice_flips = np.concatenate(([-1], flips))
     else:
         lattice_flips = np.concatenate(([[-1, -1]], _checkerboard_pairs(flips, n)))
-    for t in range(config.trials):
-        rng = trial_rng(config.seed, t)
-        text = rng.bytes(config.block_len)
-        key = rng.bytes(config.key_len)
-        params = CipherParams(n, top, _region_walls(key, n, region))
-        ref = bitplane.planes_from_block(text, n)
+    per_trial = len(lattice_flips)
+    step = min(per_trial, batch_size(n))
+    group = max(1, batch_size(n) // per_trial)
+    for t0 in range(0, config.trials, group):
+        texts, keys = [], []
+        for t in range(t0, min(t0 + group, config.trials)):
+            rng = trial_rng(config.seed, t)
+            texts.append(rng.bytes(config.block_len))
+            keys.append(rng.bytes(config.key_len))
+        refs = bitplane.planes_from_block(b"".join(texts), n)
         if flip_key:
-            build = _key_flips(key, n, region, ref)
+            build = _key_flips(keys, n, region, refs)
         else:
-            build = _text_flips(n, ref, bitplane.wall_mask([params.walls], n))
-        yield (
-            build(lattice_flips[i:i + size])
-            for i in range(0, len(lattice_flips), size)
+            build = _text_flips(n, refs, [_region_walls(k, n, region) for k in keys])
+        yield len(keys), (
+            build(lattice_flips[i:i + step]) for i in range(0, per_trial, step)
         )
 
 
@@ -311,114 +322,156 @@ def _checkerboard_pairs(flips: np.ndarray, n: int) -> np.ndarray:
     return pairs
 
 
-def _text_flips(n: int, ref: tuple, mask: int):
-    """Batch builder for plaintext flips under one wall plane: every
-    lattice starts as the reference, and lattice b toggles, for each
-    block bit i >= 0 in row b of the (lattices, 2) batch, plane i % 4 at
-    cell i // 4."""
+def _text_flips(n: int, refs: tuple, wall_sets: list):
+    """Batch builder for plaintext flips of a group of trials: trial j
+    has reference planes lattice j of `refs` and walls wall_sets[j]. For
+    a (lattices, 2) array of flip rows, every trial's lattices start as
+    its reference, and its lattice b toggles, for each block bit i >= 0
+    in row b, plane i % 4 at cell i // 4."""
     side = 1 << n
+    trials = len(wall_sets)
+    walls = bitplane.wall_mask(wall_sets, n)
 
     def build(batch: np.ndarray):
-        lattices = len(batch)
+        per_trial = len(batch)
+        lattices = trials * per_trial
         at = np.nonzero(batch >= 0)[0]
         bit = batch[batch >= 0]
         coords = np.stack((bit >> (n + 2), (bit >> 2) & (side - 1)), axis=1)
+        # flip (row b, bit) of trial j lands in lattice j*per_trial + b
+        lattice_of = np.arange(0, lattices, per_trial)[:, None] + at
         planes = []
-        for k, plane in enumerate(ref):
+        for k, plane in enumerate(refs):
             on = bit & 3 == k
-            flipped = bitplane.coordinate_mask(coords[on], at[on], lattices, n)
-            planes.append(bitplane.tile_plane(plane, n, lattices) ^ flipped)
-        return lattices, tuple(planes), bitplane.tile_plane(mask, n, lattices)
+            flipped = bitplane.coordinate_mask(
+                np.tile(coords[on], (trials, 1)), lattice_of[:, on].ravel(),
+                lattices, n)
+            planes.append(bitplane.tile_plane(plane, n, per_trial, trials) ^ flipped)
+        return lattices, tuple(planes), bitplane.tile_plane(walls, n, per_trial, trials)
 
     return build
 
 
-def _key_flips(key: bytes, n: int, region, ref: tuple):
-    """Batch builder for key flips: the key is decoded once into wall
-    coordinates, and flipping key bit i toggles one bit of one of them.
-    Cells are walls as in _region_walls: when listed at all, or in a
-    region when listed an odd number of times."""
+def _key_flips(keys: list, n: int, region, refs: tuple):
+    """Batch builder for key flips of a group of trials: trial j has key
+    keys[j] and reference planes lattice j of `refs`. The keys are
+    decoded once into wall coordinates, and flipping key bit i toggles
+    one bit of one of them, in every trial's lattice of that flip. Cells
+    are walls as in _region_walls: when listed at all, or in a region
+    when listed an odd number of times."""
     m = n if region is None else region[2].bit_length() - 1
-    base = np.array(list(_key_coordinates(key, m)), dtype=np.int64)
+    base = np.array([list(_key_coordinates(key, m)) for key in keys], dtype=np.int64)
     offset = np.array((0, 0) if region is None else region[:2], dtype=np.int64)
     # Key bit i (MSB first) is bit p = 8*len(key) - 1 - i of the key read
     # as an integer: bit p % 2m of coordinate p // 2m, a row bit from m on.
     # ExperimentConfig makes the key split into whole 2m-bit groups.
-    last = 8 * len(key) - 1
+    last = 8 * len(keys[0]) - 1
+    trials, walls = base.shape[:2]
 
     def build(batch: np.ndarray):
+        per_trial = len(batch)
+        lattices = trials * per_trial
         at = np.flatnonzero(batch >= 0)
         p = last - batch[at]
         q = p % (2 * m)
-        coords = np.repeat(base[None], len(batch), axis=0)
-        coords[at, p // (2 * m), (q < m).astype(np.intp)] ^= 1 << (q % m)
+        # coords[j, b] are the wall coordinates of trial j's lattice b
+        coords = np.repeat(base[:, None], per_trial, axis=1)
+        coords[:, at, p // (2 * m), (q < m).astype(np.intp)] ^= 1 << (q % m)
         coords += offset
         mask = bitplane.coordinate_mask(
-            coords.reshape(-1, 2), np.repeat(np.arange(len(batch)), len(base)),
-            len(batch), n, odd=region is not None)
-        planes = tuple(bitplane.tile_plane(p, n, len(batch)) for p in ref)
-        return len(batch), planes, mask
+            coords.reshape(-1, 2), np.repeat(np.arange(lattices), walls),
+            lattices, n, odd=region is not None)
+        planes = tuple(bitplane.tile_plane(p, n, per_trial, trials) for p in refs)
+        return lattices, planes, mask
 
     return build
 
 
-def _runs(batches, counts, n: int):
-    """Run a trial's batches, each along one trajectory up to the largest
-    round count, and yield (ri, lattices, planes, ref): at counts[ri], a
-    batch's ciphertext planes and the reference's, one lattice's planes.
-    The reference is lattice 0 of the first batch, so its own lattice
-    never differs from it."""
-    refs = []
-    for lattices, planes, mask in batches:
-        for ri, out in enumerate(_trajectory(planes, n, lattices, mask, counts)):
-            if ri == len(refs):  # first batch: keep the reference lattice
-                refs.append([
-                    bitplane.pack_plane(bitplane.plane_bits(p, n, lattices)[:, :1])
-                    for p in out
-                ])
-            yield ri, lattices, out, refs[ri]
+def _runs(groups, counts, n: int):
+    """Run each group's batches, each along one trajectory up to the
+    largest round count, and yield (t, trials, ri, lattices, planes,
+    refs): at counts[ri], a batch of `lattices` lattices holding the
+    group's `trials` trials from trial t on, its ciphertext planes and,
+    per plane, the group's references as a batch of `trials` lattices.
+    The references are each trial's first lattice in the group's first
+    batch, and none is carried to the next group."""
+    t = 0
+    for trials, batches in groups:
+        refs = []
+        for lattices, planes, mask in batches:
+            for ri, out in enumerate(_trajectory(planes, n, lattices, mask, counts)):
+                if ri == len(refs):  # first batch: keep each trial's lattice 0
+                    refs.append([
+                        bitplane.stride_plane(p, n, trials, lattices // trials)
+                        for p in out
+                    ])
+                yield t, trials, ri, lattices, out, refs[ri]
+        t += trials
 
 
-def _curve(config: ExperimentConfig, trials, flip_count: int) -> ExperimentReport:
+@lru_cache(maxsize=8)
+def _first_trial(n: int, trials: int, lattices: int) -> int:
+    """The plane set on the first trial's lattices alone, in a batch of
+    `trials` trials of `lattices` lattices each."""
+    select = np.zeros((1 << n, trials, lattices << n), dtype=np.uint8)
+    select[:, 0] = 1
+    return bitplane.pack_plane(select)
+
+
+def _curve(config: ExperimentConfig, rounds, groups, flip_count: int) -> ExperimentReport:
     """Mean inverted fraction per round count. Each batch is one
     trajectory up to the largest round count, so a curve costs max r
     rounds per flip, not the sum over its round counts. A block is a bit
-    permutation of its four planes, so the bits a batch inverts at one
-    count are the popcounts of its planes XOR the reference's, tiled.
-    Each round count keeps an integer total over all flips, divided once
-    per trial: block_bits is a power of two and every partial sum is
-    exact, so the floats equal adding each flip's fraction in turn."""
-    n, rounds = config.n, config.round_values()
-    block_bits = 8 * config.block_len
-    per_trial = np.zeros((len(rounds), config.trials))
-    for t, batches in enumerate(trials):
-        totals = [0] * len(rounds)
-        for ri, lattices, planes, ref in _runs(batches, rounds, n):
-            totals[ri] += sum(
-                (p ^ bitplane.tile_plane(r, n, lattices)).bit_count()
-                for p, r in zip(planes, ref)
-            )
-        per_trial[:, t] = [total / block_bits / flip_count for total in totals]
-    return _report(config, rounds, per_trial)
-
-
-def _strict(config: ExperimentConfig, trials, flip_count: int) -> ExperimentReport:
-    """Inversion probability of each ciphertext bit at the single round
-    count, from exact per-bit counts. Block bit 4c + k is plane k at cell
-    c, so a batch adds, per plane, its bits XOR the reference's summed
-    over its lattices: in uint16, exact because a batch holds at most
-    BATCH_CELLS >> 2 = 16384 lattices (n=1)."""
+    permutation of its four planes, so the bits a trial inverts at one
+    count are the popcounts of its lattices' planes XOR its reference's,
+    tiled. Each round count keeps an integer total per trial over all
+    its flips, divided once: block_bits is a power of two and every
+    partial sum is exact, so the floats equal adding each flip's
+    fraction in turn."""
     n = config.n
     block_bits = 8 * config.block_len
+    totals = [[0] * config.trials for _ in rounds]
+    for t, trials, ri, lattices, planes, refs in _runs(groups, rounds, n):
+        per = lattices // trials
+        diff = [p ^ bitplane.tile_plane(r, n, per, trials) for p, r in zip(planes, refs)]
+        # the bits of trials 1 on, each shifted onto the first trial's
+        # lattices; the first trial has the rest
+        first = _first_trial(n, trials, per)
+        later = [
+            sum(((d >> (j * per << n)) & first).bit_count() for d in diff)
+            for j in range(1, trials)
+        ]
+        totals[ri][t] += sum(d.bit_count() for d in diff) - sum(later)
+        for j, count in enumerate(later, t + 1):
+            totals[ri][j] += count
+    return _report(config, rounds, np.array(totals, dtype=float) / block_bits / flip_count)
+
+
+def _strict(config: ExperimentConfig, rounds, groups, flip_count: int) -> ExperimentReport:
+    """Inversion probability of each ciphertext bit at the single round
+    count, from exact per-bit counts. Block bit 4c + k is plane k at cell
+    c, so a batch adds, per plane and per trial, the number of the trial's
+    lattices whose bit differs from its reference's: the bit's sum over
+    those lattices, or their count minus it where the reference bit is
+    set. The sums are uint16, exact because one trial has at most
+    batch_size(n) <= BATCH_CELLS >> 2 = 16384 lattices in a batch (n=1),
+    however many trials share it. The counts add up in float64, exact
+    for integers below 2^53, and are divided once."""
+    n, side = config.n, 1 << config.n
+    block_bits = 8 * config.block_len
     per_trial = np.zeros((block_bits, config.trials))
-    acc = np.zeros((1 << n, 1 << n, 4), dtype=np.int64)
-    for t, batches in enumerate(trials):
-        acc[:] = 0
-        for _, lattices, planes, ref in _runs(batches, config.round_values(), n):
-            for k, (p, r) in enumerate(zip(planes, ref)):
-                diff = bitplane.plane_bits(p, n, lattices) ^ bitplane.plane_bits(r, n)
-                acc[..., k] += diff.sum(axis=1, dtype=np.uint16)
-        per_trial[:, t] = acc.ravel() / flip_count
+    # [r, c, k, t]: plane k at cell (r, c) of trial t
+    counts = per_trial.reshape(side, side, 4, config.trials)
+    for t, trials, _, lattices, planes, refs in _runs(groups, rounds, n):
+        per = lattices // trials
+        for k, (p, r) in enumerate(zip(planes, refs)):
+            ones = bitplane.plane_bits(p, n, lattices).reshape(
+                side, trials, per, side).sum(axis=2, dtype=np.uint16)
+            # where the reference bit is set, the lattices that differ
+            # from it are the ones with the bit clear
+            diff = np.where(bitplane.plane_bits(r, n, trials), per - ones, ones)
+            counts[:, :, k, t:t + trials] += diff.transpose(0, 2, 1)
+    per_trial /= flip_count
     return _report(config, range(block_bits), per_trial)
 
 
@@ -430,7 +483,8 @@ def run_protocol(config: ExperimentConfig) -> ExperimentReport:
     else:
         flips = np.arange(8 * (config.key_len if flip_key else config.block_len))
     reduce = _strict if per_bit else _curve
-    return reduce(config, _trials(config, flip_key, flips), len(flips))
+    return reduce(config, config.round_values(), _trials(config, flip_key, flips),
+                  len(flips))
 
 
 def reachable_bits(n: int, bit_index: int, rounds: int) -> np.ndarray:

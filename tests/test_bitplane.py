@@ -183,7 +183,9 @@ def test_batch_layout_is_row_interleaved():
 def test_plane_bits_and_tile_plane_follow_the_batch_layout():
     # plane_bits(P, n, B)[r, b, c] is bit (r*B + b)*2^n + c of P, and
     # tile_plane of one lattice's bits is the plane of B copies of it, as
-    # planes_from_block gives for the block repeated B times.
+    # planes_from_block gives for the block repeated B times; of a batch
+    # of two, each lattice is repeated B times in place, and stride_plane
+    # takes every B-th lattice back out.
     rnd = random.Random(43)
     for n in range(1, 6):
         side = 1 << n
@@ -198,6 +200,11 @@ def test_plane_bits_and_tile_plane_follow_the_batch_layout():
             one = bp.planes_from_block(block, n)
             assert tuple(bp.tile_plane(p, n, count) for p in one) == (
                 bp.planes_from_block(block * count, n))
+            other = rnd.randbytes(ref.block_size(n))
+            two = bp.planes_from_block(block + other, n)
+            tiled = tuple(bp.tile_plane(p, n, count, 2) for p in two)
+            assert tiled == bp.planes_from_block(block * count + other * count, n)
+            assert tuple(bp.stride_plane(p, n, 2, count) for p in tiled) == two
 
 
 def test_coordinate_mask_counts_and_bounds():

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from hppcrypt import bitplane, experiments
+from hppcrypt import bitplane, cipher, experiments
 from hppcrypt.bitplane import plane_bits, planes_from_block, wall_mask
 from hppcrypt.cipher import MAX_ROUNDS, CipherParams, batch_size, encrypt_block
 from hppcrypt.errors import ParameterError
@@ -349,6 +349,25 @@ TINY = {
 }
 TINY_REGION_STRICT_KEY = dict(
     n=3, key_len=1, trials=2, rounds_range=(3, 1, 3), wall_region=(0, 0, 4), seed=7)
+# Three trials each, so that at two trials per batch the last group holds
+# one: a key curve, strict-key in a region, strict-text, single-bit.
+TINY_GROUPED = [
+    ("avalanche-key", dict(n=2, key_len=2, trials=3, rounds_range=(0, 3, 9), seed=11)),
+    ("strict-key", dict(n=3, key_len=1, trials=3, rounds_range=(3, 1, 3),
+                        wall_region=(0, 4, 4), seed=12)),
+    ("strict-text", dict(n=2, key_len=1, trials=3, rounds_range=(5, 1, 5), seed=13)),
+    ("single-bit", dict(n=3, key_len=3, trials=3, rounds_range=(4, 1, 4), bit=40,
+                        seed=14)),
+]
+
+
+def lattices_per_trial(cfg):
+    """L: the reference, then one lattice per key flip, per checkerboard
+    pair of text flips, or for single-bit's one flip."""
+    flip_key, _ = PROTOCOLS[cfg.protocol]
+    if cfg.protocol == "single-bit":
+        return 2
+    return 1 + (8 * cfg.key_len if flip_key else 4 * cfg.block_len)
 
 
 def direct_report(cfg):
@@ -394,17 +413,22 @@ def direct_report(cfg):
 
 @pytest.mark.parametrize(
     "protocol, overrides",
-    [*sorted(TINY.items()), ("strict-key", TINY_REGION_STRICT_KEY)],
+    [*sorted(TINY.items()), ("strict-key", TINY_REGION_STRICT_KEY), *TINY_GROUPED],
 )
 def test_protocols_match_their_per_flip_definition(monkeypatch, protocol, overrides):
     # Exact equality, no tolerance: the plane-space reducers must give the
     # floats of the per-flip definition, also when a trial spans several
-    # batches (here forced down to 5 lattices each, the last one partial).
+    # batches (here forced down to 5 lattices each, the last one partial)
+    # and when whole trials share a batch (two per batch, the last group
+    # partial for an odd trial count).
     cfg = default_config(protocol, **overrides)
     want = direct_report(cfg)
     got = run_protocol(cfg)
     assert got.ys == want.ys and got.stddevs == want.stddevs and got.xs == want.xs
     monkeypatch.setattr(experiments, "batch_size", lambda n: 5)
+    assert run_protocol(cfg) == want
+    size = 3 * lattices_per_trial(cfg) - 1
+    monkeypatch.setattr(experiments, "batch_size", lambda n: size)
     assert run_protocol(cfg) == want
 
 
@@ -434,53 +458,63 @@ def test_protocols_build_no_blocks(monkeypatch):
     ],
 )
 def test_key_flip_masks_match_flipped_key_walls(key, n, region):
-    text = trial_rng(72, n).bytes(block_size(n))
-    ref = planes_from_block(text, n)
+    # A group of two trials, as _trials builds it: trial j's lattices
+    # follow one another, each the trial's text under its flipped key.
+    keys = [key, trial_rng(72, 1).bytes(len(key))]
+    texts = [trial_rng(72, n).bytes(block_size(n)), trial_rng(72, 2).bytes(block_size(n))]
+    refs = planes_from_block(b"".join(texts), n)
     flips = np.arange(8 * len(key))
-    build = _key_flips(key, n, region, ref)
-    keys = [key] + [flip_bit(key, int(i)) for i in flips]
+    build = _key_flips(keys, n, region, refs)
     # the first batch holds the reference (-1), a later one only flips
-    for batch, batch_keys in (
-        (np.concatenate(([-1], flips[:5])), keys[:6]),
-        (flips[5:], keys[6:]),
-    ):
+    for batch in (np.concatenate(([-1], flips[:5])), flips[5:]):
         lattices, planes, mask = build(batch)
-        assert lattices == len(batch_keys)
-        assert planes == planes_from_block(text * lattices, n)
+        assert lattices == 2 * len(batch)
+        assert planes == planes_from_block(
+            b"".join(text * len(batch) for text in texts), n)
         bits = plane_bits(mask, n, lattices)
-        for b, k in enumerate(batch_keys):
-            want = plane_bits(wall_mask([_region_walls(k, n, region)], n), n)
-            assert np.array_equal(bits[:, b:b + 1], want), (b, k)
+        b = 0
+        for trial_key in keys:
+            for i in batch:
+                k = trial_key if i < 0 else flip_bit(trial_key, int(i))
+                want = plane_bits(wall_mask([_region_walls(k, n, region)], n), n)
+                assert np.array_equal(bits[:, b:b + 1], want), (b, k)
+                b += 1
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_text_flip_planes_match_flipped_blocks(n):
-    # Paired batches as the trials build them: the reference row (-1, -1),
-    # then (even, odd) pairs, and rows with one flip where one class runs
-    # out (a random subset of the bits leaves some).
+    # Paired batches as the trials build them, for a group of two trials
+    # with their own texts and walls: the reference row (-1, -1), then
+    # (even, odd) pairs, and rows with one flip where one class runs out
+    # (a random subset of the bits leaves some).
     rng = trial_rng(73, n)
-    text = rng.bytes(block_size(n))
     side = 1 << n
-    walls = frozenset(
-        (int(r), int(c)) for r, c in rng.integers(0, side, (rng.integers(0, 6), 2)))
-    ref = planes_from_block(text, n)
+    texts = [rng.bytes(block_size(n)) for _ in range(2)]
+    wall_sets = [
+        frozenset((int(r), int(c))
+                  for r, c in rng.integers(0, side, (rng.integers(0, 6), 2)))
+        for _ in range(2)
+    ]
+    refs = planes_from_block(b"".join(texts), n)
     bits = 8 * block_size(n)
     pairs = _checkerboard_pairs(rng.permutation(bits)[:min(bits, 96)], n)
     assert len(pairs) > 30 or n == 1
-    build = _text_flips(n, ref, wall_mask([walls], n))
+    build = _text_flips(n, refs, wall_sets)
     for batch in (np.concatenate(([[-1, -1]], pairs[:30])), pairs[30:]):
         if not len(batch):
             continue
         lattices, planes, mask = build(batch)
         blocks = []
-        for row in batch:
-            block = text
-            for i in row[row >= 0]:
-                block = flip_bit(block, int(i))
-            blocks.append(block)
-        assert lattices == len(batch)
+        for text in texts:
+            for row in batch:
+                block = text
+                for i in row[row >= 0]:
+                    block = flip_bit(block, int(i))
+                blocks.append(block)
+        assert lattices == 2 * len(batch)
         assert planes == planes_from_block(b"".join(blocks), n)
-        assert mask == wall_mask([walls] * lattices, n)
+        assert mask == wall_mask(
+            [walls for walls in wall_sets for _ in batch], n)
 
 
 def cell_parity(bit, n):
@@ -513,37 +547,64 @@ def test_checkerboard_pairs_cover_each_flip_once(n):
 
 @pytest.mark.parametrize("protocol", ["avalanche-text", "strict-text", "single-bit"])
 def test_text_trials_flip_each_bit_once(monkeypatch, protocol):
-    # Through the trial loop, with batches forced down to 5 lattices: per
-    # trial the reference flips nothing, every flip index appears in
-    # exactly one lattice, and no lattice flips two cells of one class.
-    cfg = default_config(protocol, **TINY[protocol])
-    builds = []
+    # Through the trial loop, on the planes its builder gives, with
+    # batches forced down to 5 lattices and then to groups of two trials
+    # (the last group holding one): per trial the reference flips nothing,
+    # every flip index appears in exactly one lattice, and no lattice
+    # flips two cells of one class.
+    cfg = default_config(protocol, **dict(TINY[protocol], trials=3))
+    n, side = cfg.n, 1 << cfg.n
+    flips = ([cfg.bit] if protocol == "single-bit"
+             else list(range(8 * cfg.block_len)))
+    per_trial = lattices_per_trial(cfg)
+    groups = []
     text_flips = experiments._text_flips
 
-    def recording(n, ref, mask):
+    def recording(n, refs, wall_sets):
         batches = []
-        builds.append(batches)
-        build = text_flips(n, ref, mask)
+        groups.append((len(wall_sets), batches))
+        build = text_flips(n, refs, wall_sets)
 
         def record(batch):
-            batches.append(batch.copy())
-            return build(batch)
+            batches.append(build(batch))
+            return batches[-1]
         return record
 
     monkeypatch.setattr(experiments, "_text_flips", recording)
-    monkeypatch.setattr(experiments, "batch_size", lambda n: 5)
-    run_protocol(cfg)
-    flips = ([cfg.bit] if protocol == "single-bit"
-             else list(range(8 * cfg.block_len)))
-    assert len(builds) == cfg.trials
-    for batches in builds:
-        rows = np.concatenate(batches)
-        assert rows[0].tolist() == [-1, -1]
-        assert (rows[1:].max(axis=1) >= 0).all()
-        assert sorted(rows[rows >= 0].tolist()) == flips
-        for row in rows[1:]:
-            row = row[row >= 0]
-            assert len({cell_parity(int(i), cfg.n) for i in row}) == len(row)
+    for size in (5, 3 * per_trial - 1):
+        groups.clear()
+        monkeypatch.setattr(experiments, "batch_size", lambda n: size)
+        run_protocol(cfg)
+        k = max(1, size // per_trial)
+        assert [trials for trials, _ in groups] == [
+            min(k, cfg.trials - t) for t in range(0, cfg.trials, k)]
+        t = 0
+        for trials, batches in groups:
+            # per trial, the block bits each of its lattices flips
+            lattices_flips = [[] for _ in range(trials)]
+            for lattices, planes, _ in batches:
+                per = lattices // trials
+                for j in range(trials):
+                    text = trial_rng(cfg.seed, t + j).bytes(cfg.block_len)
+                    bits = [
+                        plane_bits(p, n, lattices).reshape(side, trials, per, side)[:, j]
+                        ^ plane_bits(r, n)
+                        for p, r in zip(planes, planes_from_block(text, n))
+                    ]
+                    for b in range(per):
+                        lattices_flips[j].append(sorted(
+                            4 * (row * side + col) + plane
+                            for plane in range(4)
+                            for row, col in zip(*np.nonzero(bits[plane][:, b]))))
+            for rows in lattices_flips:
+                assert len(rows) == per_trial
+                assert rows[0] == []
+                assert all(rows[1:])
+                assert sorted(i for row in rows for i in row) == flips
+                for row in rows:
+                    assert len({cell_parity(i, n) for i in row}) == len(row)
+            t += trials
+        assert t == cfg.trials
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -576,18 +637,23 @@ def test_opposite_parity_flips_invert_disjoint_bits(n):
             assert d_i and d_j  # each flip inverts at least its own bits
 
 
-def lattice_rounds(monkeypatch, cfg):
-    """Lattices times rounds that run_protocol(cfg) runs in the round loop."""
-    work = []
-    trajectory = experiments._trajectory
+def round_loop_calls(monkeypatch, cfg):
+    """(lattices, largest round count) of each round loop call that
+    run_protocol(cfg) makes."""
+    calls = []
 
     def counting(planes, n, lattices, mask, counts):
-        work.append(lattices * max(counts))
-        return trajectory(planes, n, lattices, mask, counts)
+        calls.append((lattices, max(counts)))
+        return cipher._trajectory(planes, n, lattices, mask, counts)
 
     monkeypatch.setattr(experiments, "_trajectory", counting)
     run_protocol(cfg)
-    return sum(work)
+    return calls
+
+
+def lattice_rounds(monkeypatch, cfg):
+    """Lattices times rounds that run_protocol(cfg) runs in the round loop."""
+    return sum(lattices * top for lattices, top in round_loop_calls(monkeypatch, cfg))
 
 
 @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
@@ -611,8 +677,25 @@ def test_round_loop_work(monkeypatch, protocol):
     assert lattice_rounds(monkeypatch, cfg) == cfg.trials * lattices * top
 
 
+@pytest.mark.parametrize("protocol, per_batch", [("strict-key", 3), ("single-bit", 128)])
+def test_trials_share_round_loop_batches(monkeypatch, protocol, per_batch):
+    # At n=4 a batch holds 256 lattices: three strict-key trials of 65
+    # lattices, or 128 single-bit trials of 2, so T trials make
+    # ceil(T / per_batch) round loop calls and the same lattice-rounds as
+    # one call per trial would.
+    for trials in (1, per_batch, per_batch + 1, 2 * per_batch + 2):
+        cfg = default_config(protocol, trials=trials, rounds_range=(2, 1, 2), seed=9)
+        assert batch_size(cfg.n) == 256
+        calls = round_loop_calls(monkeypatch, cfg)
+        assert len(calls) == -(-trials // per_batch)
+        work = sum(lattices * top for lattices, top in calls)
+        assert work == trials * lattices_per_trial(cfg) * 2
+
+
 def test_strict_batch_counts_fit_uint16():
-    # _strict sums a batch's inverted bits per ciphertext bit in uint16
+    # _strict sums, per ciphertext bit, the inverted bits of one trial's
+    # lattices in a batch in uint16: at most batch_size(n) of them, however
+    # many trials share the batch
     assert all(batch_size(n) <= np.iinfo(np.uint16).max for n in range(1, 13))
 
 
