@@ -24,12 +24,12 @@ lattice-major rows into the row-interleaved order and back),
 :func:`wall_mask` builds the wall plane of a batch from one wall set per
 lattice (:func:`coordinate_mask` from an array of coordinates),
 :func:`plane_bits` unpacks one plane into a (side, B, side) array of bits
-(:func:`pack_plane` packs it back), :func:`tile_plane` repeats each
-lattice of a batch in place (:func:`stride_plane` takes every k-th
-lattice back out), and the ``*_planes``
-kernels take and return plane tuples, so
-the cipher's round loop builds no objects. :func:`reflect_planes` is
-reflection alone, the half of M that :func:`collide_planes` fuses in.
+(:func:`pack_plane` packs it back), :func:`plane_rows` reads all four
+planes as one array of row lanes, each lattice row in words of up to 64
+bits, :func:`tile_plane` repeats each lattice of a batch in place, and
+the ``*_planes`` kernels take and return plane tuples, so the cipher's
+round loop builds no objects. :func:`reflect_planes` is reflection
+alone, the half of M that :func:`collide_planes` fuses in.
 
 Results are bit-identical to the per-cell engine in
 :mod:`hppcrypt.lattice`; the test suite proves it primitive by primitive
@@ -112,17 +112,20 @@ def tile_plane(plane: int, n: int, copies: int, lattices: int = 1) -> int:
         "little")
 
 
-def stride_plane(plane: int, n: int, lattices: int, stride: int) -> int:
-    """The plane of a batch of `lattices` 2^n lattices taken from a batch
-    of lattices*stride: lattice b of the result is lattice b*stride, so
-    stride_plane(tile_plane(P, n, k, B), n, B, k) == P."""
+def plane_rows(planes: Sequence[int], n: int, lattices: int = 1) -> np.ndarray:
+    """The four planes of a batch of `lattices` 2^n lattices as row lanes:
+    an array of shape (4, side, lattices, words) whose [k, r, b] holds row
+    r of lattice b in plane k, column c at bit c, in little-endian words
+    of min(side, 64) bits (words = side // 64 from n = 7 on, else 1).
+    Rows narrower than a byte (n < 3) are uint8 with the high bits 0."""
     side = 1 << n
-    if side < 8:  # rows narrower than a byte
-        return pack_plane(plane_bits(plane, n, lattices * stride)[:, ::stride])
-    rows = np.frombuffer(
-        plane.to_bytes(lattices * stride * side * side // 8, "little"), dtype=np.uint8)
-    return int.from_bytes(
-        rows.reshape(side * lattices, stride, -1)[:, 0].tobytes(), "little")
+    if side < 8:
+        return np.packbits(
+            [plane_bits(p, n, lattices) for p in planes], axis=-1, bitorder="little")
+    width = min(side, 64)
+    raw = b"".join(p.to_bytes(lattices * side * side // 8, "little") for p in planes)
+    return np.frombuffer(raw, dtype=f"<u{width // 8}").reshape(
+        4, side, lattices, side // width)
 
 
 def _swap_rows(data: np.ndarray, side: int, outer: int) -> np.ndarray:

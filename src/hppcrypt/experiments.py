@@ -17,8 +17,9 @@ batch, as many as fit (three strict-key trials of 65 lattices at n=4,
 128 single-bit trials of 2), and a trial longer than a batch is cut into
 several. No lattice passes through bytes: the reference texts of a batch
 are read into planes at once, each batch is built as planes (a text flip
-toggles one plane bit, a key flip one bit of one wall coordinate) and
-each lattice is compared with its own trial's reference as planes.
+toggles one plane bit, a key flip one bit of one wall coordinate), and
+its ciphertext planes are read as row lanes and XORed with each trial's
+reference lattice: one difference that both reducers count.
 Every trial keeps its own draws and walls, so how trials share batches
 changes no result. Avalanche curves measure, per round count r, the
 average fraction of ciphertext bits inverted by a flip. Each batch of a
@@ -46,7 +47,6 @@ both classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +71,11 @@ _MASK64 = (1 << 64) - 1
 # The most trials one run may ask for; the paper-scale defaults use at
 # most 1000.
 MAX_TRIALS = 1 << 16
+
+# The most values one report may hold, points x trials, counted before
+# any are allocated; paper-scale strict-avalanche at n=6 with 1000
+# trials holds 16.4M.
+MAX_REPORT_VALUES = 1 << 24
 
 # protocol -> (flip_key, per_bit): whether it flips key bits rather than
 # plaintext bits, and whether it reports one probability per ciphertext
@@ -133,6 +138,12 @@ class ExperimentConfig:
             raise ParameterError(
                 "strict-avalanche protocols use a single round count, "
                 f"got range {self.rounds_range}"
+            )
+        points = 8 * self.block_len if per_bit else len(range(start, stop + 1, step))
+        if points * self.trials > MAX_REPORT_VALUES:
+            raise ParameterError(
+                f"a report of {points} points x {self.trials} trials exceeds "
+                f"{MAX_REPORT_VALUES} values"
             )
         m = self.n
         if self.wall_region is not None:
@@ -387,35 +398,27 @@ def _key_flips(keys: list, n: int, region, refs: tuple):
     return build
 
 
-def _runs(groups, counts, n: int):
+def _diffs(groups, counts, n: int):
     """Run each group's batches, each along one trajectory up to the
-    largest round count, and yield (t, trials, ri, lattices, planes,
-    refs): at counts[ri], a batch of `lattices` lattices holding the
-    group's `trials` trials from trial t on, its ciphertext planes and,
-    per plane, the group's references as a batch of `trials` lattices.
-    The references are each trial's first lattice in the group's first
-    batch, and none is carried to the next group."""
+    largest round count, and yield (t, trials, ri, diff) at counts[ri]
+    for a batch holding the group's `trials` trials from trial t on.
+    diff is the batch's ciphertext row lanes (bitplane.plane_rows) XOR
+    its trial's reference, of shape (4, side, trials, per_trial, words):
+    a set bit is one a flip inverted. The references are each trial's
+    first lattice in the group's first batch, and none is carried to the
+    next group."""
+    side = 1 << n
     t = 0
     for trials, batches in groups:
         refs = []
         for lattices, planes, mask in batches:
             for ri, out in enumerate(_trajectory(planes, n, lattices, mask, counts)):
+                rows = bitplane.plane_rows(out, n, lattices)
+                rows = rows.reshape(4, side, trials, lattices // trials, -1)
                 if ri == len(refs):  # first batch: keep each trial's lattice 0
-                    refs.append([
-                        bitplane.stride_plane(p, n, trials, lattices // trials)
-                        for p in out
-                    ])
-                yield t, trials, ri, lattices, out, refs[ri]
+                    refs.append(rows[:, :, :, :1].copy())
+                yield t, trials, ri, rows ^ refs[ri]
         t += trials
-
-
-@lru_cache(maxsize=8)
-def _first_trial(n: int, trials: int, lattices: int) -> int:
-    """The plane set on the first trial's lattices alone, in a batch of
-    `trials` trials of `lattices` lattices each."""
-    select = np.zeros((1 << n, trials, lattices << n), dtype=np.uint8)
-    select[:, 0] = 1
-    return bitplane.pack_plane(select)
 
 
 def _curve(config: ExperimentConfig, rounds, groups, flip_count: int) -> ExperimentReport:
@@ -423,54 +426,43 @@ def _curve(config: ExperimentConfig, rounds, groups, flip_count: int) -> Experim
     trajectory up to the largest round count, so a curve costs max r
     rounds per flip, not the sum over its round counts. A block is a bit
     permutation of its four planes, so the bits a trial inverts at one
-    count are the popcounts of its lattices' planes XOR its reference's,
-    tiled. Each round count keeps an integer total per trial over all
-    its flips, divided once: block_bits is a power of two and every
+    count are the popcount of its lattices' differences from its
+    reference. Each round count keeps an integer total per trial over
+    all its flips, divided once: block_bits is a power of two and every
     partial sum is exact, so the floats equal adding each flip's
     fraction in turn."""
-    n = config.n
     block_bits = 8 * config.block_len
-    totals = [[0] * config.trials for _ in rounds]
-    for t, trials, ri, lattices, planes, refs in _runs(groups, rounds, n):
-        per = lattices // trials
-        diff = [p ^ bitplane.tile_plane(r, n, per, trials) for p, r in zip(planes, refs)]
-        # the bits of trials 1 on, each shifted onto the first trial's
-        # lattices; the first trial has the rest
-        first = _first_trial(n, trials, per)
-        later = [
-            sum(((d >> (j * per << n)) & first).bit_count() for d in diff)
-            for j in range(1, trials)
-        ]
-        totals[ri][t] += sum(d.bit_count() for d in diff) - sum(later)
-        for j, count in enumerate(later, t + 1):
-            totals[ri][j] += count
-    return _report(config, rounds, np.array(totals, dtype=float) / block_bits / flip_count)
+    totals = np.zeros((len(rounds), config.trials), dtype=np.int64)
+    for t, trials, ri, diff in _diffs(groups, rounds, config.n):
+        totals[ri, t:t + trials] += np.bitwise_count(diff).sum(
+            axis=(0, 1, 3, 4), dtype=np.int64)
+    return _report(config, rounds, totals / block_bits / flip_count)
 
 
 def _strict(config: ExperimentConfig, rounds, groups, flip_count: int) -> ExperimentReport:
     """Inversion probability of each ciphertext bit at the single round
     count, from exact per-bit counts. Block bit 4c + k is plane k at cell
     c, so a batch adds, per plane and per trial, the number of the trial's
-    lattices whose bit differs from its reference's: the bit's sum over
-    those lattices, or their count minus it where the reference bit is
-    set. The sums are uint16, exact because one trial has at most
-    batch_size(n) <= BATCH_CELLS >> 2 = 16384 lattices in a batch (n=1),
-    however many trials share it. The counts add up in float64, exact
-    for integers below 2^53, and are divided once."""
-    n, side = config.n, 1 << config.n
+    lattices whose bit differs from its reference's. That sum over the
+    lattice axis is a float32 product with a vector of ones, exact
+    because every partial sum is an integer of at most batch_size(n) <=
+    BATCH_CELLS >> 2 = 16384 (n=1) lattices of one trial, far below
+    2^24, however many trials share the batch. The counts add up in
+    float64, exact for integers below 2^53, and are divided once."""
+    side = 1 << config.n
     block_bits = 8 * config.block_len
     per_trial = np.zeros((block_bits, config.trials))
     # [r, c, k, t]: plane k at cell (r, c) of trial t
     counts = per_trial.reshape(side, side, 4, config.trials)
-    for t, trials, _, lattices, planes, refs in _runs(groups, rounds, n):
-        per = lattices // trials
-        for k, (p, r) in enumerate(zip(planes, refs)):
-            ones = bitplane.plane_bits(p, n, lattices).reshape(
-                side, trials, per, side).sum(axis=2, dtype=np.uint16)
-            # where the reference bit is set, the lattices that differ
-            # from it are the ones with the bit clear
-            diff = np.where(bitplane.plane_bits(r, n, trials), per - ones, ones)
-            counts[:, :, k, t:t + trials] += diff.transpose(0, 2, 1)
+    for t, trials, _, diff in _diffs(groups, rounds, config.n):
+        ones = np.ones(diff.shape[3], dtype=np.float32)
+        for k, plane in enumerate(diff):
+            # [r, j, b, c]: cell (r, c) of lattice b of trial j differs;
+            # unpacked flat, then the padding of rows below a byte cut off
+            bits = np.unpackbits(plane.view(np.uint8), bitorder="little")
+            bits = bits.reshape(plane.shape[:3] + (-1,))[..., :side]
+            sums = ones @ bits.astype(np.float32)
+            counts[:, :, k, t:t + trials] += sums.transpose(0, 2, 1)
     per_trial /= flip_count
     return _report(config, range(block_bits), per_trial)
 
@@ -485,18 +477,6 @@ def run_protocol(config: ExperimentConfig) -> ExperimentReport:
     reduce = _strict if per_bit else _curve
     return reduce(config, config.round_values(), _trials(config, flip_key, flips),
                   len(flips))
-
-
-def reachable_bits(n: int, bit_index: int, rounds: int) -> np.ndarray:
-    """Boolean mask over ciphertext bits that a flip of plaintext
-    `bit_index` can influence: cells whose (row+col) parity equals the
-    flipped cell's parity plus the round count, mod 2."""
-    side = 1 << n
-    cell = bit_index // 4
-    target = (cell // side + cell % side + rounds) & 1
-    cells = np.arange(side * side)
-    cell_parity = (cells // side + cells % side) & 1
-    return np.repeat(cell_parity == target, 4)
 
 
 @dataclass(frozen=True)

@@ -184,8 +184,9 @@ def test_plane_bits_and_tile_plane_follow_the_batch_layout():
     # plane_bits(P, n, B)[r, b, c] is bit (r*B + b)*2^n + c of P, and
     # tile_plane of one lattice's bits is the plane of B copies of it, as
     # planes_from_block gives for the block repeated B times; of a batch
-    # of two, each lattice is repeated B times in place, and stride_plane
-    # takes every B-th lattice back out.
+    # of two, each lattice is repeated B times in place. plane_rows word
+    # [k, r, b] is row r of lattice b in plane k, zero-padded below a
+    # byte, two uint64 words at n = 7.
     rnd = random.Random(43)
     for n in range(1, 6):
         side = 1 << n
@@ -204,7 +205,20 @@ def test_plane_bits_and_tile_plane_follow_the_batch_layout():
             two = bp.planes_from_block(block + other, n)
             tiled = tuple(bp.tile_plane(p, n, count, 2) for p in two)
             assert tiled == bp.planes_from_block(block * count + other * count, n)
-            assert tuple(bp.stride_plane(p, n, 2, count) for p in tiled) == two
+            assert (bp.plane_rows(tiled, n, 2 * count)[:, :, ::count]
+                    == bp.plane_rows(two, n, 2)).all()
+    for n in range(1, 8):
+        side = 1 << n
+        for count in (1, 2, 3, 7):
+            planes = [rnd.getrandbits(count * side * side) for _ in range(4)]
+            rows = bp.plane_rows(planes, n, count)
+            assert rows.shape[:3] == (4, side, count)
+            assert rows.shape[3] == (2 if n == 7 else 1)
+            for k, plane in enumerate(planes):
+                for r in range(side):
+                    for b in range(count):
+                        word = int.from_bytes(rows[k, r, b].tobytes(), "little")
+                        assert word == plane >> ((r * count + b) << n) & ((1 << side) - 1)
 
 
 def test_coordinate_mask_counts_and_bounds():

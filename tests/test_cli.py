@@ -275,9 +275,13 @@ HUGE = 1 << 70  # 1180591620717411303424
     (f"seed={1 << 64}", None, f"seed must be in [0, 2^64), got {1 << 64}"),
     ("seed=-1", None, "seed must be in [0, 2^64), got -1"),
     ("", str(1 << 64), f"seed must be in [0, 2^64), got {1 << 64}"),
+    ("protocol=strict-text\nn=11\ntrials=4096\nrounds=1", None,
+     "a report of 16777216 points x 4096 trials exceeds 16777216 values"),
+    ("trials=65536\nrounds=0:1:65536", None,
+     "a report of 65537 points x 65536 trials exceeds 16777216 values"),
 ], ids=["n=abc", "n=1", "n=13", "seed=zz", "bit=q", "trails=2", "HPP_SEED=xyz",
         "key_len=huge-text", "key_len=huge-key", "trials=huge", "seed=2^64",
-        "seed=-1", "HPP_SEED=2^64"])
+        "seed=-1", "HPP_SEED=2^64", "report=strict-n11", "report=curve"])
 def test_experiment_hostile_config_exits_2(tmp_path, capsys, monkeypatch, no_run,
                                            line, env_seed, message):
     if env_seed is None:

@@ -23,12 +23,23 @@ from hppcrypt.experiments import (
     flip_bit,
     inverted_fraction,
     partial_key_leak_demo,
-    reachable_bits,
     run_protocol,
     trial_rng,
 )
 from hppcrypt.imaging import GrayImage
 from hppcrypt.lattice import block_size
+
+
+def reachable_bits(n: int, bit_index: int, rounds: int) -> np.ndarray:
+    """Boolean mask over ciphertext bits that a flip of plaintext
+    `bit_index` can influence: cells whose (row+col) parity equals the
+    flipped cell's parity plus the round count, mod 2."""
+    side = 1 << n
+    cell = bit_index // 4
+    target = (cell // side + cell % side + rounds) & 1
+    cells = np.arange(side * side)
+    cell_parity = (cells // side + cells % side) & 1
+    return np.repeat(cell_parity == target, 4)
 
 
 def tiny_config(protocol, **overrides):
@@ -327,6 +338,13 @@ def test_config_validation():
         with pytest.raises(ParameterError, match="seed must be in"):
             tiny_config("avalanche-text", seed=seed)
     assert tiny_config("avalanche-text", seed=(1 << 64) - 1)
+    # a report holds at most MAX_REPORT_VALUES points x trials
+    with pytest.raises(ParameterError, match="exceeds 16777216 values"):
+        default_config("strict-text", n=11, trials=4096, rounds_range=(1, 1, 1))
+    with pytest.raises(ParameterError, match="exceeds 16777216 values"):
+        tiny_config("avalanche-text", trials=MAX_TRIALS, rounds_range=(0, 1, 256))
+    assert default_config("strict-key", n=6, trials=1000).trials == 1000
+    assert tiny_config("avalanche-text", trials=MAX_TRIALS, rounds_range=(0, 1, 255))
 
 
 # --- plane-space trials against the byte-level definition -----------------
@@ -694,8 +712,9 @@ def test_trials_share_round_loop_batches(monkeypatch, protocol, per_batch):
 
 def test_strict_batch_counts_fit_uint16():
     # _strict sums, per ciphertext bit, the inverted bits of one trial's
-    # lattices in a batch in uint16: at most batch_size(n) of them, however
-    # many trials share the batch
+    # lattices in a batch as a float32 product, exact below 2^24: at most
+    # batch_size(n) of them, however many trials share the batch, and
+    # this pins the stronger bound that they fit even a uint16
     assert all(batch_size(n) <= np.iinfo(np.uint16).max for n in range(1, 13))
 
 
