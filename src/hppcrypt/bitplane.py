@@ -1,35 +1,40 @@
 """Word-parallel HPP engine on direction bit planes, B lattices at once.
 
-Each direction (E, S, W, N) gets one plane holding one bit per cell, an
-arbitrary-precision integer. A batch of B lattices of the same n is laid
-out row-interleaved: row r of lattice b occupies the 2^n bits starting at
-(r*B + b)*2^n of every plane, so cell (r, c) of lattice b is bit
-(r*B + b)*2^n + c. Row r of every lattice thus forms one contiguous row
-block of B*2^n bits, and one bitwise operation advances every row of every
-lattice at once (bit-slicing, as in Biham's DES):
+Each direction (E, S, W, N) gets one plane holding one bit per cell. The
+plane of a batch of B lattices of side 2^n is a numpy array of row lanes
+of shape (side, B, words): lane [r, b] is row r of lattice b, column c
+at bit c. A lane is one uint{side} word for 3 <= n <= 6, one uint8 with
+the bits from `side` up kept 0 for n <= 2, and side/64 little-endian
+uint64 words from n = 7 on, column c at bit c % 64 of word c // 64. From
+n = 3 on the bytes of a plane in C order are the row-interleaved bit
+string: cell (r, c) of lattice b is bit (r*B + b)*side + c. One numpy
+operation on a plane advances every row of every lattice at once
+(bit-slicing, as in Biham's DES):
 
 * the cell-local step M (collision, then reflection on wall cells) is
-  one fused kernel, :func:`collide_planes`, of 14 bitwise operations on
-  non-negative integers,
-* E/W propagation is a masked shift that rotates every row by one bit,
-* N/S propagation is a shift by one row block, with only the top or the
-  bottom row block of the whole batch wrapped to the other end: row
-  side-1 of every lattice wraps to row 0 of the same lattice at once,
+  one fused kernel, :func:`collide_planes`, of 14 bitwise operations,
+* E/W propagation rotates every lane by one bit: a shift and the bit
+  that wraps, with one carry per word from n = 7 on and the row width
+  masked below n = 3,
+* N/S propagation moves whole rows: two slice copies into another
+  array, row side-1 of every lattice wrapping to its row 0 at once,
 * velocity inversion just swaps plane references.
 
-A batch is the bare tuple (e, s, w, n) of its four planes:
-:func:`planes_from_block` and :func:`planes_to_block` convert to and from
-B blocks of the cipher's serialization laid end to end (transposing
-lattice-major rows into the row-interleaved order and back),
-:func:`wall_mask` builds the wall plane of a batch from one wall set per
-lattice (:func:`coordinate_mask` from an array of coordinates),
-:func:`plane_bits` unpacks one plane into a (side, B, side) array of bits
-(:func:`pack_plane` packs it back), :func:`plane_rows` reads all four
-planes as one array of row lanes, each lattice row in words of up to 64
-bits, :func:`tile_plane` repeats each lattice of a batch in place, and
-the ``*_planes`` kernels take and return plane tuples, so the cipher's
-round loop builds no objects. :func:`reflect_planes` is reflection
-alone, the half of M that :func:`collide_planes` fuses in.
+A batch is its four planes, one (4, side, B, words) array (which
+unpacks like a tuple) or a tuple (e, s, w, n); every plane is
+C-contiguous, as all builders here make them. :func:`planes_from_block`
+and :func:`planes_to_block` convert to and from B blocks of the cipher's
+serialization laid end to end through 256-entry tables, a slice of at
+most SLICE_CELLS cells at a time. :func:`wall_mask` builds the wall
+plane of a batch from one wall set per lattice (:func:`coordinate_mask`
+from an array of coordinates), :func:`plane_bits` unpacks lanes into one
+byte per cell and :func:`plane_rows` reads the four planes as one array.
+The kernels take planes and return planes; given `out`,
+:func:`collide_planes` and :func:`propagate_planes` write into those
+arrays (the inputs themselves, for all but S and N of P), so the
+cipher's round loop allocates its planes once per batch.
+:func:`reflect_planes` is reflection alone, the half of M that
+:func:`collide_planes` fuses in.
 
 Results are bit-identical to the per-cell engine in
 :mod:`hppcrypt.lattice`; the test suite proves it primitive by primitive
@@ -39,7 +44,6 @@ and lattice by lattice within a batch.
 from __future__ import annotations
 
 from collections.abc import Collection, Sequence
-from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -47,148 +51,124 @@ import numpy as np
 from .errors import ParameterError
 from .lattice import check_walls
 
+# The most cells the block converters and the strict reducer expand at
+# once: their temporaries take up to 4 bytes per cell.
+SLICE_CELLS = 1 << 16
 
-def _tile(pattern: int, width: int, count: int) -> int:
-    """`count` copies of a `width`-bit pattern laid back to back."""
-    return pattern * (((1 << (width * count)) - 1) // ((1 << width) - 1))
 
-
-@lru_cache(maxsize=8)
-def geometry(n: int, lattices: int = 1) -> tuple[int, ...]:
-    """Shifts and plane masks of a row-interleaved batch of `lattices`
-    2^n lattices, as the tuple
-    (side, row, top, col_first, col_last, first_row, below_top):
-    side = 2^n bits per lattice row, row = lattices*side bits per row
-    block (row r of every lattice), top = row*(side-1) the offset of the
-    last row block, col_first and col_last column 0 and column side-1 of
-    every lattice row, first_row the first row block and below_top every
-    row block but the last."""
+def lane_layout(n: int) -> tuple[np.dtype, int]:
+    """The lane dtype and the words per lane of a 2^n lattice's planes."""
     if n < 1:
         raise ParameterError(f"lattice exponent must be >= 1, got {n}")
-    if lattices < 1:
-        raise ParameterError(f"a batch holds at least 1 lattice, got {lattices}")
     side = 1 << n
-    row = side * lattices
-    top = row * (side - 1)
-    col_first = _tile(1, side, side * lattices)
-    return (
-        side, row, top,
-        col_first, col_first << (side - 1),
-        (1 << row) - 1, (1 << top) - 1,
-    )
+    if side > 64:
+        return np.dtype("<u8"), side // 64
+    return np.dtype(f"<u{max(1, side // 8)}"), 1
 
 
-def pack_plane(bits: np.ndarray) -> int:
-    """The plane whose bit i is bits.flat[i] (nonzero means set): the
-    inverse of :func:`plane_bits`."""
-    return int.from_bytes(
-        np.packbits(bits, bitorder="little").tobytes(), "little"
-    )
-
-
-def plane_bits(plane: int, n: int, lattices: int = 1) -> np.ndarray:
-    """The cells of one plane of a batch of `lattices` 2^n lattices as 0/1
-    bytes of shape (side, lattices, side): [r, b, c] is cell (r, c) of
-    lattice b, so the array in C order is the row-interleaved layout."""
+def _slices(n: int, lattices: int):
+    """(rows, lattices) slice pairs that cover a batch of `lattices` 2^n
+    lattices in pieces of at most SLICE_CELLS cells, each a contiguous
+    run of every plane: whole rows of the batch while one fits, else part
+    of one row."""
     side = 1 << n
-    cells = lattices * side * side
-    raw = np.frombuffer(plane.to_bytes((cells + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=cells, bitorder="little").reshape(
-        side, lattices, side)
+    row = lattices * side  # cells of one row of the batch
+    if row <= SLICE_CELLS:
+        step = SLICE_CELLS // row
+        for r in range(0, side, step):
+            yield slice(r, r + step), slice(None)
+    else:
+        step = SLICE_CELLS // side
+        for r in range(side):
+            for b in range(0, lattices, step):
+                yield slice(r, r + 1), slice(b, b + step)
 
 
-def tile_plane(plane: int, n: int, copies: int, lattices: int = 1) -> int:
-    """The plane of a batch of lattices*copies 2^n lattices made from the
-    plane of a batch of `lattices`: lattice b repeated `copies` times in
-    place, as lattices b*copies to (b+1)*copies - 1. Each lattice row is
-    repeated within its row block."""
+# A block byte holds two cells, 2j in the high nibble and 2j+1 in the low
+# one, each with E, S, W, N at bits 3 to 0; a plane byte holds the eight
+# cells of four block bytes. _GATHER[j][v] holds the two cells of block
+# byte v for every plane, byte k of the word for plane k, at bits 2j and
+# 2j+1: where they go when v is the j-th of those four block bytes.
+_BYTE = np.arange(256, dtype="<u4")
+_GATHER = sum(
+    (((_BYTE >> (7 - k)) & 1) | ((_BYTE >> (3 - k)) & 1) << 1) << (8 * k)
+    for k in range(4)
+) << np.arange(0, 8, 2, dtype="<u4")[:, None]
+
+# _SPREAD[k][b] holds the eight cells of byte b of plane k (cell i at bit
+# i) as four little-endian block bytes: byte j gets cell 2j at bit 4 and
+# cell 2j+1 at bit 0, shifted up to the nibble bit 3-k of plane k.
+_SPREAD = sum(
+    (((_BYTE >> (2 * j)) & 1) << 4 | ((_BYTE >> (2 * j + 1)) & 1)) << (8 * j)
+    for j in range(4)
+) << np.arange(3, -1, -1, dtype="<u4")[:, None]
+
+
+def _row_words(data: np.ndarray, n: int, lattices: int) -> np.ndarray:
+    """Serialized blocks as a (lattices, side, -1) array of lattice rows,
+    in words of up to 8 bytes, so a row moves as one to three words."""
     side = 1 << n
-    if side < 8:  # rows narrower than a byte
-        return pack_plane(np.repeat(plane_bits(plane, n, lattices), copies, axis=1))
-    rows = np.frombuffer(
-        plane.to_bytes(lattices * side * side // 8, "little"), dtype=np.uint8)
-    return int.from_bytes(
-        np.repeat(rows.reshape(side * lattices, 1, -1), copies, axis=1).tobytes(),
-        "little")
+    return data.view(f"<u{min(side // 2, 8)}").reshape(lattices, side, -1)
 
 
-def plane_rows(planes: Sequence[int], n: int, lattices: int = 1) -> np.ndarray:
-    """The four planes of a batch of `lattices` 2^n lattices as row lanes:
-    an array of shape (4, side, lattices, words) whose [k, r, b] holds row
-    r of lattice b in plane k, column c at bit c, in little-endian words
-    of min(side, 64) bits (words = side // 64 from n = 7 on, else 1).
-    Rows narrower than a byte (n < 3) are uint8 with the high bits 0."""
-    side = 1 << n
-    if side < 8:
-        return np.packbits(
-            [plane_bits(p, n, lattices) for p in planes], axis=-1, bitorder="little")
-    width = min(side, 64)
-    raw = b"".join(p.to_bytes(lattices * side * side // 8, "little") for p in planes)
-    return np.frombuffer(raw, dtype=f"<u{width // 8}").reshape(
-        4, side, lattices, side // width)
-
-
-def _swap_rows(data: np.ndarray, side: int, outer: int) -> np.ndarray:
-    """The serialized lattice rows in `data` (side/2 >= 1 whole bytes
-    each), read as an (outer, -1) grid and transposed: lattice-major
-    blocks to row-interleaved order with outer = lattices, and back with
-    outer = side. Rows move as words of up to 8 bytes."""
-    unit = min(side // 2, 8)
-    return data.view(f"<u{unit}").reshape(
-        outer, -1, side // 2 // unit).transpose(1, 0, 2)
-
-
-def planes_from_block(blocks: bytes, n: int) -> tuple[int, int, int, int]:
+def planes_from_block(blocks: bytes, n: int) -> np.ndarray:
     """Straight from the two-cells-per-byte serialization to planes: a run
-    of B blocks of a 2^n lattice gives the planes of a batch of B."""
+    of B blocks of a 2^n lattice gives the (4, side, B, words) planes of a
+    batch of B."""
     side = 1 << n
-    pairs = np.frombuffer(blocks, dtype=np.uint8)
-    pairs = _swap_rows(pairs, side, 2 * pairs.size >> (2 * n)).ravel().view(np.uint8)
-    cells = np.empty(pairs.size * 2, dtype=np.uint8)
-    cells[0::2] = pairs >> 4
-    cells[1::2] = pairs & 0xF
-    return tuple(pack_plane((cells >> shift) & 1) for shift in (3, 2, 1, 0))
+    dtype, words = lane_layout(n)
+    data = np.frombuffer(blocks, dtype=np.uint8)
+    lattices = data.size * 2 >> (2 * n)
+    rows = _row_words(data, n, lattices)
+    group = min(4, side // 2)  # block bytes per plane byte
+    planes = np.empty((4, side, lattices, words), dtype=dtype)
+    out = planes.view(np.uint8)
+    for row, at in _slices(n, lattices):
+        # the slice's rows, row-interleaved, as runs of `group` bytes
+        src = np.ascontiguousarray(rows[at, row].swapaxes(0, 1))
+        src = src.view(np.uint8).reshape(-1, group)
+        acc = _GATHER[0].take(src[:, 0])
+        for j in range(1, group):
+            acc |= _GATHER[j].take(src[:, j])
+        dest = out[:, row, at]  # byte k of each acc word is plane k's
+        dest[...] = np.moveaxis(acc.view(np.uint8).reshape(dest.shape[1:] + (4,)), -1, 0)
+    return planes
 
 
-# _SPREAD[b] holds the eight cells of one plane byte b (cell i at bit i)
-# as four little-endian block bytes: byte j gets cell 2j at bit 4 and cell
-# 2j+1 at bit 0, i.e. the bit of that plane's direction before it is
-# shifted to its place in the cell nibble.
-_SPREAD = np.array(
-    [
-        sum(
-            (((b >> (2 * j)) & 1) << 4 | ((b >> (2 * j + 1)) & 1)) << (8 * j)
-            for j in range(4)
-        )
-        for b in range(256)
-    ],
-    dtype="<u4",
-)
-
-
-def planes_to_block(
-    planes: tuple[int, int, int, int], n: int, lattices: int = 1
-) -> bytes:
-    """Inverse of :func:`planes_from_block` for a batch of `lattices`
-    2^n lattices: their blocks laid end to end."""
+def planes_to_block(planes: Sequence[np.ndarray], n: int) -> bytes:
+    """Inverse of :func:`planes_from_block`: the blocks of a batch's
+    planes laid end to end."""
     side = 1 << n
-    cells = lattices * side * side
-    # One table lookup for the four planes laid end to end, one row per
-    # plane; E, S, W, N are then shifted into nibble bits 3 to 0 in place,
-    # which keeps the peak memory at a few copies of the block.
-    raw = b"".join(plane.to_bytes((cells + 7) // 8, "little") for plane in planes)
-    spread = _SPREAD[np.frombuffer(raw, dtype=np.uint8).reshape(4, -1)]
-    out = spread[0]
-    out <<= 1
-    out |= spread[1]
-    out <<= 1
-    out |= spread[2]
-    out <<= 1
-    out |= spread[3]
-    return _swap_rows(out.view(np.uint8)[: cells // 2], side, side).tobytes()
+    lanes = plane_rows(planes).view(np.uint8)
+    lattices = lanes.shape[2]
+    out = np.empty(lattices * side * side // 2, dtype=np.uint8)
+    rows = _row_words(out, n, lattices)
+    for row, at in _slices(n, lattices):
+        acc = _SPREAD[0].take(lanes[0, row, at])
+        for k in range(1, 4):
+            acc |= _SPREAD[k].take(lanes[k, row, at])
+        # four block bytes per plane byte; below n = 3 a row is fewer
+        cells = acc.view(np.uint8).reshape(acc.shape[:2] + (-1,))[..., :side // 2]
+        rows[at, row] = cells.view(rows.dtype).swapaxes(0, 1)
+    return out.tobytes()
 
 
-def wall_mask(wall_sets: Sequence[Collection[tuple[int, int]]], n: int) -> int:
+def plane_rows(planes: Sequence[np.ndarray]) -> np.ndarray:
+    """The four planes of a batch as one (4, side, B, words) array of row
+    lanes: a view when they already are one array, as
+    :func:`planes_from_block` and the cipher's round loop give them."""
+    return np.asarray(planes)
+
+
+def plane_bits(lanes: np.ndarray, n: int) -> np.ndarray:
+    """The cells of an array of 2^n-lattice row lanes as 0/1 bytes, of
+    shape lanes.shape[:-1] + (side,): a plane (side, B, words) gives
+    [r, b, c], cell (r, c) of lattice b."""
+    bits = np.unpackbits(lanes.view(np.uint8), axis=-1, bitorder="little")
+    return bits[..., :1 << n]
+
+
+def wall_mask(wall_sets: Sequence[Collection[tuple[int, int]]], n: int) -> np.ndarray:
     """Wall plane of a batch: one bit set per wall cell, lattice b's walls
     taken from wall_sets[b], checked as in :func:`coordinate_mask`."""
     counts = [len(walls) for walls in wall_sets]
@@ -207,7 +187,7 @@ def wall_mask(wall_sets: Sequence[Collection[tuple[int, int]]], n: int) -> int:
 def coordinate_mask(
     coords: np.ndarray, lattice_of: np.ndarray, lattices: int, n: int,
     odd: bool = False,
-) -> int:
+) -> np.ndarray:
     """Plane of a batch of `lattices` lattices with a bit set at each
     (row, col) of the int64 array `coords` (shape (k, 2)), coordinate i
     in lattice lattice_of[i]. A cell listed more than once is set once,
@@ -220,66 +200,103 @@ def coordinate_mask(
     outside = np.flatnonzero(coords.view(np.uint64) >= side)
     if outside.size:
         check_walls([tuple(coords[outside[0] // 2].tolist())], n)
-    index = (coords[:, 0] * lattices + lattice_of) * side + coords[:, 1]
-    if odd:  # a cell listed an even number of times cancels
-        index, times = np.unique(index, return_counts=True)
-        index = index[times & 1 == 1]
-    bits = np.zeros(lattices * side * side, dtype=np.uint8)
-    bits[index] = 1
-    return pack_plane(bits)
+    dtype, words = lane_layout(n)
+    lane_bytes = dtype.itemsize * words
+    row, col = coords[:, 0], coords[:, 1]
+    index = (row * lattices + lattice_of) * lane_bytes + (col >> 3)
+    raw = np.zeros(side * lattices * lane_bytes, dtype=np.uint8)
+    # XOR leaves a cell set iff it is listed an odd number of times
+    (np.bitwise_xor if odd else np.bitwise_or).at(
+        raw, index, np.left_shift(1, col & 7).astype(np.uint8))
+    return raw.view(dtype).reshape(side, lattices, words)
 
 
-def collide_planes(
-    e: int, s: int, w: int, n: int, mask: int
-) -> tuple[int, int, int, int]:
+def _outs(out):
+    return (None,) * 4 if out is None else out
+
+
+def collide_planes(e, s, w, n, mask, out=None):
     """The cell-local step M: collide every cell, then reflect the wall
-    cells in `mask` (0 for collision alone)."""
+    cells in `mask` (0 for collision alone). Writes the planes into
+    `out` (they may be the inputs), or into new arrays by default."""
     # A colliding cell (exactly E+W or exactly S+N) toggles all four bits;
     # a wall cell then swaps E with W and S with N, i.e. toggles both
-    # where the two differ. d is the toggle of both steps together.
-    #
-    # The collision flip (e & w & ~(s | n)) | (s & n & ~(e | w)) holds
-    # exactly where e == w, s == n and e != s. With a = e ^ w, b = s ^ n
-    # and x = e ^ s that is x & ~(a | b), written x ^ (x & (a | b)) so no
-    # operand is ever negative: & on a negative int takes CPython's slow
-    # two's-complement path. a and b are also the E/W and S/N differences
+    # where the two differ. The collision flip
+    # (e & w & ~(s | n)) | (s & n & ~(e | w)) holds exactly where e == w,
+    # s == n and e != s: with a = e ^ w, b = s ^ n and x = e ^ s that is
+    # x & ~(a | b). a and b are also the E/W and S/N differences
     # reflection toggles, so M is 14 operations.
     a = e ^ w
     b = s ^ n
     x = e ^ s
-    flip = x ^ (x & (a | b))
-    d = flip ^ (a & mask)
-    e ^= d
-    w ^= d
-    d = flip ^ (b & mask)
-    return e, s ^ d, w, n ^ d
+    flip = np.bitwise_or(a, b)
+    np.invert(flip, out=flip)
+    flip &= x
+    a &= mask
+    a ^= flip
+    b &= mask
+    b ^= flip
+    oe, os_, ow, on = _outs(out)
+    return (np.bitwise_xor(e, a, out=oe), np.bitwise_xor(s, b, out=os_),
+            np.bitwise_xor(w, a, out=ow), np.bitwise_xor(n, b, out=on))
 
 
-def propagate_planes(
-    e: int, s: int, w: int, n: int, geom: tuple
-) -> tuple[int, int, int, int]:
-    side, row, top, col_first, col_last, first_row, below_top = geom
-    # E and W: each plane's edge bits x wrap to the opposite edge of the
-    # same lattice row; the others shift by one cell.
-    x = e & col_last
-    e = ((e ^ x) << 1) | (x >> (side - 1))
-    x = w & col_first
-    w = ((w ^ x) >> 1) | (x << (side - 1))
-    # S and N: every row block shifts by one; the last row block (row
-    # side-1 of every lattice) wraps to the first and vice versa.
-    s = ((s & below_top) << row) | (s >> top)
-    n = (n >> row) | ((n & first_row) << top)
-    return e, s, w, n
+def _rotate(lanes, side: int, up: bool, out):
+    """Every lane rotated by one column, toward higher columns if `up`:
+    each word shifted by one bit, and the bit it shifts out entering the
+    next word of its lane, the last word's wrapping to the first."""
+    top = min(side, 64) - 1
+    if up:
+        carry = lanes >> top
+        out = np.left_shift(lanes, 1, out=out)
+    else:
+        carry = lanes << top
+        out = np.right_shift(lanes, 1, out=out)
+    words = lanes.shape[-1]
+    if words == 1:
+        out |= carry
+    else:
+        # as one run of words: each word takes the carry of its neighbour,
+        # but the carries that would cross into the next lane wrap instead
+        flat, carry = out.reshape(-1), carry.reshape(-1)
+        end = slice(words - 1, None, words) if up else slice(0, None, words)
+        wrap = carry[end].copy()
+        carry[end] = 0
+        if up:
+            flat[1:] |= carry[:-1]
+            flat[::words] |= wrap
+        else:
+            flat[:-1] |= carry[1:]
+            flat[words - 1::words] |= wrap
+    if side < 8:  # keep the bits above the row 0
+        out &= (1 << side) - 1
+    return out
 
 
-def reflect_planes(
-    e: int, s: int, w: int, n: int, mask: int
-) -> tuple[int, int, int, int]:
+def propagate_planes(e, s, w, n, side: int, out=None):
+    """The propagation step P on planes of lattices of side `side`: E and
+    W rotate every row by one column, S and N move every row by one row.
+    Writes the planes into `out`, or into new arrays by default; E and W
+    may be written in place, S and N must go to other arrays."""
+    oe, os_, ow, on = _outs(out)
+    if os_ is None:
+        os_, on = np.empty_like(s), np.empty_like(n)
+    # row r moves to r+1 (S) or r-1 (N); the edge row wraps
+    os_[1:] = s[:-1]
+    os_[:1] = s[-1:]
+    on[:-1] = n[1:]
+    on[-1:] = n[:1]
+    return _rotate(e, side, True, oe), os_, _rotate(w, side, False, ow), on
+
+
+def reflect_planes(e, s, w, n, mask):
+    """Reflection alone: swap E with W and S with N on the wall cells in
+    `mask`."""
     # Swapping two bits toggles both where they differ.
     d = (e ^ w) & mask
     t = (s ^ n) & mask
     return e ^ d, s ^ t, w ^ d, n ^ t
 
 
-def invert_planes(e: int, s: int, w: int, n: int) -> tuple[int, int, int, int]:
+def invert_planes(e, s, w, n):
     return w, n, e, s

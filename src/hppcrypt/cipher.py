@@ -15,8 +15,8 @@ count, so the ciphertext always has exactly as many 1-bits as the
 plaintext; :func:`ones_density` exists to diagnose that leak.
 
 The bit-plane engine has one round loop, :func:`_trajectory`, which runs
-the plane tuple of a batch of lattices under one wall plane and yields
-plane tuples. :func:`_encrypt_blocks` is the one path from bytes to it:
+the planes of a batch of lattices under one wall plane and yields their
+ciphertext planes. :func:`_encrypt_blocks` is the one path from bytes to it:
 blocks to planes in batches of at most :func:`batch_size` blocks, the
 loop, planes back to blocks. :func:`encrypt_block` is a batch of one and
 the streams run whole payloads through it. The experiment protocols call
@@ -29,6 +29,8 @@ import math
 import struct
 from collections.abc import Iterator
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import bitplane, lattice
 from .errors import FormatError, ParameterError
@@ -46,9 +48,10 @@ MAX_EXPONENT = 12
 MAX_ROUNDS = 1 << 16
 
 # The most lattice cells one batch of the fast engine holds, which bounds
-# the size of its planes (8 KiB each) and of its packing buffers: 256
-# lattices at n=4, 16 at n=6, and a single lattice from n=8 on.
-BATCH_CELLS = 1 << 16
+# the size of its planes (32 KiB each): 1024 lattices at n=4, 64 at n=6,
+# and a single lattice from n=9 on. A round costs some 25 numpy calls
+# whatever the batch size, so it pays off only on large batches.
+BATCH_CELLS = 1 << 18
 
 # The most decimal digits keyspace_count computes, below Python's default
 # limit of 4300 digits on converting an int to a string.
@@ -144,26 +147,32 @@ def encrypt_block(block: bytes, params: CipherParams, engine: str = "bitplane") 
 
 
 def _trajectory(
-    planes: tuple[int, int, int, int], n: int, lattices: int, mask: int,
-    counts: tuple[int, ...],
-) -> Iterator[tuple[int, int, int, int]]:
+    planes, n: int, lattices: int, mask, counts: tuple[int, ...],
+) -> Iterator[np.ndarray]:
     """The fast engine's only round loop. Run the planes of a batch of
     `lattices` 2^n lattices under the wall plane `mask` up to the largest
     of `counts` and yield, at each count, the planes after J: the batch's
-    ciphertexts at that round count, as planes. Up to the final J, the
+    ciphertexts at that round count, as a new (4, side, lattices, words)
+    array that later rounds do not write to. Up to the final J, the
     schedule for r rounds is a prefix of the one for any r' > r, so the
-    rounds run once. The counts must be non-negative and strictly
-    ascending; every caller validates them, and none is checked here."""
-    geom = bitplane.geometry(n, lattices)
-    e, s, w, nn = bitplane.collide_planes(*planes, mask)
+    rounds run once, in place on one copy of the planes and two spare
+    planes that S and N move into. The counts must be non-negative and
+    strictly ascending; every caller validates them, and none is checked
+    here."""
+    side = 1 << n
+    state = np.array(planes)  # the caller's planes stay as they are
     del planes  # hold one set of planes, not two, while the rounds run
+    e, s, w, nn = bitplane.collide_planes(*state, mask, out=state)
+    s_to, n_to = np.empty_like(state[:2])
     done = 0
     for count in counts:
         for _ in range(count - done):
-            e, s, w, nn = bitplane.propagate_planes(e, s, w, nn, geom)
-            e, s, w, nn = bitplane.collide_planes(e, s, w, nn, mask)
+            moved = (e, s_to, w, n_to)
+            s_to, n_to = s, nn
+            e, s, w, nn = bitplane.propagate_planes(e, s, w, nn, side, out=moved)
+            e, s, w, nn = bitplane.collide_planes(e, s, w, nn, mask, out=moved)
         done = count
-        yield bitplane.invert_planes(e, s, w, nn)
+        yield np.stack(bitplane.invert_planes(e, s, w, nn))
 
 
 def _encrypt_reference(block: bytes, params: CipherParams) -> bytes:
@@ -269,18 +278,19 @@ def decrypt_stream(
 def _encrypt_blocks(data: bytes, params: CipherParams) -> bytes:
     """Encrypt whole blocks under one params, in batches of at most
     batch_size(n) blocks: the one path from bytes to the round loop.
-    Every batch shares one wall plane, tiled to its lattice count."""
+    Every batch shares one wall plane, repeated to its lattice count."""
     n = params.n
     bs = block_size(n)
     step = batch_size(n) * bs
     wall = bitplane.wall_mask([params.walls], n)
+    view = memoryview(data)
     out = []
     for i in range(0, len(data), step):
         lattices = min(step, len(data) - i) // bs
-        mask = bitplane.tile_plane(wall, n, lattices)
-        (planes,) = _trajectory(bitplane.planes_from_block(data[i:i + step], n),
+        mask = np.repeat(wall, lattices, axis=1)
+        (planes,) = _trajectory(bitplane.planes_from_block(view[i:i + step], n),
                                 n, lattices, mask, (params.rounds,))
-        out.append(bitplane.planes_to_block(planes, n, lattices))
+        out.append(bitplane.planes_to_block(planes, n))
     return b"".join(out)
 
 

@@ -8,14 +8,18 @@ parameters or usage, 1 for I/O and data-format failures.
 from __future__ import annotations
 
 import argparse
+import json
 import os
+import platform
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
+from . import bitplane
 from .cipher import (
+    BATCH_CELLS,
     MAGIC,
     MAX_EXPONENT,
     MIN_EXPONENT,
@@ -30,6 +34,7 @@ from .cipher import (
     keyspace_count,
     min_recommended_rounds,
     ones_density,
+    _trajectory,
 )
 from .errors import FormatError, ParameterError
 from .experiments import PROTOCOLS, default_config, emit_csv, emit_svg_plot, run_protocol
@@ -284,8 +289,8 @@ def cmd_block2img(args) -> int:
     return 0
 
 
-# The longest --min-time bench accepts: it times six engine rows, so a
-# run takes at least six times this.
+# The longest --min-time bench accepts: it times six engine rows, and
+# with --json 21 layers more, so a run takes at least 6 (27) times this.
 MAX_BENCH_SECONDS = 60.0
 
 
@@ -296,6 +301,7 @@ def cmd_bench(args) -> int:
             f"got {args.min_time}"
         )
     print(f"{'n':>3} {'rounds':>6} {'engine':>10} {'blocks/s':>10} {'kB/s':>10}")
+    rows, layers = [], {}
     for n in (4, 5, 6):
         rounds = default_rounds(n)
         rng = np.random.Generator(np.random.Philox(key=np.uint64(n)))
@@ -326,7 +332,73 @@ def cmd_bench(args) -> int:
                 f"{n:>3} {rounds:>6} {engine:>10} {rate:>10.2f} "
                 f"{rate * block_size(n) / 1000:>10.1f}"
             )
+            rows.append(dict(n=n, rounds=rounds, engine=engine, blocks_per_s=rate,
+                             kB_per_s=rate * block_size(n) / 1000))
+        if args.json:
+            layers[str(n)] = _layer_times(n, params.walls, data, args.min_time)
+    if args.json:
+        report = dict(
+            machine=dict(python=platform.python_version(), numpy=np.__version__,
+                         cpu_count=os.cpu_count()),
+            min_time_s=args.min_time, batch_cells=BATCH_CELLS,
+            rows=rows, layers=layers)
+        Path(args.json).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return 0
+
+
+def _per_call_us(fn, min_time: float) -> float:
+    """Microseconds per call of fn: the best of five runs of at least
+    min_time / 5 seconds each."""
+    best = float("inf")
+    for _ in range(5):
+        count = 0
+        start = time.perf_counter()
+        while True:
+            fn()
+            count += 1
+            elapsed = time.perf_counter() - start
+            if elapsed >= min_time / 5:
+                break
+        best = min(best, elapsed / count)
+    return best * 1e6
+
+
+# Rounds the per-layer bench runs to time one round of the round loop.
+_BENCH_ROUNDS = 16
+
+
+def _layer_times(n: int, walls: frozenset, data: bytes, min_time: float) -> dict:
+    """Microseconds per full batch of each layer of the fast engine at
+    lattice exponent n, on the blocks in `data` under `walls`: unpacking
+    into planes, the step M, the step P, packing back, the wall-mask
+    build of one wall set per lattice, and one round (P then M) of the
+    round loop, the difference of runs to _BENCH_ROUNDS rounds and to 0."""
+    lattices = batch_size(n)
+    side = 1 << n
+    planes = bitplane.planes_from_block(data, n)
+    e, s, w, nn = planes
+    s_to, n_to = np.empty_like(planes[:2])
+    mask = bitplane.wall_mask([walls] * lattices, n)
+
+    def run_to(rounds):
+        return lambda: next(_trajectory(planes, n, lattices, mask, (rounds,)))
+
+    us = {
+        name: _per_call_us(fn, min_time)
+        for name, fn in (
+            ("planes_from_block", lambda: bitplane.planes_from_block(data, n)),
+            ("collide_planes", lambda: bitplane.collide_planes(
+                e, s, w, nn, mask, out=(e, s, w, nn))),
+            ("propagate_planes", lambda: bitplane.propagate_planes(
+                e, s, w, nn, side, out=(e, s_to, w, n_to))),
+            ("planes_to_block", lambda: bitplane.planes_to_block(planes, n)),
+            ("wall_mask", lambda: bitplane.wall_mask([walls] * lattices, n)),
+            ("round_0", run_to(0)),
+            ("round_k", run_to(_BENCH_ROUNDS)),
+        )
+    }
+    us["round"] = (us.pop("round_k") - us.pop("round_0")) / _BENCH_ROUNDS
+    return dict(lattices=lattices, us_per_batch=us)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,6 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="compare engine throughput")
     p.add_argument("--min-time", type=float, default=0.25, help="seconds per engine")
+    p.add_argument("--json", help="also time each engine layer and write all as JSON")
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -13,13 +13,14 @@ input of a run and refuses a bad one before any work starts. A trial is
 its reference encryption and its flipped encryptions, L lattices, and
 trials run as batches of the fast engine's round loop, at most
 :func:`~hppcrypt.cipher.batch_size` lattices each. Whole trials share a
-batch, as many as fit (three strict-key trials of 65 lattices at n=4,
-128 single-bit trials of 2), and a trial longer than a batch is cut into
-several. No lattice passes through bytes: the reference texts of a batch
-are read into planes at once, each batch is built as planes (a text flip
-toggles one plane bit, a key flip one bit of one wall coordinate), and
-its ciphertext planes are read as row lanes and XORed with each trial's
-reference lattice: one difference that both reducers count.
+batch, as many as fit (15 strict-key trials of 65 lattices at n=4, 512
+single-bit trials of 2), and a trial longer than a batch is cut into
+as few near-equal batches as hold it. No lattice passes through bytes:
+the reference texts of a batch are read into planes at once, each batch
+is built as planes (a text flip toggles one plane bit, a key flip one
+bit of one wall coordinate), and its ciphertext planes, row lanes, are
+XORed with each trial's reference lattice: one difference that both
+reducers count.
 Every trial keeps its own draws and walls, so how trials share batches
 changes no result. Avalanche curves measure, per round count r, the
 average fraction of ciphertext bits inverted by a flip. Each batch of a
@@ -282,9 +283,11 @@ def _trials(config: ExperimentConfig, flip_key: bool, flips):
     for each index in `flips`, in that order, or one lattice per row of
     _checkerboard_pairs(flips, n) with both of its plaintext bits
     flipped. Whole trials share a batch of the round loop, as many as
-    fit in batch_size(n) lattices and at least one: a trial longer than
-    a batch is cut into batches of batch_size(n) lattices, the last one
-    partial. Yield one group per batch of trials, as (trials, batches):
+    fit in batch_size(n) lattices and at least one: a trial of L >
+    batch_size(n) lattices is cut into ceil(L / batch_size(n)) batches
+    of near-equal size (385 lattices at n=6 into 7 of 55), since a round
+    costs about as much on a small batch as on a full one. Yield one
+    group per batch of trials, as (trials, batches):
     a generator of the group's batches, each as (lattices, planes, mask)
     with lattices = trials * b, in which trial j of the group holds
     lattices j*b to (j+1)*b - 1. Trial t draws its text and then its key
@@ -299,7 +302,8 @@ def _trials(config: ExperimentConfig, flip_key: bool, flips):
     else:
         lattice_flips = np.concatenate(([[-1, -1]], _checkerboard_pairs(flips, n)))
     per_trial = len(lattice_flips)
-    step = min(per_trial, batch_size(n))
+    pieces = -(-per_trial // batch_size(n))
+    edges = [per_trial * i // pieces for i in range(pieces + 1)]
     group = max(1, batch_size(n) // per_trial)
     for t0 in range(0, config.trials, group):
         texts, keys = [], []
@@ -313,7 +317,7 @@ def _trials(config: ExperimentConfig, flip_key: bool, flips):
         else:
             build = _text_flips(n, refs, [_region_walls(k, n, region) for k in keys])
         yield len(keys), (
-            build(lattice_flips[i:i + step]) for i in range(0, per_trial, step)
+            build(lattice_flips[a:b]) for a, b in zip(edges, edges[1:])
         )
 
 
@@ -333,7 +337,7 @@ def _checkerboard_pairs(flips: np.ndarray, n: int) -> np.ndarray:
     return pairs
 
 
-def _text_flips(n: int, refs: tuple, wall_sets: list):
+def _text_flips(n: int, refs: np.ndarray, wall_sets: list):
     """Batch builder for plaintext flips of a group of trials: trial j
     has reference planes lattice j of `refs` and walls wall_sets[j]. For
     a (lattices, 2) array of flip rows, every trial's lattices start as
@@ -351,19 +355,18 @@ def _text_flips(n: int, refs: tuple, wall_sets: list):
         coords = np.stack((bit >> (n + 2), (bit >> 2) & (side - 1)), axis=1)
         # flip (row b, bit) of trial j lands in lattice j*per_trial + b
         lattice_of = np.arange(0, lattices, per_trial)[:, None] + at
-        planes = []
-        for k, plane in enumerate(refs):
+        planes = np.repeat(refs, per_trial, axis=2)
+        for k, plane in enumerate(planes):
             on = bit & 3 == k
-            flipped = bitplane.coordinate_mask(
+            plane ^= bitplane.coordinate_mask(
                 np.tile(coords[on], (trials, 1)), lattice_of[:, on].ravel(),
                 lattices, n)
-            planes.append(bitplane.tile_plane(plane, n, per_trial, trials) ^ flipped)
-        return lattices, tuple(planes), bitplane.tile_plane(walls, n, per_trial, trials)
+        return lattices, planes, np.repeat(walls, per_trial, axis=1)
 
     return build
 
 
-def _key_flips(keys: list, n: int, region, refs: tuple):
+def _key_flips(keys: list, n: int, region, refs: np.ndarray):
     """Batch builder for key flips of a group of trials: trial j has key
     keys[j] and reference planes lattice j of `refs`. The keys are
     decoded once into wall coordinates, and flipping key bit i toggles
@@ -392,8 +395,7 @@ def _key_flips(keys: list, n: int, region, refs: tuple):
         mask = bitplane.coordinate_mask(
             coords.reshape(-1, 2), np.repeat(np.arange(lattices), walls),
             lattices, n, odd=region is not None)
-        planes = tuple(bitplane.tile_plane(p, n, per_trial, trials) for p in refs)
-        return lattices, planes, mask
+        return lattices, np.repeat(refs, per_trial, axis=2), mask
 
     return build
 
@@ -406,18 +408,20 @@ def _diffs(groups, counts, n: int):
     its trial's reference, of shape (4, side, trials, per_trial, words):
     a set bit is one a flip inverted. The references are each trial's
     first lattice in the group's first batch, and none is carried to the
-    next group."""
+    next group. Each diff is the round loop's own output, XORed in place,
+    and is not written again."""
     side = 1 << n
     t = 0
     for trials, batches in groups:
         refs = []
         for lattices, planes, mask in batches:
             for ri, out in enumerate(_trajectory(planes, n, lattices, mask, counts)):
-                rows = bitplane.plane_rows(out, n, lattices)
+                rows = bitplane.plane_rows(out)
                 rows = rows.reshape(4, side, trials, lattices // trials, -1)
                 if ri == len(refs):  # first batch: keep each trial's lattice 0
                     refs.append(rows[:, :, :, :1].copy())
-                yield t, trials, ri, rows ^ refs[ri]
+                rows ^= refs[ri]
+                yield t, trials, ri, rows
         t += trials
 
 
@@ -446,23 +450,28 @@ def _strict(config: ExperimentConfig, rounds, groups, flip_count: int) -> Experi
     lattices whose bit differs from its reference's. That sum over the
     lattice axis is a float32 product with a vector of ones, exact
     because every partial sum is an integer of at most batch_size(n) <=
-    BATCH_CELLS >> 2 = 16384 (n=1) lattices of one trial, far below
+    BATCH_CELLS >> 2 = 65,536 (n=1) lattices of one trial, far below
     2^24, however many trials share the batch. The counts add up in
-    float64, exact for integers below 2^53, and are divided once."""
-    side = 1 << config.n
+    float64, exact for integers below 2^53, and are divided once. A
+    batch is unpacked a few rows at a time, at most
+    bitplane.SLICE_CELLS cells where a row of the batch fits: a slice of
+    whole trials would not bound it, as one trial can fill a batch."""
+    n = config.n
+    side = 1 << n
     block_bits = 8 * config.block_len
     per_trial = np.zeros((block_bits, config.trials))
     # [r, c, k, t]: plane k at cell (r, c) of trial t
     counts = per_trial.reshape(side, side, 4, config.trials)
-    for t, trials, _, diff in _diffs(groups, rounds, config.n):
+    for t, trials, _, diff in _diffs(groups, rounds, n):
         ones = np.ones(diff.shape[3], dtype=np.float32)
+        row_cells = diff.shape[2] * diff.shape[3] * side
+        step = max(1, bitplane.SLICE_CELLS // row_cells)
         for k, plane in enumerate(diff):
-            # [r, j, b, c]: cell (r, c) of lattice b of trial j differs;
-            # unpacked flat, then the padding of rows below a byte cut off
-            bits = np.unpackbits(plane.view(np.uint8), bitorder="little")
-            bits = bits.reshape(plane.shape[:3] + (-1,))[..., :side]
-            sums = ones @ bits.astype(np.float32)
-            counts[:, :, k, t:t + trials] += sums.transpose(0, 2, 1)
+            for r in range(0, side, step):
+                # [r, j, b, c]: cell (r, c) of lattice b of trial j differs
+                bits = bitplane.plane_bits(plane[r:r + step], n)
+                sums = ones @ bits.astype(np.float32)
+                counts[r:r + step, :, k, t:t + trials] += sums.transpose(0, 2, 1)
     per_trial /= flip_count
     return _report(config, range(block_bits), per_trial)
 

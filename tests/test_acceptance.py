@@ -111,7 +111,7 @@ def test_criterion_4_engine_equivalence():
         for got, want in (
             (bp.collide_planes(*planes, 0), ref.collide(lat)),
             (bp.collide_planes(*planes, mask), ref.reflect(ref.collide(lat), walls)),
-            (bp.propagate_planes(*planes, bp.geometry(6)), ref.propagate(lat)),
+            (bp.propagate_planes(*planes, 64), ref.propagate(lat)),
             (bp.reflect_planes(*planes, mask), ref.reflect(lat, walls)),
             (bp.invert_planes(*planes), ref.invert_all(lat)),
         ):

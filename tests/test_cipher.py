@@ -232,8 +232,33 @@ def trajectory_blocks(blocks, wall_sets, n, counts):
     lattices = len(wall_sets)
     planes = bp.planes_from_block(blocks, n)
     mask = bp.wall_mask(wall_sets, n)
-    return [bp.planes_to_block(out, n, lattices)
+    return [bp.planes_to_block(out, n)
             for out in _trajectory(planes, n, lattices, mask, tuple(counts))]
+
+
+def test_trajectory_yields_stay_as_yielded():
+    # Each yield is a new array that the later rounds do not write to, and
+    # the caller's planes are left as they were: held all at once, every
+    # count's output still equals its own encryption.
+    rnd = random.Random(19)
+    for n in (1, 2, 4, 7):
+        lattices = 3
+        blocks = rnd.randbytes(lattices * L.block_size(n))
+        wall_sets = [random_params(rnd, n).walls for _ in range(lattices)]
+        planes = bp.planes_from_block(blocks, n)
+        mask = bp.wall_mask(wall_sets, n)
+        counts = (0, 1, 2, 5)
+        outs = list(_trajectory(planes, n, lattices, mask, counts))
+        assert len({id(out) for out in outs}) == len(counts)
+        assert bp.planes_to_block(planes, n) == blocks
+        assert [bp.planes_to_block(out, n) for out in outs] == trajectory_blocks(
+            blocks, wall_sets, n, counts)
+        bs = L.block_size(n)
+        for r, out in zip(counts, outs):
+            ct = bp.planes_to_block(out, n)
+            for b, walls in enumerate(wall_sets):
+                assert ct[b * bs:(b + 1) * bs] == encrypt_block(
+                    blocks[b * bs:(b + 1) * bs], CipherParams(n, r, walls), "reference")
 
 
 def check_trajectory(rnd, n):
@@ -326,19 +351,19 @@ def test_stream_round_trip():
 
 
 def test_stream_spans_batches():
-    # 600 blocks at n=4: two full batches of 256 and a tail of 88, each
+    # 2100 blocks at n=4: two full batches of 1024 and a tail of 52, each
     # block encrypted as if alone.
     n, bs = 4, L.block_size(4)
-    assert batch_size(n) == 256
+    assert batch_size(n) == 1024
     rnd = random.Random(14)
-    data = rnd.randbytes(600 * bs)
+    data = rnd.randbytes(2100 * bs)
     key = rnd.randbytes(8)
     container = encrypt_stream(data, key, n)
     params = CipherParams.from_key(key, n)
     blocks = [data[i:i + bs] for i in range(0, len(data), bs)]
     got = [container.payload[i:i + bs] for i in range(0, len(data), bs)]
     assert got == [encrypt_block(block, params) for block in blocks]
-    for b in (0, 255, 256, 511, 512, 599):
+    for b in (0, 1023, 1024, 2047, 2048, 2099):
         assert got[b] == encrypt_block(blocks[b], params, "reference")
     assert decrypt_stream(container, key) == data
 

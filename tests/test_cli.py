@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import struct
@@ -6,7 +7,7 @@ import time
 import pytest
 
 from hppcrypt import cli
-from hppcrypt.cipher import MAX_ROUNDS
+from hppcrypt.cipher import BATCH_CELLS, MAX_ROUNDS, batch_size
 from hppcrypt.cli import main
 from hppcrypt.imaging import GrayImage, read_pgm, write_pgm
 
@@ -425,6 +426,30 @@ def test_bench_rows_and_engine_order(capsys):
         rates[(fields[0], fields[2])] = float(fields[3])
     for n in ("4", "5", "6"):
         assert rates[(n, "bitplane")] >= rates[(n, "reference")]
+
+
+def test_bench_json_has_rows_layers_and_machine(tmp_path, capsys):
+    path = tmp_path / "bench.json"
+    assert run("bench", "--min-time", "0.02", "--json", str(path)) == 0
+    table = [l for l in capsys.readouterr().out.splitlines() if l.strip()][1:]
+    report = json.loads(path.read_text())
+    assert set(report) == {"machine", "min_time_s", "batch_cells", "rows", "layers"}
+    assert set(report["machine"]) == {"python", "numpy", "cpu_count"}
+    assert report["min_time_s"] == 0.02
+    assert report["batch_cells"] == BATCH_CELLS
+    # the rows the table prints, in its order
+    assert [(str(r["n"]), str(r["rounds"]), r["engine"]) for r in report["rows"]] == [
+        tuple(line.split()[:3]) for line in table]
+    for row in report["rows"]:
+        assert set(row) == {"n", "rounds", "engine", "blocks_per_s", "kB_per_s"}
+    assert set(report["layers"]) == {"4", "5", "6"}
+    for n, layer in report["layers"].items():
+        assert layer["lattices"] == batch_size(int(n))
+        assert set(layer["us_per_batch"]) == {
+            "planes_from_block", "collide_planes", "propagate_planes",
+            "planes_to_block", "wall_mask", "round"}
+        assert all(us > 0 for name, us in layer["us_per_batch"].items()
+                   if name != "round")
 
 
 @pytest.mark.parametrize(

@@ -256,32 +256,51 @@ def test_protocol_csv_matches_golden_digest(tmp_path, protocol):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
-# Configs with more lattices per trial than one batch of the fast engine
-# holds (1 + 384 at n=6, 1 + 1024 at n=4), so a trial spans several
-# batches and the last one is partial; recorded before batching existed.
+# Configs with trials of many lattices, each entry as (protocol,
+# overrides, digest). The first four were recorded before batching
+# existed, when each spanned several batches of 2^16 cells. In batches of
+# 2^18 cells avalanche-key (1 + 384 lattices at n=6) still spans 7 and
+# strict-key (1 + 1024 at n=4) 2, but the n=4 text trials (1 + 512/2)
+# fit one; the n=5 text entries (1 + 4096/2 = 2049 lattices, 9 batches),
+# recorded with the engine of 2^16-cell batches, keep the text protocols
+# across batches.
 GOLDEN_CSV_BATCHES = {
     "avalanche-key": (
+        "avalanche-key",
         dict(n=6, key_len=48, trials=1, rounds_range=(2, 3, 11), seed=21),
         "002183cfaa2ac5fcdc092f9af036134f5cd70ae14d2decfa8aa8661596c9c0c6",
     ),
     "avalanche-text": (
+        "avalanche-text",
         dict(n=4, key_len=8, trials=1, rounds_range=(1, 4, 13), seed=21),
         "0e203282ee1254fe7d3ae4883a6da9745c8d9ab0ba631cf0d7b11a29600349aa",
     ),
+    "avalanche-text-n5": (
+        "avalanche-text",
+        dict(n=5, trials=1, rounds_range=(1, 4, 13), seed=21),
+        "52d0954b550dcd1882f14a218cb0a0cfe1d1c41ab4d4ea140b60d68f379ce977",
+    ),
     "strict-key": (
+        "strict-key",
         dict(n=4, key_len=128, trials=1, rounds_range=(8, 1, 8), seed=21),
         "5b5d5bad9de4344391c00ba66604e242b2add4a91f3269a898672ad62d307450",
     ),
     "strict-text": (
+        "strict-text",
         dict(n=4, trials=1, rounds_range=(8, 1, 8), seed=21),
         "03c0a95901d5c114de7342029aacf4bdf85cba1ef53a13484b9cf836671df516",
+    ),
+    "strict-text-n5": (
+        "strict-text",
+        dict(n=5, trials=1, rounds_range=(8, 1, 8), seed=21),
+        "f67e20de987f076c39b5a9adede38b701e87c00da051da91314271707ead6f36",
     ),
 }
 
 
-@pytest.mark.parametrize("protocol", sorted(GOLDEN_CSV_BATCHES))
-def test_multi_batch_csv_matches_golden_digest(tmp_path, protocol):
-    overrides, digest = GOLDEN_CSV_BATCHES[protocol]
+@pytest.mark.parametrize("name", sorted(GOLDEN_CSV_BATCHES))
+def test_multi_batch_csv_matches_golden_digest(tmp_path, name):
+    protocol, overrides, digest = GOLDEN_CSV_BATCHES[name]
     path = tmp_path / "report.csv"
     emit_csv(run_protocol(default_config(protocol, **overrides)), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
@@ -436,7 +455,7 @@ def direct_report(cfg):
 def test_protocols_match_their_per_flip_definition(monkeypatch, protocol, overrides):
     # Exact equality, no tolerance: the plane-space reducers must give the
     # floats of the per-flip definition, also when a trial spans several
-    # batches (here forced down to 5 lattices each, the last one partial)
+    # batches (here forced down to at most 5 lattices each, cut evenly)
     # and when whole trials share a batch (two per batch, the last group
     # partial for an odd trial count).
     cfg = default_config(protocol, **overrides)
@@ -487,9 +506,10 @@ def test_key_flip_masks_match_flipped_key_walls(key, n, region):
     for batch in (np.concatenate(([-1], flips[:5])), flips[5:]):
         lattices, planes, mask = build(batch)
         assert lattices == 2 * len(batch)
-        assert planes == planes_from_block(
-            b"".join(text * len(batch) for text in texts), n)
-        bits = plane_bits(mask, n, lattices)
+        assert np.array_equal(planes, planes_from_block(
+            b"".join(text * len(batch) for text in texts), n))
+        bits = plane_bits(mask, n)
+        assert bits.shape == (1 << n, lattices, 1 << n)
         b = 0
         for trial_key in keys:
             for i in batch:
@@ -530,9 +550,9 @@ def test_text_flip_planes_match_flipped_blocks(n):
                     block = flip_bit(block, int(i))
                 blocks.append(block)
         assert lattices == 2 * len(batch)
-        assert planes == planes_from_block(b"".join(blocks), n)
-        assert mask == wall_mask(
-            [walls for walls in wall_sets for _ in batch], n)
+        assert np.array_equal(planes, planes_from_block(b"".join(blocks), n))
+        assert np.array_equal(mask, wall_mask(
+            [walls for walls in wall_sets for _ in batch], n))
 
 
 def cell_parity(bit, n):
@@ -605,7 +625,7 @@ def test_text_trials_flip_each_bit_once(monkeypatch, protocol):
                 for j in range(trials):
                     text = trial_rng(cfg.seed, t + j).bytes(cfg.block_len)
                     bits = [
-                        plane_bits(p, n, lattices).reshape(side, trials, per, side)[:, j]
+                        plane_bits(p, n).reshape(side, trials, per, side)[:, j]
                         ^ plane_bits(r, n)
                         for p, r in zip(planes, planes_from_block(text, n))
                     ]
@@ -695,27 +715,43 @@ def test_round_loop_work(monkeypatch, protocol):
     assert lattice_rounds(monkeypatch, cfg) == cfg.trials * lattices * top
 
 
-@pytest.mark.parametrize("protocol, per_batch", [("strict-key", 3), ("single-bit", 128)])
+@pytest.mark.parametrize("protocol, per_batch", [("strict-key", 15), ("single-bit", 512)])
 def test_trials_share_round_loop_batches(monkeypatch, protocol, per_batch):
-    # At n=4 a batch holds 256 lattices: three strict-key trials of 65
-    # lattices, or 128 single-bit trials of 2, so T trials make
+    # At n=4 a batch holds 1024 lattices: 15 strict-key trials of 65
+    # lattices, or 512 single-bit trials of 2, so T trials make
     # ceil(T / per_batch) round loop calls and the same lattice-rounds as
     # one call per trial would.
     for trials in (1, per_batch, per_batch + 1, 2 * per_batch + 2):
         cfg = default_config(protocol, trials=trials, rounds_range=(2, 1, 2), seed=9)
-        assert batch_size(cfg.n) == 256
+        assert batch_size(cfg.n) == 1024
         calls = round_loop_calls(monkeypatch, cfg)
         assert len(calls) == -(-trials // per_batch)
         work = sum(lattices * top for lattices, top in calls)
         assert work == trials * lattices_per_trial(cfg) * 2
 
 
-def test_strict_batch_counts_fit_uint16():
+def test_strict_batch_counts_are_exact_in_float32():
     # _strict sums, per ciphertext bit, the inverted bits of one trial's
     # lattices in a batch as a float32 product, exact below 2^24: at most
-    # batch_size(n) of them, however many trials share the batch, and
-    # this pins the stronger bound that they fit even a uint16
-    assert all(batch_size(n) <= np.iinfo(np.uint16).max for n in range(1, 13))
+    # batch_size(n) of them, however many trials share the batch (65,536
+    # at n=1, where a batch no longer fits a uint16 count)
+    assert all(batch_size(n) < 1 << 24 for n in range(1, 13))
+    assert batch_size(1) == 65536
+
+
+def test_long_trials_split_into_even_batches(monkeypatch):
+    # A trial longer than a batch is cut into ceil(L / batch_size(n))
+    # near-equal batches, not full ones and a small tail: one default
+    # avalanche-key trial at n=6, 1 + 384 lattices, runs 7 batches of 55
+    # (not 6 of 64 and one of 1), the n=5 text trial of 1 + 2048 lattices
+    # 9 of 227 or 228.
+    cfg = default_config("avalanche-key", trials=1)
+    assert (cfg.n, batch_size(cfg.n)) == (6, 64)
+    assert round_loop_calls(monkeypatch, cfg) == [(55, 200)] * 7
+    cfg = default_config("strict-text", n=5, trials=1, rounds_range=(3, 1, 3))
+    calls = round_loop_calls(monkeypatch, cfg)
+    assert sorted({lattices for lattices, _ in calls}) == [227, 228]
+    assert len(calls) == 9 and sum(lattices for lattices, _ in calls) == 2049
 
 
 # --- leak demo -------------------------------------------------------------
