@@ -27,8 +27,9 @@ and :func:`planes_to_block` convert to and from B blocks of the cipher's
 serialization laid end to end through 256-entry tables, a slice of at
 most SLICE_CELLS cells at a time. :func:`wall_mask` builds the wall
 plane of a batch from one wall set per lattice (:func:`coordinate_mask`
-from an array of coordinates), :func:`plane_bits` unpacks lanes into one
-byte per cell and :func:`plane_rows` reads the four planes as one array.
+from an array of coordinates, which is how the experiment protocols build
+every wall plane, from their keys' coordinates) and :func:`plane_bits`
+unpacks lanes into one byte per cell.
 The kernels take planes and return planes; given `out`,
 :func:`collide_planes` and :func:`propagate_planes` write into those
 arrays (the inputs themselves, for all but S and N of P), so the
@@ -139,7 +140,7 @@ def planes_to_block(planes: Sequence[np.ndarray], n: int) -> bytes:
     """Inverse of :func:`planes_from_block`: the blocks of a batch's
     planes laid end to end."""
     side = 1 << n
-    lanes = plane_rows(planes).view(np.uint8)
+    lanes = np.asarray(planes).view(np.uint8)
     lattices = lanes.shape[2]
     out = np.empty(lattices * side * side // 2, dtype=np.uint8)
     rows = _row_words(out, n, lattices)
@@ -151,13 +152,6 @@ def planes_to_block(planes: Sequence[np.ndarray], n: int) -> bytes:
         cells = acc.view(np.uint8).reshape(acc.shape[:2] + (-1,))[..., :side // 2]
         rows[at, row] = cells.view(rows.dtype).swapaxes(0, 1)
     return out.tobytes()
-
-
-def plane_rows(planes: Sequence[np.ndarray]) -> np.ndarray:
-    """The four planes of a batch as one (4, side, B, words) array of row
-    lanes: a view when they already are one array, as
-    :func:`planes_from_block` and the cipher's round loop give them."""
-    return np.asarray(planes)
 
 
 def plane_bits(lanes: np.ndarray, n: int) -> np.ndarray:

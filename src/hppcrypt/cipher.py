@@ -146,12 +146,10 @@ def encrypt_block(block: bytes, params: CipherParams, engine: str = "bitplane") 
     return _encrypt_blocks(block, params)
 
 
-def _trajectory(
-    planes, n: int, lattices: int, mask, counts: tuple[int, ...],
-) -> Iterator[np.ndarray]:
+def _trajectory(planes, n: int, mask, counts: tuple[int, ...]) -> Iterator[np.ndarray]:
     """The fast engine's only round loop. Run the planes of a batch of
-    `lattices` 2^n lattices under the wall plane `mask` up to the largest
-    of `counts` and yield, at each count, the planes after J: the batch's
+    2^n lattices under the wall plane `mask` up to the largest of
+    `counts` and yield, at each count, the planes after J: the batch's
     ciphertexts at that round count, as a new (4, side, lattices, words)
     array that later rounds do not write to. Up to the final J, the
     schedule for r rounds is a prefix of the one for any r' > r, so the
@@ -289,7 +287,7 @@ def _encrypt_blocks(data: bytes, params: CipherParams) -> bytes:
         lattices = min(step, len(data) - i) // bs
         mask = np.repeat(wall, lattices, axis=1)
         (planes,) = _trajectory(bitplane.planes_from_block(view[i:i + step], n),
-                                n, lattices, mask, (params.rounds,))
+                                n, mask, (params.rounds,))
         out.append(bitplane.planes_to_block(planes, n))
     return b"".join(out)
 

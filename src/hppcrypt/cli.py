@@ -381,7 +381,7 @@ def _layer_times(n: int, walls: frozenset, data: bytes, min_time: float) -> dict
     mask = bitplane.wall_mask([walls] * lattices, n)
 
     def run_to(rounds):
-        return lambda: next(_trajectory(planes, n, lattices, mask, (rounds,)))
+        return lambda: next(_trajectory(planes, n, mask, (rounds,)))
 
     us = {
         name: _per_call_us(fn, min_time)

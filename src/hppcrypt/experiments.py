@@ -16,11 +16,12 @@ trials run as batches of the fast engine's round loop, at most
 batch, as many as fit (15 strict-key trials of 65 lattices at n=4, 512
 single-bit trials of 2), and a trial longer than a batch is cut into
 as few near-equal batches as hold it. No lattice passes through bytes:
-the reference texts of a batch are read into planes at once, each batch
-is built as planes (a text flip toggles one plane bit, a key flip one
-bit of one wall coordinate), and its ciphertext planes, row lanes, are
-XORed with each trial's reference lattice: one difference that both
-reducers count.
+the reference texts of a batch are read into planes at once, the keys
+are decoded once into arrays of wall coordinates, one batch builder
+makes every batch as planes and wall planes from them (a text flip
+toggles one plane bit, a key flip one bit of one wall coordinate), and
+its ciphertext planes, row lanes, are XORed with each trial's reference
+lattice: one difference that both reducers count.
 Every trial keeps its own draws and walls, so how trials share batches
 changes no result. Avalanche curves measure, per round count r, the
 average fraction of ciphertext bits inverted by a flip. Each batch of a
@@ -60,7 +61,6 @@ from .cipher import (
     _key_coordinates,
     _trajectory,
     batch_size,
-    derive_walls,
     encrypt_block,
 )
 from .errors import ParameterError
@@ -249,24 +249,6 @@ def inverted_fraction(a: bytes, b: bytes) -> float:
     return diff.bit_count() / (8 * len(a))
 
 
-def _region_walls(key: bytes, n: int, region: tuple[int, int, int] | None) -> frozenset:
-    """Wall set for a key, optionally confined to a sub-square.
-
-    With a region of side 2^m the key is reread as 2m-bit groups giving
-    region-relative coordinates, and cells drawn an even number of times
-    cancel (reflecting a cell twice is a no-op). Together these keep every
-    key bit live even though the region is tiny: one flipped bit always
-    toggles exactly two cells' wall status.
-    """
-    if region is None:
-        return derive_walls(key, n)
-    row0, col0, size = region
-    odd = set()
-    for row, col in _key_coordinates(key, size.bit_length() - 1):
-        odd ^= {(row0 + row, col0 + col)}
-    return frozenset(odd)
-
-
 def _report(config, xs, per_trial: np.ndarray) -> ExperimentReport:
     # per_trial has shape (len(xs), trials)
     ys = per_trial.mean(axis=1)
@@ -288,13 +270,14 @@ def _trials(config: ExperimentConfig, flip_key: bool, flips):
     of near-equal size (385 lattices at n=6 into 7 of 55), since a round
     costs about as much on a small batch as on a full one. Yield one
     group per batch of trials, as (trials, batches):
-    a generator of the group's batches, each as (lattices, planes, mask)
-    with lattices = trials * b, in which trial j of the group holds
-    lattices j*b to (j+1)*b - 1. Trial t draws its text and then its key
-    from trial_rng(seed, t) and its walls come from _region_walls. Only
-    the reference texts are read from bytes, once per group; every batch
-    is built as planes, one batch at a time, and a group's batches must
-    be consumed before the next group is drawn."""
+    a generator of the group's batches, each as (planes, mask) of
+    trials * b lattices, in which trial j of the group holds lattices
+    j*b to (j+1)*b - 1. Trial t draws its text and then its key from
+    trial_rng(seed, t), and _flips builds every batch of the group from
+    the keys' wall coordinates. Only the reference texts are read from
+    bytes, once per group; every batch is built as planes, one batch at a
+    time, and a group's batches must be consumed before the next group is
+    drawn."""
     n, region = config.n, config.wall_region
     # -1: no flip; the reference lattice flips nothing
     if flip_key:
@@ -312,10 +295,7 @@ def _trials(config: ExperimentConfig, flip_key: bool, flips):
             texts.append(rng.bytes(config.block_len))
             keys.append(rng.bytes(config.key_len))
         refs = bitplane.planes_from_block(b"".join(texts), n)
-        if flip_key:
-            build = _key_flips(keys, n, region, refs)
-        else:
-            build = _text_flips(n, refs, [_region_walls(k, n, region) for k in keys])
+        build = _flips(keys, n, region, refs, flip_key)
         yield len(keys), (
             build(lattice_flips[a:b]) for a, b in zip(edges, edges[1:])
         )
@@ -337,65 +317,62 @@ def _checkerboard_pairs(flips: np.ndarray, n: int) -> np.ndarray:
     return pairs
 
 
-def _text_flips(n: int, refs: np.ndarray, wall_sets: list):
-    """Batch builder for plaintext flips of a group of trials: trial j
-    has reference planes lattice j of `refs` and walls wall_sets[j]. For
-    a (lattices, 2) array of flip rows, every trial's lattices start as
-    its reference, and its lattice b toggles, for each block bit i >= 0
-    in row b, plane i % 4 at cell i // 4."""
+def _flips(keys: list, n: int, region, refs: np.ndarray, flip_key: bool):
+    """Batch builder of a group of trials: trial j has key keys[j] and
+    reference planes lattice j of `refs`. The keys are decoded once into
+    wall coordinates, read as region-relative 2m-bit groups when there is
+    a region, and a cell is a wall when listed at all, or in a region
+    when listed an odd number of times (reflecting a cell twice is a
+    no-op), which keeps every key bit live in a tiny region. build(batch)
+    gives the (planes, mask) of trials * len(batch) lattices, trial j's
+    from j * len(batch) on, each starting as its trial's reference. With
+    `flip_key`, the batch holds one key bit per lattice, and flipping key
+    bit i toggles one bit of one coordinate; otherwise it holds a row of
+    block bits per lattice, lattice b toggles, for each bit i >= 0 in row
+    b, plane i % 4 at cell i // 4, and all of a trial's lattices share
+    one wall plane. -1 flips nothing."""
     side = 1 << n
-    trials = len(wall_sets)
-    walls = bitplane.wall_mask(wall_sets, n)
+    m = n if region is None else region[2].bit_length() - 1
+    base = np.array([list(_key_coordinates(key, m)) for key in keys], dtype=np.int64)
+    offset = np.array((0, 0) if region is None else region[:2], dtype=np.int64)
+    trials, walls = base.shape[:2]
+    # Key bit i (MSB first) is bit p = 8*len(key) - 1 - i of the key read
+    # as an integer: bit p % 2m of coordinate p // 2m, a row bit from m on.
+    # ExperimentConfig makes a flipped key split into whole 2m-bit groups.
+    last = 8 * len(keys[0]) - 1
+
+    def wall_plane(coords: np.ndarray) -> np.ndarray:
+        # one lattice per (walls, 2) block of offset coordinates, in order
+        lattices = coords.size // (2 * walls)
+        return bitplane.coordinate_mask(
+            coords.reshape(-1, 2), np.repeat(np.arange(lattices), walls),
+            lattices, n, odd=region is not None)
+
+    shared = None if flip_key else wall_plane(base + offset)
 
     def build(batch: np.ndarray):
         per_trial = len(batch)
         lattices = trials * per_trial
+        planes = np.repeat(refs, per_trial, axis=2)
         at = np.nonzero(batch >= 0)[0]
         bit = batch[batch >= 0]
+        if flip_key:
+            p = last - bit
+            q = p % (2 * m)
+            # coords[j, b] are the wall coordinates of trial j's lattice b
+            coords = np.repeat(base[:, None], per_trial, axis=1)
+            coords[:, at, p // (2 * m), (q < m).astype(np.intp)] ^= 1 << (q % m)
+            coords += offset
+            return planes, wall_plane(coords)
         coords = np.stack((bit >> (n + 2), (bit >> 2) & (side - 1)), axis=1)
         # flip (row b, bit) of trial j lands in lattice j*per_trial + b
         lattice_of = np.arange(0, lattices, per_trial)[:, None] + at
-        planes = np.repeat(refs, per_trial, axis=2)
         for k, plane in enumerate(planes):
             on = bit & 3 == k
             plane ^= bitplane.coordinate_mask(
                 np.tile(coords[on], (trials, 1)), lattice_of[:, on].ravel(),
                 lattices, n)
-        return lattices, planes, np.repeat(walls, per_trial, axis=1)
-
-    return build
-
-
-def _key_flips(keys: list, n: int, region, refs: np.ndarray):
-    """Batch builder for key flips of a group of trials: trial j has key
-    keys[j] and reference planes lattice j of `refs`. The keys are
-    decoded once into wall coordinates, and flipping key bit i toggles
-    one bit of one of them, in every trial's lattice of that flip. Cells
-    are walls as in _region_walls: when listed at all, or in a region
-    when listed an odd number of times."""
-    m = n if region is None else region[2].bit_length() - 1
-    base = np.array([list(_key_coordinates(key, m)) for key in keys], dtype=np.int64)
-    offset = np.array((0, 0) if region is None else region[:2], dtype=np.int64)
-    # Key bit i (MSB first) is bit p = 8*len(key) - 1 - i of the key read
-    # as an integer: bit p % 2m of coordinate p // 2m, a row bit from m on.
-    # ExperimentConfig makes the key split into whole 2m-bit groups.
-    last = 8 * len(keys[0]) - 1
-    trials, walls = base.shape[:2]
-
-    def build(batch: np.ndarray):
-        per_trial = len(batch)
-        lattices = trials * per_trial
-        at = np.flatnonzero(batch >= 0)
-        p = last - batch[at]
-        q = p % (2 * m)
-        # coords[j, b] are the wall coordinates of trial j's lattice b
-        coords = np.repeat(base[:, None], per_trial, axis=1)
-        coords[:, at, p // (2 * m), (q < m).astype(np.intp)] ^= 1 << (q % m)
-        coords += offset
-        mask = bitplane.coordinate_mask(
-            coords.reshape(-1, 2), np.repeat(np.arange(lattices), walls),
-            lattices, n, odd=region is not None)
-        return lattices, np.repeat(refs, per_trial, axis=2), mask
+        return planes, np.repeat(shared, per_trial, axis=1)
 
     return build
 
@@ -404,24 +381,23 @@ def _diffs(groups, counts, n: int):
     """Run each group's batches, each along one trajectory up to the
     largest round count, and yield (t, trials, ri, diff) at counts[ri]
     for a batch holding the group's `trials` trials from trial t on.
-    diff is the batch's ciphertext row lanes (bitplane.plane_rows) XOR
-    its trial's reference, of shape (4, side, trials, per_trial, words):
-    a set bit is one a flip inverted. The references are each trial's
-    first lattice in the group's first batch, and none is carried to the
-    next group. Each diff is the round loop's own output, XORed in place,
-    and is not written again."""
+    diff is the batch's ciphertext row lanes XOR its trial's reference,
+    of shape (4, side, trials, per_trial, words): a set bit is one a flip
+    inverted. The references are each trial's first lattice in the
+    group's first batch, and none is carried to the next group. Each diff
+    is the round loop's own output, XORed in place, and is not written
+    again."""
     side = 1 << n
     t = 0
     for trials, batches in groups:
         refs = []
-        for lattices, planes, mask in batches:
-            for ri, out in enumerate(_trajectory(planes, n, lattices, mask, counts)):
-                rows = bitplane.plane_rows(out)
-                rows = rows.reshape(4, side, trials, lattices // trials, -1)
+        for planes, mask in batches:
+            for ri, out in enumerate(_trajectory(planes, n, mask, counts)):
+                out = out.reshape(4, side, trials, -1, out.shape[-1])
                 if ri == len(refs):  # first batch: keep each trial's lattice 0
-                    refs.append(rows[:, :, :, :1].copy())
-                rows ^= refs[ri]
-                yield t, trials, ri, rows
+                    refs.append(out[:, :, :, :1].copy())
+                out ^= refs[ri]
+                yield t, trials, ri, out
         t += trials
 
 

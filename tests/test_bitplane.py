@@ -221,9 +221,9 @@ def test_plane_bits_and_repeat_follow_the_lane_layout():
     # it back gives P's lanes; np.repeat on the lattice axis repeats each
     # lattice in place, as planes_from_block gives for the blocks
     # repeated: of one lattice, the plane of B copies of it, and of a
-    # batch of two, each lattice B times. plane_rows reads the four
-    # planes as one (4, side, B, words) array, a view of an array and a
-    # stacked copy of a tuple, two uint64 words at n = 7.
+    # batch of two, each lattice B times. np.asarray stacks a tuple of
+    # four planes into one (4, side, B, words) array of row lanes, two
+    # uint64 words at n = 7.
     rnd = random.Random(43)
     for n in range(1, 6):
         side = 1 << n
@@ -251,10 +251,9 @@ def test_plane_bits_and_repeat_follow_the_lane_layout():
         for count in (1, 2, 3, 7):
             values = [rnd.getrandbits(count * side * side) for _ in range(4)]
             planes = tuple(lanes_of(v, n, count) for v in values)
-            rows = bp.plane_rows(planes)
+            rows = np.asarray(planes)
             assert rows.shape[:3] == (4, side, count)
             assert rows.shape[3] == (2 if n == 7 else 1)
-            assert np.shares_memory(bp.plane_rows(rows), rows)
             for k, value in enumerate(values):
                 for r in range(side):
                     for b in range(count):

@@ -229,11 +229,10 @@ def test_engines_agree():
 def trajectory_blocks(blocks, wall_sets, n, counts):
     """One run of the round loop on a batch of blocks laid back to back,
     lattice b under wall_sets[b]: the batch's ciphertexts at each count."""
-    lattices = len(wall_sets)
     planes = bp.planes_from_block(blocks, n)
     mask = bp.wall_mask(wall_sets, n)
     return [bp.planes_to_block(out, n)
-            for out in _trajectory(planes, n, lattices, mask, tuple(counts))]
+            for out in _trajectory(planes, n, mask, tuple(counts))]
 
 
 def test_trajectory_yields_stay_as_yielded():
@@ -248,7 +247,7 @@ def test_trajectory_yields_stay_as_yielded():
         planes = bp.planes_from_block(blocks, n)
         mask = bp.wall_mask(wall_sets, n)
         counts = (0, 1, 2, 5)
-        outs = list(_trajectory(planes, n, lattices, mask, counts))
+        outs = list(_trajectory(planes, n, mask, counts))
         assert len({id(out) for out in outs}) == len(counts)
         assert bp.planes_to_block(planes, n) == blocks
         assert [bp.planes_to_block(out, n) for out in outs] == trajectory_blocks(

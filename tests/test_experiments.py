@@ -5,7 +5,14 @@ import pytest
 
 from hppcrypt import bitplane, cipher, experiments
 from hppcrypt.bitplane import plane_bits, planes_from_block, wall_mask
-from hppcrypt.cipher import MAX_ROUNDS, CipherParams, batch_size, encrypt_block
+from hppcrypt.cipher import (
+    MAX_ROUNDS,
+    CipherParams,
+    _key_coordinates,
+    batch_size,
+    derive_walls,
+    encrypt_block,
+)
 from hppcrypt.errors import ParameterError
 from hppcrypt.experiments import (
     MAX_TRIALS,
@@ -13,10 +20,8 @@ from hppcrypt.experiments import (
     ExperimentConfig,
     ExperimentReport,
     _checkerboard_pairs,
-    _key_flips,
-    _region_walls,
+    _flips,
     _report,
-    _text_flips,
     default_config,
     emit_csv,
     emit_svg_plot,
@@ -40,6 +45,25 @@ def reachable_bits(n: int, bit_index: int, rounds: int) -> np.ndarray:
     cells = np.arange(side * side)
     cell_parity = (cells // side + cells % side) & 1
     return np.repeat(cell_parity == target, 4)
+
+
+def _region_walls(key: bytes, n: int, region: tuple[int, int, int] | None) -> frozenset:
+    """Wall set for a key, optionally confined to a sub-square: the
+    byte-level definition of the walls the protocols build as planes.
+
+    With a region of side 2^m the key is reread as 2m-bit groups giving
+    region-relative coordinates, and cells drawn an even number of times
+    cancel (reflecting a cell twice is a no-op). Together these keep every
+    key bit live even though the region is tiny: one flipped bit always
+    toggles exactly two cells' wall status.
+    """
+    if region is None:
+        return derive_walls(key, n)
+    row0, col0, size = region
+    odd = set()
+    for row, col in _key_coordinates(key, size.bit_length() - 1):
+        odd ^= {(row0 + row, col0 + col)}
+    return frozenset(odd)
 
 
 def tiny_config(protocol, **overrides):
@@ -397,6 +421,12 @@ TINY_GROUPED = [
                         seed=14)),
 ]
 
+# A text protocol whose key does not split into whole 2m-bit groups: 16
+# bits at n=3 give two walls, and the last 4 bits are dropped, as
+# derive_walls drops them.
+TINY_SHORT_KEY = (
+    "avalanche-text", dict(n=3, key_len=2, trials=2, rounds_range=(1, 4, 9), seed=15))
+
 
 def lattices_per_trial(cfg):
     """L: the reference, then one lattice per key flip, per checkerboard
@@ -450,7 +480,8 @@ def direct_report(cfg):
 
 @pytest.mark.parametrize(
     "protocol, overrides",
-    [*sorted(TINY.items()), ("strict-key", TINY_REGION_STRICT_KEY), *TINY_GROUPED],
+    [*sorted(TINY.items()), ("strict-key", TINY_REGION_STRICT_KEY), *TINY_GROUPED,
+     TINY_SHORT_KEY],
 )
 def test_protocols_match_their_per_flip_definition(monkeypatch, protocol, overrides):
     # Exact equality, no tolerance: the plane-space reducers must give the
@@ -470,89 +501,85 @@ def test_protocols_match_their_per_flip_definition(monkeypatch, protocol, overri
 
 
 def test_protocols_build_no_blocks(monkeypatch):
-    # Trials are built and reduced as planes: no block packing and no
-    # per-flip byte work on the protocol path.
+    # Trials are built and reduced as planes: no block packing, no
+    # per-flip byte work and no wall sets of tuples on the protocol path.
     def refuse(*args, **kwargs):
         raise AssertionError("byte-level path reached")
 
     monkeypatch.setattr(bitplane, "planes_to_block", refuse)
+    monkeypatch.setattr(bitplane, "wall_mask", refuse)
     monkeypatch.setattr(experiments, "flip_bit", refuse)
     for protocol, overrides in sorted(TINY.items()):
         assert run_protocol(default_config(protocol, **overrides)).ys
 
 
+# (key, n, region) cases that both flip kinds run through the builder.
+FLIP_CASES = {
+    # groups 0110 0110 0110 1100: (1, 2) three times, so a flip in one
+    # of its copies leaves it a wall
+    "repeated": (bytes([0b01100110, 0b01101100]), 2, None),
+    "random": (trial_rng(71, 0).bytes(6), 3, None),
+    # region side 4: groups 0110 0110 1100 0000, (1, 2) twice cancels,
+    # and a flip in one copy makes both cells walls
+    "region-cancels": (bytes([0b01100110, 0b11000000]), 3, (2, 4, 4)),
+    "region-random": (trial_rng(71, 1).bytes(9), 4, (4, 8, 8)),
+}
+
+
 @pytest.mark.parametrize(
-    "key, n, region",
+    "flip_key, key, n, region",
     [
-        # groups 0110 0110 0110 1100: (1, 2) three times, so a flip in one
-        # of its copies leaves it a wall
-        (bytes([0b01100110, 0b01101100]), 2, None),
-        (trial_rng(71, 0).bytes(6), 3, None),
-        # region side 4: groups 0110 0110 1100 0000, (1, 2) twice cancels,
-        # and a flip in one copy makes both cells walls
-        (bytes([0b01100110, 0b11000000]), 3, (2, 4, 4)),
-        (trial_rng(71, 1).bytes(9), 4, (4, 8, 8)),
+        *(pytest.param(flip_key, *case, id=f"{'key' if flip_key else 'text'}-{name}")
+          for flip_key in (True, False) for name, case in FLIP_CASES.items()),
+        # text flips at every n, under keys of n + 1 bytes: at n = 3 and
+        # 5 their last bits fill no 2n-bit group and are dropped
+        *(pytest.param(False, trial_rng(76, n).bytes(n + 1), n, None, id=f"text-n{n}")
+          for n in range(1, 6)),
     ],
 )
-def test_key_flip_masks_match_flipped_key_walls(key, n, region):
+def test_flip_batches_match_flipped_blocks_and_keys(flip_key, key, n, region):
     # A group of two trials, as _trials builds it: trial j's lattices
-    # follow one another, each the trial's text under its flipped key.
+    # follow one another, each the trial's text under its key with one
+    # key bit flipped, or with a row of plaintext bits flipped: the
+    # (even, odd) pairs, and rows with one flip where one class runs out
+    # (a random subset of the bits leaves some).
     keys = [key, trial_rng(72, 1).bytes(len(key))]
     texts = [trial_rng(72, n).bytes(block_size(n)), trial_rng(72, 2).bytes(block_size(n))]
     refs = planes_from_block(b"".join(texts), n)
-    flips = np.arange(8 * len(key))
-    build = _key_flips(keys, n, region, refs)
-    # the first batch holds the reference (-1), a later one only flips
-    for batch in (np.concatenate(([-1], flips[:5])), flips[5:]):
-        lattices, planes, mask = build(batch)
-        assert lattices == 2 * len(batch)
-        assert np.array_equal(planes, planes_from_block(
-            b"".join(text * len(batch) for text in texts), n))
-        bits = plane_bits(mask, n)
-        assert bits.shape == (1 << n, lattices, 1 << n)
-        b = 0
-        for trial_key in keys:
-            for i in batch:
-                k = trial_key if i < 0 else flip_bit(trial_key, int(i))
-                want = plane_bits(wall_mask([_region_walls(k, n, region)], n), n)
-                assert np.array_equal(bits[:, b:b + 1], want), (b, k)
-                b += 1
-
-
-@pytest.mark.parametrize("n", range(1, 6))
-def test_text_flip_planes_match_flipped_blocks(n):
-    # Paired batches as the trials build them, for a group of two trials
-    # with their own texts and walls: the reference row (-1, -1), then
-    # (even, odd) pairs, and rows with one flip where one class runs out
-    # (a random subset of the bits leaves some).
-    rng = trial_rng(73, n)
-    side = 1 << n
-    texts = [rng.bytes(block_size(n)) for _ in range(2)]
-    wall_sets = [
-        frozenset((int(r), int(c))
-                  for r, c in rng.integers(0, side, (rng.integers(0, 6), 2)))
-        for _ in range(2)
-    ]
-    refs = planes_from_block(b"".join(texts), n)
-    bits = 8 * block_size(n)
-    pairs = _checkerboard_pairs(rng.permutation(bits)[:min(bits, 96)], n)
-    assert len(pairs) > 30 or n == 1
-    build = _text_flips(n, refs, wall_sets)
-    for batch in (np.concatenate(([[-1, -1]], pairs[:30])), pairs[30:]):
+    if flip_key:
+        flips, cut, none = np.arange(8 * len(key)), 5, [-1]
+    else:
+        bits = 8 * block_size(n)
+        flips = _checkerboard_pairs(trial_rng(73, n).permutation(bits)[:min(bits, 96)], n)
+        cut, none = 30, [[-1, -1]]
+        assert len(flips) > cut or n == 1
+    build = _flips(keys, n, region, refs, flip_key)
+    # the first batch holds the reference (no flip), a later one only flips
+    for batch in (np.concatenate((none, flips[:cut])), flips[cut:]):
         if not len(batch):
             continue
-        lattices, planes, mask = build(batch)
-        blocks = []
-        for text in texts:
+        planes, mask = build(batch)
+        blocks, wall_sets = [], []
+        for text, trial_key in zip(texts, keys):
             for row in batch:
-                block = text
-                for i in row[row >= 0]:
-                    block = flip_bit(block, int(i))
+                block, k = text, trial_key
+                for i in np.atleast_1d(row):
+                    if i < 0:
+                        continue
+                    if flip_key:
+                        k = flip_bit(k, int(i))
+                    else:
+                        block = flip_bit(block, int(i))
                 blocks.append(block)
-        assert lattices == 2 * len(batch)
+                wall_sets.append(_region_walls(k, n, region))
+        assert planes.shape[2] == 2 * len(batch)
         assert np.array_equal(planes, planes_from_block(b"".join(blocks), n))
-        assert np.array_equal(mask, wall_mask(
-            [walls for walls in wall_sets for _ in batch], n))
+        assert np.array_equal(mask, wall_mask(wall_sets, n))
+        bits = plane_bits(mask, n)
+        assert bits.shape == (1 << n, 2 * len(batch), 1 << n)
+        for b, walls in enumerate(wall_sets):
+            want = plane_bits(wall_mask([walls], n), n)
+            assert np.array_equal(bits[:, b:b + 1], want), (b, walls)
 
 
 def cell_parity(bit, n):
@@ -596,19 +623,19 @@ def test_text_trials_flip_each_bit_once(monkeypatch, protocol):
              else list(range(8 * cfg.block_len)))
     per_trial = lattices_per_trial(cfg)
     groups = []
-    text_flips = experiments._text_flips
+    flips_builder = experiments._flips
 
-    def recording(n, refs, wall_sets):
+    def recording(keys, n, region, refs, flip_key):
         batches = []
-        groups.append((len(wall_sets), batches))
-        build = text_flips(n, refs, wall_sets)
+        groups.append((len(keys), batches))
+        build = flips_builder(keys, n, region, refs, flip_key)
 
         def record(batch):
             batches.append(build(batch))
             return batches[-1]
         return record
 
-    monkeypatch.setattr(experiments, "_text_flips", recording)
+    monkeypatch.setattr(experiments, "_flips", recording)
     for size in (5, 3 * per_trial - 1):
         groups.clear()
         monkeypatch.setattr(experiments, "batch_size", lambda n: size)
@@ -620,8 +647,8 @@ def test_text_trials_flip_each_bit_once(monkeypatch, protocol):
         for trials, batches in groups:
             # per trial, the block bits each of its lattices flips
             lattices_flips = [[] for _ in range(trials)]
-            for lattices, planes, _ in batches:
-                per = lattices // trials
+            for planes, _ in batches:
+                per = planes.shape[2] // trials
                 for j in range(trials):
                     text = trial_rng(cfg.seed, t + j).bytes(cfg.block_len)
                     bits = [
@@ -680,9 +707,9 @@ def round_loop_calls(monkeypatch, cfg):
     run_protocol(cfg) makes."""
     calls = []
 
-    def counting(planes, n, lattices, mask, counts):
-        calls.append((lattices, max(counts)))
-        return cipher._trajectory(planes, n, lattices, mask, counts)
+    def counting(planes, n, mask, counts):
+        calls.append((planes.shape[2], max(counts)))
+        return cipher._trajectory(planes, n, mask, counts)
 
     monkeypatch.setattr(experiments, "_trajectory", counting)
     run_protocol(cfg)
