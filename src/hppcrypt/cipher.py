@@ -18,9 +18,13 @@ The bit-plane engine has one round loop, :func:`_trajectory`, which runs
 the planes of a batch of lattices under one wall plane and yields their
 ciphertext planes. :func:`_encrypt_blocks` is the one path from bytes to it:
 blocks to planes in batches of at most :func:`batch_size` blocks, the
-loop, planes back to blocks. :func:`encrypt_block` is a batch of one and
-the streams run whole payloads through it. The experiment protocols call
-the loop directly, with planes and wall planes they build themselves.
+loop, planes back to blocks. A batch holds up to ``BATCH_CELLS`` = 2^20
+lattice cells (256 blocks at n=6): as many as keep a round's working set
+in one core's L2 cache, so that the fixed cost of a round's ~25 numpy
+calls is shared by as many lattices as can gain from it.
+:func:`encrypt_block` is a batch of one and the streams run whole
+payloads through it. The experiment protocols call the loop directly,
+with planes and wall planes they build themselves.
 """
 
 from __future__ import annotations
@@ -48,10 +52,16 @@ MAX_EXPONENT = 12
 MAX_ROUNDS = 1 << 16
 
 # The most lattice cells one batch of the fast engine holds, which bounds
-# the size of its planes (32 KiB each): 1024 lattices at n=4, 64 at n=6,
-# and a single lattice from n=9 on. A round costs some 25 numpy calls
-# whatever the batch size, so it pays off only on large batches.
-BATCH_CELLS = 1 << 18
+# the size of its planes (128 KiB each): 4096 lattices at n=4, 256 at
+# n=6, and a single lattice from n=10 on. A round costs some 25 numpy
+# calls whatever the batch size, so it pays off only on large batches,
+# as long as a batch's working set stays in one core's L2 cache: four
+# planes, two spare planes for S and N, the wall plane and M's four
+# temporaries, about 1.4 MiB. On a 2-core Xeon VM with 2 MiB of L2 per
+# core, a cell-round at 2^20 cells took 15-35% less time than at 2^18
+# from n=3 to n=8, and 2^21 cells spilled the cache and were slower than
+# 2^20 at every n.
+BATCH_CELLS = 1 << 20
 
 # The most decimal digits keyspace_count computes, below Python's default
 # limit of 4300 digits on converting an int to a string.

@@ -13,15 +13,16 @@ input of a run and refuses a bad one before any work starts. A trial is
 its reference encryption and its flipped encryptions, L lattices, and
 trials run as batches of the fast engine's round loop, at most
 :func:`~hppcrypt.cipher.batch_size` lattices each. Whole trials share a
-batch, as many as fit (15 strict-key trials of 65 lattices at n=4, 512
-single-bit trials of 2), and a trial longer than a batch is cut into
-as few near-equal batches as hold it. No lattice passes through bytes:
-the reference texts of a batch are read into planes at once, the keys
-are decoded once into arrays of wall coordinates, one batch builder
-makes every batch as planes and wall planes from them (a text flip
-toggles one plane bit, a key flip one bit of one wall coordinate), and
-its ciphertext planes, row lanes, are XORed with each trial's reference
-lattice: one difference that both reducers count.
+batch, as many as fit (63 strict-key trials of 65 lattices at n=4, 7
+strict-text trials of 513, 2048 single-bit trials of 2), and a trial
+longer than a batch is cut into as few near-equal batches as hold it.
+No lattice passes through bytes: the reference texts of a batch are
+read into planes at once, the keys are decoded once into arrays of wall
+coordinates, one batch builder makes every batch as planes and wall
+planes from them (a text flip toggles one plane bit, a key flip one bit
+of one wall coordinate), and its ciphertext planes, row lanes, are XORed
+with each trial's reference lattice: one difference that both reducers
+count.
 Every trial keeps its own draws and walls, so how trials share batches
 changes no result. Avalanche curves measure, per round count r, the
 average fraction of ciphertext bits inverted by a flip. Each batch of a
@@ -162,6 +163,11 @@ class ExperimentConfig:
             m = size.bit_length() - 1
         elif self.protocol == "avalanche-key-concentrated":
             raise ParameterError("avalanche-key-concentrated needs a wall region")
+        if 8 * self.key_len < 2 * m:
+            raise ParameterError(
+                f"key of {self.key_len} bytes yields no walls: need at least "
+                f"{2 * m} bits for one wall coordinate"
+            )
         if flip_key and (8 * self.key_len) % (2 * m):
             raise ParameterError(
                 f"key of {self.key_len} bytes does not split into "
@@ -267,9 +273,9 @@ def _trials(config: ExperimentConfig, flip_key: bool, flips):
     flipped. Whole trials share a batch of the round loop, as many as
     fit in batch_size(n) lattices and at least one: a trial of L >
     batch_size(n) lattices is cut into ceil(L / batch_size(n)) batches
-    of near-equal size (385 lattices at n=6 into 7 of 55), since a round
-    costs about as much on a small batch as on a full one. Yield one
-    group per batch of trials, as (trials, batches):
+    of near-equal size (385 lattices at n=6 into 2 of 192 and 193),
+    since a round costs about as much on a small batch as on a full one.
+    Yield one group per batch of trials, as (trials, batches):
     a generator of the group's batches, each as (planes, mask) of
     trials * b lattices, in which trial j of the group holds lattices
     j*b to (j+1)*b - 1. Trial t draws its text and then its key from
@@ -426,7 +432,7 @@ def _strict(config: ExperimentConfig, rounds, groups, flip_count: int) -> Experi
     lattices whose bit differs from its reference's. That sum over the
     lattice axis is a float32 product with a vector of ones, exact
     because every partial sum is an integer of at most batch_size(n) <=
-    BATCH_CELLS >> 2 = 65,536 (n=1) lattices of one trial, far below
+    BATCH_CELLS >> 2 = 262,144 (n=1) lattices of one trial, far below
     2^24, however many trials share the batch. The counts add up in
     float64, exact for integers below 2^53, and are divided once. A
     batch is unpacked a few rows at a time, at most

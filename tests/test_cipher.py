@@ -350,19 +350,19 @@ def test_stream_round_trip():
 
 
 def test_stream_spans_batches():
-    # 2100 blocks at n=4: two full batches of 1024 and a tail of 52, each
+    # 532 blocks at n=6: two full batches of 256 and a tail of 20, each
     # block encrypted as if alone.
-    n, bs = 4, L.block_size(4)
-    assert batch_size(n) == 1024
+    n, bs, rounds = 6, L.block_size(6), 16
+    assert batch_size(n) == 256
     rnd = random.Random(14)
-    data = rnd.randbytes(2100 * bs)
+    data = rnd.randbytes((2 * 256 + 20) * bs)
     key = rnd.randbytes(8)
-    container = encrypt_stream(data, key, n)
-    params = CipherParams.from_key(key, n)
+    container = encrypt_stream(data, key, n, rounds=rounds)
+    params = CipherParams.from_key(key, n, rounds)
     blocks = [data[i:i + bs] for i in range(0, len(data), bs)]
     got = [container.payload[i:i + bs] for i in range(0, len(data), bs)]
     assert got == [encrypt_block(block, params) for block in blocks]
-    for b in (0, 1023, 1024, 2047, 2048, 2099):
+    for b in (0, 255, 256, 511, 512, 531):
         assert got[b] == encrypt_block(blocks[b], params, "reference")
     assert decrypt_stream(container, key) == data
 

@@ -280,9 +280,12 @@ HUGE = 1 << 70  # 1180591620717411303424
      "a report of 16777216 points x 4096 trials exceeds 16777216 values"),
     ("trials=65536\nrounds=0:1:65536", None,
      "a report of 65537 points x 65536 trials exceeds 16777216 values"),
+    ("n=5\nkey_len=1", None,
+     "key of 1 bytes yields no walls: need at least 10 bits"),
 ], ids=["n=abc", "n=1", "n=13", "seed=zz", "bit=q", "trails=2", "HPP_SEED=xyz",
         "key_len=huge-text", "key_len=huge-key", "trials=huge", "seed=2^64",
-        "seed=-1", "HPP_SEED=2^64", "report=strict-n11", "report=curve"])
+        "seed=-1", "HPP_SEED=2^64", "report=strict-n11", "report=curve",
+        "key_len=short-text"])
 def test_experiment_hostile_config_exits_2(tmp_path, capsys, monkeypatch, no_run,
                                            line, env_seed, message):
     if env_seed is None:

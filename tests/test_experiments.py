@@ -179,6 +179,25 @@ def test_strict_key_requires_splittable_key():
         default_config("strict-key", n=3, key_len=1, trials=1)
 
 
+def test_key_shorter_than_one_wall_coordinate_is_refused():
+    # A text protocol's key needs no whole split, but at least one 2m-bit
+    # coordinate: 8 bits make none at n=5 (10 bits), nor in a region that
+    # covers the whole lattice.
+    for protocol in PROTOCOLS:
+        region = (0, 0, 32) if protocol == "avalanche-key-concentrated" else None
+        with pytest.raises(ParameterError, match="yields no walls"):
+            default_config(protocol, n=5, key_len=1, trials=1, wall_region=region)
+    # In a region of side 2^m the key needs 2m bits: 8 bits are too few
+    # for m=5 (the whole lattice) and hold exactly one group at m=4.
+    with pytest.raises(ParameterError, match="need at least 10 bits"):
+        default_config("avalanche-text", n=5, key_len=1, trials=1,
+                       wall_region=(0, 0, 32))
+    for protocol in ("avalanche-text", "strict-text", "single-bit"):
+        cfg = default_config(protocol, n=5, key_len=1, trials=1,
+                             wall_region=(8, 16, 16), rounds_range=(2, 1, 2))
+        assert run_protocol(cfg).config is cfg
+
+
 def test_concentrated_requires_region():
     with pytest.raises(ParameterError):
         tiny_config("avalanche-key-concentrated", wall_region=None)
@@ -283,11 +302,13 @@ def test_protocol_csv_matches_golden_digest(tmp_path, protocol):
 # Configs with trials of many lattices, each entry as (protocol,
 # overrides, digest). The first four were recorded before batching
 # existed, when each spanned several batches of 2^16 cells. In batches of
-# 2^18 cells avalanche-key (1 + 384 lattices at n=6) still spans 7 and
-# strict-key (1 + 1024 at n=4) 2, but the n=4 text trials (1 + 512/2)
-# fit one; the n=5 text entries (1 + 4096/2 = 2049 lattices, 9 batches),
-# recorded with the engine of 2^16-cell batches, keep the text protocols
-# across batches.
+# 2^20 cells avalanche-key (1 + 384 lattices at n=6) still spans 2, but
+# strict-key (1 + 1024 at n=4) and the n=4 text trials (1 + 512/2) fit
+# one. The n=5 text entries (1 + 4096/2 = 2049 lattices, 3 batches),
+# recorded with the engine of 2^16-cell batches, and strict-key-n5
+# (1 + 2560 lattices, 3 batches), recorded with the engine of 2^18-cell
+# batches (11 of them), keep the text and strict-key protocols across
+# batches.
 GOLDEN_CSV_BATCHES = {
     "avalanche-key": (
         "avalanche-key",
@@ -318,6 +339,11 @@ GOLDEN_CSV_BATCHES = {
         "strict-text",
         dict(n=5, trials=1, rounds_range=(8, 1, 8), seed=21),
         "f67e20de987f076c39b5a9adede38b701e87c00da051da91314271707ead6f36",
+    ),
+    "strict-key-n5": (
+        "strict-key",
+        dict(n=5, key_len=320, trials=1, rounds_range=(8, 1, 8), seed=21),
+        "66efe02fb2cbf50fb22660bb77cd71752c313ccfbef399e8104f7fa781ea84b7",
     ),
 }
 
@@ -742,15 +768,15 @@ def test_round_loop_work(monkeypatch, protocol):
     assert lattice_rounds(monkeypatch, cfg) == cfg.trials * lattices * top
 
 
-@pytest.mark.parametrize("protocol, per_batch", [("strict-key", 15), ("single-bit", 512)])
+@pytest.mark.parametrize("protocol, per_batch", [("strict-key", 63), ("single-bit", 2048)])
 def test_trials_share_round_loop_batches(monkeypatch, protocol, per_batch):
-    # At n=4 a batch holds 1024 lattices: 15 strict-key trials of 65
-    # lattices, or 512 single-bit trials of 2, so T trials make
+    # At n=4 a batch holds 4096 lattices: 63 strict-key trials of 65
+    # lattices, or 2048 single-bit trials of 2, so T trials make
     # ceil(T / per_batch) round loop calls and the same lattice-rounds as
     # one call per trial would.
     for trials in (1, per_batch, per_batch + 1, 2 * per_batch + 2):
         cfg = default_config(protocol, trials=trials, rounds_range=(2, 1, 2), seed=9)
-        assert batch_size(cfg.n) == 1024
+        assert batch_size(cfg.n) == 4096
         calls = round_loop_calls(monkeypatch, cfg)
         assert len(calls) == -(-trials // per_batch)
         work = sum(lattices * top for lattices, top in calls)
@@ -760,25 +786,25 @@ def test_trials_share_round_loop_batches(monkeypatch, protocol, per_batch):
 def test_strict_batch_counts_are_exact_in_float32():
     # _strict sums, per ciphertext bit, the inverted bits of one trial's
     # lattices in a batch as a float32 product, exact below 2^24: at most
-    # batch_size(n) of them, however many trials share the batch (65,536
+    # batch_size(n) of them, however many trials share the batch (262,144
     # at n=1, where a batch no longer fits a uint16 count)
     assert all(batch_size(n) < 1 << 24 for n in range(1, 13))
-    assert batch_size(1) == 65536
+    assert batch_size(1) == 262144
 
 
 def test_long_trials_split_into_even_batches(monkeypatch):
     # A trial longer than a batch is cut into ceil(L / batch_size(n))
     # near-equal batches, not full ones and a small tail: one default
-    # avalanche-key trial at n=6, 1 + 384 lattices, runs 7 batches of 55
-    # (not 6 of 64 and one of 1), the n=5 text trial of 1 + 2048 lattices
-    # 9 of 227 or 228.
+    # avalanche-key trial at n=6, 1 + 384 lattices, runs 2 batches of 192
+    # and 193 (not 256 and 129), the n=5 text trial of 1 + 2048 lattices
+    # 3 of 683 (not 1024, 1024 and 1).
     cfg = default_config("avalanche-key", trials=1)
-    assert (cfg.n, batch_size(cfg.n)) == (6, 64)
-    assert round_loop_calls(monkeypatch, cfg) == [(55, 200)] * 7
+    assert (cfg.n, batch_size(cfg.n)) == (6, 256)
+    assert round_loop_calls(monkeypatch, cfg) == [(192, 200), (193, 200)]
     cfg = default_config("strict-text", n=5, trials=1, rounds_range=(3, 1, 3))
     calls = round_loop_calls(monkeypatch, cfg)
-    assert sorted({lattices for lattices, _ in calls}) == [227, 228]
-    assert len(calls) == 9 and sum(lattices for lattices, _ in calls) == 2049
+    assert sorted({lattices for lattices, _ in calls}) == [683]
+    assert len(calls) == 3 and sum(lattices for lattices, _ in calls) == 2049
 
 
 # --- leak demo -------------------------------------------------------------
