@@ -25,17 +25,18 @@ unpacks like a tuple) or a tuple (e, s, w, n); every plane is
 C-contiguous, as all builders here make them. :func:`planes_from_block`
 and :func:`planes_to_block` convert to and from B blocks of the cipher's
 serialization laid end to end through 256-entry tables, a slice of at
-most SLICE_CELLS cells at a time. :func:`wall_mask` builds the wall
-plane of a batch from one wall set per lattice (:func:`coordinate_mask`
-from an array of coordinates, which is how the experiment protocols build
-every wall plane, from their keys' coordinates) and :func:`plane_bits`
-unpacks lanes into one byte per cell.
+most SLICE_CELLS cells at a time. :func:`coordinate_mask` builds the
+wall plane of a batch from an int64 array of (row, col) coordinates, as
+the protocols do from their keys, and :func:`wall_mask` that of one
+lattice from a wall set, as streams do. :func:`plane_bits` unpacks lanes
+into one byte per cell.
 The kernels take planes and return planes; given `out`,
 :func:`collide_planes` and :func:`propagate_planes` write into those
 arrays (the inputs themselves, for all but S and N of P), so the
 cipher's round loop allocates its planes once per batch.
 :func:`reflect_planes` is reflection alone, the half of M that
-:func:`collide_planes` fuses in.
+:func:`collide_planes` fuses in: no longer called by the program, it
+stays for perfbench's TARGETS and the tests.
 
 Results are bit-identical to the per-cell engine in
 :mod:`hppcrypt.lattice`; the test suite proves it primitive by primitive
@@ -45,7 +46,6 @@ and lattice by lattice within a batch.
 from __future__ import annotations
 
 from collections.abc import Collection, Sequence
-from itertools import chain
 
 import numpy as np
 
@@ -162,20 +162,11 @@ def plane_bits(lanes: np.ndarray, n: int) -> np.ndarray:
     return bits[..., :1 << n]
 
 
-def wall_mask(wall_sets: Sequence[Collection[tuple[int, int]]], n: int) -> np.ndarray:
-    """Wall plane of a batch: one bit set per wall cell, lattice b's walls
-    taken from wall_sets[b], checked as in :func:`coordinate_mask`."""
-    counts = [len(walls) for walls in wall_sets]
-    try:
-        coords = np.fromiter(
-            chain.from_iterable(chain.from_iterable(wall_sets)),
-            dtype=np.int64, count=2 * sum(counts),
-        ).reshape(-1, 2)
-    except OverflowError:  # a coordinate beyond int64 is outside any lattice
-        check_walls(chain.from_iterable(wall_sets), n)
-        raise
-    lattice_of = np.repeat(np.arange(len(wall_sets)), counts)
-    return coordinate_mask(coords, lattice_of, len(wall_sets), n)
+def wall_mask(walls: Collection[tuple[int, int]], n: int) -> np.ndarray:
+    """Wall plane (side, 1, words) of one lattice with the wall set
+    `walls`, checked by :func:`hppcrypt.lattice.check_walls`."""
+    coords = np.array(list(check_walls(walls, n)), dtype=np.int64).reshape(-1, 2)
+    return coordinate_mask(coords, 0, 1, n)
 
 
 def coordinate_mask(
@@ -184,10 +175,10 @@ def coordinate_mask(
 ) -> np.ndarray:
     """Plane of a batch of `lattices` lattices with a bit set at each
     (row, col) of the int64 array `coords` (shape (k, 2)), coordinate i
-    in lattice lattice_of[i]. A cell listed more than once is set once,
-    or with `odd` only if it is listed an odd number of times. Every
-    coordinate is bounds-checked in one pass; the first one outside the
-    lattice raises the ParameterError of
+    in lattice lattice_of[i] (or all in lattice `lattice_of`). A cell
+    listed more than once is set once, or with `odd` only if it is listed
+    an odd number of times. Every coordinate is bounds-checked in one
+    pass; the first one outside the lattice raises the ParameterError of
     :func:`hppcrypt.lattice.check_walls`."""
     side = 1 << n
     # Read as unsigned, a negative coordinate is as far outside as any.

@@ -63,6 +63,10 @@ MAX_ROUNDS = 1 << 16
 # 2^20 at every n.
 BATCH_CELLS = 1 << 20
 
+# The 2n-bit key groups derive_walls decodes at once: its time grows
+# linearly with the key, and their bits take 16n bytes a group as int64.
+DECODE_GROUPS = 1 << 13
+
 # The most decimal digits keyspace_count computes, below Python's default
 # limit of 4300 digits on converting an int to a string.
 MAX_KEYSPACE_DIGITS = 4000
@@ -80,21 +84,14 @@ def min_recommended_rounds(n: int) -> int:
     return 1 << n
 
 
-def _key_coordinates(key: bytes, m: int):
-    """Yield the (row, col) pair of each 2m-bit group of the key, read as
-    :func:`derive_walls` describes, duplicates included."""
-    group = 2 * m
-    bits = 8 * len(key)
-    if bits < group:
-        raise ParameterError(
-            f"key yields no walls: need at least {group} bits, got {bits}"
-        )
-    value = int.from_bytes(key, "big") >> (bits % group)
-    coord_mask = (1 << m) - 1
-    for _ in range(bits // group):
-        g = value & ((1 << group) - 1)
-        yield g >> m, g & coord_mask
-        value >>= group
+def _key_coordinates(keys: np.ndarray, m: int) -> np.ndarray:
+    """The (row, col) of each 2m-bit group of a (..., key_len) uint8
+    array of keys, read as :func:`derive_walls` describes: an int64 array
+    of shape (..., groups, 2), groups in key order, duplicates included."""
+    groups = 8 * keys.shape[-1] // (2 * m)
+    fields = np.unpackbits(keys, axis=-1)[..., :groups * 2 * m]
+    fields = fields.reshape(keys.shape[:-1] + (groups, 2, m))
+    return fields @ (1 << np.arange(m - 1, -1, -1, dtype=np.int64))
 
 
 def derive_walls(key: bytes, n: int) -> frozenset:
@@ -105,7 +102,18 @@ def derive_walls(key: bytes, n: int) -> frozenset:
     Trailing bits that do not fill a group are discarded, and duplicate
     coordinates collapse (a cell either is a wall or is not).
     """
-    return frozenset(_key_coordinates(key, n))
+    if not 1 <= n <= 31:  # a cell index row * 2^n + col fits an int64
+        raise ParameterError(f"lattice exponent must be in [1, 31], got {n}")
+    step = n * DECODE_GROUPS // 4  # bytes of DECODE_GROUPS groups
+    cells = set()
+    for i in range(0, len(key), step):
+        coords = _key_coordinates(np.frombuffer(key[i:i + step], dtype=np.uint8), n)
+        cells.update((coords[:, 0] << n | coords[:, 1]).tolist())
+    if not cells:
+        raise ParameterError(
+            f"key yields no walls: need at least {2 * n} bits, got {8 * len(key)}"
+        )
+    return frozenset(divmod(cell, 1 << n) for cell in cells)
 
 
 @dataclass(frozen=True)
@@ -126,8 +134,7 @@ class CipherParams:
 
     @classmethod
     def from_key(cls, key: bytes, n: int, rounds: int | None = None) -> "CipherParams":
-        return cls(n, default_rounds(n) if rounds is None else rounds,
-                   derive_walls(key, n))
+        return _resolve_params(key, n, rounds, None)
 
 
 def batch_size(n: int) -> int:
@@ -290,7 +297,7 @@ def _encrypt_blocks(data: bytes, params: CipherParams) -> bytes:
     n = params.n
     bs = block_size(n)
     step = batch_size(n) * bs
-    wall = bitplane.wall_mask([params.walls], n)
+    wall = bitplane.wall_mask(params.walls, n)
     view = memoryview(data)
     out = []
     for i in range(0, len(data), step):

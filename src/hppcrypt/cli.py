@@ -34,6 +34,7 @@ from .cipher import (
     keyspace_count,
     min_recommended_rounds,
     ones_density,
+    _key_coordinates,
     _trajectory,
 )
 from .errors import FormatError, ParameterError
@@ -335,7 +336,7 @@ def cmd_bench(args) -> int:
             rows.append(dict(n=n, rounds=rounds, engine=engine, blocks_per_s=rate,
                              kB_per_s=rate * block_size(n) / 1000))
         if args.json:
-            layers[str(n)] = _layer_times(n, params.walls, data, args.min_time)
+            layers[str(n)] = _layer_times(n, key, data, args.min_time)
     if args.json:
         report = dict(
             machine=dict(python=platform.python_version(), numpy=np.__version__,
@@ -367,18 +368,20 @@ def _per_call_us(fn, min_time: float) -> float:
 _BENCH_ROUNDS = 16
 
 
-def _layer_times(n: int, walls: frozenset, data: bytes, min_time: float) -> dict:
+def _layer_times(n: int, key: bytes, data: bytes, min_time: float) -> dict:
     """Microseconds per full batch of each layer of the fast engine at
-    lattice exponent n, on the blocks in `data` under `walls`: unpacking
-    into planes, the step M, the step P, packing back, the wall-mask
-    build of one wall set per lattice, and one round (P then M) of the
-    round loop, the difference of runs to _BENCH_ROUNDS rounds and to 0."""
+    lattice exponent n, on the blocks in `data` under the walls of `key`:
+    unpacking, M, P, packing, "wall_mask" (coordinate_mask on every
+    lattice's key coordinates, as the key-flip protocols build wall
+    planes) and one round, from runs to _BENCH_ROUNDS rounds and to 0."""
     lattices = batch_size(n)
     side = 1 << n
     planes = bitplane.planes_from_block(data, n)
     e, s, w, nn = planes
     s_to, n_to = np.empty_like(planes[:2])
-    mask = bitplane.wall_mask([walls] * lattices, n)
+    walls = _key_coordinates(np.frombuffer(key, dtype=np.uint8), n)
+    coords = np.tile(walls, (lattices, 1)), np.repeat(np.arange(lattices), len(walls))
+    mask = bitplane.coordinate_mask(*coords, lattices, n)
 
     def run_to(rounds):
         return lambda: next(_trajectory(planes, n, mask, (rounds,)))
@@ -392,7 +395,7 @@ def _layer_times(n: int, walls: frozenset, data: bytes, min_time: float) -> dict
             ("propagate_planes", lambda: bitplane.propagate_planes(
                 e, s, w, nn, side, out=(e, s_to, w, n_to))),
             ("planes_to_block", lambda: bitplane.planes_to_block(planes, n)),
-            ("wall_mask", lambda: bitplane.wall_mask([walls] * lattices, n)),
+            ("wall_mask", lambda: bitplane.coordinate_mask(*coords, lattices, n)),
             ("round_0", run_to(0)),
             ("round_k", run_to(_BENCH_ROUNDS)),
         )

@@ -339,13 +339,10 @@ def _flips(keys: list, n: int, region, refs: np.ndarray, flip_key: bool):
     one wall plane. -1 flips nothing."""
     side = 1 << n
     m = n if region is None else region[2].bit_length() - 1
-    base = np.array([list(_key_coordinates(key, m)) for key in keys], dtype=np.int64)
+    base = _key_coordinates(
+        np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), -1), m)
     offset = np.array((0, 0) if region is None else region[:2], dtype=np.int64)
     trials, walls = base.shape[:2]
-    # Key bit i (MSB first) is bit p = 8*len(key) - 1 - i of the key read
-    # as an integer: bit p % 2m of coordinate p // 2m, a row bit from m on.
-    # ExperimentConfig makes a flipped key split into whole 2m-bit groups.
-    last = 8 * len(keys[0]) - 1
 
     def wall_plane(coords: np.ndarray) -> np.ndarray:
         # one lattice per (walls, 2) block of offset coordinates, in order
@@ -363,11 +360,12 @@ def _flips(keys: list, n: int, region, refs: np.ndarray, flip_key: bool):
         at = np.nonzero(batch >= 0)[0]
         bit = batch[batch >= 0]
         if flip_key:
-            p = last - bit
-            q = p % (2 * m)
+            # Key bit i is bit k = i % 2m, MSB first, of coordinate i // 2m, a row
+            # bit below m; ExperimentConfig makes the key whole 2m-bit groups.
+            group, k = np.divmod(bit, 2 * m)
             # coords[j, b] are the wall coordinates of trial j's lattice b
             coords = np.repeat(base[:, None], per_trial, axis=1)
-            coords[:, at, p // (2 * m), (q < m).astype(np.intp)] ^= 1 << (q % m)
+            coords[:, at, group, k // m] ^= 1 << (m - 1 - k % m)
             coords += offset
             return planes, wall_plane(coords)
         coords = np.stack((bit >> (n + 2), (bit >> 2) & (side - 1)), axis=1)

@@ -6,6 +6,8 @@ import random
 import time
 from itertools import combinations_with_replacement
 
+import numpy as np
+
 from hppcrypt import bitplane as bp
 from hppcrypt import lattice as ref
 from hppcrypt.cipher import (
@@ -34,6 +36,15 @@ def random_lattice(rnd, n):
 def random_walls(rnd, n, count):
     side = 1 << n
     return frozenset((rnd.randrange(side), rnd.randrange(side)) for _ in range(count))
+
+
+def batch_mask(wall_sets, n):
+    """Wall plane of a batch, lattice b's walls from wall_sets[b]: every
+    lattice's coordinates in one array through coordinate_mask."""
+    coords = np.array([cell for walls in wall_sets for cell in walls],
+                      dtype=np.int64).reshape(-1, 2)
+    lattice_of = np.repeat(np.arange(len(wall_sets)), [len(w) for w in wall_sets])
+    return bp.coordinate_mask(coords, lattice_of, len(wall_sets), n)
 
 
 def test_criterion_1_gold_vector():
@@ -114,7 +125,7 @@ def test_criterion_4_engine_equivalence():
             lats.append(random_lattice(rnd, 6))
             walls.append(random_walls(rnd, 6, rnd.randint(0, 32)))
         planes = bp.planes_from_block(b"".join(map(to_bytes, lats)), 6)
-        mask = bp.wall_mask(walls, 6)
+        mask = batch_mask(walls, 6)
         for got, want in (
             (bp.collide_planes(*planes, 0), lambda lat, w: ref.collide(lat)),
             (bp.collide_planes(*planes, mask),

@@ -29,6 +29,16 @@ def random_walls(rnd, n, count):
     )
 
 
+def batch_mask(wall_sets, n):
+    """Wall plane of a batch, lattice b's walls from wall_sets[b]: every
+    lattice's coordinates in one array through coordinate_mask, as the
+    protocols build theirs."""
+    coords = np.array([cell for walls in wall_sets for cell in walls],
+                      dtype=np.int64).reshape(-1, 2)
+    lattice_of = np.repeat(np.arange(len(wall_sets)), [len(w) for w in wall_sets])
+    return bp.coordinate_mask(coords, lattice_of, len(wall_sets), n)
+
+
 def to_planes(lat):
     return bp.planes_from_block(ref.to_bytes(lat), lat.n)
 
@@ -99,7 +109,7 @@ def test_matches_reference_engine_per_primitive():
         lat = random_lattice(rnd, n)
         walls = random_walls(rnd, n, rnd.randint(0, 5))
         planes = to_planes(lat)
-        mask = bp.wall_mask([walls], n)
+        mask = bp.wall_mask(walls, n)
         assert to_lattice(bp.collide_planes(*planes, 0), n) == ref.collide(lat)
         assert to_lattice(bp.collide_planes(*planes, mask), n) == ref.reflect(
             ref.collide(lat), walls)
@@ -118,7 +128,7 @@ def test_gold_vector_on_bitplanes():
 
 def test_empty_lattice_fixed_point():
     planes = np.zeros((4, 8, 4, 1), dtype=np.uint8)  # four empty 8x8 lattices
-    mask = bp.wall_mask([{(1, 1)}] * 4, 3)
+    mask = batch_mask([{(1, 1)}] * 4, 3)
     assert same(bp.collide_planes(*planes, mask), planes)
     assert same(bp.propagate_planes(*planes, 8), planes)
     assert same(bp.invert_planes(*planes), planes)
@@ -130,22 +140,28 @@ def test_invert_is_plane_swap():
 
 
 def test_wall_mask_positions():
-    mask = bp.wall_mask([{(0, 0), (3, 3)}], 2)
+    mask = bp.wall_mask({(0, 0), (3, 3)}, 2)
     assert plane_int(mask, 2) == (1 << 0) | (1 << 15)
+    assert mask.shape == (4, 1, 1)
+    assert not bp.wall_mask(set(), 2).any()
     # wall (r, c) of lattice b sits at bit (r * B + b) * 4 + c of a batch
     # of B = 3 lattices of side 4: bit c of lane [r, b]
-    batch = bp.wall_mask([{(3, 3)}, set(), {(0, 0), (1, 2)}], 2)
+    batch = batch_mask([{(3, 3)}, set(), {(0, 0), (1, 2)}], 2)
     assert plane_int(batch, 2) == (1 << 39) | (1 << 8) | (1 << 22)
     assert batch.shape == (4, 3, 1)
     assert (batch[3, 0, 0], batch[0, 2, 0], batch[1, 2, 0]) == (8, 1, 4)
     with pytest.raises(ParameterError, match=r"wall \(4, 0\) outside 4x4"):
-        bp.wall_mask([set(), {(4, 0)}], 2)
+        bp.wall_mask({(4, 0)}, 2)
     with pytest.raises(ParameterError, match=r"wall \(0, -1\) outside 4x4"):
-        bp.wall_mask([{(1, 1)}, {(2, 2), (0, -1)}], 2)
+        bp.wall_mask({(2, 2), (0, -1)}, 2)
+    with pytest.raises(ParameterError, match=r"wall \(4, 0\) outside 4x4"):
+        batch_mask([set(), {(4, 0)}], 2)
+    with pytest.raises(ParameterError, match=r"wall \(0, -1\) outside 4x4"):
+        batch_mask([{(1, 1)}, {(2, 2), (0, -1)}], 2)
     with pytest.raises(ParameterError, match=r"wall \(-1, 0\) outside 2x2"):
-        bp.wall_mask([{(-1, 0)}], 1)
+        bp.wall_mask({(-1, 0)}, 1)
     with pytest.raises(ParameterError, match=r"outside 4x4"):
-        bp.wall_mask([{(1 << 70, 0)}], 2)
+        bp.wall_mask({(1 << 70, 0)}, 2)
 
 
 def test_block_conversion_agrees_with_serialization():
@@ -170,7 +186,7 @@ def test_batch_kernels_match_reference_lattice_by_lattice():
         walls = [random_walls(rnd, n, rnd.randint(0, 5)) for _ in range(count)]
         planes = bp.planes_from_block(
             b"".join(ref.to_bytes(lat) for lat in lats), n)
-        mask = bp.wall_mask(walls, n)
+        mask = batch_mask(walls, n)
         size = ref.block_size(n)
         for got, want in (
             (bp.propagate_planes(*planes, 1 << n),
@@ -264,13 +280,16 @@ def test_plane_bits_and_repeat_follow_the_lane_layout():
 def test_coordinate_mask_counts_and_bounds():
     coords = np.array([[1, 2], [1, 2], [3, 0], [1, 2], [0, 1], [0, 1]])
     lattice_of = np.array([0, 0, 0, 1, 1, 1])
+
+    def side_by_side(*wall_sets):
+        return np.concatenate([bp.wall_mask(walls, 2) for walls in wall_sets], axis=1)
+
     # Plain: a cell listed at all is set, however often.
-    assert np.array_equal(bp.coordinate_mask(coords, lattice_of, 2, 2), bp.wall_mask(
-        [{(1, 2), (3, 0)}, {(1, 2), (0, 1)}], 2))
+    assert np.array_equal(bp.coordinate_mask(coords, lattice_of, 2, 2),
+                          side_by_side({(1, 2), (3, 0)}, {(1, 2), (0, 1)}))
     # Odd: a cell listed an even number of times cancels.
-    assert np.array_equal(
-        bp.coordinate_mask(coords, lattice_of, 2, 2, odd=True),
-        bp.wall_mask([{(3, 0)}, {(1, 2)}], 2))
+    assert np.array_equal(bp.coordinate_mask(coords, lattice_of, 2, 2, odd=True),
+                          side_by_side({(3, 0)}, {(1, 2)}))
     with pytest.raises(ParameterError, match=r"wall \(0, 4\) outside 4x4"):
         bp.coordinate_mask(np.array([[1, 1], [0, 4]]), np.array([0, 1]), 2, 2)
     with pytest.raises(ParameterError, match=r"wall \(-1, 0\) outside 4x4"):
@@ -283,7 +302,7 @@ def test_collide_exhaustive_and_never_negative():
     walls = {divmod(2 * v + 1, 8) for v in range(16)}
     lat = Lattice(3, bytes(v for v in range(16) for _ in range(2)) + bytes(32))
     planes = to_planes(lat)
-    mask = bp.wall_mask([walls], 3)
+    mask = bp.wall_mask(walls, 3)
     assert to_lattice(bp.collide_planes(*planes, mask), 3) == ref.reflect(
         ref.collide(lat), walls)
     assert to_lattice(bp.collide_planes(*planes, 0), 3) == ref.collide(lat)
@@ -319,7 +338,7 @@ def test_kernels_write_out_in_place():
     for n in (1, 3, 4, 7):
         count = 3
         blocks = rnd.randbytes(count * ref.block_size(n))
-        mask = bp.wall_mask([random_walls(rnd, n, 4) for _ in range(count)], n)
+        mask = batch_mask([random_walls(rnd, n, 4) for _ in range(count)], n)
         planes = tuple(bp.planes_from_block(blocks, n))
         want = bp.collide_planes(*planes, mask)
         got = bp.collide_planes(*planes, mask, out=planes)
@@ -366,7 +385,7 @@ def test_lane_kernels_match_reference_lattice_by_lattice(batch):
     size = ref.block_size(n)
     planes = bp.planes_from_block(blocks, n)
     assert bp.planes_to_block(planes, n) == blocks
-    mask = bp.wall_mask(walls, n)
+    mask = batch_mask(walls, n)
     planes = bp.collide_planes(*planes, mask)
     for _ in range(rounds):
         planes = bp.collide_planes(*bp.propagate_planes(*planes, 1 << n), mask)

@@ -1,12 +1,15 @@
 import random
+import time
 from itertools import combinations_with_replacement
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hppcrypt import bitplane as bp
 from hppcrypt import lattice as L
 from hppcrypt.cipher import (
+    DECODE_GROUPS,
     MAX_ROUNDS,
     CipherContainer,
     CipherParams,
@@ -67,6 +70,48 @@ def test_derive_walls_key_too_short():
         derive_walls(b"", 4)
     with pytest.raises(ParameterError):
         derive_walls(b"\xff", 5)  # 8 bits < 10
+
+
+def bitwise_walls(key: bytes, n: int) -> frozenset:
+    """derive_walls by its definition, bit by bit: the key's bits MSB
+    first, cut into 2n-bit groups of n row bits then n column bits, the
+    trailing bits that fill no group dropped."""
+    bits = "".join(f"{byte:08b}" for byte in key)
+    group = 2 * n
+    return frozenset(
+        (int(bits[i:i + n], 2), int(bits[i + n:i + group], 2))
+        for i in range(0, len(bits) - group + 1, group))
+
+
+def test_derive_walls_matches_bitwise_decoder():
+    # Keys of every length up to 40 bytes and of 20 seeded lengths up to
+    # 300 at every n; and at n = 5 and 6, keys around the ends of
+    # derive_walls' slices of DECODE_GROUPS groups (n * DECODE_GROUPS / 4
+    # bytes), one of them a slice and a byte, whose last byte fills no
+    # group.
+    rnd = random.Random(16)
+    cases = [(n, length) for n in range(1, 13)
+             for length in [*range(1, 41), *rnd.sample(range(41, 301), 20)]]
+    cases += [(n, k * n * DECODE_GROUPS // 4 + d)
+              for n in (5, 6) for k in (1, 2) for d in (-1, 0, 1)]
+    for n, length in cases:
+        key = rnd.randbytes(length)
+        if 8 * length < 2 * n:
+            with pytest.raises(ParameterError, match="yields no walls"):
+                derive_walls(key, n)
+        else:
+            assert derive_walls(key, n) == bitwise_walls(key, n), (n, length)
+
+
+def test_derive_walls_long_key_is_linear():
+    # A key file is untrusted input, so decoding it must take time linear
+    # in its length: a 256 KiB key at n=6 (174,762 groups) decodes in well
+    # under a second.
+    key = random.Random(17).randbytes(256 << 10)
+    start = time.perf_counter()
+    walls = derive_walls(key, 6)
+    assert time.perf_counter() - start < 1.0
+    assert walls == bitwise_walls(key, 6)
 
 
 # --- block cipher ---------------------------------------------------------
@@ -193,6 +238,62 @@ def test_sublattice_independence():
                     assert (r + c) & 1 == target
 
 
+def line_momenta(block: bytes, n: int):
+    """The momentum each line carries along itself, per checkerboard
+    class: rows[r, p] is #E - #W over the cells of row r with
+    (row + col) % 2 == p, and cols[c, p] is #S - #N over column c's."""
+    side = 1 << n
+    cells = np.frombuffer(L.from_bytes(block, n).cells, dtype=np.uint8)
+    cells = cells.reshape(side, side)
+
+    def count(bit):
+        return ((cells & bit) != 0).astype(np.int64)
+
+    parity = np.add.outer(np.arange(side), np.arange(side)) & 1
+    x, y = count(L.E_BIT) - count(L.W_BIT), count(L.S_BIT) - count(L.N_BIT)
+    rows = np.stack([np.where(parity == p, x, 0).sum(axis=1) for p in (0, 1)], axis=1)
+    cols = np.stack([np.where(parity == p, y, 0).sum(axis=0) for p in (0, 1)], axis=1)
+    return rows, cols
+
+
+def test_wall_free_lines_keep_their_momentum():
+    # HPP conserves momentum along every row and column, and in this
+    # cipher only wall cells break that. A collision trades E+W for S+N,
+    # zero momentum both ways; P moves E and W along their own row, into
+    # cells of the other checkerboard class; and J negates everything.
+    # So a row without a wall ends with minus its plaintext #E - #W in
+    # each class, class p going to class (p + rounds) mod 2, and a
+    # column without a wall likewise with its #S - #N: two integers per
+    # wall-free line that the ciphertext gives away.
+    rnd = random.Random(61)
+    kept = walled = broken = 0
+    for engine, sizes in (("reference", (2, 3, 4)), ("bitplane", (2, 3, 4, 5, 6))):
+        for n in sizes:
+            for _ in range(40):
+                # one wall to 2^(n-1) of them, the default key's count
+                key = rnd.randbytes(rnd.randint(-(-n // 4), (2 * n << (n - 1)) // 8))
+                params = CipherParams(n, rnd.randint(0, default_rounds(n)),
+                                      derive_walls(key, n))
+                block = rnd.randbytes(L.block_size(n))
+                ct = encrypt_block(block, params, engine)
+                wall_lines = ({r for r, _ in params.walls}, {c for _, c in params.walls})
+                for before, after, with_wall in zip(
+                        line_momenta(block, n), line_momenta(ct, n), wall_lines):
+                    keeps = (after == -np.roll(before, params.rounds, axis=1)).all(axis=1)
+                    for line, ok in enumerate(keeps):
+                        if line in with_wall:
+                            walled += 1
+                            broken += not ok
+                        else:
+                            assert ok, (engine, n, params, line)
+                            kept += 1
+    # The gate is not vacuous: it checks thousands of wall-free lines
+    # (9,253), and a wall in a line breaks the invariant in most cases
+    # (2,533 of 2,907).
+    assert kept > 5000
+    assert broken > walled // 2, (broken, walled)
+
+
 def test_parameter_mismatch_garbles_output():
     # Decrypting with a slightly wrong key or round count at the
     # recommended rounds inverts at least 40% of the bits.
@@ -226,11 +327,20 @@ def test_engines_agree():
 
 # --- round trajectories ---------------------------------------------------
 
+def batch_mask(wall_sets, n):
+    """Wall plane of a batch, lattice b's walls from wall_sets[b]: every
+    lattice's coordinates in one array through coordinate_mask."""
+    coords = np.array([cell for walls in wall_sets for cell in walls],
+                      dtype=np.int64).reshape(-1, 2)
+    lattice_of = np.repeat(np.arange(len(wall_sets)), [len(w) for w in wall_sets])
+    return bp.coordinate_mask(coords, lattice_of, len(wall_sets), n)
+
+
 def trajectory_blocks(blocks, wall_sets, n, counts):
     """One run of the round loop on a batch of blocks laid back to back,
     lattice b under wall_sets[b]: the batch's ciphertexts at each count."""
     planes = bp.planes_from_block(blocks, n)
-    mask = bp.wall_mask(wall_sets, n)
+    mask = batch_mask(wall_sets, n)
     return [bp.planes_to_block(out, n)
             for out in _trajectory(planes, n, mask, tuple(counts))]
 
@@ -245,7 +355,7 @@ def test_trajectory_yields_stay_as_yielded():
         blocks = rnd.randbytes(lattices * L.block_size(n))
         wall_sets = [random_params(rnd, n).walls for _ in range(lattices)]
         planes = bp.planes_from_block(blocks, n)
-        mask = bp.wall_mask(wall_sets, n)
+        mask = batch_mask(wall_sets, n)
         counts = (0, 1, 2, 5)
         outs = list(_trajectory(planes, n, mask, counts))
         assert len({id(out) for out in outs}) == len(counts)

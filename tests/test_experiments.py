@@ -61,7 +61,8 @@ def _region_walls(key: bytes, n: int, region: tuple[int, int, int] | None) -> fr
         return derive_walls(key, n)
     row0, col0, size = region
     odd = set()
-    for row, col in _key_coordinates(key, size.bit_length() - 1):
+    coords = _key_coordinates(np.frombuffer(key, dtype=np.uint8), size.bit_length() - 1)
+    for row, col in coords.tolist():
         odd ^= {(row0 + row, col0 + col)}
     return frozenset(odd)
 
@@ -600,12 +601,12 @@ def test_flip_batches_match_flipped_blocks_and_keys(flip_key, key, n, region):
                 wall_sets.append(_region_walls(k, n, region))
         assert planes.shape[2] == 2 * len(batch)
         assert np.array_equal(planes, planes_from_block(b"".join(blocks), n))
-        assert np.array_equal(mask, wall_mask(wall_sets, n))
+        lattices = [wall_mask(walls, n) for walls in wall_sets]
+        assert np.array_equal(mask, np.concatenate(lattices, axis=1))
         bits = plane_bits(mask, n)
         assert bits.shape == (1 << n, 2 * len(batch), 1 << n)
-        for b, walls in enumerate(wall_sets):
-            want = plane_bits(wall_mask([walls], n), n)
-            assert np.array_equal(bits[:, b:b + 1], want), (b, walls)
+        for b, (walls, want) in enumerate(zip(wall_sets, lattices)):
+            assert np.array_equal(bits[:, b:b + 1], plane_bits(want, n)), (b, walls)
 
 
 def cell_parity(bit, n):
