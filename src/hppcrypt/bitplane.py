@@ -23,9 +23,13 @@ operation on a plane advances every row of every lattice at once
 A batch is its four planes, one (4, side, B, words) array (which
 unpacks like a tuple) or a tuple (e, s, w, n); every plane is
 C-contiguous, as all builders here make them. :func:`planes_from_block`
-and :func:`planes_to_block` convert to and from B blocks of the cipher's
-serialization laid end to end through 256-entry tables, a slice of at
-most SLICE_CELLS cells at a time. :func:`coordinate_mask` builds the
+reads B blocks of the cipher's serialization laid end to end into
+planes, and is the one step that takes n: every later one, from
+:func:`planes_to_block` back to blocks to the kernels, reads the side
+and the lattice count from the planes' shape. Both converters take the
+whole batch at once, one transpose of row words and one pass through
+256-entry tables, with temporaries of at most five block sizes from
+n = 3 on (see cipher.BATCH_CELLS). :func:`coordinate_mask` builds the
 wall plane of a batch from an int64 array of (row, col) coordinates, as
 the protocols do from their keys, and :func:`wall_mask` that of one
 lattice from a wall set, as streams do. :func:`plane_bits` unpacks lanes
@@ -52,11 +56,6 @@ import numpy as np
 from .errors import ParameterError
 from .lattice import check_walls
 
-# The most cells the block converters and the strict reducer expand at
-# once: their temporaries take up to 4 bytes per cell.
-SLICE_CELLS = 1 << 16
-
-
 def lane_layout(n: int) -> tuple[np.dtype, int]:
     """The lane dtype and the words per lane of a 2^n lattice's planes."""
     if n < 1:
@@ -65,24 +64,6 @@ def lane_layout(n: int) -> tuple[np.dtype, int]:
     if side > 64:
         return np.dtype("<u8"), side // 64
     return np.dtype(f"<u{max(1, side // 8)}"), 1
-
-
-def _slices(n: int, lattices: int):
-    """(rows, lattices) slice pairs that cover a batch of `lattices` 2^n
-    lattices in pieces of at most SLICE_CELLS cells, each a contiguous
-    run of every plane: whole rows of the batch while one fits, else part
-    of one row."""
-    side = 1 << n
-    row = lattices * side  # cells of one row of the batch
-    if row <= SLICE_CELLS:
-        step = SLICE_CELLS // row
-        for r in range(0, side, step):
-            yield slice(r, r + step), slice(None)
-    else:
-        step = SLICE_CELLS // side
-        for r in range(side):
-            for b in range(0, lattices, step):
-                yield slice(r, r + 1), slice(b, b + step)
 
 
 # A block byte holds two cells, 2j in the high nibble and 2j+1 in the low
@@ -105,53 +86,45 @@ _SPREAD = sum(
 ) << np.arange(3, -1, -1, dtype="<u4")[:, None]
 
 
-def _row_words(data: np.ndarray, n: int, lattices: int) -> np.ndarray:
-    """Serialized blocks as a (lattices, side, -1) array of lattice rows,
-    in words of up to 8 bytes, so a row moves as one to three words."""
-    side = 1 << n
-    return data.view(f"<u{min(side // 2, 8)}").reshape(lattices, side, -1)
+def _row_words(data: np.ndarray, side: int) -> np.ndarray:
+    """Lattice rows of side `side`, bytes on the last axis, viewed as
+    words of up to 8 bytes, so that a transpose moves whole words."""
+    return data.view(f"<u{min(side // 2, 8)}")
 
 
 def planes_from_block(blocks: bytes, n: int) -> np.ndarray:
     """Straight from the two-cells-per-byte serialization to planes: a run
     of B blocks of a 2^n lattice gives the (4, side, B, words) planes of a
-    batch of B."""
+    batch of B. The one step that takes n: every later one reads it from
+    the planes."""
     side = 1 << n
-    dtype, words = lane_layout(n)
+    dtype, _ = lane_layout(n)
     data = np.frombuffer(blocks, dtype=np.uint8)
-    lattices = data.size * 2 >> (2 * n)
-    rows = _row_words(data, n, lattices)
-    group = min(4, side // 2)  # block bytes per plane byte
-    planes = np.empty((4, side, lattices, words), dtype=dtype)
-    out = planes.view(np.uint8)
-    for row, at in _slices(n, lattices):
-        # the slice's rows, row-interleaved, as runs of `group` bytes
-        src = np.ascontiguousarray(rows[at, row].swapaxes(0, 1))
-        src = src.view(np.uint8).reshape(-1, group)
-        acc = _GATHER[0].take(src[:, 0])
-        for j in range(1, group):
-            acc |= _GATHER[j].take(src[:, j])
-        dest = out[:, row, at]  # byte k of each acc word is plane k's
-        dest[...] = np.moveaxis(acc.view(np.uint8).reshape(dest.shape[1:] + (4,)), -1, 0)
-    return planes
+    rows = _row_words(data.reshape(-1, side, side // 2), side)
+    lattices = rows.shape[0]
+    # every lattice's rows, row-interleaved, as runs of the block bytes
+    # of one plane byte
+    src = np.ascontiguousarray(rows.swapaxes(0, 1))
+    src = src.view(np.uint8).reshape(-1, min(4, side // 2))
+    acc = _GATHER[0].take(src[:, 0])
+    for j in range(1, src.shape[1]):
+        acc |= _GATHER[j].take(src[:, j])
+    # byte k of each acc word is plane k's
+    planes = np.moveaxis(acc.view(np.uint8).reshape(side, lattices, -1, 4), -1, 0)
+    return np.ascontiguousarray(planes).view(dtype)
 
 
-def planes_to_block(planes: Sequence[np.ndarray], n: int) -> bytes:
+def planes_to_block(planes: Sequence[np.ndarray]) -> bytes:
     """Inverse of :func:`planes_from_block`: the blocks of a batch's
     planes laid end to end."""
-    side = 1 << n
     lanes = np.asarray(planes).view(np.uint8)
-    lattices = lanes.shape[2]
-    out = np.empty(lattices * side * side // 2, dtype=np.uint8)
-    rows = _row_words(out, n, lattices)
-    for row, at in _slices(n, lattices):
-        acc = _SPREAD[0].take(lanes[0, row, at])
-        for k in range(1, 4):
-            acc |= _SPREAD[k].take(lanes[k, row, at])
-        # four block bytes per plane byte; below n = 3 a row is fewer
-        cells = acc.view(np.uint8).reshape(acc.shape[:2] + (-1,))[..., :side // 2]
-        rows[at, row] = cells.view(rows.dtype).swapaxes(0, 1)
-    return out.tobytes()
+    side = lanes.shape[1]
+    acc = _SPREAD[0].take(lanes[0])
+    for k in range(1, 4):
+        acc |= _SPREAD[k].take(lanes[k])
+    # four block bytes per plane byte; below n = 3 a row is fewer
+    cells = acc.view(np.uint8).reshape(acc.shape[:2] + (-1,))[..., :side // 2]
+    return _row_words(cells, side).swapaxes(0, 1).tobytes()
 
 
 def plane_bits(lanes: np.ndarray, n: int) -> np.ndarray:
@@ -226,10 +199,12 @@ def collide_planes(e, s, w, n, mask, out=None):
             np.bitwise_xor(w, a, out=ow), np.bitwise_xor(n, b, out=on))
 
 
-def _rotate(lanes, side: int, up: bool, out):
-    """Every lane rotated by one column, toward higher columns if `up`:
-    each word shifted by one bit, and the bit it shifts out entering the
-    next word of its lane, the last word's wrapping to the first."""
+def _rotate(lanes, up: bool, out):
+    """Every lane of a plane rotated by one column, toward higher columns
+    if `up`: each word shifted by one bit, and the bit it shifts out
+    entering the next word of its lane, the last word's wrapping to the
+    first."""
+    side = lanes.shape[0]
     top = min(side, 64) - 1
     if up:
         carry = lanes >> top
@@ -258,9 +233,9 @@ def _rotate(lanes, side: int, up: bool, out):
     return out
 
 
-def propagate_planes(e, s, w, n, side: int, out=None):
-    """The propagation step P on planes of lattices of side `side`: E and
-    W rotate every row by one column, S and N move every row by one row.
+def propagate_planes(e, s, w, n, out=None):
+    """The propagation step P: E and W rotate every row by one column, S
+    and N move every row by one row.
     Writes the planes into `out`, or into new arrays by default; E and W
     may be written in place, S and N must go to other arrays."""
     oe, os_, ow, on = _outs(out)
@@ -271,7 +246,7 @@ def propagate_planes(e, s, w, n, side: int, out=None):
     os_[:1] = s[-1:]
     on[:-1] = n[1:]
     on[-1:] = n[:1]
-    return _rotate(e, side, True, oe), os_, _rotate(w, side, False, ow), on
+    return _rotate(e, True, oe), os_, _rotate(w, False, ow), on
 
 
 def reflect_planes(e, s, w, n, mask):

@@ -18,10 +18,13 @@ The bit-plane engine has one round loop, :func:`_trajectory`, which runs
 the planes of a batch of lattices under one wall plane and yields their
 ciphertext planes. :func:`_encrypt_blocks` is the one path from bytes to it:
 blocks to planes in batches of at most :func:`batch_size` blocks, the
-loop, planes back to blocks. A batch holds up to ``BATCH_CELLS`` = 2^20
-lattice cells (256 blocks at n=6): as many as keep a round's working set
-in one core's L2 cache, so that the fixed cost of a round's ~25 numpy
-calls is shared by as many lattices as can gain from it.
+loop, planes back to blocks, each converter in one pass over the whole
+batch. A batch holds up to ``BATCH_CELLS`` = 2^20 lattice cells (256
+blocks at n=6): as many as keep a round's working set in one core's L2
+cache, so that the fixed cost of a round's ~25 numpy calls is shared by
+as many lattices as can gain from it. Only the step from bytes to planes
+takes n; the round loop and everything after it read the geometry from
+the planes.
 :func:`encrypt_block` is a batch of one and the streams run whole
 payloads through it. The experiment protocols call the loop directly,
 with planes and wall planes they build themselves.
@@ -60,7 +63,11 @@ MAX_ROUNDS = 1 << 16
 # temporaries, about 1.4 MiB. On a 2-core Xeon VM with 2 MiB of L2 per
 # core, a cell-round at 2^20 cells took 15-35% less time than at 2^18
 # from n=3 to n=8, and 2^21 cells spilled the cache and were slower than
-# 2^20 at every n.
+# 2^20 at every n. The block converters run outside the round loop, each
+# on the whole batch: by tracemalloc, a full batch peaks at five block
+# sizes (2.5 MiB) in planes_from_block and four in planes_to_block from
+# n=3 on, counting the intp copies np.take makes of its byte indices,
+# and at 13 and 16 at n=1, where a plane byte takes fewer block bytes.
 BATCH_CELLS = 1 << 20
 
 # The 2n-bit key groups derive_walls decodes at once: its time grows
@@ -163,18 +170,18 @@ def encrypt_block(block: bytes, params: CipherParams, engine: str = "bitplane") 
     return _encrypt_blocks(block, params)
 
 
-def _trajectory(planes, n: int, mask, counts: tuple[int, ...]) -> Iterator[np.ndarray]:
-    """The fast engine's only round loop. Run the planes of a batch of
-    2^n lattices under the wall plane `mask` up to the largest of
-    `counts` and yield, at each count, the planes after J: the batch's
-    ciphertexts at that round count, as a new (4, side, lattices, words)
-    array that later rounds do not write to. Up to the final J, the
-    schedule for r rounds is a prefix of the one for any r' > r, so the
-    rounds run once, in place on one copy of the planes and two spare
-    planes that S and N move into. The counts must be non-negative and
-    strictly ascending; every caller validates them, and none is checked
-    here."""
-    side = 1 << n
+def _trajectory(planes, mask, counts: tuple[int, ...]) -> Iterator[np.ndarray]:
+    """The fast engine's only round loop. Run the planes of a batch under
+    the wall plane `mask` up to the largest of `counts` and yield, at
+    each count, the planes after J: the batch's ciphertexts at that round
+    count, as a new array of the planes' shape that later rounds do not
+    write to. That shape, (4, side, lattices, words), is the batch's
+    geometry, so the loop and its kernels take no n. Up to the final J,
+    the schedule for r rounds is a prefix of the one for any r' > r, so
+    the rounds run once, in place on one copy of the planes and two
+    spare planes that S and N move into. The counts must be non-negative
+    and strictly ascending; every caller validates them, and none is
+    checked here."""
     state = np.array(planes)  # the caller's planes stay as they are
     del planes  # hold one set of planes, not two, while the rounds run
     e, s, w, nn = bitplane.collide_planes(*state, mask, out=state)
@@ -184,7 +191,7 @@ def _trajectory(planes, n: int, mask, counts: tuple[int, ...]) -> Iterator[np.nd
         for _ in range(count - done):
             moved = (e, s_to, w, n_to)
             s_to, n_to = s, nn
-            e, s, w, nn = bitplane.propagate_planes(e, s, w, nn, side, out=moved)
+            e, s, w, nn = bitplane.propagate_planes(e, s, w, nn, out=moved)
             e, s, w, nn = bitplane.collide_planes(e, s, w, nn, mask, out=moved)
         done = count
         yield np.stack(bitplane.invert_planes(e, s, w, nn))
@@ -304,8 +311,8 @@ def _encrypt_blocks(data: bytes, params: CipherParams) -> bytes:
         lattices = min(step, len(data) - i) // bs
         mask = np.repeat(wall, lattices, axis=1)
         (planes,) = _trajectory(bitplane.planes_from_block(view[i:i + step], n),
-                                n, mask, (params.rounds,))
-        out.append(bitplane.planes_to_block(planes, n))
+                                mask, (params.rounds,))
+        out.append(bitplane.planes_to_block(planes))
     return b"".join(out)
 
 

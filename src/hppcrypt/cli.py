@@ -35,6 +35,7 @@ from .cipher import (
     min_recommended_rounds,
     ones_density,
     _key_coordinates,
+    _resolve_params,
     _trajectory,
 )
 from .errors import FormatError, ParameterError
@@ -105,10 +106,10 @@ def cmd_encrypt(args) -> int:
     if key is None and walls is None:
         raise ParameterError("encrypt needs --key-hex, --key-file or --walls-file")
     n = args.n
-    rounds = default_rounds(n) if args.rounds is None else args.rounds
-    if rounds < min_recommended_rounds(n):
+    params = _resolve_params(key, n, args.rounds, walls)
+    if params.rounds < min_recommended_rounds(n):
         _warn(
-            f"{rounds} rounds is below 2^n={min_recommended_rounds(n)}: "
+            f"{params.rounds} rounds is below 2^n={min_recommended_rounds(n)}: "
             "wall influence may not cover the lattice"
         )
     density = ones_density(data)
@@ -117,11 +118,11 @@ def cmd_encrypt(args) -> int:
             f"bit density {density:.3f} is far from 0.5 and is preserved "
             "exactly by the cipher; consider compressing the input first"
         )
-    container = encrypt_stream(data, key, n, rounds, walls=walls)
+    container = encrypt_stream(data, None, n, params.rounds, walls=params.walls)
     Path(args.outfile).write_bytes(container.to_bytes())
     print(
         f"encrypted {len(data)} bytes into {container.block_count()} "
-        f"block(s) of {block_size(n)} bytes (n={n}, rounds={rounds})"
+        f"block(s) of {block_size(n)} bytes (n={n}, rounds={params.rounds})"
     )
     return 0
 
@@ -375,7 +376,6 @@ def _layer_times(n: int, key: bytes, data: bytes, min_time: float) -> dict:
     lattice's key coordinates, as the key-flip protocols build wall
     planes) and one round, from runs to _BENCH_ROUNDS rounds and to 0."""
     lattices = batch_size(n)
-    side = 1 << n
     planes = bitplane.planes_from_block(data, n)
     e, s, w, nn = planes
     s_to, n_to = np.empty_like(planes[:2])
@@ -384,7 +384,7 @@ def _layer_times(n: int, key: bytes, data: bytes, min_time: float) -> dict:
     mask = bitplane.coordinate_mask(*coords, lattices, n)
 
     def run_to(rounds):
-        return lambda: next(_trajectory(planes, n, mask, (rounds,)))
+        return lambda: next(_trajectory(planes, mask, (rounds,)))
 
     us = {
         name: _per_call_us(fn, min_time)
@@ -393,8 +393,8 @@ def _layer_times(n: int, key: bytes, data: bytes, min_time: float) -> dict:
             ("collide_planes", lambda: bitplane.collide_planes(
                 e, s, w, nn, mask, out=(e, s, w, nn))),
             ("propagate_planes", lambda: bitplane.propagate_planes(
-                e, s, w, nn, side, out=(e, s_to, w, n_to))),
-            ("planes_to_block", lambda: bitplane.planes_to_block(planes, n)),
+                e, s, w, nn, out=(e, s_to, w, n_to))),
+            ("planes_to_block", lambda: bitplane.planes_to_block(planes)),
             ("wall_mask", lambda: bitplane.coordinate_mask(*coords, lattices, n)),
             ("round_0", run_to(0)),
             ("round_k", run_to(_BENCH_ROUNDS)),

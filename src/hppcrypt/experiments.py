@@ -381,7 +381,7 @@ def _flips(keys: list, n: int, region, refs: np.ndarray, flip_key: bool):
     return build
 
 
-def _diffs(groups, counts, n: int):
+def _diffs(groups, counts):
     """Run each group's batches, each along one trajectory up to the
     largest round count, and yield (t, trials, ri, diff) at counts[ri]
     for a batch holding the group's `trials` trials from trial t on.
@@ -391,13 +391,12 @@ def _diffs(groups, counts, n: int):
     group's first batch, and none is carried to the next group. Each diff
     is the round loop's own output, XORed in place, and is not written
     again."""
-    side = 1 << n
     t = 0
     for trials, batches in groups:
         refs = []
         for planes, mask in batches:
-            for ri, out in enumerate(_trajectory(planes, n, mask, counts)):
-                out = out.reshape(4, side, trials, -1, out.shape[-1])
+            for ri, out in enumerate(_trajectory(planes, mask, counts)):
+                out = out.reshape(out.shape[:2] + (trials, -1, out.shape[-1]))
                 if ri == len(refs):  # first batch: keep each trial's lattice 0
                     refs.append(out[:, :, :, :1].copy())
                 out ^= refs[ri]
@@ -417,10 +416,18 @@ def _curve(config: ExperimentConfig, rounds, groups, flip_count: int) -> Experim
     fraction in turn."""
     block_bits = 8 * config.block_len
     totals = np.zeros((len(rounds), config.trials), dtype=np.int64)
-    for t, trials, ri, diff in _diffs(groups, rounds, config.n):
+    for t, trials, ri, diff in _diffs(groups, rounds):
         totals[ri, t:t + trials] += np.bitwise_count(diff).sum(
             axis=(0, 1, 3, 4), dtype=np.int64)
     return _report(config, rounds, totals / block_bits / flip_count)
+
+
+# The most cells the strict reducer unpacks at once. It is the one step
+# that slices a batch: a plane bit unpacked to a float32 is a 32x
+# expansion (4 MiB for one plane of a 2^20-cell batch), where the block
+# converters' temporaries stay within five block sizes (see
+# cipher.BATCH_CELLS).
+SLICE_CELLS = 1 << 16
 
 
 def _strict(config: ExperimentConfig, rounds, groups, flip_count: int) -> ExperimentReport:
@@ -432,20 +439,21 @@ def _strict(config: ExperimentConfig, rounds, groups, flip_count: int) -> Experi
     because every partial sum is an integer of at most batch_size(n) <=
     BATCH_CELLS >> 2 = 262,144 (n=1) lattices of one trial, far below
     2^24, however many trials share the batch. The counts add up in
-    float64, exact for integers below 2^53, and are divided once. A
-    batch is unpacked a few rows at a time, at most
-    bitplane.SLICE_CELLS cells where a row of the batch fits: a slice of
-    whole trials would not bound it, as one trial can fill a batch."""
+    float64, exact for integers below 2^53, and are divided once. This
+    reducer alone takes a batch in slices (see SLICE_CELLS): a few rows
+    at a time, at most SLICE_CELLS cells where a row of the batch fits.
+    A slice of whole trials would not bound it, as one trial can fill a
+    batch."""
     n = config.n
     side = 1 << n
     block_bits = 8 * config.block_len
     per_trial = np.zeros((block_bits, config.trials))
     # [r, c, k, t]: plane k at cell (r, c) of trial t
     counts = per_trial.reshape(side, side, 4, config.trials)
-    for t, trials, _, diff in _diffs(groups, rounds, n):
+    for t, trials, _, diff in _diffs(groups, rounds):
         ones = np.ones(diff.shape[3], dtype=np.float32)
         row_cells = diff.shape[2] * diff.shape[3] * side
-        step = max(1, bitplane.SLICE_CELLS // row_cells)
+        step = max(1, SLICE_CELLS // row_cells)
         for k, plane in enumerate(diff):
             for r in range(0, side, step):
                 # [r, j, b, c]: cell (r, c) of lattice b of trial j differs

@@ -1,0 +1,36 @@
+"""Lattice, wall and wall-plane builders shared by the test modules."""
+
+import numpy as np
+from hypothesis import strategies as st
+
+from hppcrypt import bitplane as bp
+from hppcrypt.lattice import Lattice
+
+
+@st.composite
+def lattices(draw, min_n=1, max_n=3):
+    n = draw(st.integers(min_n, max_n))
+    size = (1 << n) ** 2
+    raw = draw(st.binary(min_size=size, max_size=size))
+    return Lattice(n, bytes(b & 0xF for b in raw))
+
+
+def random_lattice(rnd, n):
+    return Lattice(n, bytes(rnd.randrange(16) for _ in range((1 << n) ** 2)))
+
+
+def random_walls(rnd, n, count):
+    side = 1 << n
+    return frozenset(
+        (rnd.randrange(side), rnd.randrange(side)) for _ in range(count)
+    )
+
+
+def batch_mask(wall_sets, n):
+    """Wall plane of a batch, lattice b's walls from wall_sets[b]: every
+    lattice's coordinates in one array through coordinate_mask, as the
+    protocols build theirs."""
+    coords = np.array([cell for walls in wall_sets for cell in walls],
+                      dtype=np.int64).reshape(-1, 2)
+    lattice_of = np.repeat(np.arange(len(wall_sets)), [len(w) for w in wall_sets])
+    return bp.coordinate_mask(coords, lattice_of, len(wall_sets), n)

@@ -6,37 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from hppcrypt import bitplane as bp
 from hppcrypt import lattice as ref
+from hppcrypt.cipher import batch_size
 from hppcrypt.errors import ParameterError
 from hppcrypt.lattice import Lattice
 
-
-@st.composite
-def lattices(draw, min_n=1, max_n=3):
-    n = draw(st.integers(min_n, max_n))
-    size = (1 << n) ** 2
-    raw = draw(st.binary(min_size=size, max_size=size))
-    return Lattice(n, bytes(b & 0xF for b in raw))
-
-
-def random_lattice(rnd, n):
-    return Lattice(n, bytes(rnd.randrange(16) for _ in range((1 << n) ** 2)))
-
-
-def random_walls(rnd, n, count):
-    side = 1 << n
-    return frozenset(
-        (rnd.randrange(side), rnd.randrange(side)) for _ in range(count)
-    )
-
-
-def batch_mask(wall_sets, n):
-    """Wall plane of a batch, lattice b's walls from wall_sets[b]: every
-    lattice's coordinates in one array through coordinate_mask, as the
-    protocols build theirs."""
-    coords = np.array([cell for walls in wall_sets for cell in walls],
-                      dtype=np.int64).reshape(-1, 2)
-    lattice_of = np.repeat(np.arange(len(wall_sets)), [len(w) for w in wall_sets])
-    return bp.coordinate_mask(coords, lattice_of, len(wall_sets), n)
+from helpers import batch_mask, lattices, random_lattice, random_walls
 
 
 def to_planes(lat):
@@ -44,7 +18,7 @@ def to_planes(lat):
 
 
 def to_lattice(planes, n):
-    return ref.from_bytes(bp.planes_to_block(planes, n), n)
+    return ref.from_bytes(bp.planes_to_block(planes), n)
 
 
 def plane_int(lanes, n):
@@ -80,8 +54,8 @@ def cell_planes(lat):
     return tuple(planes)
 
 
-def hpp_step(planes, n):
-    return bp.propagate_planes(*bp.collide_planes(*planes, 0), 1 << n)
+def hpp_step(planes):
+    return bp.propagate_planes(*bp.collide_planes(*planes, 0))
 
 
 def same(got, want):
@@ -113,24 +87,24 @@ def test_matches_reference_engine_per_primitive():
         assert to_lattice(bp.collide_planes(*planes, 0), n) == ref.collide(lat)
         assert to_lattice(bp.collide_planes(*planes, mask), n) == ref.reflect(
             ref.collide(lat), walls)
-        assert to_lattice(bp.propagate_planes(*planes, 1 << n), n) == ref.propagate(lat)
+        assert to_lattice(bp.propagate_planes(*planes), n) == ref.propagate(lat)
         assert to_lattice(bp.invert_planes(*planes), n) == ref.invert_all(lat)
         assert to_lattice(bp.reflect_planes(*planes, mask), n) == ref.reflect(lat, walls)
-        assert to_lattice(hpp_step(planes, n), n) == ref.hpp_step(lat)
+        assert to_lattice(hpp_step(planes), n) == ref.hpp_step(lat)
         assert to_lattice(planes, n) == lat  # without out, no kernel writes its input
 
 
 def test_gold_vector_on_bitplanes():
     planes = bp.planes_from_block(bytes.fromhex("90A2F5155D100000"), 2)
-    planes = hpp_step(hpp_step(planes, 2), 2)
-    assert bp.planes_to_block(planes, 2) == bytes.fromhex("179002A850F85010")
+    planes = hpp_step(hpp_step(planes))
+    assert bp.planes_to_block(planes) == bytes.fromhex("179002A850F85010")
 
 
 def test_empty_lattice_fixed_point():
     planes = np.zeros((4, 8, 4, 1), dtype=np.uint8)  # four empty 8x8 lattices
     mask = batch_mask([{(1, 1)}] * 4, 3)
     assert same(bp.collide_planes(*planes, mask), planes)
-    assert same(bp.propagate_planes(*planes, 8), planes)
+    assert same(bp.propagate_planes(*planes), planes)
     assert same(bp.invert_planes(*planes), planes)
     assert same(bp.reflect_planes(*planes, mask), planes)
 
@@ -171,7 +145,38 @@ def test_block_conversion_agrees_with_serialization():
         planes = bp.planes_from_block(block, n)
         assert tuple(plane_int(p, n) for p in planes) == cell_planes(
             ref.from_bytes(block, n))
-        assert bp.planes_to_block(planes, n) == block
+        assert bp.planes_to_block(planes) == block
+
+
+def unpacked_planes(blocks, n):
+    """The planes of a batch by an independent route: every cell's four
+    direction bits unpacked (cell 2j of a block byte in its high nibble,
+    E, S, W, N from bit 3 down), moved to [plane, row, lattice, column]
+    and packed again, column c at bit c of its lane's bytes and the row
+    padded with zeros to whole bytes."""
+    side = 1 << n
+    bits = np.unpackbits(np.frombuffer(blocks, dtype=np.uint8))
+    bits = bits.reshape(-1, side, side, 4).transpose(3, 1, 0, 2)
+    pad = -side % 8
+    bits = np.pad(bits, [(0, 0)] * 3 + [(0, pad)])
+    return np.packbits(bits, axis=-1, bitorder="little")
+
+
+def test_full_batch_conversion_matches_unpacked_bits():
+    # One full batch of the round loop and one of three lattices at
+    # every n the converters take whole: the planes equal an unpacked
+    # transposition of the bits, and planes_to_block gives the blocks
+    # back.
+    rnd = np.random.default_rng(61)
+    for n in range(1, 11):
+        dtype, words = bp.lane_layout(n)
+        for lattices in (batch_size(n), 3):
+            blocks = rnd.bytes(lattices * ref.block_size(n))
+            planes = bp.planes_from_block(blocks, n)
+            assert planes.shape == (4, 1 << n, lattices, words)
+            assert planes.dtype == dtype
+            assert np.array_equal(planes.view(np.uint8), unpacked_planes(blocks, n))
+            assert bp.planes_to_block(planes) == blocks
 
 
 def test_batch_kernels_match_reference_lattice_by_lattice():
@@ -189,7 +194,7 @@ def test_batch_kernels_match_reference_lattice_by_lattice():
         mask = batch_mask(walls, n)
         size = ref.block_size(n)
         for got, want in (
-            (bp.propagate_planes(*planes, 1 << n),
+            (bp.propagate_planes(*planes),
              [ref.propagate(lat) for lat in lats]),
             (bp.collide_planes(*planes, 0), [ref.collide(lat) for lat in lats]),
             (bp.collide_planes(*planes, mask),
@@ -197,7 +202,7 @@ def test_batch_kernels_match_reference_lattice_by_lattice():
             (bp.reflect_planes(*planes, mask),
              [ref.reflect(lat, w) for lat, w in zip(lats, walls)]),
         ):
-            block = bp.planes_to_block(got, n)
+            block = bp.planes_to_block(got)
             assert [ref.from_bytes(block[b * size:(b + 1) * size], n)
                     for b in range(count)] == want
 
@@ -229,7 +234,7 @@ def test_batch_layout_is_row_interleaved():
                 lane = int.from_bytes(planes[k, r, b].tobytes(), "little")
                 assert lane == sum(
                     1 << c for c in range(side) if lats[b].cell(r, c) & bit)
-            assert bp.planes_to_block(planes, n) == blocks
+            assert bp.planes_to_block(planes) == blocks
 
 
 def test_plane_bits_and_repeat_follow_the_lane_layout():
@@ -322,7 +327,7 @@ def test_collide_exhaustive_and_never_negative():
             mask = (rnd.integers(0, 2**63, (side, 9, words), dtype=np.uint64)
                     & full).astype(dtype)
             for out in (bp.collide_planes(*planes, mask), bp.collide_planes(*planes, 0),
-                        bp.propagate_planes(*planes, side),
+                        bp.propagate_planes(*planes),
                         bp.reflect_planes(*planes, mask)):
                 for plane in out:
                     assert plane.dtype == dtype
@@ -345,10 +350,10 @@ def test_kernels_write_out_in_place():
         assert all(g is p for g, p in zip(got, planes))
         assert same(got, want)
         planes = bp.planes_from_block(blocks, n)
-        want = bp.propagate_planes(*planes, 1 << n)
+        want = bp.propagate_planes(*planes)
         e, s, w, nn = planes
         s_to, n_to = np.empty_like(planes[:2])
-        got = bp.propagate_planes(e, s, w, nn, 1 << n, out=(e, s_to, w, n_to))
+        got = bp.propagate_planes(e, s, w, nn, out=(e, s_to, w, n_to))
         assert all(g is o for g, o in zip(got, (e, s_to, w, n_to)))
         assert same(got, want)
 
@@ -384,12 +389,12 @@ def test_lane_kernels_match_reference_lattice_by_lattice(batch):
     n, blocks, walls, rounds = batch
     size = ref.block_size(n)
     planes = bp.planes_from_block(blocks, n)
-    assert bp.planes_to_block(planes, n) == blocks
+    assert bp.planes_to_block(planes) == blocks
     mask = batch_mask(walls, n)
     planes = bp.collide_planes(*planes, mask)
     for _ in range(rounds):
-        planes = bp.collide_planes(*bp.propagate_planes(*planes, 1 << n), mask)
-    got = bp.planes_to_block(bp.invert_planes(*planes), n)
+        planes = bp.collide_planes(*bp.propagate_planes(*planes), mask)
+    got = bp.planes_to_block(bp.invert_planes(*planes))
     for b, w in enumerate(walls):
         lat = ref.from_bytes(blocks[b * size:(b + 1) * size], n)
         lat = ref.reflect(ref.collide(lat), w)

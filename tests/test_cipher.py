@@ -27,6 +27,8 @@ from hppcrypt.cipher import (
 )
 from hppcrypt.errors import FormatError, ParameterError
 
+from helpers import batch_mask
+
 ROT2 = [((v << 2) | (v >> 2)) & 0xF for v in range(16)]
 
 
@@ -327,22 +329,13 @@ def test_engines_agree():
 
 # --- round trajectories ---------------------------------------------------
 
-def batch_mask(wall_sets, n):
-    """Wall plane of a batch, lattice b's walls from wall_sets[b]: every
-    lattice's coordinates in one array through coordinate_mask."""
-    coords = np.array([cell for walls in wall_sets for cell in walls],
-                      dtype=np.int64).reshape(-1, 2)
-    lattice_of = np.repeat(np.arange(len(wall_sets)), [len(w) for w in wall_sets])
-    return bp.coordinate_mask(coords, lattice_of, len(wall_sets), n)
-
-
 def trajectory_blocks(blocks, wall_sets, n, counts):
     """One run of the round loop on a batch of blocks laid back to back,
     lattice b under wall_sets[b]: the batch's ciphertexts at each count."""
     planes = bp.planes_from_block(blocks, n)
     mask = batch_mask(wall_sets, n)
-    return [bp.planes_to_block(out, n)
-            for out in _trajectory(planes, n, mask, tuple(counts))]
+    return [bp.planes_to_block(out)
+            for out in _trajectory(planes, mask, tuple(counts))]
 
 
 def test_trajectory_yields_stay_as_yielded():
@@ -357,14 +350,14 @@ def test_trajectory_yields_stay_as_yielded():
         planes = bp.planes_from_block(blocks, n)
         mask = batch_mask(wall_sets, n)
         counts = (0, 1, 2, 5)
-        outs = list(_trajectory(planes, n, mask, counts))
+        outs = list(_trajectory(planes, mask, counts))
         assert len({id(out) for out in outs}) == len(counts)
-        assert bp.planes_to_block(planes, n) == blocks
-        assert [bp.planes_to_block(out, n) for out in outs] == trajectory_blocks(
+        assert bp.planes_to_block(planes) == blocks
+        assert [bp.planes_to_block(out) for out in outs] == trajectory_blocks(
             blocks, wall_sets, n, counts)
         bs = L.block_size(n)
         for r, out in zip(counts, outs):
-            ct = bp.planes_to_block(out, n)
+            ct = bp.planes_to_block(out)
             for b, walls in enumerate(wall_sets):
                 assert ct[b * bs:(b + 1) * bs] == encrypt_block(
                     blocks[b * bs:(b + 1) * bs], CipherParams(n, r, walls), "reference")

@@ -1,13 +1,17 @@
 import json
 import math
+import os
 import random
 import struct
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from hppcrypt import cli
-from hppcrypt.cipher import BATCH_CELLS, MAX_ROUNDS, batch_size
+from hppcrypt.cipher import BATCH_CELLS, MAX_ROUNDS, batch_size, keyspace_count
 from hppcrypt.cli import main
 from hppcrypt.imaging import GrayImage, read_pgm, write_pgm
 
@@ -483,3 +487,23 @@ def test_bench_min_time_must_be_finite_and_positive(capsys, monkeypatch, value, 
     else:
         assert calls == [] and out == ""
         assert err.count("error:") == 1 and "--min-time" in err
+
+
+def run_module(*argv):
+    """`python -m hppcrypt` in a new process, on this checkout's sources."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-m", "hppcrypt", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_module_entry_point():
+    done = run_module("keyspace", "--n", "8", "-K", "256")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == str(keyspace_count(8, 256))
+    assert done.stderr == ""
+    done = run_module("keyspace", "--n", "13", "-K", "256")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert [line for line in done.stderr.splitlines() if "error" in line] == [
+        "hppcrypt keyspace: error: argument --n: n must be in [2, 12], got 13"]

@@ -734,9 +734,9 @@ def round_loop_calls(monkeypatch, cfg):
     run_protocol(cfg) makes."""
     calls = []
 
-    def counting(planes, n, mask, counts):
+    def counting(planes, mask, counts):
         calls.append((planes.shape[2], max(counts)))
-        return cipher._trajectory(planes, n, mask, counts)
+        return cipher._trajectory(planes, mask, counts)
 
     monkeypatch.setattr(experiments, "_trajectory", counting)
     run_protocol(cfg)

@@ -17,17 +17,11 @@ from hppcrypt.lattice import (
     to_bytes,
 )
 
+from helpers import lattices
+
 GOLD_0 = bytes.fromhex("90A2F5155D100000")
 GOLD_1 = bytes.fromhex("1830A9F248821410")
 GOLD_2 = bytes.fromhex("179002A850F85010")
-
-
-@st.composite
-def lattices(draw, min_n=1, max_n=3):
-    n = draw(st.integers(min_n, max_n))
-    size = (1 << n) ** 2
-    raw = draw(st.binary(min_size=size, max_size=size))
-    return Lattice(n, bytes(b & 0xF for b in raw))
 
 
 @st.composite
