@@ -268,10 +268,10 @@ def encrypt_stream(
     """Encrypt arbitrary-length data: zero-pad to whole blocks, encrypt
     each block independently, record the true length in the header.
 
-    Walls come from the key unless an explicit wall set is given. The
-    lattice exponent and the round count must lie within the bounds that
-    :meth:`CipherContainer.from_bytes` accepts, so every container written
-    here loads again.
+    Walls come from the key unless an explicit wall set is given, which
+    must not be empty. The lattice exponent and the round count must lie
+    within the bounds that :meth:`CipherContainer.from_bytes` accepts, so
+    every container written here loads again.
     """
     if not MIN_EXPONENT <= n <= MAX_EXPONENT:
         raise ParameterError(
@@ -323,6 +323,8 @@ def _resolve_params(
         if key is None:
             raise ParameterError("either a key or an explicit wall set is required")
         walls = derive_walls(key, n)
+    elif not walls:  # as derive_walls refuses a key that yields none
+        raise ParameterError("wall set is empty: need at least one wall")
     return CipherParams(n, default_rounds(n) if rounds is None else rounds, walls)
 
 

@@ -1,8 +1,13 @@
 """Command-line interface.
 
 Subcommands: encrypt, decrypt, keyspace, experiment, img2block, block2img,
-bench. Diagnostics go to stderr; exit status is 0 on success, 2 for bad
-parameters or usage, 1 for I/O and data-format failures.
+bench. The experiment's flags and its config file's keys come from one
+table, ``_EXPERIMENT_FIELDS``; encrypt and decrypt take their key or wall
+set from ``_secret``; bench times each row and layer with ``_per_call_us``.
+Diagnostics go to stderr, an error as one ``error:`` line. Exit status is
+0 on success, 2 for bad parameters or usage (a ``ParameterError``, such as
+a key that yields no walls or an empty wall set), 1 for I/O and
+data-format failures.
 """
 
 from __future__ import annotations
@@ -82,29 +87,28 @@ def _read_text(path: str) -> str:
         ) from None
 
 
-def _resolve_key(args) -> bytes | None:
+def _secret(args) -> tuple[bytes | None, frozenset | None]:
+    """The key and the wall set of encrypt or decrypt, either one None
+    when its flags are absent, but not both."""
+    key = walls = None
     if args.key_hex is not None:
         try:
-            return bytes.fromhex(args.key_hex)
+            key = bytes.fromhex(args.key_hex)
         except ValueError:
             raise ParameterError(f"invalid hex key {args.key_hex!r}") from None
-    if args.key_file is not None:
-        return Path(args.key_file).read_bytes()
-    return None
-
-
-def _resolve_walls(args) -> frozenset | None:
-    if args.walls_file is None:
-        return None
-    return parse_walls_text(_read_text(args.walls_file))
+    elif args.key_file is not None:
+        key = Path(args.key_file).read_bytes()
+    if args.walls_file is not None:
+        walls = parse_walls_text(_read_text(args.walls_file))
+    elif key is None:
+        raise ParameterError(
+            f"{args.command} needs --key-hex, --key-file or --walls-file")
+    return key, walls
 
 
 def cmd_encrypt(args) -> int:
     data = Path(args.infile).read_bytes()
-    key = _resolve_key(args)
-    walls = _resolve_walls(args)
-    if key is None and walls is None:
-        raise ParameterError("encrypt needs --key-hex, --key-file or --walls-file")
+    key, walls = _secret(args)
     n = args.n
     params = _resolve_params(key, n, args.rounds, walls)
     if params.rounds < min_recommended_rounds(n):
@@ -129,10 +133,7 @@ def cmd_encrypt(args) -> int:
 
 def cmd_decrypt(args) -> int:
     raw = Path(args.infile).read_bytes()
-    key = _resolve_key(args)
-    walls = _resolve_walls(args)
-    if key is None and walls is None:
-        raise ParameterError("decrypt needs --key-hex, --key-file or --walls-file")
+    key, walls = _secret(args)
     container = CipherContainer.from_bytes(raw)
     plain = decrypt_stream(container, key, walls=walls)
     Path(args.outfile).write_bytes(plain)
@@ -172,16 +173,17 @@ def _parse_region(name: str, text: str) -> tuple[int, int, int]:
 
 
 # The keys of an experiment config file besides protocol, each with the
-# field it sets and the parser of its text. The flag of the same name wins
-# over the file.
+# field it sets, the parser of its text and the help of the flag of the
+# same name (--key-len for key_len), which wins over the file.
 _EXPERIMENT_FIELDS = {
-    "n": ("n", _exponent),
-    "trials": ("trials", _integer),
-    "rounds": ("rounds_range", _parse_rounds_range),
-    "key_len": ("key_len", _integer),
-    "region": ("wall_region", _parse_region),
-    "seed": ("seed", _integer),
-    "bit": ("bit", _integer),
+    "n": ("n", _exponent, None),
+    "trials": ("trials", _integer, None),
+    "rounds": ("rounds_range", _parse_rounds_range,
+               "round count or start:step:stop range"),
+    "key_len": ("key_len", _integer, "key length in bytes"),
+    "region": ("wall_region", _parse_region, "row0,col0,size wall restriction"),
+    "seed": ("seed", _integer, "default: HPP_SEED env var, then 0"),
+    "bit": ("bit", _integer, "plaintext bit for single-bit"),
 }
 
 
@@ -211,7 +213,7 @@ def cmd_experiment(args) -> int:
         raise ParameterError("experiment needs --protocol (or protocol= in --config)")
 
     overrides: dict = {}
-    for key, (field, parse) in _EXPERIMENT_FIELDS.items():
+    for key, (field, parse, _) in _EXPERIMENT_FIELDS.items():
         text = getattr(args, key)
         if text is None:
             text = file_conf.get(key)
@@ -262,9 +264,7 @@ def cmd_img2block(args) -> int:
 
 
 def _infer_exponent(length: int) -> int:
-    n = 1
-    while block_size(n) < length:
-        n += 1
+    n = max(1, length.bit_length() // 2)  # 2^(2n-1) has 2n bits
     if block_size(n) != length:
         raise FormatError(f"{length} bytes is not a 2^(2n-1) block size")
     return n
@@ -321,21 +321,11 @@ def cmd_bench(args) -> int:
             ("reference", 1, lambda: encrypt_block(block, params, "reference")),
             ("bitplane", blocks, lambda: encrypt_stream(data, key, n, rounds)),
         ):
-            count = 0
-            start = time.perf_counter()
-            while True:
-                run()
-                count += per_call
-                elapsed = time.perf_counter() - start
-                if elapsed >= args.min_time:
-                    break
-            rate = count / elapsed
-            print(
-                f"{n:>3} {rounds:>6} {engine:>10} {rate:>10.2f} "
-                f"{rate * block_size(n) / 1000:>10.1f}"
-            )
+            rate = per_call * 1e6 / _per_call_us(run, args.min_time)
+            kb = rate * block_size(n) / 1000
+            print(f"{n:>3} {rounds:>6} {engine:>10} {rate:>10.2f} {kb:>10.1f}")
             rows.append(dict(n=n, rounds=rounds, engine=engine, blocks_per_s=rate,
-                             kB_per_s=rate * block_size(n) / 1000))
+                             kB_per_s=kb))
         if args.json:
             layers[str(n)] = _layer_times(n, key, data, args.min_time)
     if args.json:
@@ -441,13 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run an avalanche protocol")
     p.add_argument("--protocol", choices=PROTOCOLS)
-    p.add_argument("--n")
-    p.add_argument("--trials")
-    p.add_argument("--seed", help="default: HPP_SEED env var, then 0")
-    p.add_argument("--rounds", help="round count or start:step:stop range")
-    p.add_argument("--key-len", help="key length in bytes")
-    p.add_argument("--region", help="row0,col0,size wall restriction")
-    p.add_argument("--bit", help="plaintext bit for single-bit")
+    for key, (_, _, help_text) in _EXPERIMENT_FIELDS.items():
+        p.add_argument("--" + key.replace("_", "-"), help=help_text)
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--csv", help="write points as CSV")
     p.add_argument("--svg", help="write a chart as SVG")
@@ -476,15 +461,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParameterError as exc:
+    except (ParameterError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ParameterError) else 1
 
 
 def entry() -> None:

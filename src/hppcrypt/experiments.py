@@ -564,49 +564,39 @@ def emit_svg_plot(report: ExperimentReport, path: str | Path) -> None:
     def py(y: float) -> float:
         return _MT + plot_h * (1 - y / y_max)
 
+    def num(v) -> str:  # floats to two places, ints as they are
+        return f"{v:.2f}" if isinstance(v, float) else str(v)
+
+    def text(x, y, anchor, size, body) -> str:
+        return (f'<text x="{num(x)}" y="{num(y)}" text-anchor="{anchor}" '
+                f'font-family="sans-serif" font-size="{size}">{body}</text>')
+
+    def line(x1, y1, x2, y2, style='stroke="black"') -> str:
+        return (f'<line x1="{num(x1)}" y1="{num(y1)}" x2="{num(x2)}" '
+                f'y2="{num(y2)}" {style}/>')
+
+    c = report.config
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_SVG_W}" height="{_SVG_H}" '
         f'viewBox="0 0 {_SVG_W} {_SVG_H}">',
         f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
-        f'<text x="{_SVG_W / 2:.2f}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">'
-        f"{report.config.protocol} (n={report.config.n}, "
-        f"trials={report.config.trials}, seed={report.config.seed})</text>",
-        # axes
-        f'<line x1="{_ML}" y1="{py(0):.2f}" x2="{_SVG_W - _MR}" '
-        f'y2="{py(0):.2f}" stroke="black"/>',
-        f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{py(0):.2f}" '
-        f'stroke="black"/>',
-        f'<text x="{_ML + plot_w / 2:.2f}" y="{_SVG_H - 12}" '
-        f'text-anchor="middle" font-family="sans-serif" font-size="12">'
-        f'{"number of rounds" if curve else "ciphertext bit"}</text>',
+        text(_SVG_W / 2, 20, "middle", 14,
+             f"{c.protocol} (n={c.n}, trials={c.trials}, seed={c.seed})"),
+        line(_ML, py(0), _SVG_W - _MR, py(0)),  # axes
+        line(_ML, _MT, _ML, py(0)),
+        text(_ML + plot_w / 2, _SVG_H - 12, "middle", 12,
+             "number of rounds" if curve else "ciphertext bit"),
     ]
-    for frac in range(0, 5):
-        y = y_max * frac / 4
-        out.append(
-            f'<text x="{_ML - 6}" y="{py(y) + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{y:.2f}</text>'
-        )
-        out.append(
-            f'<line x1="{_ML - 4}" y1="{py(y):.2f}" x2="{_ML}" '
-            f'y2="{py(y):.2f}" stroke="black"/>'
-        )
-    for frac in range(0, 5):
-        x = x_max * frac / 4
-        out.append(
-            f'<text x="{px(x):.2f}" y="{py(0) + 16:.2f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{x:.0f}</text>'
-        )
-        out.append(
-            f'<line x1="{px(x):.2f}" y1="{py(0):.2f}" x2="{px(x):.2f}" '
-            f'y2="{py(0) + 4:.2f}" stroke="black"/>'
-        )
+    for y in (y_max * frac / 4 for frac in range(5)):
+        out += [text(_ML - 6, py(y) + 4, "end", 11, f"{y:.2f}"),
+                line(_ML - 4, py(y), _ML, py(y))]
+    for x in (x_max * frac / 4 for frac in range(5)):
+        out += [text(px(x), py(0) + 16, "middle", 11, f"{x:.0f}"),
+                line(px(x), py(0), px(x), py(0) + 4)]
     for ref in (0.25, 0.5):
-        out.append(
-            f'<line x1="{_ML}" y1="{py(ref):.2f}" x2="{_SVG_W - _MR}" '
-            f'y2="{py(ref):.2f}" stroke="gray" stroke-dasharray="6,4"/>'
-        )
+        out.append(line(_ML, py(ref), _SVG_W - _MR, py(ref),
+                        'stroke="gray" stroke-dasharray="6,4"'))
     if curve:
         points = " ".join(
             f"{px(x):.2f},{py(y):.2f}" for x, y in zip(report.xs, report.ys)
@@ -615,15 +605,9 @@ def emit_svg_plot(report: ExperimentReport, path: str | Path) -> None:
             f'<polyline points="{points}" fill="none" stroke="black" '
             f'stroke-width="1.5"/>'
         )
-        for x, y in zip(report.xs, report.ys):
-            out.append(
-                f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3" fill="black"/>'
-            )
-    else:
-        for x, y in zip(report.xs, report.ys):
-            out.append(
-                f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="1" fill="black"/>'
-            )
+    r = 3 if curve else 1
+    for x, y in zip(report.xs, report.ys):
+        out.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="{r}" fill="black"/>')
     out.append("</svg>")
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
 

@@ -15,8 +15,12 @@ def lattices(draw, min_n=1, max_n=3):
     return Lattice(n, bytes(b & 0xF for b in raw))
 
 
+# Each byte to its low nibble: uniform bytes become uniform cells.
+_LOW_NIBBLE = bytes(b & 0xF for b in range(256))
+
+
 def random_lattice(rnd, n):
-    return Lattice(n, bytes(rnd.randrange(16) for _ in range((1 << n) ** 2)))
+    return Lattice(n, rnd.randbytes((1 << n) ** 2).translate(_LOW_NIBBLE))
 
 
 def random_walls(rnd, n, count):

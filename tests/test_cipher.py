@@ -501,6 +501,16 @@ def test_stream_explicit_walls_override():
         encrypt_stream(data, None, 3)
 
 
+def test_stream_refuses_an_empty_wall_set():
+    # An explicit wall set with no walls is no secret, as derive_walls
+    # refuses a key that yields none; CipherParams itself still takes it.
+    container = encrypt_stream(bytes(100), b"key", 3)
+    with pytest.raises(ParameterError, match="wall set is empty"):
+        encrypt_stream(bytes(100), None, 3, walls=frozenset())
+    with pytest.raises(ParameterError, match="wall set is empty"):
+        decrypt_stream(container, None, walls=frozenset())
+
+
 def test_container_serialization_round_trip():
     rnd = random.Random(12)
     container = encrypt_stream(rnd.randbytes(70), b"k3y!", 3, rounds=5)

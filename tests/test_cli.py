@@ -11,8 +11,10 @@ from pathlib import Path
 import pytest
 
 from hppcrypt import cli
-from hppcrypt.cipher import BATCH_CELLS, MAX_ROUNDS, batch_size, keyspace_count
+from hppcrypt.cipher import (
+    BATCH_CELLS, MAX_ROUNDS, batch_size, encrypt_stream, keyspace_count)
 from hppcrypt.cli import main
+from hppcrypt.errors import FormatError
 from hppcrypt.imaging import GrayImage, read_pgm, write_pgm
 
 
@@ -133,6 +135,33 @@ def test_walls_file_flow(tmp_path):
     walls.write_text("1;2\n")
     assert run("encrypt", "--n", "4", "--walls-file", str(walls),
                "--in", str(plain), "--out", str(box)) == 1
+
+
+@pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+def test_empty_walls_file_exits_2(tmp_path, capsys, command):
+    # A wall file of comments only is an empty wall set: no secret at all.
+    plain = tmp_path / "p.bin"
+    plain.write_bytes(bytes(512))  # all zeros: encrypt would warn on density
+    box = tmp_path / "c.hppc"
+    box.write_bytes(encrypt_stream(b"data", b"key", 4).to_bytes())
+    walls = tmp_path / "walls.txt"
+    walls.write_text("# no walls\n\n")
+    out = tmp_path / "out.bin"
+    src, argv = (plain, ("--n", "4")) if command == "encrypt" else (box, ())
+    assert run(command, *argv, "--walls-file", str(walls),
+               "--in", str(src), "--out", str(out)) == 2
+    assert capsys.readouterr() == (
+        "", "error: wall set is empty: need at least one wall\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_infer_exponent_of_every_block_size(n):
+    size = 1 << (2 * n - 1)
+    assert cli._infer_exponent(size) == n
+    for length in (0, 1, size - 1, size + 1, 2 * size):
+        with pytest.raises(FormatError, match=f"^{length} bytes is not"):
+            cli._infer_exponent(length)
 
 
 def test_key_file_flow(tmp_path):

@@ -300,6 +300,25 @@ def test_protocol_csv_matches_golden_digest(tmp_path, protocol):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+# sha256 of the emit_svg_plot output of one curve and one scatter report,
+# at their GOLDEN_CSV configs; recorded before the chart's markup came
+# from shared text and line helpers.
+GOLDEN_SVG = {
+    "avalanche-text":
+        "eda484243ec3a313c2ddf790e74aa0a1c47447b858924689fe4fd49d99abb198",
+    "strict-key":
+        "b9b9383c3e44d1b1b3010a5f270564f9f4582dc16cf8b53b7eef4f3702f3f4f9",
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(GOLDEN_SVG))
+def test_protocol_svg_matches_golden_digest(tmp_path, protocol):
+    overrides, _ = GOLDEN_CSV[protocol]
+    path = tmp_path / "report.svg"
+    emit_svg_plot(run_protocol(default_config(protocol, **overrides)), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SVG[protocol]
+
+
 # Configs with trials of many lattices, each entry as (protocol,
 # overrides, digest). The first four were recorded before batching
 # existed, when each spanned several batches of 2^16 cells. In batches of
