@@ -32,8 +32,7 @@ whole batch at once, one transpose of row words and one pass through
 n = 3 on (see cipher.BATCH_CELLS). :func:`coordinate_mask` builds the
 wall plane of a batch from an int64 array of (row, col) coordinates, as
 the protocols do from their keys, and :func:`wall_mask` that of one
-lattice from a wall set, as streams do. :func:`plane_bits` unpacks lanes
-into one byte per cell.
+lattice from a wall set, as streams do.
 The kernels take planes and return planes; given `out`,
 :func:`collide_planes` and :func:`propagate_planes` write into those
 arrays (the inputs themselves, for all but S and N of P), so the
@@ -125,14 +124,6 @@ def planes_to_block(planes: Sequence[np.ndarray]) -> bytes:
     # four block bytes per plane byte; below n = 3 a row is fewer
     cells = acc.view(np.uint8).reshape(acc.shape[:2] + (-1,))[..., :side // 2]
     return _row_words(cells, side).swapaxes(0, 1).tobytes()
-
-
-def plane_bits(lanes: np.ndarray, n: int) -> np.ndarray:
-    """The cells of an array of 2^n-lattice row lanes as 0/1 bytes, of
-    shape lanes.shape[:-1] + (side,): a plane (side, B, words) gives
-    [r, b, c], cell (r, c) of lattice b."""
-    bits = np.unpackbits(lanes.view(np.uint8), axis=-1, bitorder="little")
-    return bits[..., :1 << n]
 
 
 def wall_mask(walls: Collection[tuple[int, int]], n: int) -> np.ndarray:

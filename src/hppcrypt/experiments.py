@@ -33,7 +33,10 @@ popcounts, added up as one integer per round count and divided once per
 trial, which gives the same floats as adding each flip's fraction in
 turn. Strict-avalanche protocols (Webster and Tavares' criterion)
 measure that probability separately for every ciphertext bit at a fixed
-round count, from exact integer counts. Plaintext flips can only ever
+round count, from exact integer counts made on the lanes as byte-field
+sums: (lanes >> j) & 0x0101...01 summed over at most 255 lattices in the
+lane dtype holds in byte q the count of column 8q + j, which no byte can
+carry past 255, so no bit is ever unpacked. Plaintext flips can only ever
 reach half of the cells: a flipped cell influences only the checkerboard
 class of parity (row+col+rounds) mod 2, which caps the text avalanche
 near 0.25 where the key avalanche approaches 0.5. The text protocols use
@@ -50,6 +53,7 @@ both classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -214,7 +218,8 @@ def default_config(protocol: str, **overrides) -> ExperimentConfig:
     fields.update(overrides)
     n = fields["n"]
     fields.setdefault("seed", 0)
-    fields.setdefault("key_len", default_key_len(n))
+    if "key_len" not in fields:  # n=1 has no default, but may be given one
+        fields["key_len"] = default_key_len(n)
     return ExperimentConfig(protocol=protocol, **fields)
 
 
@@ -422,46 +427,38 @@ def _curve(config: ExperimentConfig, rounds, groups, flip_count: int) -> Experim
     return _report(config, rounds, totals / block_bits / flip_count)
 
 
-# The most cells the strict reducer unpacks at once. It is the one step
-# that slices a batch: a plane bit unpacked to a float32 is a 32x
-# expansion (4 MiB for one plane of a 2^20-cell batch), where the block
-# converters' temporaries stay within five block sizes (see
-# cipher.BATCH_CELLS).
-SLICE_CELLS = 1 << 16
-
-
 def _strict(config: ExperimentConfig, rounds, groups, flip_count: int) -> ExperimentReport:
     """Inversion probability of each ciphertext bit at the single round
     count, from exact per-bit counts. Block bit 4c + k is plane k at cell
     c, so a batch adds, per plane and per trial, the number of the trial's
-    lattices whose bit differs from its reference's. That sum over the
-    lattice axis is a float32 product with a vector of ones, exact
-    because every partial sum is an integer of at most batch_size(n) <=
-    BATCH_CELLS >> 2 = 262,144 (n=1) lattices of one trial, far below
-    2^24, however many trials share the batch. The counts add up in
-    float64, exact for integers below 2^53, and are divided once. This
-    reducer alone takes a batch in slices (see SLICE_CELLS): a few rows
-    at a time, at most SLICE_CELLS cells where a row of the batch fits.
-    A slice of whole trials would not bound it, as one trial can fill a
-    batch."""
-    n = config.n
-    side = 1 << n
-    block_bits = 8 * config.block_len
-    per_trial = np.zeros((block_bits, config.trials))
-    # [r, c, k, t]: plane k at cell (r, c) of trial t
-    counts = per_trial.reshape(side, side, 4, config.trials)
+    lattices whose bit differs from its reference's. It counts on the
+    lanes of a plane, 255 of a trial's lattices at a time, copied lattice
+    axis first: for each j < min(8, side), (lanes >> j) & 0x0101...01
+    leaves in byte q of a lane word the bit of column 8q + j, and summing
+    these fields over the lattice axis in the lane dtype adds whole slabs:
+    byte q of the sum is the count of column 8q + j, exact as 255 lattices
+    cannot carry a byte past 255. Temporaries: two chunk copies and a byte
+    per cell and trial; the float64 totals are exact, divided once."""
+    side = 1 << config.n
+    fields = min(8, side)
+    per_trial = np.zeros((8 * config.block_len, config.trials))
+    # [r, q, j, k, t]: plane k at cell (r, 8q + j) of trial t
+    counts = per_trial.reshape(side, -1, fields, 4, config.trials)
     for t, trials, _, diff in _diffs(groups, rounds):
-        ones = np.ones(diff.shape[3], dtype=np.float32)
-        row_cells = diff.shape[2] * diff.shape[3] * side
-        step = max(1, SLICE_CELLS // row_cells)
-        for k, plane in enumerate(diff):
-            for r in range(0, side, step):
-                # [r, j, b, c]: cell (r, c) of lattice b of trial j differs
-                bits = bitplane.plane_bits(plane[r:r + step], n)
-                sums = ones @ bits.astype(np.float32)
-                counts[r:r + step, :, k, t:t + trials] += sums.transpose(0, 2, 1)
+        ones = diff.dtype.type(np.iinfo(diff.dtype).max // 255)  # 0x0101...01
+        # [j, r, t, w]: the field sums of word w of row r
+        sums = np.empty((fields,) + diff.shape[1:3] + diff.shape[4:], diff.dtype)
+        for k, a in product(range(4), range(0, diff.shape[3], 255)):
+            # [b, r, t, w]: plane k of lattice a + b of each trial, b first
+            lanes = np.ascontiguousarray(np.moveaxis(diff[k, :, :, a:a + 255], 2, 0))
+            field = np.empty_like(lanes)
+            for j in range(fields):
+                np.bitwise_and(np.right_shift(lanes, j, out=field), ones, out=field)
+                field.sum(axis=0, dtype=field.dtype, out=sums[j])
+            # byte q of a summed word: [j, r, t, q] -> [r, q, j, t]
+            counts[..., k, t:t + trials] += sums.view(np.uint8).transpose(1, 3, 0, 2)
     per_trial /= flip_count
-    return _report(config, range(block_bits), per_trial)
+    return _report(config, range(len(per_trial)), per_trial)
 
 
 def run_protocol(config: ExperimentConfig) -> ExperimentReport:

@@ -1,4 +1,5 @@
-"""Lattice, wall and wall-plane builders shared by the test modules."""
+"""Lattice, wall and wall-plane builders shared by the test modules, and
+plane_bits, which reads the cells of a plane back one byte each."""
 
 import numpy as np
 from hypothesis import strategies as st
@@ -38,3 +39,11 @@ def batch_mask(wall_sets, n):
                       dtype=np.int64).reshape(-1, 2)
     lattice_of = np.repeat(np.arange(len(wall_sets)), [len(w) for w in wall_sets])
     return bp.coordinate_mask(coords, lattice_of, len(wall_sets), n)
+
+
+def plane_bits(lanes, n):
+    """The cells of an array of 2^n-lattice row lanes as 0/1 bytes, of
+    shape lanes.shape[:-1] + (side,): a plane (side, B, words) gives
+    [r, b, c], cell (r, c) of lattice b."""
+    bits = np.unpackbits(lanes.view(np.uint8), axis=-1, bitorder="little")
+    return bits[..., :1 << n]

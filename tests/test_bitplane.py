@@ -10,7 +10,7 @@ from hppcrypt.cipher import batch_size
 from hppcrypt.errors import ParameterError
 from hppcrypt.lattice import Lattice
 
-from helpers import batch_mask, lattices, random_lattice, random_walls
+from helpers import batch_mask, lattices, plane_bits, random_lattice, random_walls
 
 
 def to_planes(lat):
@@ -251,7 +251,7 @@ def test_plane_bits_and_repeat_follow_the_lane_layout():
         for count in (1, 2, 3, 7):
             plane = lanes_of(rnd.getrandbits(count * side * side), n, count)
             value = plane_int(plane, n)
-            bits = bp.plane_bits(plane, n)
+            bits = plane_bits(plane, n)
             assert bits.shape == (side, count, side)
             r, b, c = (rnd.randrange(side), rnd.randrange(count), rnd.randrange(side))
             assert bits[r, b, c] == value >> ((r * count + b) * side + c) & 1

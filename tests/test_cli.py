@@ -518,6 +518,23 @@ def test_bench_min_time_must_be_finite_and_positive(capsys, monkeypatch, value, 
         assert err.count("error:") == 1 and "--min-time" in err
 
 
+@pytest.mark.parametrize("call_s, calls", [(2.0, 1), (0.3, 4), (1 / 64, 65)])
+def test_bench_runs_share_min_time(monkeypatch, call_s, calls):
+    # The bench timer's five runs share min_time (1 s here, on a clock that
+    # only the timed call moves): a call slower than all of it is made
+    # once, one of 0.3 s four times (0.3 s a run, stopping at 1.2 s), and
+    # a fast one fills five runs of at least 0.2 s: 13 calls of 1/64 s each.
+    clock, made = [0.0], []
+
+    def call():
+        made.append(1)
+        clock[0] += call_s
+
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: clock[0])
+    assert cli._per_call_us(call, 1.0) == pytest.approx(call_s * 1e6)
+    assert len(made) == calls
+
+
 def run_module(*argv):
     """`python -m hppcrypt` in a new process, on this checkout's sources."""
     src = Path(__file__).resolve().parents[1] / "src"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hppcrypt import bitplane, cipher, experiments
-from hppcrypt.bitplane import plane_bits, planes_from_block, wall_mask
+from hppcrypt.bitplane import planes_from_block, wall_mask
 from hppcrypt.cipher import (
     MAX_ROUNDS,
     CipherParams,
@@ -33,6 +33,8 @@ from hppcrypt.experiments import (
 )
 from hppcrypt.imaging import GrayImage
 from hppcrypt.lattice import block_size
+
+from helpers import plane_bits
 
 
 def reachable_bits(n: int, bit_index: int, rounds: int) -> np.ndarray:
@@ -473,6 +475,17 @@ TINY_GROUPED = [
 TINY_SHORT_KEY = (
     "avalanche-text", dict(n=3, key_len=2, trials=2, rounds_range=(1, 4, 9), seed=15))
 
+# The strict reducer's lane layouts beyond uint16 and uint32: at n=1 one
+# uint8 per lane of two columns, at n=7 two uint64 words per lane, with
+# the walls and the flipped bit next to the column where the words meet.
+STRICT_LANES = [
+    ("strict-text", dict(n=1, key_len=1, trials=3, rounds_range=(5, 1, 5), seed=16)),
+    ("strict-key", dict(n=7, key_len=1, trials=2, rounds_range=(4, 1, 4),
+                        wall_region=(0, 62, 4), seed=17)),
+    ("single-bit", dict(n=7, key_len=7, trials=2, rounds_range=(8, 1, 8),
+                        bit=4 * (5 * 128 + 63) + 1, seed=18)),
+]
+
 
 def lattices_per_trial(cfg):
     """L: the reference, then one lattice per key flip, per checkerboard
@@ -527,7 +540,7 @@ def direct_report(cfg):
 @pytest.mark.parametrize(
     "protocol, overrides",
     [*sorted(TINY.items()), ("strict-key", TINY_REGION_STRICT_KEY), *TINY_GROUPED,
-     TINY_SHORT_KEY],
+     TINY_SHORT_KEY, *STRICT_LANES],
 )
 def test_protocols_match_their_per_flip_definition(monkeypatch, protocol, overrides):
     # Exact equality, no tolerance: the plane-space reducers must give the
@@ -803,13 +816,37 @@ def test_trials_share_round_loop_batches(monkeypatch, protocol, per_batch):
         assert work == trials * lattices_per_trial(cfg) * 2
 
 
-def test_strict_batch_counts_are_exact_in_float32():
-    # _strict sums, per ciphertext bit, the inverted bits of one trial's
-    # lattices in a batch as a float32 product, exact below 2^24: at most
-    # batch_size(n) of them, however many trials share the batch (262,144
-    # at n=1, where a batch no longer fits a uint16 count)
-    assert all(batch_size(n) < 1 << 24 for n in range(1, 13))
-    assert batch_size(1) == 262144
+def test_strict_byte_fields_count_past_255_lattices(monkeypatch):
+    # _strict counts each bit in a byte of the lanes, over at most 255
+    # lattices of a trial at a time. With a round loop that inverts every
+    # bit of every lattice but each trial's reference, each trial of more
+    # than 255 lattices in one batch must count exactly L - 1 for every
+    # bit: a byte that carried into the next, or a chunk edge off by one,
+    # would not. Three strict-text trials of 513 lattices at n=4 (uint16
+    # lanes), and two strict-key trials of 281 at n=7 (two uint64 words)
+    # in a batch made large enough to hold both.
+    for protocol, overrides, size in (
+        ("strict-text", dict(trials=3), batch_size(4)),
+        ("strict-key", dict(n=7, key_len=35, trials=2), 2 * 281),
+    ):
+        cfg = default_config(protocol, rounds_range=(1, 1, 1), **overrides)
+        per = lattices_per_trial(cfg)
+        assert per > 255 and cfg.trials * per <= size
+        ones = planes_from_block(b"\xff" * cfg.block_len, cfg.n)
+
+        def inverting(planes, mask, counts):
+            for _ in counts:
+                out = np.repeat(ones, planes.shape[2], axis=2)
+                out.reshape(out.shape[:2] + (-1, per, out.shape[-1]))[:, :, :, 0] = 0
+                yield out
+
+        monkeypatch.setattr(experiments, "batch_size", lambda n: size)
+        monkeypatch.setattr(experiments, "_trajectory", inverting)
+        report = run_protocol(cfg)
+        flips = 8 * (cfg.key_len if protocol == "strict-key" else cfg.block_len)
+        bits = 8 * cfg.block_len
+        assert report.ys == ((per - 1) / flips,) * bits
+        assert report.stddevs == (0.0,) * bits
 
 
 def test_long_trials_split_into_even_batches(monkeypatch):
