@@ -40,7 +40,6 @@ from .cipher import (
     min_recommended_rounds,
     ones_density,
     _key_coordinates,
-    _resolve_params,
     _trajectory,
 )
 from .errors import FormatError, ParameterError
@@ -110,10 +109,10 @@ def cmd_encrypt(args) -> int:
     data = Path(args.infile).read_bytes()
     key, walls = _secret(args)
     n = args.n
-    params = _resolve_params(key, n, args.rounds, walls)
-    if params.rounds < min_recommended_rounds(n):
+    container = encrypt_stream(data, key, n, args.rounds, walls)
+    if container.rounds < min_recommended_rounds(n):
         _warn(
-            f"{params.rounds} rounds is below 2^n={min_recommended_rounds(n)}: "
+            f"{container.rounds} rounds is below 2^n={min_recommended_rounds(n)}: "
             "wall influence may not cover the lattice"
         )
     density = ones_density(data)
@@ -122,11 +121,10 @@ def cmd_encrypt(args) -> int:
             f"bit density {density:.3f} is far from 0.5 and is preserved "
             "exactly by the cipher; consider compressing the input first"
         )
-    container = encrypt_stream(data, None, n, params.rounds, walls=params.walls)
     Path(args.outfile).write_bytes(container.to_bytes())
     print(
         f"encrypted {len(data)} bytes into {container.block_count()} "
-        f"block(s) of {block_size(n)} bytes (n={n}, rounds={params.rounds})"
+        f"block(s) of {block_size(n)} bytes (n={n}, rounds={container.rounds})"
     )
     return 0
 

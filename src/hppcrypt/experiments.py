@@ -265,9 +265,7 @@ def _report(config, xs, per_trial: np.ndarray) -> ExperimentReport:
     ys = per_trial.mean(axis=1)
     stddevs = per_trial.std(axis=1)
     return ExperimentReport(
-        config, tuple(int(x) for x in xs),
-        tuple(float(y) for y in ys), tuple(float(s) for s in stddevs),
-    )
+        config, tuple(xs), tuple(ys.tolist()), tuple(stddevs.tolist()))
 
 
 def _trials(config: ExperimentConfig, flip_key: bool, flips):

@@ -40,9 +40,6 @@ class GrayImage:
         if self.pixels.translate(None, _NIBBLES):
             raise FormatError("pixel values must be 0..15")
 
-    def pixel(self, x: int, y: int) -> int:
-        return self.pixels[y * self.width + x]
-
 
 def lattice_to_image(lat: Lattice) -> GrayImage:
     """Cell (row, col) becomes pixel (x=col, y=row), same byte layout."""

@@ -182,11 +182,6 @@ def invert_all(lat: Lattice) -> Lattice:
     return Lattice(lat.n, lat.cells.translate(_ROTATE2_TABLE))
 
 
-def hpp_step(lat: Lattice) -> Lattice:
-    """One free evolution step: collide, then propagate."""
-    return propagate(collide(lat))
-
-
 def to_bytes(lat: Lattice) -> bytes:
     """Pack cells two per byte, row-major, first cell of each pair in the
     high nibble. A 2^n lattice packs into 2^(2n-1) bytes."""

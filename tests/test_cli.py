@@ -118,6 +118,20 @@ def test_encrypt_round_count_limit(tmp_path, capsys):
     assert back.read_bytes() == plain.read_bytes()
 
 
+def test_encrypt_refuses_before_it_warns(tmp_path, capsys):
+    # An all-zero input would draw a density warning, but a round count
+    # over the limit is refused first: one error line and no file.
+    plain = tmp_path / "zeros.bin"
+    plain.write_bytes(bytes(8))
+    box = tmp_path / "c.hppc"
+    assert run("encrypt", "--n", "2", "--rounds", str(MAX_ROUNDS + 1),
+               "--key-hex", "a1", "--in", str(plain), "--out", str(box)) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: rounds must be at most {MAX_ROUNDS}, got {MAX_ROUNDS + 1}"
+    ]
+    assert not box.exists()
+
+
 def test_walls_file_flow(tmp_path):
     rnd = random.Random(2)
     plain = tmp_path / "p.bin"
@@ -451,19 +465,6 @@ def test_image_encryption_demo_chain(tmp_path, capsys):
     assert diff_bits / (4 * 4096) > 0.4
 
 
-def test_bench_rows_and_engine_order(capsys):
-    assert run("bench", "--min-time", "0.02") == 0
-    lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
-    rows = lines[1:]
-    assert len(rows) == 6  # two engines for each of n in {4, 5, 6}
-    rates = {}
-    for row in rows:
-        fields = row.split()
-        rates[(fields[0], fields[2])] = float(fields[3])
-    for n in ("4", "5", "6"):
-        assert rates[(n, "bitplane")] >= rates[(n, "reference")]
-
-
 def test_bench_json_has_rows_layers_and_machine(tmp_path, capsys):
     path = tmp_path / "bench.json"
     assert run("bench", "--min-time", "0.02", "--json", str(path)) == 0
@@ -476,8 +477,13 @@ def test_bench_json_has_rows_layers_and_machine(tmp_path, capsys):
     # the rows the table prints, in its order
     assert [(str(r["n"]), str(r["rounds"]), r["engine"]) for r in report["rows"]] == [
         tuple(line.split()[:3]) for line in table]
+    assert len(table) == 6  # two engines for each of n in {4, 5, 6}
+    rates = {}
     for row in report["rows"]:
         assert set(row) == {"n", "rounds", "engine", "blocks_per_s", "kB_per_s"}
+        rates[(row["n"], row["engine"])] = row["blocks_per_s"]
+    for n in (4, 5, 6):
+        assert rates[(n, "bitplane")] >= rates[(n, "reference")]
     assert set(report["layers"]) == {"4", "5", "6"}
     for n, layer in report["layers"].items():
         assert layer["lattices"] == batch_size(int(n))

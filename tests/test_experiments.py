@@ -899,7 +899,8 @@ def test_leak_demo_tile_diff_counts_bits_per_tile():
     want = tuple(
         tuple(
             sum(
-                bin(image.pixel(x, y) ^ result.decrypted.pixel(x, y)).count("1")
+                bin(image.pixels[y * image.width + x]
+                    ^ result.decrypted.pixels[y * image.width + x]).count("1")
                 for y in range(i * ts, (i + 1) * ts)
                 for x in range(j * ts, (j + 1) * ts)
             ) / (4 * ts * ts)

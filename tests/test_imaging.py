@@ -26,12 +26,12 @@ def test_lattice_image_round_trip():
     assert image.width == image.height == 64
     assert image_to_lattice(image) == lat
     # pixel x,y is cell (row y, col x)
-    assert image.pixel(5, 9) == lat.cell(9, 5)
+    assert image.pixels[9 * image.width + 5] == lat.cell(9, 5)
 
 
 def test_full_cell_is_brightest_pixel():
     lat = Lattice(1, bytes([0xF, 0, 0, 0]))
-    assert lattice_to_image(lat).pixel(0, 0) == 15
+    assert lattice_to_image(lat).pixels[0] == 15
 
 
 def test_image_to_lattice_rejects_bad_shapes():
