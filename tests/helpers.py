@@ -1,11 +1,20 @@
-"""Lattice, wall and wall-plane builders shared by the test modules, and
-plane_bits, which reads the cells of a plane back one byte each."""
+"""Lattice, wall and wall-plane builders shared by the test modules,
+plane_bits, which reads the cells of a plane back one byte each, and
+ORACLE_CELL_ROUNDS, the bound on the per-cell engine's work per example
+of the hypothesis tests that run it for many rounds."""
 
 import numpy as np
 from hypothesis import strategies as st
 
 from hppcrypt import bitplane as bp
 from hppcrypt.lattice import Lattice
+
+
+# The most work the per-cell oracle may do for one example of a test that
+# runs it round after round, in cell-rounds (lattices x cells x rounds):
+# its propagation is a Python loop over cells, so an example's time is
+# bounded by this whatever the draw.
+ORACLE_CELL_ROUNDS = 1 << 18
 
 
 @st.composite

@@ -1,23 +1,27 @@
-"""The bit-plane engine against its references, one test per contract:
+"""The bit-plane engine against its references:
 
-* the block <-> planes layout, in
-  test_full_batch_conversion_matches_unpacked_bits, against
-  unpacked_planes: the block bits unpacked by numpy and transposed to
-  [plane, row, lattice, column], a route that shares no table with the
-  converters;
-* each kernel on a batch (collide, M, P, J and reflection), in
-  test_batch_kernels_match_reference_lattice_by_lattice, against the
-  per-cell engine in hppcrypt.lattice, lattice by lattice.
+* the block <-> planes layout against unpacked_planes, the block bits
+  unpacked by numpy and transposed to [plane, row, lattice, column], a
+  route that shares no table with the converters, and against
+  cell_bits, the same bits read cell by cell from the per-cell engine's
+  lattices;
+* each kernel (collide, M, P, J and reflection) against the per-cell
+  engine in hppcrypt.lattice, lattice by lattice, on one lattice and on
+  batches of two to five;
+* M, rounds of P and M, then J, run by hand on the lanes of a batch,
+  against the per-cell engine, with the oracle's work per example
+  bounded by ORACLE_CELL_ROUNDS.
 
-The round schedule is checked against the per-cell engine in
-test_cipher.py, and acceptance criterion 4 repeats the kernel check at
-n = 6 on 1000 lattices.
+The round schedule of the cipher's one round loop is checked against
+the per-cell engine in test_cipher.py, and acceptance criterion 4
+repeats the kernel check at n = 6 on 1000 lattices.
 """
 
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hppcrypt import bitplane as bp
 from hppcrypt import lattice as ref
@@ -25,7 +29,8 @@ from hppcrypt.cipher import batch_size
 from hppcrypt.errors import ParameterError
 from hppcrypt.lattice import Lattice
 
-from helpers import batch_mask, plane_bits, random_lattice, random_walls
+from helpers import (
+    ORACLE_CELL_ROUNDS, batch_mask, lattices, plane_bits, random_lattice, random_walls)
 
 
 def to_planes(lat):
@@ -52,15 +57,47 @@ def unpacked_planes(blocks, n):
     return bits.reshape(-1, side, side, 4).transpose(3, 1, 0, 2)
 
 
+def cell_bits(lats):
+    """The planes of a batch read from the per-cell engine's lattices, as
+    0/1 bytes [plane, row, lattice, column]: plane k holds bit
+    (E, S, W, N)[k] of cell (r, c) of lattice b."""
+    side = lats[0].side
+    cells = np.frombuffer(b"".join(lat.cells for lat in lats), dtype=np.uint8)
+    cells = cells.reshape(len(lats), side, side).transpose(1, 0, 2)
+    return np.stack([(cells & bit) != 0 for bit in
+                     (ref.E_BIT, ref.S_BIT, ref.W_BIT, ref.N_BIT)]).astype(np.uint8)
+
+
+@given(lattices())
+@settings(deadline=None)
+def test_round_trip_identity(lat):
+    assert to_lattices(to_planes(lat), lat.n) == [lat]
+
+
+def test_round_trip_large():
+    rnd = random.Random(11)
+    for n in (5, 6):
+        lat = random_lattice(rnd, n)
+        assert to_lattices(to_planes(lat), n) == [lat]
+
+
+def test_block_conversion_agrees_with_serialization():
+    # Bit c of lane r of plane k is direction k of cell (r, c) of the
+    # lattice the per-cell engine reads from the block.
+    rnd = random.Random(5)
+    for n in (1, 2, 4, 6, 7):
+        block = rnd.randbytes(ref.block_size(n))
+        planes = bp.planes_from_block(block, n)
+        assert np.array_equal(plane_bits(planes, n), cell_bits([ref.from_bytes(block, n)]))
+        assert bp.planes_to_block(planes) == block
+
+
 def test_full_batch_conversion_matches_unpacked_bits():
     # B = 1 to 5 lattices and one full batch of the round loop at every n
     # the converters take whole: the planes are the unpacked bits packed
     # again, column c at bit c of its lane's bytes and the row padded
     # with zero bits to whole bytes (one uint8 below n = 3, two uint64 words
-    # at n = 7); plane_bits reads them back; planes_to_block gives the
-    # blocks back, also from a tuple of four planes; and np.repeat on the
-    # lattice axis repeats each lattice in place, as planes_from_block
-    # gives for each block repeated.
+    # at n = 7), and planes_to_block gives the blocks back.
     rnd = np.random.default_rng(61)
     for n in range(1, 11):
         side, size = 1 << n, ref.block_size(n)
@@ -71,48 +108,92 @@ def test_full_batch_conversion_matches_unpacked_bits():
             assert planes.shape == (4, side, lattices, words)
             assert planes.dtype == dtype
             assert words == max(1, side // 64)
-            want = unpacked_planes(blocks, n)
-            assert np.array_equal(planes.view(np.uint8),
-                                  np.packbits(want, axis=-1, bitorder="little"))
+            assert np.array_equal(planes.view(np.uint8), np.packbits(
+                unpacked_planes(blocks, n), axis=-1, bitorder="little"))
             assert bp.planes_to_block(planes) == blocks
-            if lattices <= 5:
-                assert np.array_equal(plane_bits(planes, n), want)
-                assert bp.planes_to_block(tuple(planes)) == blocks
-                twice = b"".join(2 * blocks[i:i + size]
-                                 for i in range(0, len(blocks), size))
-                assert np.array_equal(np.repeat(planes, 2, axis=2),
-                                      bp.planes_from_block(twice, n))
+
+
+def test_batch_layout_is_row_interleaved():
+    # Lane [r, b] of plane k holds direction k of row r of lattice b,
+    # column c at bit c of the lane's little-endian bytes; n = 1, where a
+    # lattice row is a single byte, and n = 7, two words a row, are the
+    # edges.
+    rnd = random.Random(41)
+    for n in range(1, 8):
+        side = 1 << n
+        for count in range(1, 6 if n < 6 else 3):
+            lats = [random_lattice(rnd, n) for _ in range(count)]
+            blocks = b"".join(map(ref.to_bytes, lats))
+            planes = bp.planes_from_block(blocks, n)
+            dtype, words = bp.lane_layout(n)
+            assert planes.shape == (4, side, count, words)
+            assert planes.dtype == dtype
+            want = cell_bits(lats)
+            assert np.array_equal(plane_bits(planes, n), want), (n, count)
+            k, r, b = rnd.randrange(4), rnd.randrange(side), rnd.randrange(count)
+            lane = int.from_bytes(planes[k, r, b].tobytes(), "little")
+            assert lane == sum(int(bit) << c for c, bit in enumerate(want[k, r, b]))
+            assert bp.planes_to_block(planes) == blocks
+
+
+def test_plane_bits_and_repeat_follow_the_lane_layout():
+    # B = 1 to 5 lattices at every n: plane_bits reads the unpacked bits
+    # back; planes_to_block takes a tuple of four planes as it takes the
+    # array; np.repeat on the lattice axis repeats each lattice in place,
+    # as planes_from_block gives for each block repeated, and every
+    # second lattice of that is the batch again.
+    rnd = np.random.default_rng(43)
+    for n in range(1, 11):
+        size = ref.block_size(n)
+        for lattices in range(1, 6):
+            blocks = rnd.bytes(lattices * size)
+            planes = bp.planes_from_block(blocks, n)
+            assert np.array_equal(plane_bits(planes, n), unpacked_planes(blocks, n))
+            assert bp.planes_to_block(tuple(planes)) == blocks
+            twice = b"".join(2 * blocks[i:i + size] for i in range(0, len(blocks), size))
+            tiled = np.repeat(planes, 2, axis=2)
+            assert np.array_equal(tiled, bp.planes_from_block(twice, n))
+            assert np.array_equal(tiled[:, :, ::2], planes)
+
+
+def check_kernels(lats, walls):
+    """Every kernel on the batch of lats, lattice b under walls[b], acts
+    on each lattice as the per-cell engine does, and without out= no
+    kernel writes its input."""
+    n = lats[0].n
+    blocks = b"".join(map(ref.to_bytes, lats))
+    planes = bp.planes_from_block(blocks, n)
+    mask = batch_mask(walls, n)
+    for got, want in (
+        (bp.collide_planes(*planes, 0), [ref.collide(lat) for lat in lats]),
+        (bp.collide_planes(*planes, mask),
+         [ref.reflect(ref.collide(lat), w) for lat, w in zip(lats, walls)]),
+        (bp.propagate_planes(*planes), [ref.propagate(lat) for lat in lats]),
+        (bp.invert_planes(*planes), [ref.invert_all(lat) for lat in lats]),
+        (bp.reflect_planes(*planes, mask),
+         [ref.reflect(lat, w) for lat, w in zip(lats, walls)]),
+    ):
+        assert to_lattices(got, n) == want, (n, len(lats))
+    assert bp.planes_to_block(planes) == blocks
+
+
+def test_matches_reference_engine_per_primitive():
+    # The per-cell engine is the oracle for every primitive.
+    rnd = random.Random(23)
+    for case in range(40):
+        n = rnd.randint(1, 5)
+        check_kernels([random_lattice(rnd, n)], [random_walls(rnd, n, rnd.randint(0, 5))])
 
 
 def test_batch_kernels_match_reference_lattice_by_lattice():
-    # B = 1 to 5 lattices in one set of planes at n = 1 to 5, each with
-    # walls of its own: every kernel acts on each lattice as the oracle
-    # does, propagation wrapping inside each lattice, not into the next;
-    # J only swaps plane references; and without out= no kernel writes
-    # its input. Case 0 is a batch of empty lattices, a fixed point of
-    # every kernel.
+    # B lattices in one set of planes, each with its own walls: every
+    # kernel must act on each lattice as the oracle does, with
+    # propagation wrapping inside each lattice, not into the next.
     rnd = random.Random(31)
-    for case in range(40):
-        n, count = rnd.randint(1, 5), rnd.randint(1, 5)
-        lats = [random_lattice(rnd, n) if case else Lattice(n, bytes(1 << 2 * n))
-                for _ in range(count)]
-        walls = [random_walls(rnd, n, rnd.randint(0, 5)) for _ in range(count)]
-        blocks = b"".join(map(ref.to_bytes, lats))
-        planes = bp.planes_from_block(blocks, n)
-        mask = batch_mask(walls, n)
-        four = tuple(planes)
-        assert all(a is b for a, b in zip(bp.invert_planes(*four), four[2:] + four[:2]))
-        for got, want in (
-            (bp.collide_planes(*planes, 0), [ref.collide(lat) for lat in lats]),
-            (bp.collide_planes(*planes, mask),
-             [ref.reflect(ref.collide(lat), w) for lat, w in zip(lats, walls)]),
-            (bp.propagate_planes(*planes), [ref.propagate(lat) for lat in lats]),
-            (bp.invert_planes(*planes), [ref.invert_all(lat) for lat in lats]),
-            (bp.reflect_planes(*planes, mask),
-             [ref.reflect(lat, w) for lat, w in zip(lats, walls)]),
-        ):
-            assert to_lattices(got, n) == want, (case, n, count)
-        assert bp.planes_to_block(planes) == blocks
+    for case in range(30):
+        n, count = rnd.randint(1, 5), rnd.randint(2, 5)
+        check_kernels([random_lattice(rnd, n) for _ in range(count)],
+                      [random_walls(rnd, n, rnd.randint(0, 5)) for _ in range(count)])
 
 
 def test_gold_vector_on_bitplanes():
@@ -120,6 +201,22 @@ def test_gold_vector_on_bitplanes():
     for _ in range(2):
         planes = bp.propagate_planes(*bp.collide_planes(*planes, 0))
     assert bp.planes_to_block(planes) == bytes.fromhex("179002A850F85010")
+
+
+def test_empty_lattice_fixed_point():
+    planes = np.zeros((4, 8, 4, 1), dtype=np.uint8)  # four empty 8x8 lattices
+    mask = batch_mask([{(1, 1)}] * 4, 3)
+    assert same(bp.collide_planes(*planes, mask), planes)
+    assert same(bp.propagate_planes(*planes), planes)
+    assert same(bp.invert_planes(*planes), planes)
+    assert same(bp.reflect_planes(*planes, mask), planes)
+
+
+def test_invert_is_plane_swap():
+    # J swaps E with W and S with N by reference, the arrays themselves.
+    assert bp.invert_planes(1, 2, 4, 8) == (4, 8, 1, 2)
+    four = tuple(bp.planes_from_block(bytes(range(8)), 2))
+    assert all(a is b for a, b in zip(bp.invert_planes(*four), four[2:] + four[:2]))
 
 
 def test_wall_mask_positions():
@@ -220,3 +317,50 @@ def test_kernels_write_out_in_place():
         got = bp.propagate_planes(e, s, w, nn, out=(e, s_to, w, n_to))
         assert all(g is o for g, o in zip(got, (e, s_to, w, n_to)))
         assert same(got, want)
+
+
+@st.composite
+def lane_batches(draw):
+    """A batch of 1 to 4 random lattices at n = 1 to 9, walls of their own
+    (some on the last row or column) and a round count from 0 to
+    2*side+3, so that particles wrap the torus more than twice. From
+    n = 7 on the count stays at most 3, and at most
+    ORACLE_CELL_ROUNDS / cells of the batch: every round runs the same
+    kernels, and the carries cross every word boundary and every edge
+    from round 1 on."""
+    n = draw(st.integers(1, 9))
+    side = 1 << n
+    count = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    coord = st.integers(0, side - 1)
+    edge = st.one_of(st.tuples(st.just(side - 1), coord),
+                     st.tuples(coord, st.just(side - 1)))
+    walls = [draw(st.frozensets(st.tuples(coord, coord), max_size=5))
+             | draw(st.frozensets(edge, max_size=2))
+             for _ in range(count)]
+    top = min(2 * side + 3 if n < 7 else 3, ORACLE_CELL_ROUNDS // (count * side * side))
+    rounds = draw(st.integers(0, top))
+    return n, random.Random(seed).randbytes(count * ref.block_size(n)), walls, rounds
+
+
+@given(lane_batches())
+@settings(deadline=None, max_examples=30)
+def test_lane_kernels_match_reference_lattice_by_lattice(batch):
+    # M, then rounds of P and M, then J, on the lanes of the whole batch,
+    # each lattice against the per-cell engine; and the blocks survive
+    # the trip through lanes at every shape.
+    n, blocks, walls, rounds = batch
+    planes = bp.planes_from_block(blocks, n)
+    assert bp.planes_to_block(planes) == blocks
+    lats = to_lattices(planes, n)
+    mask = batch_mask(walls, n)
+    planes = bp.collide_planes(*planes, mask)
+    for _ in range(rounds):
+        planes = bp.collide_planes(*bp.propagate_planes(*planes), mask)
+    want = []
+    for lat, w in zip(lats, walls):
+        lat = ref.reflect(ref.collide(lat), w)
+        for _ in range(rounds):
+            lat = ref.reflect(ref.collide(ref.propagate(lat)), w)
+        want.append(ref.invert_all(lat))
+    assert to_lattices(bp.invert_planes(*planes), n) == want

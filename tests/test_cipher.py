@@ -1,12 +1,14 @@
 """The cipher: key decoding, the block schedule, streams, the container
-and the key-space count. Each contract is checked against one reference:
+and the key-space count. The references:
 
-* the round schedule M, (P M)^r, J of the fast engine's one round loop,
-  in test_batched_trajectory_matches_reference, against the per-cell
-  engine in hppcrypt.lattice (encrypt_block with engine "reference"),
-  and so is encrypt_block on the bit planes;
-* derive_walls, in test_derive_walls_matches_bitwise_decoder, against
-  bitwise_walls, the key read bit by bit.
+* the round schedule M, (P M)^r, J of the fast engine's one round loop
+  and encrypt_block on the bit planes are checked against the per-cell
+  engine in hppcrypt.lattice (encrypt_block with engine "reference"):
+  on one block in test_engines_agree and the test_trajectory_matches_*
+  pair, on batches with walls per lattice or shared and n up to 9 in
+  test_batched_trajectory_matches_reference;
+* derive_walls is checked against bitwise_walls, the key read bit by
+  bit, in test_derive_walls_matches_bitwise_decoder.
 
 Involution, conservation, engine equivalence at n = 6, the gold vector
 and the key-space enumeration are acceptance criteria, checked in
@@ -40,7 +42,7 @@ from hppcrypt.cipher import (
 )
 from hppcrypt.errors import FormatError, ParameterError
 
-from helpers import batch_mask
+from helpers import ORACLE_CELL_ROUNDS, batch_mask
 
 ROT2 = [((v << 2) | (v >> 2)) & 0xF for v in range(16)]
 
@@ -66,6 +68,10 @@ def test_derive_walls_hand_decoded():
     assert derive_walls(bytes([0b10101111]), 3) == {(0b101, 0b011)}
 
 
+def test_derive_walls_duplicates_collapse():
+    assert derive_walls(bytes(2), 4) == {(0, 0)}
+
+
 def test_derive_walls_paper_counts():
     # Keys whose groups are all distinct: 8 bytes give 8 walls at n=4 and
     # 48 bytes give 32 walls at n=6, one per 2n-bit group.
@@ -74,6 +80,13 @@ def test_derive_walls_paper_counts():
     assert derive_walls(key, 6) == {(0, g) for g in range(32)}
     rnd = random.Random(0)
     assert len(derive_walls(rnd.randbytes(48), 6)) <= 32
+
+
+def test_derive_walls_key_too_short():
+    with pytest.raises(ParameterError):
+        derive_walls(b"", 4)
+    with pytest.raises(ParameterError):
+        derive_walls(b"\xff", 5)  # 8 bits < 10
 
 
 def bitwise_walls(key: bytes, n: int) -> frozenset:
@@ -304,6 +317,15 @@ def test_parameter_mismatch_garbles_output():
         assert diff.bit_count() / (8 * len(block)) >= 0.40
 
 
+def test_engines_agree():
+    rnd = random.Random(7)
+    for _ in range(6):
+        n = rnd.randint(2, 4)
+        params = random_params(rnd, n, max_rounds=12)
+        block = rnd.randbytes(L.block_size(n))
+        assert encrypt_block(block, params) == encrypt_block(block, params, "reference")
+
+
 # --- round trajectories ---------------------------------------------------
 
 def test_trajectory_yields_stay_as_yielded():
@@ -329,12 +351,34 @@ def test_trajectory_yields_stay_as_yielded():
                     blocks[b * bs:(b + 1) * bs], CipherParams(n, r, walls), "reference")
 
 
-# The most work the per-cell oracle may do for one example of the
-# schedule test, in cell-rounds: its propagation is a Python loop over
-# cells, and encrypting at each count anew makes an example cost
-# lattices x cells x the sum of its counts, bounded by this whatever the
-# draw.
-ORACLE_CELL_ROUNDS = 1 << 18
+def check_trajectory(rnd, n):
+    """The round loop on one block at random ascending counts, 0
+    included, against a separate encryption at each count by both
+    engines."""
+    params = random_params(rnd, n, max_rounds=20)
+    k = min(params.rounds, rnd.randint(0, 5))
+    counts = (0, *sorted(rnd.sample(range(1, params.rounds + 1), k)))
+    block = rnd.randbytes(L.block_size(n))
+    planes = bp.planes_from_block(block, n)
+    got = [bp.planes_to_block(out)
+           for out in _trajectory(planes, batch_mask([params.walls], n), counts)]
+    assert len(got) == len(counts)
+    for r, ct in zip(counts, got):
+        at_r = CipherParams(n, r, params.walls)
+        assert ct == encrypt_block(block, at_r)
+        assert ct == encrypt_block(block, at_r, "reference")
+
+
+def test_trajectory_matches_engines_seeded():
+    rnd = random.Random(17)
+    for n in (2, 3, 4, 5, 2, 3, 4, 5):
+        check_trajectory(rnd, n)
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(2, 5))
+@settings(deadline=None, max_examples=25)
+def test_trajectory_matches_engines(seed, n):
+    check_trajectory(random.Random(seed), n)
 
 
 @st.composite
@@ -343,8 +387,9 @@ def schedules(draw):
     own (some on the last row or the last column) or one wall set shared
     by all, and 1 to 4 ascending round counts, 0 among them at times, of
     up to 2*side + 3 rounds, so that particles wrap the torus more than
-    twice. The counts are cut where the oracle's work would pass
-    ORACLE_CELL_ROUNDS: at n = 9 that leaves one round of one lattice, or
+    twice. Encrypting at each count anew costs the oracle lattices x
+    cells x the sum of the counts, so the counts are cut where that would
+    pass ORACLE_CELL_ROUNDS: at n = 9 that leaves one round of one lattice, or
     count 0 alone for more lattices."""
     n = draw(st.integers(1, 9))
     side = 1 << n

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -465,11 +467,31 @@ def test_image_encryption_demo_chain(tmp_path, capsys):
     assert diff_bits / (4 * 4096) > 0.4
 
 
-def test_bench_json_has_rows_layers_and_machine(tmp_path, capsys):
-    path = tmp_path / "bench.json"
-    assert run("bench", "--min-time", "0.02", "--json", str(path)) == 0
-    table = [l for l in capsys.readouterr().out.splitlines() if l.strip()][1:]
-    report = json.loads(path.read_text())
+@pytest.fixture(scope="module")
+def bench(tmp_path_factory):
+    """One `hppcrypt bench --json` run for the bench tests: the table rows
+    it prints and the report it writes."""
+    path = tmp_path_factory.mktemp("bench") / "bench.json"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run("bench", "--min-time", "0.02", "--json", str(path)) == 0
+    table = [l for l in out.getvalue().splitlines() if l.strip()][1:]
+    return table, json.loads(path.read_text())
+
+
+def test_bench_rows_and_engine_order(bench):
+    rows, _ = bench
+    assert len(rows) == 6  # two engines for each of n in {4, 5, 6}
+    rates = {}
+    for row in rows:
+        fields = row.split()
+        rates[(fields[0], fields[2])] = float(fields[3])
+    for n in ("4", "5", "6"):
+        assert rates[(n, "bitplane")] >= rates[(n, "reference")]
+
+
+def test_bench_json_has_rows_layers_and_machine(bench):
+    table, report = bench
     assert set(report) == {"machine", "min_time_s", "batch_cells", "rows", "layers"}
     assert set(report["machine"]) == {"python", "numpy", "cpu_count"}
     assert report["min_time_s"] == 0.02
@@ -477,13 +499,8 @@ def test_bench_json_has_rows_layers_and_machine(tmp_path, capsys):
     # the rows the table prints, in its order
     assert [(str(r["n"]), str(r["rounds"]), r["engine"]) for r in report["rows"]] == [
         tuple(line.split()[:3]) for line in table]
-    assert len(table) == 6  # two engines for each of n in {4, 5, 6}
-    rates = {}
     for row in report["rows"]:
         assert set(row) == {"n", "rounds", "engine", "blocks_per_s", "kB_per_s"}
-        rates[(row["n"], row["engine"])] = row["blocks_per_s"]
-    for n in (4, 5, 6):
-        assert rates[(n, "bitplane")] >= rates[(n, "reference")]
     assert set(report["layers"]) == {"4", "5", "6"}
     for n, layer in report["layers"].items():
         assert layer["lattices"] == batch_size(int(n))
