@@ -116,7 +116,7 @@ def cmd_encrypt(args) -> int:
             "wall influence may not cover the lattice"
         )
     density = ones_density(data)
-    if abs(density - 0.5) > 0.1:
+    if data and abs(density - 0.5) > 0.1:  # an empty file has no density
         _warn(
             f"bit density {density:.3f} is far from 0.5 and is preserved "
             "exactly by the cipher; consider compressing the input first"

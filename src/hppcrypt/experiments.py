@@ -2,52 +2,30 @@
 
 Every protocol is deterministic: randomness comes from a counter-based
 Philox generator keyed by (seed, trial index), so trials are independent
-sub-streams and a report is reproducible bit for bit from its config no
-matter how trials are scheduled.
+sub-streams. Every trial keeps its own draws and walls and is compared
+only with its own reference, so a report is reproducible bit for bit
+from its config no matter how trials are scheduled or share batches.
 
-:func:`run_protocol` runs all six protocols through one trial loop: per
-trial, draw a text and a key, derive the walls (inside the config's wall
-region, if it has one) and flip one key bit per lattice, or two
-plaintext bits (see below). An :class:`ExperimentConfig` holds every
-input of a run and refuses a bad one before any work starts. A trial is
-its reference encryption and its flipped encryptions, L lattices, and
-trials run as batches of the fast engine's round loop, at most
-:func:`~hppcrypt.cipher.batch_size` lattices each. Whole trials share a
-batch, as many as fit (63 strict-key trials of 65 lattices at n=4, 7
-strict-text trials of 513, 2048 single-bit trials of 2), and a trial
-longer than a batch is cut into as few near-equal batches as hold it.
-No lattice passes through bytes: the reference texts of a batch are
-read into planes at once, the keys are decoded once into arrays of wall
-coordinates, one batch builder makes every batch as planes and wall
-planes from them (a text flip toggles one plane bit, a key flip one bit
-of one wall coordinate), and its ciphertext planes, row lanes, are XORed
-with each trial's reference lattice: one difference that both reducers
-count.
-Every trial keeps its own draws and walls, so how trials share batches
-changes no result. Avalanche curves measure, per round count r, the
-average fraction of ciphertext bits inverted by a flip. Each batch of a
-curve runs once to the largest round count and reads the ciphertexts at
-every smaller count on the way, so a curve costs max r rounds per
-flipped lattice, not the sum of its round counts; the inverted bits are
-popcounts, added up as one integer per round count and divided once per
-trial, which gives the same floats as adding each flip's fraction in
-turn. Strict-avalanche protocols (Webster and Tavares' criterion)
-measure that probability separately for every ciphertext bit at a fixed
-round count, from exact integer counts made on the lanes as byte-field
-sums: (lanes >> j) & 0x0101...01 summed over at most 255 lattices in the
-lane dtype holds in byte q the count of column 8q + j, which no byte can
-carry past 255, so no bit is ever unpacked. Plaintext flips can only ever
-reach half of the cells: a flipped cell influences only the checkerboard
-class of parity (row+col+rounds) mod 2, which caps the text avalanche
-near 0.25 where the key avalanche approaches 0.5. The text protocols use
-this to run two flips per lattice, one in a cell with row+col even and
-one with row+col odd. That is exact: M and J are cell-local, P moves
-every particle to a cell of the other class and all lattices of a trial
-share their walls, so the two classes evolve as separate lattices, and
-the pair inverts the disjoint union of the bits each flip inverts alone.
-The reducers add popcounts or per-bit counts, so they get the same
-integers from half the lattices. Key flips cannot pair: a wall acts on
-both classes.
+An :class:`ExperimentConfig` holds every input of a run and refuses a bad
+one before any work starts. :func:`run_protocol` runs all six protocols
+through one generator, :func:`_diffs`, from the config to the bits each
+flip inverts, and counts them with one of two reducers: :func:`_curve`,
+the average fraction of ciphertext bits a flip inverts per round count
+r (avalanche curves), or :func:`_strict`, that probability separately
+for every ciphertext bit at a fixed round count (Webster and Tavares'
+strict avalanche criterion).
+
+Plaintext flips can only ever reach half of the cells: a flipped cell
+influences only the checkerboard class of parity (row+col+rounds) mod 2,
+which caps the text avalanche near 0.25 where the key avalanche
+approaches 0.5. The text protocols use this to run two flips per
+lattice, one in a cell with row+col even and one with row+col odd. That
+is exact: M and J are cell-local, P moves every particle to a cell of
+the other class and all lattices of a trial share their walls, so the
+two classes evolve as separate lattices, and the pair inverts the
+disjoint union of the bits each flip inverts alone. The reducers add
+popcounts or per-bit counts, so they get the same integers from half
+the lattices. Key flips cannot pair: a wall acts on both classes.
 """
 
 from __future__ import annotations
@@ -61,6 +39,7 @@ import numpy as np
 from . import bitplane
 from . import lattice as _lattice
 from .cipher import (
+    MAX_EXPONENT,
     MAX_ROUNDS,
     CipherParams,
     _key_coordinates,
@@ -120,8 +99,10 @@ class ExperimentConfig:
         if self.protocol not in PROTOCOLS:
             raise ParameterError(f"unknown protocol {self.protocol!r}")
         flip_key, per_bit = PROTOCOLS[self.protocol]
-        if self.n < 1:
-            raise ParameterError(f"lattice exponent must be >= 1, got {self.n}")
+        # n=1 is below the cipher's MIN_EXPONENT but still a lattice
+        if not 1 <= self.n <= MAX_EXPONENT:
+            raise ParameterError(
+                f"lattice exponent must be in [1, {MAX_EXPONENT}], got {self.n}")
         if not 1 <= self.trials <= MAX_TRIALS:
             raise ParameterError(
                 f"trials must be in [1, {MAX_TRIALS}], got {self.trials}"
@@ -268,48 +249,6 @@ def _report(config, xs, per_trial: np.ndarray) -> ExperimentReport:
         config, tuple(xs), tuple(ys.tolist()), tuple(stddevs.tolist()))
 
 
-def _trials(config: ExperimentConfig, flip_key: bool, flips):
-    """The trial loop of every protocol. A trial is L lattices: its
-    reference (text, key) first, then one lattice with a key bit flipped
-    for each index in `flips`, in that order, or one lattice per row of
-    _checkerboard_pairs(flips, n) with both of its plaintext bits
-    flipped. Whole trials share a batch of the round loop, as many as
-    fit in batch_size(n) lattices and at least one: a trial of L >
-    batch_size(n) lattices is cut into ceil(L / batch_size(n)) batches
-    of near-equal size (385 lattices at n=6 into 2 of 192 and 193),
-    since a round costs about as much on a small batch as on a full one.
-    Yield one group per batch of trials, as (trials, batches):
-    a generator of the group's batches, each as (planes, mask) of
-    trials * b lattices, in which trial j of the group holds lattices
-    j*b to (j+1)*b - 1. Trial t draws its text and then its key from
-    trial_rng(seed, t), and _flips builds every batch of the group from
-    the keys' wall coordinates. Only the reference texts are read from
-    bytes, once per group; every batch is built as planes, one batch at a
-    time, and a group's batches must be consumed before the next group is
-    drawn."""
-    n, region = config.n, config.wall_region
-    # -1: no flip; the reference lattice flips nothing
-    if flip_key:
-        lattice_flips = np.concatenate(([-1], flips))
-    else:
-        lattice_flips = np.concatenate(([[-1, -1]], _checkerboard_pairs(flips, n)))
-    per_trial = len(lattice_flips)
-    pieces = -(-per_trial // batch_size(n))
-    edges = [per_trial * i // pieces for i in range(pieces + 1)]
-    group = max(1, batch_size(n) // per_trial)
-    for t0 in range(0, config.trials, group):
-        texts, keys = [], []
-        for t in range(t0, min(t0 + group, config.trials)):
-            rng = trial_rng(config.seed, t)
-            texts.append(rng.bytes(config.block_len))
-            keys.append(rng.bytes(config.key_len))
-        refs = bitplane.planes_from_block(b"".join(texts), n)
-        build = _flips(keys, n, region, refs, flip_key)
-        yield len(keys), (
-            build(lattice_flips[a:b]) for a, b in zip(edges, edges[1:])
-        )
-
-
 def _checkerboard_pairs(flips: np.ndarray, n: int) -> np.ndarray:
     """The plaintext flips as rows (even, odd) of a (k, 2) array: the
     flips of cells with row+col even in column 0 and odd in column 1,
@@ -384,48 +323,76 @@ def _flips(keys: list, n: int, region, refs: np.ndarray, flip_key: bool):
     return build
 
 
-def _diffs(groups, counts):
-    """Run each group's batches, each along one trajectory up to the
-    largest round count, and yield (t, trials, ri, diff) at counts[ri]
-    for a batch holding the group's `trials` trials from trial t on.
-    diff is the batch's ciphertext row lanes XOR its trial's reference,
-    of shape (4, side, trials, per_trial, words): a set bit is one a flip
-    inverted. The references are each trial's first lattice in the
-    group's first batch, and none is carried to the next group. Each diff
-    is the round loop's own output, XORed in place, and is not written
-    again."""
-    t = 0
-    for trials, batches in groups:
-        refs = []
-        for planes, mask in batches:
-            for ri, out in enumerate(_trajectory(planes, mask, counts)):
+def _diffs(config: ExperimentConfig, flip_key: bool, flips: np.ndarray, counts):
+    """The trial loop of every protocol, from its config to the bits each
+    flip inverts. A trial is L lattices: its reference (text, key) first,
+    then one lattice with a key bit flipped for each index in `flips`, in
+    that order, or one lattice per row of _checkerboard_pairs(flips, n)
+    with both of its plaintext bits flipped. Trial t draws its text and
+    then its key from trial_rng(seed, t). Whole trials share a batch of
+    the round loop, a group of as many as fit in batch_size(n) lattices
+    and at least one (63 strict-key trials of 65 lattices at n=4, 2048
+    single-bit trials of 2); a trial of L > batch_size(n) lattices is cut
+    into ceil(L / batch_size(n)) pieces of near-equal size (385 lattices
+    at n=6 into 2 of 192 and 193), since a round costs about as much on a
+    small batch as on a full one. A group's reference texts are read from
+    bytes at once, and _flips builds each of its pieces as planes.
+
+    Each piece runs along one trajectory up to the largest round count,
+    so a protocol costs max(counts) rounds per lattice, not the sum of its
+    counts. Yield (t, trials, ri, diff) at counts[ri] for a piece of the
+    group of `trials` trials from trial t on: diff is the piece's
+    ciphertext row lanes XOR each trial's reference, of shape
+    (4, side, trials, per_piece, words), a set bit one that a flip
+    inverted. A trial's reference is its first lattice in the group's
+    first piece. Each diff is the round loop's own output, XORed in
+    place, and is not written again."""
+    n = config.n
+    # -1: no flip; the reference lattice flips nothing
+    if flip_key:
+        lattice_flips = np.concatenate(([-1], flips))
+    else:
+        lattice_flips = np.concatenate(([[-1, -1]], _checkerboard_pairs(flips, n)))
+    per_trial = len(lattice_flips)
+    pieces = -(-per_trial // batch_size(n))
+    edges = [per_trial * i // pieces for i in range(pieces + 1)]
+    group = max(1, batch_size(n) // per_trial)
+    for t in range(0, config.trials, group):
+        rngs = [trial_rng(config.seed, j)
+                for j in range(t, min(t + group, config.trials))]
+        trials = len(rngs)
+        refs = bitplane.planes_from_block(
+            b"".join(rng.bytes(config.block_len) for rng in rngs), n)
+        build = _flips([rng.bytes(config.key_len) for rng in rngs], n,
+                       config.wall_region, refs, flip_key)
+        firsts = []  # per round count, each trial's reference ciphertext
+        for a, b in zip(edges, edges[1:]):
+            for ri, out in enumerate(_trajectory(*build(lattice_flips[a:b]), counts)):
                 out = out.reshape(out.shape[:2] + (trials, -1, out.shape[-1]))
-                if ri == len(refs):  # first batch: keep each trial's lattice 0
-                    refs.append(out[:, :, :, :1].copy())
-                out ^= refs[ri]
+                if a == 0:  # the first piece: keep each trial's lattice 0
+                    firsts.append(out[:, :, :, :1].copy())
+                out ^= firsts[ri]
                 yield t, trials, ri, out
-        t += trials
 
 
-def _curve(config: ExperimentConfig, rounds, groups, flip_count: int) -> ExperimentReport:
-    """Mean inverted fraction per round count. Each batch is one
-    trajectory up to the largest round count, so a curve costs max r
-    rounds per flip, not the sum over its round counts. A block is a bit
+def _curve(config: ExperimentConfig, diffs, flip_count: int) -> ExperimentReport:
+    """Mean inverted fraction per round count. A block is a bit
     permutation of its four planes, so the bits a trial inverts at one
     count are the popcount of its lattices' differences from its
     reference. Each round count keeps an integer total per trial over
     all its flips, divided once: block_bits is a power of two and every
     partial sum is exact, so the floats equal adding each flip's
     fraction in turn."""
+    rounds = config.round_values()
     block_bits = 8 * config.block_len
     totals = np.zeros((len(rounds), config.trials), dtype=np.int64)
-    for t, trials, ri, diff in _diffs(groups, rounds):
+    for t, trials, ri, diff in diffs:
         totals[ri, t:t + trials] += np.bitwise_count(diff).sum(
             axis=(0, 1, 3, 4), dtype=np.int64)
     return _report(config, rounds, totals / block_bits / flip_count)
 
 
-def _strict(config: ExperimentConfig, rounds, groups, flip_count: int) -> ExperimentReport:
+def _strict(config: ExperimentConfig, diffs, flip_count: int) -> ExperimentReport:
     """Inversion probability of each ciphertext bit at the single round
     count, from exact per-bit counts. Block bit 4c + k is plane k at cell
     c, so a batch adds, per plane and per trial, the number of the trial's
@@ -442,7 +409,7 @@ def _strict(config: ExperimentConfig, rounds, groups, flip_count: int) -> Experi
     per_trial = np.zeros((8 * config.block_len, config.trials))
     # [r, q, j, k, t]: plane k at cell (r, 8q + j) of trial t
     counts = per_trial.reshape(side, -1, fields, 4, config.trials)
-    for t, trials, _, diff in _diffs(groups, rounds):
+    for t, trials, _, diff in diffs:
         ones = diff.dtype.type(np.iinfo(diff.dtype).max // 255)  # 0x0101...01
         # [j, r, t, w]: the field sums of word w of row r
         sums = np.empty((fields,) + diff.shape[1:3] + diff.shape[4:], diff.dtype)
@@ -467,7 +434,7 @@ def run_protocol(config: ExperimentConfig) -> ExperimentReport:
     else:
         flips = np.arange(8 * (config.key_len if flip_key else config.block_len))
     reduce = _strict if per_bit else _curve
-    return reduce(config, config.round_values(), _trials(config, flip_key, flips),
+    return reduce(config, _diffs(config, flip_key, flips, config.round_values()),
                   len(flips))
 
 

@@ -16,6 +16,7 @@ loops over its cells in Python.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import FormatError, ParameterError
@@ -44,44 +45,30 @@ _LO = bytes(v & 0xF for v in range(256))
 _SHIFT4 = bytes((v << 4) & 0xFF for v in range(256))
 
 
+@dataclass(frozen=True)
 class Lattice:
-    """Immutable 2^n x 2^n grid of 4-bit cells."""
+    """Immutable 2^n x 2^n grid of 4-bit cells; `cells` may be given as
+    any iterable of ints and is kept as bytes."""
 
-    __slots__ = ("n", "side", "cells")
+    n: int
+    cells: bytes
 
-    def __init__(self, n: int, cells: bytes | bytearray | Iterable[int]):
-        if n < 1:
-            raise ParameterError(f"lattice exponent must be >= 1, got {n}")
-        side = 1 << n
-        cells = bytes(cells)
-        if len(cells) != side * side:
-            raise FormatError(
-                f"expected {side * side} cells for n={n}, got {len(cells)}"
-            )
+    def __post_init__(self):
+        if self.n < 1:
+            raise ParameterError(f"lattice exponent must be >= 1, got {self.n}")
+        cells, size = bytes(self.cells), self.side * self.side
+        if len(cells) != size:
+            raise FormatError(f"expected {size} cells for n={self.n}, got {len(cells)}")
         if cells.translate(None, _NIBBLES):
             raise ParameterError("cell values must fit in 4 bits")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "side", side)
         object.__setattr__(self, "cells", cells)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Lattice is immutable")
+    @property
+    def side(self) -> int:
+        return 1 << self.n
 
     def cell(self, row: int, col: int) -> int:
         return self.cells[row * self.side + col]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Lattice)
-            and self.n == other.n
-            and self.cells == other.cells
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.cells))
-
-    def __repr__(self) -> str:
-        return f"Lattice(n={self.n}, cells={self.cells.hex()})"
 
 
 def particle_count(lat: Lattice) -> int:

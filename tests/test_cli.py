@@ -57,6 +57,19 @@ def test_density_warning(tmp_path, capsys):
     assert "density" in capsys.readouterr().err
 
 
+
+def test_empty_file_round_trips_without_warning(tmp_path, capsys):
+    # An empty file has no bits, so no density to warn about.
+    plain = tmp_path / "empty.bin"
+    plain.write_bytes(b"")
+    box, out = tmp_path / "c.hppc", tmp_path / "back.bin"
+    assert run("encrypt", "--n", "2", "--key-hex", "a1",
+               "--in", str(plain), "--out", str(box)) == 0
+    assert capsys.readouterr().err == ""
+    assert run("decrypt", "--key-hex", "a1", "--in", str(box), "--out", str(out)) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_bytes() == b""
+
 def test_invalid_hex_key_exits_2(tmp_path, capsys):
     plain = tmp_path / "p.bin"
     plain.write_bytes(b"data")

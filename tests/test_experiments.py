@@ -6,6 +6,7 @@ import pytest
 from hppcrypt import bitplane, cipher, experiments
 from hppcrypt.bitplane import planes_from_block, wall_mask
 from hppcrypt.cipher import (
+    MAX_EXPONENT,
     MAX_ROUNDS,
     CipherParams,
     _key_coordinates,
@@ -438,6 +439,19 @@ def test_config_validation():
     assert tiny_config("avalanche-text", trials=MAX_TRIALS, rounds_range=(0, 1, 255))
 
 
+
+def test_config_refuses_exponents_past_the_cipher():
+    # The cipher takes no n past MAX_EXPONENT, and a run at such an n
+    # would ask for 2^(2n) cells per lattice before anything else failed
+    for protocol, n, key_len in (("avalanche-text", 16, 4), ("avalanche-key", 20, 5),
+                                 ("avalanche-text", 31, 8)):
+        with pytest.raises(ParameterError, match="lattice exponent must be in"):
+            default_config(protocol, n=n, trials=1, key_len=key_len,
+                           rounds_range=(1, 1, 1))
+    for n, key_len in ((1, 1), (MAX_EXPONENT, 4)):
+        assert default_config("avalanche-text", n=n, trials=1, key_len=key_len,
+                              rounds_range=(1, 1, 1)).n == n
+
 # --- plane-space trials against the byte-level definition -----------------
 
 # Tiny configs of all six protocols: n = 2 and 3, one or two trials,
@@ -597,7 +611,7 @@ FLIP_CASES = {
     ],
 )
 def test_flip_batches_match_flipped_blocks_and_keys(flip_key, key, n, region):
-    # A group of two trials, as _trials builds it: trial j's lattices
+    # A group of two trials, as _diffs builds it: trial j's lattices
     # follow one another, each the trial's text under its key with one
     # key bit flipped, or with a row of plaintext bits flipped: the
     # (even, odd) pairs, and rows with one flip where one class runs out

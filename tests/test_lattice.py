@@ -239,6 +239,16 @@ def test_lattice_accepts_every_nibble():
         assert isinstance(lat.cells, bytes)
 
 
+
+def test_lattice_is_immutable():
+    lat = Lattice(2, bytes(16))
+    for name, value in (("n", 3), ("cells", bytes(16)), ("side", 8), ("other", 0)):
+        with pytest.raises(AttributeError):
+            setattr(lat, name, value)
+    assert (lat.n, lat.side, lat.cells) == (2, 4, bytes(16))
+    # equal lattices hash equally, so they can key a dict or a set
+    assert len({lat, Lattice(2, bytearray(16)), Lattice(2, bytes([1]) + bytes(15))}) == 2
+
 def test_parse_walls_text():
     walls = parse_walls_text("0,1\n# comment\n\n3,2\n0,1\n")
     assert walls == frozenset({(0, 1), (3, 2)})
