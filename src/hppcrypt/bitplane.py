@@ -29,17 +29,12 @@ planes, and is the one step that takes n: every later one, from
 and the lattice count from the planes' shape. Both converters take the
 whole batch at once, one transpose of row words and one pass through
 256-entry tables, with temporaries of at most five block sizes from
-n = 3 on (see cipher.BATCH_CELLS). :func:`coordinate_mask` builds the
-wall plane of a batch from an int64 array of (row, col) coordinates, as
-the protocols do from their keys, and :func:`wall_mask` that of one
-lattice from a wall set, as streams do.
-The kernels take planes and return planes; given `out`,
-:func:`collide_planes` and :func:`propagate_planes` write into those
-arrays (the inputs themselves, for all but S and N of P), so the
-cipher's round loop allocates its planes once per batch.
-:func:`reflect_planes` is reflection alone, the half of M that
-:func:`collide_planes` fuses in: no longer called by the program, it
-stays for perfbench's TARGETS and the tests.
+n = 3 on (see cipher.BATCH_CELLS). :func:`coordinate_mask` builds wall
+planes from int64 (row, col) arrays, as the protocols do from keys, and
+:func:`wall_mask` from a wall set, as streams do. Block bit 4c + k (MSB
+first) is plane k at cell c = row*side + col: :func:`toggle_bits` flips
+such bits in place and :func:`add_bit_counts` counts them over a batch,
+so no caller works on a lane itself.
 
 Results are bit-identical to the per-cell engine in
 :mod:`hppcrypt.lattice`; the test suite proves it primitive by primitive
@@ -49,6 +44,7 @@ and lattice by lattice within a batch.
 from __future__ import annotations
 
 from collections.abc import Collection, Sequence
+from itertools import product
 
 import numpy as np
 
@@ -94,8 +90,7 @@ def _row_words(data: np.ndarray, side: int) -> np.ndarray:
 def planes_from_block(blocks: bytes, n: int) -> np.ndarray:
     """Straight from the two-cells-per-byte serialization to planes: a run
     of B blocks of a 2^n lattice gives the (4, side, B, words) planes of a
-    batch of B. The one step that takes n: every later one reads it from
-    the planes."""
+    batch of B."""
     side = 1 << n
     dtype, _ = lane_layout(n)
     data = np.frombuffer(blocks, dtype=np.uint8)
@@ -129,35 +124,72 @@ def planes_to_block(planes: Sequence[np.ndarray]) -> bytes:
 def wall_mask(walls: Collection[tuple[int, int]], n: int) -> np.ndarray:
     """Wall plane (side, 1, words) of one lattice with the wall set
     `walls`, checked by :func:`hppcrypt.lattice.check_walls`."""
-    coords = np.array(list(check_walls(walls, n)), dtype=np.int64).reshape(-1, 2)
-    return coordinate_mask(coords, 0, 1, n)
+    coords = np.array(list(check_walls(walls, n)), dtype=np.int64).reshape(1, -1, 2)
+    return coordinate_mask(coords, n)
 
 
-def coordinate_mask(
-    coords: np.ndarray, lattice_of: np.ndarray, lattices: int, n: int,
-    odd: bool = False,
-) -> np.ndarray:
-    """Plane of a batch of `lattices` lattices with a bit set at each
-    (row, col) of the int64 array `coords` (shape (k, 2)), coordinate i
-    in lattice lattice_of[i] (or all in lattice `lattice_of`). A cell
-    listed more than once is set once, or with `odd` only if it is listed
-    an odd number of times. Every coordinate is bounds-checked in one
-    pass; the first one outside the lattice raises the ParameterError of
-    :func:`hppcrypt.lattice.check_walls`."""
+def coordinate_mask(coords: np.ndarray, n: int, odd: bool = False) -> np.ndarray:
+    """Plane of a batch with a bit set at each (row, col) of the int64
+    array `coords` of shape (lattices, k, 2), row b holding lattice b's
+    coordinates. A cell listed more than once is set once, or with `odd`
+    only if it is listed an odd number of times. Every coordinate is
+    bounds-checked in one pass; the first one outside the lattice raises
+    the ParameterError of :func:`hppcrypt.lattice.check_walls`."""
     side = 1 << n
     # Read as unsigned, a negative coordinate is as far outside as any.
     outside = np.flatnonzero(coords.view(np.uint64) >= side)
     if outside.size:
-        check_walls([tuple(coords[outside[0] // 2].tolist())], n)
+        check_walls([tuple(coords.reshape(-1, 2)[outside[0] // 2].tolist())], n)
     dtype, words = lane_layout(n)
     lane_bytes = dtype.itemsize * words
-    row, col = coords[:, 0], coords[:, 1]
-    index = (row * lattices + lattice_of) * lane_bytes + (col >> 3)
+    lattices = len(coords)
+    row, col = coords[..., 0], coords[..., 1]
+    index = (row * lattices + np.arange(lattices)[:, None]) * lane_bytes + (col >> 3)
     raw = np.zeros(side * lattices * lane_bytes, dtype=np.uint8)
     # XOR leaves a cell set iff it is listed an odd number of times
     (np.bitwise_xor if odd else np.bitwise_or).at(
         raw, index, np.left_shift(1, col & 7).astype(np.uint8))
     return raw.view(dtype).reshape(side, lattices, words)
+
+
+def toggle_bits(planes: np.ndarray, bits, lattice_of) -> None:
+    """Toggle, in place, block bit bits[i] of lattice lattice_of[i] of the
+    (4, side, B, words) planes of a batch, the two arrays broadcast
+    against each other; a bit listed twice is toggled twice."""
+    _, side, lattices, words = planes.shape
+    cell, k = np.divmod(bits, 4)
+    row, col = np.divmod(cell, side)
+    index = ((k * side + row) * lattices + lattice_of) * (planes.itemsize * words)
+    np.bitwise_xor.at(planes.view(np.uint8).reshape(-1), index + (col >> 3),
+                      np.left_shift(1, col & 7).astype(np.uint8))
+
+
+def add_bit_counts(lanes: np.ndarray, counts: np.ndarray) -> None:
+    """Add to counts[4c + k, t] the number of lattices l whose block bit
+    4c + k is set in lanes[:, :, t, l], the planes of T groups of L
+    lattices, (4, side, T, L, words). counts, (block bits, T), may be a
+    column slice; it is added to in place. Lattices are summed 255 at a
+    time, copied lattice axis first: for j < min(8, side),
+    (lanes >> j) & 0x0101...01 leaves in byte q of a word the bit of
+    column 8q + j, and the sum of these fields in the lane dtype counts
+    each such column in its byte, which 255 lattices cannot carry past
+    255. Temporaries: two chunk copies and a byte per cell and group."""
+    side, groups = lanes.shape[1:3]
+    fields = min(8, side)
+    # [r, q, j, k, t]: plane k at cell (r, 8q + j) of group t, a view
+    counts = counts.reshape(side, -1, fields, 4, groups)
+    ones = lanes.dtype.type(np.iinfo(lanes.dtype).max // 255)  # 0x0101...01
+    # [j, r, t, w]: the field sums of word w of row r
+    sums = np.empty((fields,) + lanes.shape[1:3] + lanes.shape[4:], lanes.dtype)
+    for k, a in product(range(4), range(0, lanes.shape[3], 255)):
+        # [b, r, t, w]: plane k of lattice a + b of each group, b first
+        chunk = np.ascontiguousarray(np.moveaxis(lanes[k, :, :, a:a + 255], 2, 0))
+        field = np.empty_like(chunk)
+        for j in range(fields):
+            np.bitwise_and(np.right_shift(chunk, j, out=field), ones, out=field)
+            field.sum(axis=0, dtype=field.dtype, out=sums[j])
+        # byte q of a summed word: [j, r, t, q] -> [r, q, j, t]
+        counts[..., k, :] += sums.view(np.uint8).transpose(1, 3, 0, 2)
 
 
 def _outs(out):
@@ -241,8 +273,9 @@ def propagate_planes(e, s, w, n, out=None):
 
 
 def reflect_planes(e, s, w, n, mask):
-    """Reflection alone: swap E with W and S with N on the wall cells in
-    `mask`."""
+    """Reflection alone, the half of M that :func:`collide_planes` fuses
+    in: swap E with W and S with N on the wall cells in `mask`. No longer
+    called by the program; it stays for perfbench's TARGETS and the tests."""
     # Swapping two bits toggles both where they differ.
     d = (e ^ w) & mask
     t = (s ^ n) & mask

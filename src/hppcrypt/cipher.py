@@ -22,12 +22,11 @@ loop, planes back to blocks, each converter in one pass over the whole
 batch. A batch holds up to ``BATCH_CELLS`` = 2^20 lattice cells (256
 blocks at n=6): as many as keep a round's working set in one core's L2
 cache, so that the fixed cost of a round's ~25 numpy calls is shared by
-as many lattices as can gain from it. Only the step from bytes to planes
-takes n; the round loop and everything after it read the geometry from
-the planes.
-:func:`encrypt_block` is a batch of one and the streams run whole
-payloads through it. The experiment protocols call the loop directly,
-with planes and wall planes they build themselves.
+as many lattices as can gain from it; only the step from bytes to
+planes takes n (see :mod:`hppcrypt.bitplane`). :func:`encrypt_block` is
+a batch of one and the streams run whole payloads through it. The
+experiment protocols call the loop directly, with planes and wall planes
+they build themselves.
 """
 
 from __future__ import annotations
@@ -175,13 +174,11 @@ def _trajectory(planes, mask, counts: tuple[int, ...]) -> Iterator[np.ndarray]:
     the wall plane `mask` up to the largest of `counts` and yield, at
     each count, the planes after J: the batch's ciphertexts at that round
     count, as a new array of the planes' shape that later rounds do not
-    write to. That shape, (4, side, lattices, words), is the batch's
-    geometry, so the loop and its kernels take no n. Up to the final J,
-    the schedule for r rounds is a prefix of the one for any r' > r, so
-    the rounds run once, in place on one copy of the planes and two
-    spare planes that S and N move into. The counts must be non-negative
-    and strictly ascending; every caller validates them, and none is
-    checked here."""
+    write to. Up to the final J, the schedule for r rounds is a prefix of
+    the one for any r' > r, so the rounds run once, in place on one copy
+    of the planes and two spare planes that S and N move into. The counts
+    must be non-negative and strictly ascending; every caller validates
+    them, and none is checked here."""
     state = np.array(planes)  # the caller's planes stay as they are
     del planes  # hold one set of planes, not two, while the rounds run
     e, s, w, nn = bitplane.collide_planes(*state, mask, out=state)

@@ -373,8 +373,8 @@ def _layer_times(n: int, key: bytes, data: bytes, min_time: float) -> dict:
     e, s, w, nn = planes
     s_to, n_to = np.empty_like(planes[:2])
     walls = _key_coordinates(np.frombuffer(key, dtype=np.uint8), n)
-    coords = np.tile(walls, (lattices, 1)), np.repeat(np.arange(lattices), len(walls))
-    mask = bitplane.coordinate_mask(*coords, lattices, n)
+    coords = np.tile(walls, (lattices, 1, 1))
+    mask = bitplane.coordinate_mask(coords, n)
 
     def run_to(rounds):
         return lambda: next(_trajectory(planes, mask, (rounds,)))
@@ -388,7 +388,7 @@ def _layer_times(n: int, key: bytes, data: bytes, min_time: float) -> dict:
             ("propagate_planes", lambda: bitplane.propagate_planes(
                 e, s, w, nn, out=(e, s_to, w, n_to))),
             ("planes_to_block", lambda: bitplane.planes_to_block(planes)),
-            ("wall_mask", lambda: bitplane.coordinate_mask(*coords, lattices, n)),
+            ("wall_mask", lambda: bitplane.coordinate_mask(coords, n)),
             ("round_0", run_to(0)),
             ("round_k", run_to(_BENCH_ROUNDS)),
         )

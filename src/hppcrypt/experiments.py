@@ -9,11 +9,9 @@ from its config no matter how trials are scheduled or share batches.
 An :class:`ExperimentConfig` holds every input of a run and refuses a bad
 one before any work starts. :func:`run_protocol` runs all six protocols
 through one generator, :func:`_diffs`, from the config to the bits each
-flip inverts, and counts them with one of two reducers: :func:`_curve`,
-the average fraction of ciphertext bits a flip inverts per round count
-r (avalanche curves), or :func:`_strict`, that probability separately
-for every ciphertext bit at a fixed round count (Webster and Tavares'
-strict avalanche criterion).
+flip inverts, and counts them with one of two reducers: :func:`_curve`
+(avalanche curves over round counts) or :func:`_strict` (per ciphertext
+bit at one round count: Webster and Tavares' strict avalanche criterion).
 
 Plaintext flips can only ever reach half of the cells: a flipped cell
 influences only the checkerboard class of parity (row+col+rounds) mod 2,
@@ -31,7 +29,6 @@ the lattices. Key flips cannot pair: a wall acts on both classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +58,11 @@ MAX_TRIALS = 1 << 16
 # any are allocated; paper-scale strict-avalanche at n=6 with 1000
 # trials holds 16.4M.
 MAX_REPORT_VALUES = 1 << 24
+
+# The most cell-rounds one run may ask for, trials x lattices per trial
+# x last round count x cells; the largest default, strict-text, asks for
+# 2^33 and a round sweep to 1024 at n=8 for 2^37.
+MAX_CELL_ROUNDS = 1 << 42
 
 # protocol -> (flip_key, per_bit): whether it flips key bits rather than
 # plaintext bits, and whether it reports one probability per ciphertext
@@ -160,6 +162,14 @@ class ExperimentConfig:
             )
         if not 0 <= self.bit < 8 * self.block_len:
             raise ParameterError(f"bit index {self.bit} outside the block")
+        lattices = 2 if self.protocol == "single-bit" else 1 + (
+            8 * self.key_len if flip_key else 4 * self.block_len)
+        rounds = max(1, range(start, stop + 1, step)[-1])
+        if self.trials * lattices * rounds << 2 * self.n > MAX_CELL_ROUNDS:
+            raise ParameterError(
+                f"a run of {self.trials} trials x {lattices} lattices x {rounds} "
+                f"rounds x {1 << 2 * self.n} cells exceeds {MAX_CELL_ROUNDS} "
+                "cell-rounds")
 
     @property
     def block_len(self) -> int:
@@ -276,28 +286,19 @@ def _flips(keys: list, n: int, region, refs: np.ndarray, flip_key: bool):
     from j * len(batch) on, each starting as its trial's reference. With
     `flip_key`, the batch holds one key bit per lattice, and flipping key
     bit i toggles one bit of one coordinate; otherwise it holds a row of
-    block bits per lattice, lattice b toggles, for each bit i >= 0 in row
-    b, plane i % 4 at cell i // 4, and all of a trial's lattices share
-    one wall plane. -1 flips nothing."""
-    side = 1 << n
+    block bits per lattice, each bit i >= 0 in row b toggled in lattice b
+    by bitplane.toggle_bits, and all of a trial's lattices share one wall
+    plane. -1 flips nothing."""
     m = n if region is None else region[2].bit_length() - 1
     base = _key_coordinates(
         np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), -1), m)
     offset = np.array((0, 0) if region is None else region[:2], dtype=np.int64)
+    odd = region is not None
     trials, walls = base.shape[:2]
-
-    def wall_plane(coords: np.ndarray) -> np.ndarray:
-        # one lattice per (walls, 2) block of offset coordinates, in order
-        lattices = coords.size // (2 * walls)
-        return bitplane.coordinate_mask(
-            coords.reshape(-1, 2), np.repeat(np.arange(lattices), walls),
-            lattices, n, odd=region is not None)
-
-    shared = None if flip_key else wall_plane(base + offset)
+    shared = None if flip_key else bitplane.coordinate_mask(base + offset, n, odd=odd)
 
     def build(batch: np.ndarray):
         per_trial = len(batch)
-        lattices = trials * per_trial
         planes = np.repeat(refs, per_trial, axis=2)
         at = np.nonzero(batch >= 0)[0]
         bit = batch[batch >= 0]
@@ -309,15 +310,10 @@ def _flips(keys: list, n: int, region, refs: np.ndarray, flip_key: bool):
             coords = np.repeat(base[:, None], per_trial, axis=1)
             coords[:, at, group, k // m] ^= 1 << (m - 1 - k % m)
             coords += offset
-            return planes, wall_plane(coords)
-        coords = np.stack((bit >> (n + 2), (bit >> 2) & (side - 1)), axis=1)
-        # flip (row b, bit) of trial j lands in lattice j*per_trial + b
-        lattice_of = np.arange(0, lattices, per_trial)[:, None] + at
-        for k, plane in enumerate(planes):
-            on = bit & 3 == k
-            plane ^= bitplane.coordinate_mask(
-                np.tile(coords[on], (trials, 1)), lattice_of[:, on].ravel(),
-                lattices, n)
+            return planes, bitplane.coordinate_mask(
+                coords.reshape(-1, walls, 2), n, odd=odd)
+        bitplane.toggle_bits(
+            planes, bit, np.arange(0, trials * per_trial, per_trial)[:, None] + at)
         return planes, np.repeat(shared, per_trial, axis=1)
 
     return build
@@ -331,22 +327,21 @@ def _diffs(config: ExperimentConfig, flip_key: bool, flips: np.ndarray, counts):
     with both of its plaintext bits flipped. Trial t draws its text and
     then its key from trial_rng(seed, t). Whole trials share a batch of
     the round loop, a group of as many as fit in batch_size(n) lattices
-    and at least one (63 strict-key trials of 65 lattices at n=4, 2048
-    single-bit trials of 2); a trial of L > batch_size(n) lattices is cut
-    into ceil(L / batch_size(n)) pieces of near-equal size (385 lattices
-    at n=6 into 2 of 192 and 193), since a round costs about as much on a
-    small batch as on a full one. A group's reference texts are read from
-    bytes at once, and _flips builds each of its pieces as planes.
+    and at least one; a trial of L > batch_size(n) lattices is cut into
+    ceil(L / batch_size(n)) pieces of near-equal size, since a round
+    costs about as much on a small batch as on a full one. A group's
+    reference texts are read from bytes at once, and _flips builds each
+    of its pieces as planes.
 
     Each piece runs along one trajectory up to the largest round count,
     so a protocol costs max(counts) rounds per lattice, not the sum of its
     counts. Yield (t, trials, ri, diff) at counts[ri] for a piece of the
     group of `trials` trials from trial t on: diff is the piece's
-    ciphertext row lanes XOR each trial's reference, of shape
-    (4, side, trials, per_piece, words), a set bit one that a flip
-    inverted. A trial's reference is its first lattice in the group's
-    first piece. Each diff is the round loop's own output, XORed in
-    place, and is not written again."""
+    ciphertext planes (see the bitplane docstring), the lattice axis split
+    into (trials, per_piece), XOR each trial's reference: a set bit is one
+    that a flip inverted. A trial's reference is its first lattice in the
+    group's first piece. Each diff is the round loop's own output, XORed
+    in place, and is not written again."""
     n = config.n
     # -1: no flip; the reference lattice flips nothing
     if flip_key:
@@ -376,13 +371,10 @@ def _diffs(config: ExperimentConfig, flip_key: bool, flips: np.ndarray, counts):
 
 
 def _curve(config: ExperimentConfig, diffs, flip_count: int) -> ExperimentReport:
-    """Mean inverted fraction per round count. A block is a bit
-    permutation of its four planes, so the bits a trial inverts at one
-    count are the popcount of its lattices' differences from its
-    reference. Each round count keeps an integer total per trial over
-    all its flips, divided once: block_bits is a power of two and every
-    partial sum is exact, so the floats equal adding each flip's
-    fraction in turn."""
+    """Mean inverted fraction per round count: per trial, the popcount
+    of its differences over all its flips, an integer total divided once.
+    block_bits is a power of two and every partial sum is exact, so the
+    floats equal adding each flip's fraction in turn."""
     rounds = config.round_values()
     block_bits = 8 * config.block_len
     totals = np.zeros((len(rounds), config.trials), dtype=np.int64)
@@ -394,34 +386,12 @@ def _curve(config: ExperimentConfig, diffs, flip_count: int) -> ExperimentReport
 
 def _strict(config: ExperimentConfig, diffs, flip_count: int) -> ExperimentReport:
     """Inversion probability of each ciphertext bit at the single round
-    count, from exact per-bit counts. Block bit 4c + k is plane k at cell
-    c, so a batch adds, per plane and per trial, the number of the trial's
-    lattices whose bit differs from its reference's. It counts on the
-    lanes of a plane, 255 of a trial's lattices at a time, copied lattice
-    axis first: for each j < min(8, side), (lanes >> j) & 0x0101...01
-    leaves in byte q of a lane word the bit of column 8q + j, and summing
-    these fields over the lattice axis in the lane dtype adds whole slabs:
-    byte q of the sum is the count of column 8q + j, exact as 255 lattices
-    cannot carry a byte past 255. Temporaries: two chunk copies and a byte
-    per cell and trial; the float64 totals are exact, divided once."""
-    side = 1 << config.n
-    fields = min(8, side)
+    count: bitplane.add_bit_counts adds, per batch and per trial, the
+    number of lattices whose bit differs from the trial's reference; the
+    float64 totals are exact, divided once."""
     per_trial = np.zeros((8 * config.block_len, config.trials))
-    # [r, q, j, k, t]: plane k at cell (r, 8q + j) of trial t
-    counts = per_trial.reshape(side, -1, fields, 4, config.trials)
     for t, trials, _, diff in diffs:
-        ones = diff.dtype.type(np.iinfo(diff.dtype).max // 255)  # 0x0101...01
-        # [j, r, t, w]: the field sums of word w of row r
-        sums = np.empty((fields,) + diff.shape[1:3] + diff.shape[4:], diff.dtype)
-        for k, a in product(range(4), range(0, diff.shape[3], 255)):
-            # [b, r, t, w]: plane k of lattice a + b of each trial, b first
-            lanes = np.ascontiguousarray(np.moveaxis(diff[k, :, :, a:a + 255], 2, 0))
-            field = np.empty_like(lanes)
-            for j in range(fields):
-                np.bitwise_and(np.right_shift(lanes, j, out=field), ones, out=field)
-                field.sum(axis=0, dtype=field.dtype, out=sums[j])
-            # byte q of a summed word: [j, r, t, q] -> [r, q, j, t]
-            counts[..., k, t:t + trials] += sums.view(np.uint8).transpose(1, 3, 0, 2)
+        bitplane.add_bit_counts(diff, per_trial[:, t:t + trials])
     per_trial /= flip_count
     return _report(config, range(len(per_trial)), per_trial)
 

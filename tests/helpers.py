@@ -41,13 +41,10 @@ def random_walls(rnd, n, count):
 
 
 def batch_mask(wall_sets, n):
-    """Wall plane of a batch, lattice b's walls from wall_sets[b]: every
-    lattice's coordinates in one array through coordinate_mask, as the
-    protocols build theirs."""
-    coords = np.array([cell for walls in wall_sets for cell in walls],
-                      dtype=np.int64).reshape(-1, 2)
-    lattice_of = np.repeat(np.arange(len(wall_sets)), [len(w) for w in wall_sets])
-    return bp.coordinate_mask(coords, lattice_of, len(wall_sets), n)
+    """Wall plane of a batch, lattice b's walls from wall_sets[b], which
+    may be empty or of different sizes: the wall_mask planes of the
+    lattices side by side."""
+    return np.concatenate([bp.wall_mask(walls, n) for walls in wall_sets], axis=1)
 
 
 def plane_bits(lanes, n):

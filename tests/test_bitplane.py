@@ -27,6 +27,7 @@ from hppcrypt import bitplane as bp
 from hppcrypt import lattice as ref
 from hppcrypt.cipher import batch_size
 from hppcrypt.errors import ParameterError
+from hppcrypt.experiments import flip_bit
 from hppcrypt.lattice import Lattice
 
 from helpers import (
@@ -244,22 +245,75 @@ def test_wall_mask_positions():
 
 
 def test_coordinate_mask_counts_and_bounds():
-    coords = np.array([[1, 2], [1, 2], [3, 0], [1, 2], [0, 1], [0, 1]])
-    lattice_of = np.array([0, 0, 0, 1, 1, 1])
+    # row b holds lattice b's coordinates
+    coords = np.array([[[1, 2], [1, 2], [3, 0]], [[1, 2], [0, 1], [0, 1]]])
 
     def side_by_side(*wall_sets):
         return np.concatenate([bp.wall_mask(walls, 2) for walls in wall_sets], axis=1)
 
     # Plain: a cell listed at all is set, however often.
-    assert np.array_equal(bp.coordinate_mask(coords, lattice_of, 2, 2),
+    assert np.array_equal(bp.coordinate_mask(coords, 2),
                           side_by_side({(1, 2), (3, 0)}, {(1, 2), (0, 1)}))
     # Odd: a cell listed an even number of times cancels.
-    assert np.array_equal(bp.coordinate_mask(coords, lattice_of, 2, 2, odd=True),
+    assert np.array_equal(bp.coordinate_mask(coords, 2, odd=True),
                           side_by_side({(3, 0)}, {(1, 2)}))
     with pytest.raises(ParameterError, match=r"wall \(0, 4\) outside 4x4"):
-        bp.coordinate_mask(np.array([[1, 1], [0, 4]]), np.array([0, 1]), 2, 2)
+        bp.coordinate_mask(np.array([[[1, 1]], [[0, 4]]]), 2)
     with pytest.raises(ParameterError, match=r"wall \(-1, 0\) outside 4x4"):
-        bp.coordinate_mask(np.array([[-1, 0]]), np.array([0]), 1, 2, odd=True)
+        bp.coordinate_mask(np.array([[[-1, 0]]]), 2, odd=True)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_toggle_bits_matches_flip_bit(n):
+    # Block bits toggled in place as flip_bit flips them in the blocks,
+    # lattice_of broadcast three ways: a column against rows of bits per
+    # lattice, a column against one row for every lattice, and a scalar.
+    # A bit listed twice toggles twice, and toggling again restores.
+    rnd = np.random.default_rng(44 + n)
+    size, lattices = ref.block_size(n), 3
+    column = np.arange(lattices)[:, None]
+    blocks = [rnd.bytes(size) for _ in range(lattices)]
+    flips = [(np.stack([rnd.choice(8 * size, 6, replace=False)
+                        for _ in range(lattices)]), column),
+             (rnd.choice(8 * size, 6, replace=False), column),
+             (rnd.integers(0, 8 * size, 9), 1)]
+    planes = bp.planes_from_block(b"".join(blocks), n)
+    original = planes.copy()
+    for bits, lattice_of in flips:
+        bp.toggle_bits(planes, bits, lattice_of)
+        for i, b in zip(*(a.ravel() for a in np.broadcast_arrays(bits, lattice_of))):
+            blocks[b] = flip_bit(blocks[b], int(i))
+    assert np.array_equal(planes, bp.planes_from_block(b"".join(blocks), n))
+    for bits, lattice_of in flips:
+        bp.toggle_bits(planes, bits, lattice_of)
+    assert np.array_equal(planes, original)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_add_bit_counts_matches_plane_bits(n):
+    # counts[4c + k, t] gains the number of group t's lattices with plane
+    # k set at cell c, added in place to columns 2 and 3 of a wider
+    # array. Group 0 is all ones, so its counts reach the lattice count
+    # across the 255-lattice chunks. Lanes are kept to 4 MiB, so 600
+    # lattices run up to n = 6, 255 and 256 up to n = 7, one at every n.
+    side = 1 << n
+    dtype, words = bp.lane_layout(n)
+    rnd = np.random.default_rng(45 + n)
+    for count in (1, 255, 256, 600):
+        if side * side * count > 1 << 22:
+            continue
+        lanes = rnd.integers(0, np.iinfo(dtype).max, (4, side, 2, count, words),
+                             dtype=dtype, endpoint=True)
+        lanes[:, :, 0] = np.iinfo(dtype).max
+        if n <= 2:  # the bits above the row stay 0
+            lanes &= (1 << side) - 1
+        counts = np.ones((8 * ref.block_size(n), 5))
+        bp.add_bit_counts(lanes, counts[:, 2:4])
+        # [k, r, t, c] -> block bit 4(r*side + c) + k
+        want = plane_bits(lanes, n).sum(axis=3).transpose(1, 3, 0, 2).reshape(-1, 2)
+        assert np.array_equal(counts[:, 2:4], want + 1), count
+        assert (want[:, 0] == count).all()
+        assert (counts[:, [0, 1, 4]] == 1).all()
 
 
 def test_collide_exhaustive_and_never_negative():

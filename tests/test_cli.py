@@ -17,6 +17,7 @@ from hppcrypt.cipher import (
     BATCH_CELLS, MAX_ROUNDS, batch_size, encrypt_stream, keyspace_count)
 from hppcrypt.cli import main
 from hppcrypt.errors import FormatError
+from hppcrypt.experiments import MAX_CELL_ROUNDS
 from hppcrypt.imaging import GrayImage, read_pgm, write_pgm
 
 
@@ -402,6 +403,21 @@ def test_experiment_rounds_limit(tmp_path, capsys, no_run, flags, config):
     assert capsys.readouterr().err.splitlines() == [
         f"error: rounds must be at most {MAX_ROUNDS}, got 100000000"
     ]
+
+
+@pytest.mark.parametrize("flags", [
+    ("--protocol", "avalanche-text", "--n", "12", "--trials", "1", "--rounds", "1"),
+    ("--protocol", "avalanche-text", "--n", "11", "--trials", "1", "--rounds", "1"),
+    ("--protocol", "avalanche-key", "--n", "6", "--trials", "255",
+     "--rounds", "0:1:65535"),
+], ids=["text-n12", "text-n11", "key-n6"])
+def test_experiment_cell_round_limit(capsys, no_run, flags):
+    start = time.perf_counter()
+    assert run("experiment", *flags) == 2
+    assert time.perf_counter() - start < 1.0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: a run of ")
+    assert lines[0].endswith(f"exceeds {MAX_CELL_ROUNDS} cell-rounds")
 
 
 def test_experiment_seed_env_fallback(tmp_path, capsys, monkeypatch):

@@ -16,6 +16,7 @@ from hppcrypt.cipher import (
 )
 from hppcrypt.errors import ParameterError
 from hppcrypt.experiments import (
+    MAX_CELL_ROUNDS,
     MAX_TRIALS,
     PROTOCOLS,
     ExperimentConfig,
@@ -448,9 +449,35 @@ def test_config_refuses_exponents_past_the_cipher():
         with pytest.raises(ParameterError, match="lattice exponent must be in"):
             default_config(protocol, n=n, trials=1, key_len=key_len,
                            rounds_range=(1, 1, 1))
-    for n, key_len in ((1, 1), (MAX_EXPONENT, 4)):
-        assert default_config("avalanche-text", n=n, trials=1, key_len=key_len,
+    # key flips, as a text protocol's 2^25 flips at n=12 pass MAX_CELL_ROUNDS
+    for n, key_len in ((1, 1), (MAX_EXPONENT, 3)):
+        assert default_config("avalanche-key", n=n, trials=1, key_len=key_len,
                               rounds_range=(1, 1, 1)).n == n
+
+
+def test_config_bounds_cell_rounds():
+    # Trials x lattices per trial x last round count x cells is bounded by
+    # MAX_CELL_ROUNDS when the config is built, before any allocation: a
+    # text trial at n=12 is 2^25 + 1 lattices of 2^24 cells.
+    for protocol, n, trials, rounds in (("avalanche-text", 12, 1, (1, 1, 1)),
+                                        ("avalanche-text", 11, 1, (1, 1, 1)),
+                                        ("avalanche-key", 6, 255, (0, 1, 65535))):
+        with pytest.raises(ParameterError, match="cell-rounds"):
+            default_config(protocol, n=n, trials=trials, rounds_range=rounds)
+    # At n=4 a text trial is 513 lattices of 256 cells: 2^16 trials to
+    # round 511 stay under 2^42, to round 512 do not; the last count of
+    # the range is what counts, not its stop.
+    assert default_config("avalanche-text", trials=MAX_TRIALS, rounds_range=(511, 1, 511))
+    assert default_config("avalanche-text", trials=MAX_TRIALS, rounds_range=(0, 511, 1000))
+    with pytest.raises(ParameterError, match=(
+            "a run of 65536 trials x 513 lattices x 512 rounds x 256 cells "
+            f"exceeds {MAX_CELL_ROUNDS} cell-rounds")):
+        default_config("avalanche-text", trials=MAX_TRIALS, rounds_range=(512, 1, 512))
+    # every default, and an avalanche-key sweep to 1024 rounds at n=8
+    for protocol in PROTOCOLS:
+        assert default_config(protocol)
+    assert default_config("avalanche-key", n=8, trials=1, rounds_range=(0, 16, 1024))
+
 
 # --- plane-space trials against the byte-level definition -----------------
 
