@@ -152,11 +152,24 @@ def coordinate_mask(coords: np.ndarray, n: int, odd: bool = False) -> np.ndarray
     return raw.view(dtype).reshape(side, lattices, words)
 
 
+def _check_indices(name: str, values, stop: int) -> None:
+    """Raise a ParameterError naming the first of `values` outside [0, stop)."""
+    # Read as unsigned, a negative index is as far outside as any.
+    values = np.asarray(values, dtype=np.int64).reshape(-1).view(np.uint64)
+    if values.size and values.max() >= stop:
+        bad = values[values >= stop][0].astype(np.int64)
+        raise ParameterError(f"{name} {bad} outside [0, {stop})")
+
+
 def toggle_bits(planes: np.ndarray, bits, lattice_of) -> None:
     """Toggle, in place, block bit bits[i] of lattice lattice_of[i] of the
     (4, side, B, words) planes of a batch, the two arrays broadcast
-    against each other; a bit listed twice is toggled twice."""
+    against each other; a bit listed twice is toggled twice. A bit
+    outside the block or a lattice outside the batch raises a
+    ParameterError before any bit is toggled."""
     _, side, lattices, words = planes.shape
+    _check_indices("block bit", bits, 4 * side * side)
+    _check_indices("lattice", lattice_of, lattices)
     cell, k = np.divmod(bits, 4)
     row, col = np.divmod(cell, side)
     index = ((k * side + row) * lattices + lattice_of) * (planes.itemsize * words)

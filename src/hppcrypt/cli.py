@@ -270,19 +270,24 @@ def _infer_exponent(length: int) -> int:
 
 def cmd_block2img(args) -> int:
     block = Path(args.infile).read_bytes()
-    if block[:4] == MAGIC:
-        # single-block containers render directly, so an encrypted image
-        # can be viewed without decrypting it
-        container = CipherContainer.from_bytes(block)
-        if container.block_count() != 1:
-            raise FormatError(
-                f"container holds {container.block_count()} blocks, "
-                "can only render exactly one"
-            )
-        block = container.payload
-        n = container.n
-    else:
-        n = args.n if args.n is not None else _infer_exponent(len(block))
+    n = args.n
+    if n is None:
+        try:
+            n = _infer_exponent(len(block))
+        except FormatError:
+            if block[:4] != MAGIC:
+                raise
+            # A single-block container, 18 + 2^(2n-1) bytes, is never a
+            # block size, so a block that starts with the magic is never
+            # taken for one. Single-block containers render directly, so
+            # an encrypted image can be viewed without decrypting it.
+            container = CipherContainer.from_bytes(block)
+            if container.block_count() != 1:
+                raise FormatError(
+                    f"container holds {container.block_count()} blocks, "
+                    "can only render exactly one"
+                ) from None
+            block, n = container.payload, container.n
     image = lattice_to_image(from_bytes(block, n))
     write_pgm(image, args.outfile)
     print(f"wrote {image.width}x{image.height} PGM")

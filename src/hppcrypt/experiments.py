@@ -34,18 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bitplane
-from . import lattice as _lattice
-from .cipher import (
-    MAX_EXPONENT,
-    MAX_ROUNDS,
-    CipherParams,
-    _key_coordinates,
-    _trajectory,
-    batch_size,
-    encrypt_block,
-)
+from .cipher import MAX_EXPONENT, MAX_ROUNDS, _key_coordinates, _trajectory, batch_size
 from .errors import ParameterError
-from .imaging import GrayImage, image_to_lattice, lattice_to_image
 from .lattice import block_size
 
 _MASK64 = (1 << 64) - 1
@@ -406,59 +396,6 @@ def run_protocol(config: ExperimentConfig) -> ExperimentReport:
     reduce = _strict if per_bit else _curve
     return reduce(config, _diffs(config, flip_key, flips, config.round_values()),
                   len(flips))
-
-
-@dataclass(frozen=True)
-class LeakDemoResult:
-    """Encrypt-with-full-key then decrypt-with-deficient-key round trip.
-
-    `tile_diff[i][j]` is the fraction of bits that differ from the
-    original plaintext inside the (tile_size x tile_size) tile at tile row
-    i, tile column j of the decoded lattice."""
-
-    encrypted: GrayImage
-    decrypted: GrayImage
-    tile_size: int
-    tile_diff: tuple[tuple[float, ...], ...]
-
-
-def partial_key_leak_demo(
-    image: GrayImage,
-    full_walls: frozenset,
-    missing_walls: frozenset,
-    rounds: int,
-    tile_size: int = 8,
-) -> LeakDemoResult:
-    """Encrypt an image with one wall set and decrypt with another
-    (typically a subset). Regions farther than `rounds` from every
-    dropped wall decode exactly; the tile map quantifies the leak."""
-    lat = image_to_lattice(image)
-    side = lat.side
-    if tile_size < 1 or side % tile_size:
-        raise ParameterError(
-            f"tile size {tile_size} does not divide the {side}-cell side"
-        )
-    block = _lattice.to_bytes(lat)
-    ct = encrypt_block(block, CipherParams(lat.n, rounds, full_walls))
-    back = encrypt_block(ct, CipherParams(lat.n, rounds, missing_walls))
-
-    original = np.frombuffer(lat.cells, dtype=np.uint8).reshape(side, side)
-    decoded_lat = _lattice.from_bytes(back, lat.n)
-    decoded = np.frombuffer(decoded_lat.cells, dtype=np.uint8).reshape(side, side)
-
-    tiles = side // tile_size
-    diff_bits = np.unpackbits((original ^ decoded)[..., None], axis=-1)
-    counts = diff_bits.reshape(tiles, tile_size, tiles, tile_size, 8).sum(
-        axis=(1, 3, 4))
-    tile_diff = tuple(
-        tuple(row) for row in (counts / (4 * tile_size * tile_size)).tolist()
-    )
-    return LeakDemoResult(
-        lattice_to_image(_lattice.from_bytes(ct, lat.n)),
-        lattice_to_image(decoded_lat),
-        tile_size,
-        tile_diff,
-    )
 
 
 def emit_csv(report: ExperimentReport, path: str | Path) -> None:

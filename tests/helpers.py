@@ -1,7 +1,7 @@
 """Lattice, wall and wall-plane builders shared by the test modules,
-plane_bits, which reads the cells of a plane back one byte each, and
-ORACLE_CELL_ROUNDS, the bound on the per-cell engine's work per example
-of the hypothesis tests that run it for many rounds."""
+torus_distance, plane_bits, which reads the cells of a plane back one
+byte each, and ORACLE_CELL_ROUNDS, the bound on the per-cell engine's
+work per example of the hypothesis tests that run it for many rounds."""
 
 import numpy as np
 from hypothesis import strategies as st
@@ -38,6 +38,13 @@ def random_walls(rnd, n, count):
     return frozenset(
         (rnd.randrange(side), rnd.randrange(side)) for _ in range(count)
     )
+
+
+def torus_distance(a, b, side):
+    """Manhattan distance of cells a and b on a side x side torus."""
+    dr = abs(a[0] - b[0])
+    dc = abs(a[1] - b[1])
+    return min(dr, side - dr) + min(dc, side - dc)
 
 
 def batch_mask(wall_sets, n):

@@ -289,6 +289,20 @@ def test_toggle_bits_matches_flip_bit(n):
     assert np.array_equal(planes, original)
 
 
+@pytest.mark.parametrize("bits, lattice_of, message", [
+    (-1, 0, r"block bit -1 outside \[0, 64\)"),
+    (64, 1, r"block bit 64 outside \[0, 64\)"),
+    (np.array([3, 0]), np.array([1, 2]), r"lattice 2 outside \[0, 2\)"),
+], ids=["bit-1", "bit-64", "lattice-2"])
+def test_toggle_bits_bounds(bits, lattice_of, message):
+    # On the planes of two n=2 lattices, a bit outside the block or a
+    # lattice outside the batch is refused by name and nothing toggles.
+    planes = bp.planes_from_block(bytes(16), 2)
+    with pytest.raises(ParameterError, match=message):
+        bp.toggle_bits(planes, bits, lattice_of)
+    assert not planes.any()
+
+
 @pytest.mark.parametrize("n", range(1, 10))
 def test_add_bit_counts_matches_plane_bits(n):
     # counts[4c + k, t] gains the number of group t's lattices with plane

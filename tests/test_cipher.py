@@ -42,15 +42,9 @@ from hppcrypt.cipher import (
 )
 from hppcrypt.errors import FormatError, ParameterError
 
-from helpers import ORACLE_CELL_ROUNDS, batch_mask
+from helpers import ORACLE_CELL_ROUNDS, batch_mask, torus_distance
 
 ROT2 = [((v << 2) | (v >> 2)) & 0xF for v in range(16)]
-
-
-def torus_distance(a, b, side):
-    dr = abs(a[0] - b[0])
-    dc = abs(a[1] - b[1])
-    return min(dr, side - dr) + min(dc, side - dc)
 
 
 def random_params(rnd, n, max_rounds=None):
@@ -297,7 +291,8 @@ def test_wall_free_lines_keep_their_momentum():
 
 def test_parameter_mismatch_garbles_output():
     # Decrypting with a slightly wrong key or round count at the
-    # recommended rounds inverts at least 40% of the bits.
+    # recommended rounds inverts at least 40% of the bits, and so does
+    # decrypting with a wall dropped, tile by tile.
     rnd = random.Random(6)
     n, rounds = 5, default_rounds(5)
     block = rnd.randbytes(L.block_size(n))
@@ -315,6 +310,21 @@ def test_parameter_mismatch_garbles_output():
         assert back != block
         diff = int.from_bytes(back, "big") ^ int.from_bytes(block, "big")
         assert diff.bit_count() / (8 * len(block)) >= 0.40
+
+    # Dropping the only wall of a 64x64 block at 128 rounds inverts over
+    # 40% of the bits of every 8x8 tile. The bound is narrow: on this
+    # block (cells drawn from Philox key (0, 0)) the lowest tile inverts
+    # 0.414, as a whole the block 0.468, and other random blocks have a
+    # tile as low as 0.37.
+    cells = np.random.Generator(np.random.Philox(key=np.zeros(2, np.uint64))).integers(
+        0, 16, 4096).astype(np.uint8)
+    block = L.to_bytes(L.Lattice(6, cells.tobytes()))
+    ct = encrypt_block(block, CipherParams(6, 128, frozenset({(32, 32)})))
+    back = encrypt_block(ct, CipherParams(6, 128, frozenset()))
+    diff = np.unpackbits(np.frombuffer(back, np.uint8) ^ np.frombuffer(block, np.uint8))
+    # bit 4c + k is plane k of cell c = 64 * row + col: [tile row, row, tile col, col, k]
+    tiles = diff.reshape(8, 8, 8, 8, 4).mean(axis=(1, 3, 4))
+    assert (tiles > 0.4).all(), tiles.min()
 
 
 def test_engines_agree():

@@ -20,6 +20,8 @@ from hppcrypt.errors import FormatError
 from hppcrypt.experiments import MAX_CELL_ROUNDS
 from hppcrypt.imaging import GrayImage, read_pgm, write_pgm
 
+from helpers import torus_distance
+
 
 def run(*argv):
     return main(list(argv))
@@ -455,6 +457,25 @@ def test_block2img_infers_exponent(tmp_path, capsys):
     assert run("block2img", "--in", str(block), "--out", str(tmp_path / "o.pgm")) == 1
 
 
+def test_block2img_reads_block_sizes_as_raw(tmp_path, capsys):
+    # A raw block that starts with the container magic (pixels 4,8,5,0,
+    # 5,0,4,3) renders as a block with and without --n; a single-block
+    # container, whose length is no block size, still renders.
+    raw = tmp_path / "magic.block"
+    raw.write_bytes(b"HPPC" + bytes(4))
+    out = tmp_path / "o.pgm"
+    for flags in ((), ("--n", "2")):
+        assert run("block2img", *flags, "--in", str(raw), "--out", str(out)) == 0
+        assert "4x4" in capsys.readouterr().out
+        assert read_pgm(out).pixels == bytes([4, 8, 5, 0, 5, 0, 4, 3]) + bytes(8)
+    box = tmp_path / "one.hppc"
+    assert run("encrypt", "--n", "2", "--rounds", "4", "--key-hex", "0123",
+               "--in", str(raw), "--out", str(box)) == 0
+    assert len(box.read_bytes()) == 18 + 8
+    assert run("block2img", "--in", str(box), "--out", str(out)) == 0
+    assert "4x4" in capsys.readouterr().out
+
+
 def test_img2block_rejects_non_square(tmp_path):
     src = tmp_path / "rect.pgm"
     src.write_bytes(b"P5 4 2 15\n" + bytes(8))
@@ -474,6 +495,10 @@ def test_img2block_rejects_sample_above_maxval(tmp_path, capsys, raster):
 def test_image_encryption_demo_chain(tmp_path, capsys):
     # 64x64 image, one central wall, 128 rounds: the rendered ciphertext
     # is noise-like, differing from the original in over 40% of its bits.
+    # Then the leak picture: encrypted with two walls at 16 rounds and
+    # decrypted with one of them, every pixel farther than 16 from the
+    # dropped wall (toroidal Manhattan distance) comes back exactly, and
+    # some nearer pixel does not.
     rnd = random.Random(5)
     image = GrayImage(64, 64, bytes(rnd.randrange(16) for _ in range(4096)))
     src = tmp_path / "in.pgm"
@@ -494,6 +519,20 @@ def test_image_encryption_demo_chain(tmp_path, capsys):
         (a ^ b).bit_count() for a, b in zip(image.pixels, scrambled.pixels)
     )
     assert diff_bits / (4 * 4096) > 0.4
+
+    both, kept = tmp_path / "both.txt", tmp_path / "kept.txt"
+    both.write_text("32,32\n5,5\n")
+    kept.write_text("5,5\n")
+    leaky, decoded, leak = tmp_path / "leak.hppc", tmp_path / "leak.block", tmp_path / "leak.pgm"
+    assert run("encrypt", "--n", "6", "--rounds", "16", "--walls-file", str(both),
+               "--in", str(block), "--out", str(leaky)) == 0
+    assert run("decrypt", "--walls-file", str(kept), "--in", str(leaky),
+               "--out", str(decoded)) == 0
+    assert run("block2img", "--in", str(decoded), "--out", str(leak)) == 0
+    wrong = [divmod(i, 64) for i, (a, b) in enumerate(zip(image.pixels, read_pgm(leak).pixels))
+             if a != b]
+    assert wrong
+    assert max(torus_distance(cell, (32, 32), 64) for cell in wrong) <= 16
 
 
 @pytest.fixture(scope="module")

@@ -29,11 +29,9 @@ from hppcrypt.experiments import (
     emit_svg_plot,
     flip_bit,
     inverted_fraction,
-    partial_key_leak_demo,
     run_protocol,
     trial_rng,
 )
-from hppcrypt.imaging import GrayImage
 from hppcrypt.lattice import block_size
 
 from helpers import plane_bits
@@ -75,11 +73,6 @@ def tiny_config(protocol, **overrides):
     base = dict(n=3, trials=2, rounds_range=(2, 2, 6), key_len=3, seed=7)
     base.update(overrides)
     return default_config(protocol, **base)
-
-
-def random_image(seed, side=64):
-    rng = trial_rng(seed, 0)
-    return GrayImage(side, side, bytes(int(v) & 0xF for v in rng.integers(0, 16, side * side)))
 
 
 def test_flip_bit_is_msb_first():
@@ -903,61 +896,6 @@ def test_long_trials_split_into_even_batches(monkeypatch):
     calls = round_loop_calls(monkeypatch, cfg)
     assert sorted({lattices for lattices, _ in calls}) == [683]
     assert len(calls) == 3 and sum(lattices for lattices, _ in calls) == 2049
-
-
-# --- leak demo -------------------------------------------------------------
-
-def test_leak_demo_identical_keys_decode_perfectly():
-    image = random_image(1, 16)
-    walls = frozenset({(3, 3), (9, 14)})
-    result = partial_key_leak_demo(image, walls, walls, rounds=12, tile_size=4)
-    assert result.decrypted == image
-    assert all(f == 0.0 for row in result.tile_diff for f in row)
-    assert result.encrypted != image
-
-
-def test_leak_demo_low_rounds_leak_far_cells():
-    image = random_image(0)
-    wall = (32, 32)
-    result = partial_key_leak_demo(image, frozenset({wall}), frozenset(), rounds=16)
-    # distant corner tiles decode exactly, tiles at the wall do not
-    assert result.tile_diff[0][0] == 0.0
-    assert result.tile_diff[4][4] > 0.0
-
-
-def test_leak_demo_high_rounds_leak_nothing():
-    image = random_image(0)
-    result = partial_key_leak_demo(image, frozenset({(32, 32)}), frozenset(), rounds=128)
-    assert all(f > 0.4 for row in result.tile_diff for f in row)
-
-
-def test_leak_demo_tile_diff_counts_bits_per_tile():
-    image = random_image(3, 32)
-    ts = 8
-    result = partial_key_leak_demo(
-        image, frozenset({(5, 9), (20, 30)}), frozenset({(5, 9)}), rounds=6,
-        tile_size=ts)
-    want = tuple(
-        tuple(
-            sum(
-                bin(image.pixels[y * image.width + x]
-                    ^ result.decrypted.pixels[y * image.width + x]).count("1")
-                for y in range(i * ts, (i + 1) * ts)
-                for x in range(j * ts, (j + 1) * ts)
-            ) / (4 * ts * ts)
-            for j in range(4)
-        )
-        for i in range(4)
-    )
-    assert result.tile_diff == want
-    flat = [f for row in want for f in row]
-    assert min(flat) == 0.0 < max(flat)
-
-
-def test_leak_demo_tile_validation():
-    image = random_image(2, 16)
-    with pytest.raises(ParameterError):
-        partial_key_leak_demo(image, frozenset(), frozenset(), 4, tile_size=5)
 
 
 # --- emitters --------------------------------------------------------------
