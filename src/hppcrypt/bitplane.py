@@ -33,8 +33,8 @@ n = 3 on (see cipher.BATCH_CELLS). :func:`coordinate_mask` builds wall
 planes from int64 (row, col) arrays, as the protocols do from keys, and
 :func:`wall_mask` from a wall set, as streams do. Block bit 4c + k (MSB
 first) is plane k at cell c = row*side + col: :func:`toggle_bits` flips
-such bits in place and :func:`add_bit_counts` counts them over a batch,
-so no caller works on a lane itself.
+such bits in place and :func:`add_bit_counts` counts them over a batch
+laid out group-major, so no caller works on a lane itself.
 
 Results are bit-identical to the per-cell engine in
 :mod:`hppcrypt.lattice`; the test suite proves it primitive by primitive
@@ -179,30 +179,31 @@ def toggle_bits(planes: np.ndarray, bits, lattice_of) -> None:
 
 def add_bit_counts(lanes: np.ndarray, counts: np.ndarray) -> None:
     """Add to counts[4c + k, t] the number of lattices l whose block bit
-    4c + k is set in lanes[:, :, t, l], the planes of T groups of L
-    lattices, (4, side, T, L, words). counts, (block bits, T), may be a
-    column slice; it is added to in place. Lattices are summed 255 at a
-    time, copied lattice axis first: for j < min(8, side),
-    (lanes >> j) & 0x0101...01 leaves in byte q of a word the bit of
-    column 8q + j, and the sum of these fields in the lane dtype counts
-    each such column in its byte, which 255 lattices cannot carry past
-    255. Temporaries: two chunk copies and a byte per cell and group."""
-    side, groups = lanes.shape[1:3]
+    4c + k is set in lanes[t, :, :, l], the planes of T groups of L
+    lattices, group-major: (T, 4, side, L, words). counts, (block bits,
+    T), may be a column slice; it is added to in place. Lattices are
+    summed 255 at a time, copied lattice axis first: for j < min(8,
+    side), (lanes >> j) & 0x0101...01 leaves in byte q of a word the bit
+    of column 8q + j, and the sum of these fields in the lane dtype
+    counts each such column in its byte, which 255 lattices cannot carry
+    past 255. Temporaries: two chunk copies and a byte per cell and
+    group."""
+    groups, _, side = lanes.shape[:3]
     fields = min(8, side)
     # [r, q, j, k, t]: plane k at cell (r, 8q + j) of group t, a view
     counts = counts.reshape(side, -1, fields, 4, groups)
     ones = lanes.dtype.type(np.iinfo(lanes.dtype).max // 255)  # 0x0101...01
-    # [j, r, t, w]: the field sums of word w of row r
-    sums = np.empty((fields,) + lanes.shape[1:3] + lanes.shape[4:], lanes.dtype)
+    # [j, t, r, w]: the field sums of word w of row r
+    sums = np.empty((fields, groups, side) + lanes.shape[4:], lanes.dtype)
     for k, a in product(range(4), range(0, lanes.shape[3], 255)):
-        # [b, r, t, w]: plane k of lattice a + b of each group, b first
-        chunk = np.ascontiguousarray(np.moveaxis(lanes[k, :, :, a:a + 255], 2, 0))
+        # [b, t, r, w]: plane k of lattice a + b of each group, b first
+        chunk = np.ascontiguousarray(np.moveaxis(lanes[:, k, :, a:a + 255], 2, 0))
         field = np.empty_like(chunk)
         for j in range(fields):
             np.bitwise_and(np.right_shift(chunk, j, out=field), ones, out=field)
             field.sum(axis=0, dtype=field.dtype, out=sums[j])
-        # byte q of a summed word: [j, r, t, q] -> [r, q, j, t]
-        counts[..., k, :] += sums.view(np.uint8).transpose(1, 3, 0, 2)
+        # byte q of a summed word: [j, t, r, q] -> [r, q, j, t]
+        counts[..., k, :] += sums.view(np.uint8).transpose(2, 3, 0, 1)
 
 
 def _outs(out):

@@ -3,7 +3,8 @@
 Subcommands: encrypt, decrypt, keyspace, experiment, img2block, block2img,
 bench. The experiment's flags and its config file's keys come from one
 table, ``_EXPERIMENT_FIELDS``; encrypt and decrypt take their key or wall
-set from ``_secret``; bench times each row and layer with ``_per_call_us``.
+set from ``_secret``; bench times each row, layer and protocol with
+``_per_call_us``.
 Diagnostics go to stderr, an error as one ``error:`` line. Exit status is
 0 on success, 2 for bad parameters or usage (a ``ParameterError``, such as
 a key that yields no walls or an empty wall set), 1 for I/O and
@@ -13,6 +14,7 @@ data-format failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -295,7 +297,8 @@ def cmd_block2img(args) -> int:
 
 
 # The longest --min-time bench accepts: it times six engine rows, and
-# with --json 21 layers more, so a run takes at least 6 (27) times this.
+# with --json 21 layers and six protocols more, so a run takes at least 6
+# (33) times this.
 MAX_BENCH_SECONDS = 60.0
 
 
@@ -336,7 +339,7 @@ def cmd_bench(args) -> int:
             machine=dict(python=platform.python_version(), numpy=np.__version__,
                          cpu_count=os.cpu_count()),
             min_time_s=args.min_time, batch_cells=BATCH_CELLS,
-            rows=rows, layers=layers)
+            rows=rows, layers=layers, protocols=_protocol_times(args.min_time))
         Path(args.json).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return 0
 
@@ -361,6 +364,29 @@ def _per_call_us(fn, min_time: float) -> float:
         if spent >= min_time:
             break
     return best * 1e6
+
+
+# The trials of each protocol bench --json times, at its defaults
+# otherwise: a run of some tens of ms each.
+_BENCH_TRIALS = {
+    "avalanche-key": 1,
+    "avalanche-text": 2,
+    "avalanche-key-concentrated": 1,
+    "strict-key": 50,
+    "strict-text": 10,
+    "single-bit": 1000,
+}
+
+
+def _protocol_times(min_time: float) -> dict:
+    """Wall seconds of one run_protocol call of each protocol at its
+    _BENCH_TRIALS config, with the config's fields."""
+    times = {}
+    for protocol, trials in _BENCH_TRIALS.items():
+        config = default_config(protocol, trials=trials)
+        us = _per_call_us(lambda: run_protocol(config), min_time)
+        times[protocol] = dict(config=dataclasses.asdict(config), wall_s=us / 1e6)
+    return times
 
 
 # Rounds the per-layer bench runs to time one round of the round loop.

@@ -2,16 +2,21 @@
 
 Every protocol is deterministic: randomness comes from a counter-based
 Philox generator keyed by (seed, trial index), so trials are independent
-sub-streams. Every trial keeps its own draws and walls and is compared
-only with its own reference, so a report is reproducible bit for bit
-from its config no matter how trials are scheduled or share batches.
+sub-streams. :func:`trial_rng` defines a trial's draws, and
+:func:`_draws` reads the same bytes from the raw words of one Philox
+reset for each trial. Every trial keeps its own draws and walls and is
+compared only with its own reference, so a report is reproducible bit
+for bit from its config no matter how trials are scheduled or share
+batches.
 
 An :class:`ExperimentConfig` holds every input of a run and refuses a bad
 one before any work starts. :func:`run_protocol` runs all six protocols
 through one generator, :func:`_diffs`, from the config to the bits each
-flip inverts, and counts them with one of two reducers: :func:`_curve`
-(avalanche curves over round counts) or :func:`_strict` (per ciphertext
-bit at one round count: Webster and Tavares' strict avalanche criterion).
+flip inverts, laid out trial-major so that each trial's are whole 64-bit
+words, and counts them with one of two reducers: :func:`_curve`
+(avalanche curves over round counts, popcounts of uint64 words) or
+:func:`_strict` (per ciphertext bit at one round count: Webster and
+Tavares' strict avalanche criterion).
 
 Plaintext flips can only ever reach half of the cells: a flipped cell
 influences only the checkerboard class of parity (row+col+rounds) mod 2,
@@ -220,8 +225,44 @@ class ExperimentReport:
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
+    """The generator that defines trial `trial`'s draws: its text is
+    trial_rng(seed, trial).bytes(block_len), then its key .bytes(key_len).
+    The protocols draw the same bytes with :func:`_draws`."""
     key = np.array([seed & _MASK64, trial & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _draws(seed: int, text_len: int, key_len: int):
+    """draw(t, trials): the texts and keys of trials t to t + trials - 1,
+    two uint8 arrays of shape (trials, text_len) and (trials, key_len),
+    row j holding trial t + j's, equal to trial_rng(seed, t + j).bytes(
+    text_len) and then .bytes(key_len). Generator.bytes(length) is the
+    first ceil(length / 4) uint32s of its stream, little-endian, and
+    Philox's uint32 stream is the low half, then the high half, of each of
+    its raw 64-bit words; so both draws are bytes of the little-endian raw
+    words, the text at 0 and the key at 4 * ceil(text_len / 4). One
+    Philox serves every trial, its state reset to key (seed, t), counter
+    0 and an empty buffer: a few us a trial, against some 26 us for a
+    Generator and two bytes() calls. It is made here, not at import, as
+    numpy loads numpy.random only when first used."""
+    philox = np.random.Philox(key=0)
+    state = philox.state  # a fresh Philox's: counter 0, empty buffer
+    key = state["state"]["key"]
+    key[0] = seed
+    text_words = -(-text_len // 4)
+    words = -(-(text_words + -(-key_len // 4)) // 2)
+    at = 4 * text_words
+
+    def draw(t: int, trials: int):
+        raw = np.empty((trials, words), dtype="<u8")
+        for j in range(trials):
+            key[1] = t + j
+            philox.state = state
+            raw[j] = philox.random_raw(words)
+        data = raw.view(np.uint8)
+        return data[:, :text_len], data[:, at:at + key_len]
+
+    return draw
 
 
 def flip_bit(data: bytes, index: int) -> bytes:
@@ -265,9 +306,10 @@ def _checkerboard_pairs(flips: np.ndarray, n: int) -> np.ndarray:
     return pairs
 
 
-def _flips(keys: list, n: int, region, refs: np.ndarray, flip_key: bool):
-    """Batch builder of a group of trials: trial j has key keys[j] and
-    reference planes lattice j of `refs`. The keys are decoded once into
+def _flips(keys, n: int, region, refs: np.ndarray, flip_key: bool):
+    """Batch builder of a group of trials: trial j has key keys[j] (equal
+    lengths of bytes, or rows of a uint8 array) and reference planes
+    lattice j of `refs`. The keys are decoded once into
     wall coordinates, read as region-relative 2m-bit groups when there is
     a region, and a cell is a wall when listed at all, or in a region
     when listed an odd number of times (reflecting a cell twice is a
@@ -285,7 +327,8 @@ def _flips(keys: list, n: int, region, refs: np.ndarray, flip_key: bool):
     offset = np.array((0, 0) if region is None else region[:2], dtype=np.int64)
     odd = region is not None
     trials, walls = base.shape[:2]
-    shared = None if flip_key else bitplane.coordinate_mask(base + offset, n, odd=odd)
+    placed = base + offset
+    shared = None if flip_key else bitplane.coordinate_mask(placed, n, odd=odd)
 
     def build(batch: np.ndarray):
         per_trial = len(batch)
@@ -296,10 +339,12 @@ def _flips(keys: list, n: int, region, refs: np.ndarray, flip_key: bool):
             # Key bit i is bit k = i % 2m, MSB first, of coordinate i // 2m, a row
             # bit below m; ExperimentConfig makes the key whole 2m-bit groups.
             group, k = np.divmod(bit, 2 * m)
-            # coords[j, b] are the wall coordinates of trial j's lattice b
-            coords = np.repeat(base[:, None], per_trial, axis=1)
-            coords[:, at, group, k // m] ^= 1 << (m - 1 - k % m)
-            coords += offset
+            axis = k // m
+            # coords[j, b] are the wall coordinates of trial j's lattice b;
+            # a flip toggles a region-relative coordinate, then offsets it
+            coords = np.repeat(placed[:, None], per_trial, axis=1)
+            coords[:, at, group, axis] = (
+                base[:, group, axis] ^ 1 << (m - 1 - k % m)) + offset[axis]
             return planes, bitplane.coordinate_mask(
                 coords.reshape(-1, walls, 2), n, odd=odd)
         bitplane.toggle_bits(
@@ -315,23 +360,24 @@ def _diffs(config: ExperimentConfig, flip_key: bool, flips: np.ndarray, counts):
     then one lattice with a key bit flipped for each index in `flips`, in
     that order, or one lattice per row of _checkerboard_pairs(flips, n)
     with both of its plaintext bits flipped. Trial t draws its text and
-    then its key from trial_rng(seed, t). Whole trials share a batch of
-    the round loop, a group of as many as fit in batch_size(n) lattices
-    and at least one; a trial of L > batch_size(n) lattices is cut into
-    ceil(L / batch_size(n)) pieces of near-equal size, since a round
-    costs about as much on a small batch as on a full one. A group's
-    reference texts are read from bytes at once, and _flips builds each
-    of its pieces as planes.
+    then its key as trial_rng(seed, t) would, through _draws. Whole trials
+    share a batch of the round loop, a group of as many as fit in
+    batch_size(n) lattices and at least one; a trial of L > batch_size(n)
+    lattices is cut into ceil(L / batch_size(n)) pieces of near-equal
+    size, since a round costs about as much on a small batch as on a full
+    one. A group's reference texts are read from bytes at once, and
+    _flips builds each of its pieces as planes.
 
     Each piece runs along one trajectory up to the largest round count,
     so a protocol costs max(counts) rounds per lattice, not the sum of its
-    counts. Yield (t, trials, ri, diff) at counts[ri] for a piece of the
-    group of `trials` trials from trial t on: diff is the piece's
-    ciphertext planes (see the bitplane docstring), the lattice axis split
-    into (trials, per_piece), XOR each trial's reference: a set bit is one
-    that a flip inverted. A trial's reference is its first lattice in the
-    group's first piece. Each diff is the round loop's own output, XORed
-    in place, and is not written again."""
+    counts. Yield (t, ri, diff) at counts[ri] for a piece of the group of
+    trials from t on: diff is trial-major, (trials, 4, side, per_piece,
+    words), trial j's ciphertext planes (see the bitplane docstring) of
+    the piece XOR its reference, so a set bit is one that a flip
+    inverted, and each diff[j] is whole 8-byte words. A trial's reference
+    is its first lattice in the group's first piece. The XOR writes each
+    output of the round loop in one pass into one buffer per piece, reused
+    at every round count: a diff holds until the next one."""
     n = config.n
     # -1: no flip; the reference lattice flips nothing
     if flip_key:
@@ -342,35 +388,37 @@ def _diffs(config: ExperimentConfig, flip_key: bool, flips: np.ndarray, counts):
     pieces = -(-per_trial // batch_size(n))
     edges = [per_trial * i // pieces for i in range(pieces + 1)]
     group = max(1, batch_size(n) // per_trial)
+    dtype, words = bitplane.lane_layout(n)
+    draw = _draws(config.seed, config.block_len, config.key_len)
     for t in range(0, config.trials, group):
-        rngs = [trial_rng(config.seed, j)
-                for j in range(t, min(t + group, config.trials))]
-        trials = len(rngs)
-        refs = bitplane.planes_from_block(
-            b"".join(rng.bytes(config.block_len) for rng in rngs), n)
-        build = _flips([rng.bytes(config.key_len) for rng in rngs], n,
-                       config.wall_region, refs, flip_key)
+        texts, keys = draw(t, min(group, config.trials - t))
+        trials = len(texts)
+        refs = bitplane.planes_from_block(texts.tobytes(), n)
+        build = _flips(keys, n, config.wall_region, refs, flip_key)
         firsts = []  # per round count, each trial's reference ciphertext
         for a, b in zip(edges, edges[1:]):
+            diff = np.empty((trials, 4, 1 << n, b - a, words), dtype)
             for ri, out in enumerate(_trajectory(*build(lattice_flips[a:b]), counts)):
-                out = out.reshape(out.shape[:2] + (trials, -1, out.shape[-1]))
+                out = out.reshape(out.shape[:2] + (trials, b - a, words))
                 if a == 0:  # the first piece: keep each trial's lattice 0
                     firsts.append(out[:, :, :, :1].copy())
-                out ^= firsts[ri]
-                yield t, trials, ri, out
+                np.bitwise_xor(out, firsts[ri], out=diff.transpose(1, 2, 0, 3, 4))
+                yield t, ri, diff
 
 
 def _curve(config: ExperimentConfig, diffs, flip_count: int) -> ExperimentReport:
     """Mean inverted fraction per round count: per trial, the popcount
-    of its differences over all its flips, an integer total divided once.
-    block_bits is a power of two and every partial sum is exact, so the
-    floats equal adding each flip's fraction in turn."""
+    of its differences over all its flips, counted on the uint64 words of
+    its block of each diff, an integer total divided once. block_bits is
+    a power of two and every partial sum is exact, so the floats equal
+    adding each flip's fraction in turn."""
     rounds = config.round_values()
     block_bits = 8 * config.block_len
     totals = np.zeros((len(rounds), config.trials), dtype=np.int64)
-    for t, trials, ri, diff in diffs:
-        totals[ri, t:t + trials] += np.bitwise_count(diff).sum(
-            axis=(0, 1, 3, 4), dtype=np.int64)
+    for t, ri, diff in diffs:
+        trials = len(diff)
+        totals[ri, t:t + trials] += np.bitwise_count(
+            diff.reshape(trials, -1).view(np.uint64)).sum(axis=1, dtype=np.int64)
     return _report(config, rounds, totals / block_bits / flip_count)
 
 
@@ -380,8 +428,8 @@ def _strict(config: ExperimentConfig, diffs, flip_count: int) -> ExperimentRepor
     number of lattices whose bit differs from the trial's reference; the
     float64 totals are exact, divided once."""
     per_trial = np.zeros((8 * config.block_len, config.trials))
-    for t, trials, _, diff in diffs:
-        bitplane.add_bit_counts(diff, per_trial[:, t:t + trials])
+    for t, _, diff in diffs:
+        bitplane.add_bit_counts(diff, per_trial[:, t:t + len(diff)])
     per_trial /= flip_count
     return _report(config, range(len(per_trial)), per_trial)
 

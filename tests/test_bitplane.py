@@ -316,15 +316,16 @@ def test_add_bit_counts_matches_plane_bits(n):
     for count in (1, 255, 256, 600):
         if side * side * count > 1 << 22:
             continue
-        lanes = rnd.integers(0, np.iinfo(dtype).max, (4, side, 2, count, words),
+        # group-major, as the protocols' differences: (T, 4, side, L, words)
+        lanes = rnd.integers(0, np.iinfo(dtype).max, (2, 4, side, count, words),
                              dtype=dtype, endpoint=True)
-        lanes[:, :, 0] = np.iinfo(dtype).max
+        lanes[0] = np.iinfo(dtype).max
         if n <= 2:  # the bits above the row stay 0
             lanes &= (1 << side) - 1
         counts = np.ones((8 * ref.block_size(n), 5))
         bp.add_bit_counts(lanes, counts[:, 2:4])
-        # [k, r, t, c] -> block bit 4(r*side + c) + k
-        want = plane_bits(lanes, n).sum(axis=3).transpose(1, 3, 0, 2).reshape(-1, 2)
+        # [t, k, r, c] -> block bit 4(r*side + c) + k
+        want = plane_bits(lanes, n).sum(axis=3).transpose(2, 3, 1, 0).reshape(-1, 2)
         assert np.array_equal(counts[:, 2:4], want + 1), count
         assert (want[:, 0] == count).all()
         assert (counts[:, [0, 1, 4]] == 1).all()

@@ -17,7 +17,7 @@ from hppcrypt.cipher import (
     BATCH_CELLS, MAX_ROUNDS, batch_size, encrypt_stream, keyspace_count)
 from hppcrypt.cli import main
 from hppcrypt.errors import FormatError
-from hppcrypt.experiments import MAX_CELL_ROUNDS
+from hppcrypt.experiments import MAX_CELL_ROUNDS, PROTOCOLS, default_config
 from hppcrypt.imaging import GrayImage, read_pgm, write_pgm
 
 from helpers import torus_distance
@@ -560,7 +560,8 @@ def test_bench_rows_and_engine_order(bench):
 
 def test_bench_json_has_rows_layers_and_machine(bench):
     table, report = bench
-    assert set(report) == {"machine", "min_time_s", "batch_cells", "rows", "layers"}
+    assert set(report) == {"machine", "min_time_s", "batch_cells", "rows", "layers",
+                           "protocols"}
     assert set(report["machine"]) == {"python", "numpy", "cpu_count"}
     assert report["min_time_s"] == 0.02
     assert report["batch_cells"] == BATCH_CELLS
@@ -577,6 +578,20 @@ def test_bench_json_has_rows_layers_and_machine(bench):
             "planes_to_block", "wall_mask", "round"}
         assert all(us > 0 for name, us in layer["us_per_batch"].items()
                    if name != "round")
+
+
+def test_bench_json_times_every_protocol_at_its_config(bench):
+    # One wall time per protocol, in PROTOCOLS' order, with the config it
+    # ran: a protocol's defaults at the bench's trial count.
+    _, report = bench
+    protocols = report["protocols"]
+    assert list(protocols) == list(PROTOCOLS)
+    for protocol, entry in protocols.items():
+        assert set(entry) == {"config", "wall_s"}
+        config = entry["config"]
+        want = default_config(protocol, trials=cli._BENCH_TRIALS[protocol])
+        assert config == json.loads(json.dumps(vars(want)))
+        assert 0 < entry["wall_s"] < 60
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,13 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hppcrypt import bitplane, cipher, experiments
 from hppcrypt.bitplane import planes_from_block, wall_mask
@@ -22,6 +28,7 @@ from hppcrypt.experiments import (
     ExperimentConfig,
     ExperimentReport,
     _checkerboard_pairs,
+    _draws,
     _flips,
     _report,
     default_config,
@@ -93,6 +100,60 @@ def test_trial_rng_substreams_differ_and_repeat():
     assert trial_rng(1, 0).bytes(8) == trial_rng(1, 0).bytes(8)
     assert trial_rng(1, 0).bytes(8) != trial_rng(1, 1).bytes(8)
     assert trial_rng(1, 0).bytes(8) != trial_rng(2, 0).bytes(8)
+
+
+@st.composite
+def draw_cases(draw):
+    """(n, key_len, seed, first, trials): a key of 1 to block_len bytes,
+    any 64-bit seed and up to three trials from any index on."""
+    n = draw(st.integers(1, 6))
+    key_len = draw(st.integers(1, block_size(n)))
+    trials = draw(st.integers(1, 3))
+    first = draw(st.integers(0, 2**64 - trials))
+    return n, key_len, draw(st.integers(0, 2**64 - 1)), first, trials
+
+
+@given(draw_cases())
+@example((1, 1, 2**64 - 1, 2**64 - 1, 1))  # a 2-byte block, the last index
+@example((6, 2048, 0, 0, 3))
+@settings(deadline=None, max_examples=60)
+def test_draws_equal_trial_rng_bytes(case):
+    # _draws reads the raw Philox words that trial_rng(seed, t).bytes()
+    # reads: the text, then the key, of every trial, over two calls of
+    # one draw function, as _diffs makes them group after group.
+    n, key_len, seed, first, trials = case
+    draw = _draws(seed, block_size(n), key_len)
+    for t in (first, first + trials - 1):
+        count = first + trials - t
+        texts, keys = draw(t, count)
+        assert texts.dtype == keys.dtype == np.uint8
+        assert texts.shape == (count, block_size(n))
+        assert keys.shape == (count, key_len)
+        for j in range(count):
+            rng = trial_rng(seed, t + j)
+            assert texts[j].tobytes() == rng.bytes(block_size(n))
+            assert keys[j].tobytes() == rng.bytes(key_len)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_draws_equal_trial_rng_bytes_at_every_key_length(n):
+    for key_len in range(1, block_size(n) + 1):
+        texts, keys = _draws(2**64 - 1 - n, block_size(n), key_len)(2**40 + n, 1)
+        rng = trial_rng(2**64 - 1 - n, 2**40 + n)
+        assert texts.tobytes() == rng.bytes(block_size(n)), key_len
+        assert keys.tobytes() == rng.bytes(key_len), key_len
+
+
+def test_imports_leave_numpy_random_unloaded():
+    # numpy loads numpy.random on first use; importing it costs tens of
+    # ms, so the package makes its Philox only when a protocol runs.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, hppcrypt, hppcrypt.experiments, hppcrypt.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_reports_are_bit_identical_across_runs(tmp_path):
