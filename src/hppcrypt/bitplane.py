@@ -14,8 +14,14 @@ operation on a plane advances every row of every lattice at once
 * the cell-local step M (collision, then reflection on wall cells) is
   one fused kernel, :func:`collide_planes`, of 14 bitwise operations,
 * E/W propagation rotates every lane by one bit: a shift and the bit
-  that wraps, with one carry per word from n = 7 on and the row width
-  masked below n = 3,
+  that wraps, in three operations on one-word lanes. On uint8 and
+  uint16 lanes (n <= 4) the left shifts are an add and a multiply, the
+  same bits modulo the lane width, which numpy runs several times
+  faster; below n = 3 the row width is masked. From n = 7 on the
+  plane's words are shifted as one run, each word taking the carry of
+  its neighbour in one pass, and two strided passes at the ends of the
+  lanes take out the carries that crossed into the next lane and put
+  in those that wrap,
 * N/S propagation moves whole rows: two slice copies into another
   array, row side-1 of every lattice wrapping to its row 0 at once,
 * velocity inversion just swaps plane references.
@@ -166,12 +172,14 @@ def toggle_bits(planes: np.ndarray, bits, lattice_of) -> None:
     (4, side, B, words) planes of a batch, the two arrays broadcast
     against each other; a bit listed twice is toggled twice. A bit
     outside the block or a lattice outside the batch raises a
-    ParameterError before any bit is toggled."""
+    ParameterError before any bit is toggled. One plane of shape (side,
+    B, words), as plane[None], toggles at cell c for block bit 4c."""
     _, side, lattices, words = planes.shape
     _check_indices("block bit", bits, 4 * side * side)
     _check_indices("lattice", lattice_of, lattices)
-    cell, k = np.divmod(bits, 4)
-    row, col = np.divmod(cell, side)
+    # the indices are checked non-negative: shifts divide by powers of two
+    cell, k = np.right_shift(bits, 2), np.bitwise_and(bits, 3)
+    row, col = cell >> side.bit_length() - 1, cell & side - 1
     index = ((k * side + row) * lattices + lattice_of) * (planes.itemsize * words)
     np.bitwise_xor.at(planes.view(np.uint8).reshape(-1), index + (col >> 3),
                       np.left_shift(1, col & 7).astype(np.uint8))
@@ -206,14 +214,11 @@ def add_bit_counts(lanes: np.ndarray, counts: np.ndarray) -> None:
         counts[..., k, :] += sums.view(np.uint8).transpose(2, 3, 0, 1)
 
 
-def _outs(out):
-    return (None,) * 4 if out is None else out
-
-
 def collide_planes(e, s, w, n, mask, out=None):
     """The cell-local step M: collide every cell, then reflect the wall
     cells in `mask` (0 for collision alone). Writes the planes into
-    `out` (they may be the inputs), or into new arrays by default."""
+    `out` (they may be the inputs) and returns it, or returns new arrays
+    by default."""
     # A colliding cell (exactly E+W or exactly S+N) toggles all four bits;
     # a wall cell then swaps E with W and S with N, i.e. toggles both
     # where the two differ. The collision flip
@@ -231,59 +236,73 @@ def collide_planes(e, s, w, n, mask, out=None):
     a ^= flip
     b &= mask
     b ^= flip
-    oe, os_, ow, on = _outs(out)
-    return (np.bitwise_xor(e, a, out=oe), np.bitwise_xor(s, b, out=os_),
-            np.bitwise_xor(w, a, out=ow), np.bitwise_xor(n, b, out=on))
+    if out is None:
+        return e ^ a, s ^ b, w ^ a, n ^ b
+    oe, os_, ow, on = out
+    np.bitwise_xor(e, a, out=oe)
+    np.bitwise_xor(s, b, out=os_)
+    np.bitwise_xor(w, a, out=ow)
+    np.bitwise_xor(n, b, out=on)
+    return out
 
 
-def _rotate(lanes, up: bool, out):
+def _rotate(lanes, up: bool, out, top: int):
     """Every lane of a plane rotated by one column, toward higher columns
-    if `up`: each word shifted by one bit, and the bit it shifts out
-    entering the next word of its lane, the last word's wrapping to the
-    first."""
-    side = lanes.shape[0]
-    top = min(side, 64) - 1
+    if `up`, written into `out`: each word shifted by one bit, and the
+    bit it shifts out entering the next word of its lane, the last
+    word's wrapping to the first. Bit `top` of a lane's last word holds
+    its last column."""
+    # numpy's left shift of uint8 and uint16 takes several times as long
+    # as its add or multiply, and modulo the lane width x + x is x << 1
+    # and x * 2^top is x << top
+    narrow = lanes.itemsize < 4
     if up:
         carry = lanes >> top
-        out = np.left_shift(lanes, 1, out=out)
+        if narrow:
+            np.add(lanes, lanes, out=out)
+        else:
+            np.left_shift(lanes, 1, out=out)
     else:
-        carry = lanes << top
-        out = np.right_shift(lanes, 1, out=out)
+        carry = lanes * (1 << top) if narrow else lanes << top
+        np.right_shift(lanes, 1, out=out)
     words = lanes.shape[-1]
     if words == 1:
         out |= carry
     else:
-        # as one run of words: each word takes the carry of its neighbour,
-        # but the carries that would cross into the next lane wrap instead
+        # The lanes as one run of words, each taking the carry of its
+        # neighbour; then, at the ends of each lane, the carry that crossed
+        # into the next lane is taken out again (the bit was 0 before the
+        # OR) and the one that wraps is put in.
         flat, carry = out.reshape(-1), carry.reshape(-1)
-        end = slice(words - 1, None, words) if up else slice(0, None, words)
-        wrap = carry[end].copy()
-        carry[end] = 0
         if up:
             flat[1:] |= carry[:-1]
-            flat[::words] |= wrap
+            flat[words::words] ^= carry[words - 1:-1:words]
+            flat[::words] |= carry[words - 1::words]
         else:
             flat[:-1] |= carry[1:]
-            flat[words - 1::words] |= wrap
-    if side < 8:  # keep the bits above the row 0
-        out &= (1 << side) - 1
-    return out
+            flat[words - 1:-1:words] ^= carry[words::words]
+            flat[words - 1::words] |= carry[::words]
+    if top < 7:  # a row of fewer than 8 columns keeps the bits above it 0
+        out &= (2 << top) - 1
 
 
 def propagate_planes(e, s, w, n, out=None):
     """The propagation step P: E and W rotate every row by one column, S
-    and N move every row by one row.
-    Writes the planes into `out`, or into new arrays by default; E and W
-    may be written in place, S and N must go to other arrays."""
-    oe, os_, ow, on = _outs(out)
-    if os_ is None:
-        os_, on = np.empty_like(s), np.empty_like(n)
+    and N move every row by one row. Writes the planes into `out` and
+    returns it, or returns new arrays by default; E and W may be written
+    in place, S and N must go to other arrays."""
+    if out is None:
+        out = tuple(map(np.empty_like, (e, s, w, n)))
+    oe, os_, ow, on = out
     # row r moves to r+1 (S) or r-1 (N); the edge row wraps
     os_[1:] = s[:-1]
-    os_[:1] = s[-1:]
+    os_[0] = s[-1]
     on[:-1] = n[1:]
-    on[-1:] = n[:1]
-    return _rotate(e, True, oe), os_, _rotate(w, False, ow), on
+    on[-1] = n[0]
+    top = min(len(e), 64) - 1
+    _rotate(e, True, oe, top)
+    _rotate(w, False, ow, top)
+    return out
 
 
 def reflect_planes(e, s, w, n, mask):

@@ -21,7 +21,7 @@ blocks to planes in batches of at most :func:`batch_size` blocks, the
 loop, planes back to blocks, each converter in one pass over the whole
 batch. A batch holds up to ``BATCH_CELLS`` = 2^20 lattice cells (256
 blocks at n=6): as many as keep a round's working set in one core's L2
-cache, so that the fixed cost of a round's ~25 numpy calls is shared by
+cache, so that the fixed cost of a round's ~24 numpy calls is shared by
 as many lattices as can gain from it; only the step from bytes to
 planes takes n (see :mod:`hppcrypt.bitplane`). :func:`encrypt_block` is
 a batch of one and the streams run whole payloads through it. The
@@ -53,20 +53,21 @@ MIN_EXPONENT = 2
 MAX_EXPONENT = 12
 MAX_ROUNDS = 1 << 16
 
-# The most lattice cells one batch of the fast engine holds, which bounds
-# the size of its planes (128 KiB each): 4096 lattices at n=4, 256 at
-# n=6, and a single lattice from n=10 on. A round costs some 25 numpy
-# calls whatever the batch size, so it pays off only on large batches,
-# as long as a batch's working set stays in one core's L2 cache: four
-# planes, two spare planes for S and N, the wall plane and M's four
-# temporaries, about 1.4 MiB. On a 2-core Xeon VM with 2 MiB of L2 per
-# core, a cell-round at 2^20 cells took 15-35% less time than at 2^18
-# from n=3 to n=8, and 2^21 cells spilled the cache and were slower than
-# 2^20 at every n. The block converters run outside the round loop, each
-# on the whole batch: by tracemalloc, a full batch peaks at five block
-# sizes (2.5 MiB) in planes_from_block and four in planes_to_block from
-# n=3 on, counting the intp copies np.take makes of its byte indices,
-# and at 13 and 16 at n=1, where a plane byte takes fewer block bytes.
+# The most lattice cells one batch of the fast engine holds, which
+# bounds the size of its planes (128 KiB each): 4096 lattices at n=4,
+# 256 at n=6, and a single lattice from n=10 on. A round costs 24 numpy
+# calls from n=3 to n=6 (26 below, 28 from n=7 on) whatever the batch
+# size, so it pays off only on large batches, as long as a batch's
+# working set stays in one core's L2 cache: four planes, two spare
+# planes for S and N, the wall plane and M's four temporaries, about
+# 1.4 MiB. On a 2-core Xeon VM with 2 MiB of L2 per core, a cell-round
+# at 2^20 cells took 15-35% less time than at 2^18 from n=3 to n=8, and
+# 2^21 cells spilled the cache and were slower than 2^20 at every n. The
+# block converters run outside the round loop, each on the whole batch:
+# by tracemalloc, a full batch peaks at five block sizes (2.5 MiB) in
+# planes_from_block and four in planes_to_block from n=3 on, counting
+# the intp copies np.take makes of its byte indices, and at 13 and 16 at
+# n=1, where a plane byte takes fewer block bytes.
 BATCH_CELLS = 1 << 20
 
 # The 2n-bit key groups derive_walls decodes at once: its time grows
@@ -183,15 +184,17 @@ def _trajectory(planes, mask, counts: tuple[int, ...]) -> Iterator[np.ndarray]:
     del planes  # hold one set of planes, not two, while the rounds run
     e, s, w, nn = bitplane.collide_planes(*state, mask, out=state)
     s_to, n_to = np.empty_like(state[:2])
+    # A round runs on one of these two sets of planes and moves S and N
+    # into the other's; E and W stay where they are.
+    now, moved = (e, s, w, nn), (e, s_to, w, n_to)
     done = 0
     for count in counts:
         for _ in range(count - done):
-            moved = (e, s_to, w, n_to)
-            s_to, n_to = s, nn
-            e, s, w, nn = bitplane.propagate_planes(e, s, w, nn, out=moved)
-            e, s, w, nn = bitplane.collide_planes(e, s, w, nn, mask, out=moved)
+            bitplane.propagate_planes(*now, out=moved)
+            bitplane.collide_planes(*moved, mask, out=moved)
+            now, moved = moved, now
         done = count
-        yield np.stack(bitplane.invert_planes(e, s, w, nn))
+        yield np.array(bitplane.invert_planes(*now))
 
 
 def _encrypt_reference(block: bytes, params: CipherParams) -> bytes:

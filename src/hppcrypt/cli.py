@@ -297,8 +297,8 @@ def cmd_block2img(args) -> int:
 
 
 # The longest --min-time bench accepts: it times six engine rows, and
-# with --json 21 layers and six protocols more, so a run takes at least 6
-# (33) times this.
+# with --json 35 layer timings (seven at each of five n) and six
+# protocols more, so a run takes at least 6 (47) times this.
 MAX_BENCH_SECONDS = 60.0
 
 
@@ -309,7 +309,7 @@ def cmd_bench(args) -> int:
             f"got {args.min_time}"
         )
     print(f"{'n':>3} {'rounds':>6} {'engine':>10} {'blocks/s':>10} {'kB/s':>10}")
-    rows, layers = [], {}
+    rows = []
     for n in (4, 5, 6):
         rounds = default_rounds(n)
         rng = np.random.Generator(np.random.Philox(key=np.uint64(n)))
@@ -332,9 +332,8 @@ def cmd_bench(args) -> int:
             print(f"{n:>3} {rounds:>6} {engine:>10} {rate:>10.2f} {kb:>10.1f}")
             rows.append(dict(n=n, rounds=rounds, engine=engine, blocks_per_s=rate,
                              kB_per_s=kb))
-        if args.json:
-            layers[str(n)] = _layer_times(n, key, data, args.min_time)
     if args.json:
+        layers = {str(n): _layer_times(n, args.min_time) for n in _LAYER_EXPONENTS}
         report = dict(
             machine=dict(python=platform.python_version(), numpy=np.__version__,
                          cpu_count=os.cpu_count()),
@@ -392,14 +391,21 @@ def _protocol_times(min_time: float) -> dict:
 # Rounds the per-layer bench runs to time one round of the round loop.
 _BENCH_ROUNDS = 16
 
+# The lattice exponents bench --json times layer by layer: one of each
+# lane kind, a uint8, uint16, uint32 or uint64 word at n = 3 to 6 and
+# eight uint64 words at n = 9, the block of a 512x512 image.
+_LAYER_EXPONENTS = (3, 4, 5, 6, 9)
 
-def _layer_times(n: int, key: bytes, data: bytes, min_time: float) -> dict:
+
+def _layer_times(n: int, min_time: float) -> dict:
     """Microseconds per full batch of each layer of the fast engine at
-    lattice exponent n, on the blocks in `data` under the walls of `key`:
-    unpacking, M, P, packing, "wall_mask" (coordinate_mask on every
-    lattice's key coordinates, as the key-flip protocols build wall
-    planes) and one round, from runs to _BENCH_ROUNDS rounds and to 0."""
+    lattice exponent n, on random blocks under the walls of a random
+    16-byte key: unpacking, M, P, packing, "wall_mask" (coordinate_mask
+    on every lattice's key coordinates at once) and one round, from runs
+    to _BENCH_ROUNDS rounds and to 0."""
     lattices = batch_size(n)
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(n)))
+    key, data = rng.bytes(16), rng.bytes(lattices * block_size(n))
     planes = bitplane.planes_from_block(data, n)
     e, s, w, nn = planes
     s_to, n_to = np.empty_like(planes[:2])

@@ -315,41 +315,51 @@ def _flips(keys, n: int, region, refs: np.ndarray, flip_key: bool):
     when listed an odd number of times (reflecting a cell twice is a
     no-op), which keeps every key bit live in a tiny region. build(batch)
     gives the (planes, mask) of trials * len(batch) lattices, trial j's
-    from j * len(batch) on, each starting as its trial's reference. With
-    `flip_key`, the batch holds one key bit per lattice, and flipping key
-    bit i toggles one bit of one coordinate; otherwise it holds a row of
-    block bits per lattice, each bit i >= 0 in row b toggled in lattice b
-    by bitplane.toggle_bits, and all of a trial's lattices share one wall
-    plane. -1 flips nothing."""
+    from j * len(batch) on, each starting as its trial's reference and
+    its trial's wall plane. With `flip_key`, the batch holds one key bit
+    per lattice; flipping key bit i toggles one bit of one coordinate,
+    which moves one listing from a cell to another, so bitplane.toggle_bits
+    toggles at most those two cells of the lattice's wall plane: in a
+    region both, and otherwise the first if that was its only listing and
+    the second if it had none. Without, the batch holds a row of block
+    bits per lattice, each bit i >= 0 in row b toggled in lattice b by
+    bitplane.toggle_bits. -1 flips nothing."""
     m = n if region is None else region[2].bit_length() - 1
     base = _key_coordinates(
         np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), -1), m)
     offset = np.array((0, 0) if region is None else region[:2], dtype=np.int64)
     odd = region is not None
-    trials, walls = base.shape[:2]
-    placed = base + offset
-    shared = None if flip_key else bitplane.coordinate_mask(placed, n, odd=odd)
+    trials = len(base)
+    shared = bitplane.coordinate_mask(base + offset, n, odd=odd)
+    # Cells as r * side + c: in a region a coordinate's cell is its
+    # region-relative cell plus the region's first, as neither sum carries.
+    relative = base[..., 0] << n | base[..., 1]
+    corner = offset[0] << n | offset[1]
+    listed = (relative + corner).T[:, None, :, None]  # [g, 0, j, 0]: trial j's g-th
 
     def build(batch: np.ndarray):
         per_trial = len(batch)
         planes = np.repeat(refs, per_trial, axis=2)
+        mask = np.repeat(shared, per_trial, axis=1)
         at = np.nonzero(batch >= 0)[0]
         bit = batch[batch >= 0]
-        if flip_key:
-            # Key bit i is bit k = i % 2m, MSB first, of coordinate i // 2m, a row
-            # bit below m; ExperimentConfig makes the key whole 2m-bit groups.
-            group, k = np.divmod(bit, 2 * m)
-            axis = k // m
-            # coords[j, b] are the wall coordinates of trial j's lattice b;
-            # a flip toggles a region-relative coordinate, then offsets it
-            coords = np.repeat(placed[:, None], per_trial, axis=1)
-            coords[:, at, group, axis] = (
-                base[:, group, axis] ^ 1 << (m - 1 - k % m)) + offset[axis]
-            return planes, bitplane.coordinate_mask(
-                coords.reshape(-1, walls, 2), n, odd=odd)
-        bitplane.toggle_bits(
-            planes, bit, np.arange(0, trials * per_trial, per_trial)[:, None] + at)
-        return planes, np.repeat(shared, per_trial, axis=1)
+        lattice = np.arange(0, trials * per_trial, per_trial)[:, None] + at
+        if not flip_key:
+            bitplane.toggle_bits(planes, bit, lattice)
+            return planes, mask
+        # Key bit i is bit k = i % 2m, MSB first, of coordinate i // 2m, a row
+        # bit below m; ExperimentConfig makes the key whole 2m-bit groups.
+        # In a cell r * side + c a row bit sits n bits up.
+        group, k = np.divmod(bit, 2 * m)
+        toggle = 1 << (m - 1 - k % m + n * (k < m))
+        # [0 or 1, j, f]: the cells flip f of trial j moves a listing from, and to
+        cells = np.stack((relative[:, group], relative[:, group] ^ toggle)) + corner
+        listings = (cells == listed).sum(axis=0)
+        toggled = odd | (listings == np.array([1, 0])[:, None, None])
+        # a wall plane is a batch of one plane, its cell c at block bit 4c
+        bitplane.toggle_bits(mask[None], 4 * cells[toggled],
+                             np.broadcast_to(lattice, cells.shape)[toggled])
+        return planes, mask
 
     return build
 

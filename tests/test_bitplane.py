@@ -7,7 +7,8 @@
   lattices;
 * each kernel (collide, M, P, J and reflection) against the per-cell
   engine in hppcrypt.lattice, lattice by lattice, on one lattice and on
-  batches of two to five;
+  batches of two to five, and on batches of two or three with lanes
+  that fill their words: one uint8, or 2 to 8 uint64 words;
 * M, rounds of P and M, then J, run by hand on the lanes of a batch,
   against the per-cell engine, with the oracle's work per example
   bounded by ORACLE_CELL_ROUNDS.
@@ -195,6 +196,21 @@ def test_batch_kernels_match_reference_lattice_by_lattice():
         n, count = rnd.randint(1, 5), rnd.randint(2, 5)
         check_kernels([random_lattice(rnd, n) for _ in range(count)],
                       [random_walls(rnd, n, rnd.randint(0, 5)) for _ in range(count)])
+
+
+@pytest.mark.parametrize("n, count", [(3, 2), (3, 3), (7, 2), (7, 3), (8, 2), (9, 2)])
+def test_kernels_match_reference_on_full_and_multiword_lanes(n, count):
+    # Lanes that fill their words: one uint8 at n = 3, two, four and
+    # eight uint64 words at n = 7, 8 and 9, two or three lattices a batch,
+    # with walls on the last row and column. A carry lost or misplaced at a
+    # word or lane boundary, or a bit that wraps wrongly modulo the lane
+    # width, fails one kernel call here.
+    rnd = random.Random(41 * n + count)
+    side = 1 << n
+    edges = [{(side - 1, rnd.randrange(side)), (rnd.randrange(side), side - 1),
+              (side - 1, side - 1)} for _ in range(count)]
+    check_kernels([random_lattice(rnd, n) for _ in range(count)],
+                  [random_walls(rnd, n, 3) | edge for edge in edges])
 
 
 def test_gold_vector_on_bitplanes():

@@ -570,7 +570,7 @@ def test_bench_json_has_rows_layers_and_machine(bench):
         tuple(line.split()[:3]) for line in table]
     for row in report["rows"]:
         assert set(row) == {"n", "rounds", "engine", "blocks_per_s", "kB_per_s"}
-    assert set(report["layers"]) == {"4", "5", "6"}
+    assert set(report["layers"]) == {"3", "4", "5", "6", "9"}
     for n, layer in report["layers"].items():
         assert layer["lattices"] == batch_size(int(n))
         assert set(layer["us_per_batch"]) == {

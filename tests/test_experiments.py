@@ -673,10 +673,16 @@ FLIP_CASES = {
     # of its copies leaves it a wall
     "repeated": (bytes([0b01100110, 0b01101100]), 2, None),
     "random": (trial_rng(71, 0).bytes(6), 3, None),
+    # groups 0110 0111: walls (1, 2) and (1, 3), and a flip of the last
+    # bit of either moves it onto the other, which stays a wall
+    "onto-wall": (bytes([0b01100111]), 2, None),
     # region side 4: groups 0110 0110 1100 0000, (1, 2) twice cancels,
     # and a flip in one copy makes both cells walls
     "region-cancels": (bytes([0b01100110, 0b11000000]), 3, (2, 4, 4)),
     "region-random": (trial_rng(71, 1).bytes(9), 4, (4, 8, 8)),
+    # region side 4: groups 0110 0111, (1, 2) and (1, 3); a flip moving
+    # one onto the other lists that cell twice, which cancels it
+    "region-onto-wall": (bytes([0b01100111]), 3, (2, 4, 4)),
 }
 
 
