@@ -12,16 +12,18 @@ operation on a plane advances every row of every lattice at once
 (bit-slicing, as in Biham's DES):
 
 * the cell-local step M (collision, then reflection on wall cells) is
-  one fused kernel, :func:`collide_planes`, of 14 bitwise operations,
+  one fused kernel, :func:`collide_planes`, of 14 bitwise operations
+  that write the four planes in place,
 * E/W propagation rotates every lane by one bit: a shift and the bit
-  that wraps, in three operations on one-word lanes. On uint8 and
-  uint16 lanes (n <= 4) the left shifts are an add and a multiply, the
-  same bits modulo the lane width, which numpy runs several times
-  faster; below n = 3 the row width is masked. From n = 7 on the
-  plane's words are shifted as one run, each word taking the carry of
-  its neighbour in one pass, and two strided passes at the ends of the
-  lanes take out the carries that crossed into the next lane and put
-  in those that wrap,
+  that wraps, in three operations on one-word lanes. The shift toward
+  higher columns is an add, x + x, and on uint8 and uint16 lanes
+  (n <= 4) the wrapping bit's shift the other way is a multiply: the
+  same bits modulo the lane width, which numpy runs faster; below
+  n = 3 the row width is masked. From n = 7 on the plane's words are
+  shifted as one run, each word taking the carry of its neighbour in
+  one pass, and two strided passes at the ends of the lanes take out
+  the carries that crossed into the next lane and put in those that
+  wrap,
 * N/S propagation moves whole rows: two slice copies into another
   array, row side-1 of every lattice wrapping to its row 0 at once,
 * velocity inversion just swaps plane references.
@@ -214,11 +216,9 @@ def add_bit_counts(lanes: np.ndarray, counts: np.ndarray) -> None:
         counts[..., k, :] += sums.view(np.uint8).transpose(2, 3, 0, 1)
 
 
-def collide_planes(e, s, w, n, mask, out=None):
-    """The cell-local step M: collide every cell, then reflect the wall
-    cells in `mask` (0 for collision alone). Writes the planes into
-    `out` (they may be the inputs) and returns it, or returns new arrays
-    by default."""
+def collide_planes(e, s, w, n, mask):
+    """The cell-local step M, in place on the four planes: collide every
+    cell, then reflect the wall cells in `mask` (0 for collision alone)."""
     # A colliding cell (exactly E+W or exactly S+N) toggles all four bits;
     # a wall cell then swaps E with W and S with N, i.e. toggles both
     # where the two differ. The collision flip
@@ -236,14 +236,10 @@ def collide_planes(e, s, w, n, mask, out=None):
     a ^= flip
     b &= mask
     b ^= flip
-    if out is None:
-        return e ^ a, s ^ b, w ^ a, n ^ b
-    oe, os_, ow, on = out
-    np.bitwise_xor(e, a, out=oe)
-    np.bitwise_xor(s, b, out=os_)
-    np.bitwise_xor(w, a, out=ow)
-    np.bitwise_xor(n, b, out=on)
-    return out
+    e ^= a
+    s ^= b
+    w ^= a
+    n ^= b
 
 
 def _rotate(lanes, up: bool, out, top: int):
@@ -252,18 +248,14 @@ def _rotate(lanes, up: bool, out, top: int):
     bit it shifts out entering the next word of its lane, the last
     word's wrapping to the first. Bit `top` of a lane's last word holds
     its last column."""
-    # numpy's left shift of uint8 and uint16 takes several times as long
-    # as its add or multiply, and modulo the lane width x + x is x << 1
-    # and x * 2^top is x << top
-    narrow = lanes.itemsize < 4
+    # Modulo the lane width x + x is x << 1 and x * 2^top is x << top.
+    # numpy's add is faster than its left shift on every lane dtype, its
+    # multiply only on uint8 and uint16.
     if up:
         carry = lanes >> top
-        if narrow:
-            np.add(lanes, lanes, out=out)
-        else:
-            np.left_shift(lanes, 1, out=out)
+        np.add(lanes, lanes, out=out)
     else:
-        carry = lanes * (1 << top) if narrow else lanes << top
+        carry = lanes * (1 << top) if lanes.itemsize < 4 else lanes << top
         np.right_shift(lanes, 1, out=out)
     words = lanes.shape[-1]
     if words == 1:
@@ -286,13 +278,11 @@ def _rotate(lanes, up: bool, out, top: int):
         out &= (2 << top) - 1
 
 
-def propagate_planes(e, s, w, n, out=None):
+def propagate_planes(e, s, w, n, out):
     """The propagation step P: E and W rotate every row by one column, S
-    and N move every row by one row. Writes the planes into `out` and
-    returns it, or returns new arrays by default; E and W may be written
-    in place, S and N must go to other arrays."""
-    if out is None:
-        out = tuple(map(np.empty_like, (e, s, w, n)))
+    and N move every row by one row. Writes the planes into the four
+    arrays of `out`; E and W may be written in place, S and N must go to
+    other arrays."""
     oe, os_, ow, on = out
     # row r moves to r+1 (S) or r-1 (N); the edge row wraps
     os_[1:] = s[:-1]
@@ -302,7 +292,6 @@ def propagate_planes(e, s, w, n, out=None):
     top = min(len(e), 64) - 1
     _rotate(e, True, oe, top)
     _rotate(w, False, ow, top)
-    return out
 
 
 def reflect_planes(e, s, w, n, mask):

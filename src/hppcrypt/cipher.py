@@ -182,7 +182,8 @@ def _trajectory(planes, mask, counts: tuple[int, ...]) -> Iterator[np.ndarray]:
     them, and none is checked here."""
     state = np.array(planes)  # the caller's planes stay as they are
     del planes  # hold one set of planes, not two, while the rounds run
-    e, s, w, nn = bitplane.collide_planes(*state, mask, out=state)
+    e, s, w, nn = state
+    bitplane.collide_planes(e, s, w, nn, mask)
     s_to, n_to = np.empty_like(state[:2])
     # A round runs on one of these two sets of planes and moves S and N
     # into the other's; E and W stay where they are.
@@ -191,7 +192,7 @@ def _trajectory(planes, mask, counts: tuple[int, ...]) -> Iterator[np.ndarray]:
     for count in counts:
         for _ in range(count - done):
             bitplane.propagate_planes(*now, out=moved)
-            bitplane.collide_planes(*moved, mask, out=moved)
+            bitplane.collide_planes(*moved, mask)
             now, moved = moved, now
         done = count
         yield np.array(bitplane.invert_planes(*now))

@@ -195,8 +195,10 @@ def _parse_config_file(path: str) -> dict:
             continue
         if "=" not in line:
             raise FormatError(f"bad config line {lineno}: {line!r}")
-        key, _, value = line.partition("=")
-        conf[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in conf:
+            raise FormatError(f"bad config line {lineno}: repeated key {key!r}")
+        conf[key] = value
     return conf
 
 
@@ -272,24 +274,22 @@ def _infer_exponent(length: int) -> int:
 
 def cmd_block2img(args) -> int:
     block = Path(args.infile).read_bytes()
-    n = args.n
-    if n is None:
-        try:
-            n = _infer_exponent(len(block))
-        except FormatError:
-            if block[:4] != MAGIC:
-                raise
-            # A single-block container, 18 + 2^(2n-1) bytes, is never a
-            # block size, so a block that starts with the magic is never
-            # taken for one. Single-block containers render directly, so
-            # an encrypted image can be viewed without decrypting it.
-            container = CipherContainer.from_bytes(block)
-            if container.block_count() != 1:
-                raise FormatError(
-                    f"container holds {container.block_count()} blocks, "
-                    "can only render exactly one"
-                ) from None
-            block, n = container.payload, container.n
+    try:
+        n = _infer_exponent(len(block))
+    except FormatError:
+        if block[:4] != MAGIC:
+            raise
+        # A single-block container, 18 + 2^(2n-1) bytes, is never a
+        # block size, so a block that starts with the magic is never
+        # taken for one. Single-block containers render directly, so
+        # an encrypted image can be viewed without decrypting it.
+        container = CipherContainer.from_bytes(block)
+        if container.block_count() != 1:
+            raise FormatError(
+                f"container holds {container.block_count()} blocks, "
+                "can only render exactly one"
+            ) from None
+        block, n = container.payload, container.n
     image = lattice_to_image(from_bytes(block, n))
     write_pgm(image, args.outfile)
     print(f"wrote {image.width}x{image.height} PGM")
@@ -420,8 +420,7 @@ def _layer_times(n: int, min_time: float) -> dict:
         name: _per_call_us(fn, min_time)
         for name, fn in (
             ("planes_from_block", lambda: bitplane.planes_from_block(data, n)),
-            ("collide_planes", lambda: bitplane.collide_planes(
-                e, s, w, nn, mask, out=(e, s, w, nn))),
+            ("collide_planes", lambda: bitplane.collide_planes(e, s, w, nn, mask)),
             ("propagate_planes", lambda: bitplane.propagate_planes(
                 e, s, w, nn, out=(e, s_to, w, n_to))),
             ("planes_to_block", lambda: bitplane.planes_to_block(planes)),
@@ -484,7 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_img2block)
 
     p = sub.add_parser("block2img", help="raw lattice block to PGM image")
-    p.add_argument("--n", type=_exponent_flag, help="inferred from size if omitted")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
     p.set_defaults(func=cmd_block2img)

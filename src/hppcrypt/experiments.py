@@ -22,13 +22,17 @@ Plaintext flips can only ever reach half of the cells: a flipped cell
 influences only the checkerboard class of parity (row+col+rounds) mod 2,
 which caps the text avalanche near 0.25 where the key avalanche
 approaches 0.5. The text protocols use this to run two flips per
-lattice, one in a cell with row+col even and one with row+col odd. That
-is exact: M and J are cell-local, P moves every particle to a cell of
-the other class and all lattices of a trial share their walls, so the
-two classes evolve as separate lattices, and the pair inverts the
-disjoint union of the bits each flip inverts alone. The reducers add
-popcounts or per-bit counts, so they get the same integers from half
-the lattices. Key flips cannot pair: a wall acts on both classes.
+lattice: bit k of each of the two cells of block byte j, block bits
+8j + k and 8j + 4 + k. Cells 2j and 2j + 1 are row neighbours, so one
+has row+col even and the other odd. That is exact: M and J are
+cell-local, P moves every particle to a cell of the other class and all
+lattices of a trial share their walls, so the two classes evolve as
+separate lattices, and the pair inverts the disjoint union of the bits
+each flip inverts alone. The reducers add popcounts or per-bit counts
+over a trial's lattices, so they get the same integers from half the
+lattices, in any order. Key flips cannot pair: a wall acts on both
+classes. Single-bit's one flip takes a lattice of its own, as a key
+flip does.
 """
 
 from __future__ import annotations
@@ -290,22 +294,6 @@ def _report(config, xs, per_trial: np.ndarray) -> ExperimentReport:
         config, tuple(xs), tuple(ys.tolist()), tuple(stddevs.tolist()))
 
 
-def _checkerboard_pairs(flips: np.ndarray, n: int) -> np.ndarray:
-    """The plaintext flips as rows (even, odd) of a (k, 2) array: the
-    flips of cells with row+col even in column 0 and odd in column 1,
-    each in the order of `flips`, row i pairing the i-th of each class;
-    -1 fills the shorter column. A lattice flipped in both cells of a row
-    differs from the reference exactly in the disjoint union of the two
-    single-flip differences (see the module docstring)."""
-    cell = flips >> 2
-    odd = ((cell >> n) + cell) & 1  # row + col; col is even iff cell is
-    classes = flips[odd == 0], flips[odd == 1]
-    pairs = np.full((max(map(len, classes)), 2), -1, dtype=np.int64)
-    for k, flips_k in enumerate(classes):
-        pairs[:len(flips_k), k] = flips_k
-    return pairs
-
-
 def _flips(keys, n: int, region, refs: np.ndarray, flip_key: bool):
     """Batch builder of a group of trials: trial j has key keys[j] (equal
     lengths of bytes, or rows of a uint8 array) and reference planes
@@ -321,9 +309,9 @@ def _flips(keys, n: int, region, refs: np.ndarray, flip_key: bool):
     which moves one listing from a cell to another, so bitplane.toggle_bits
     toggles at most those two cells of the lattice's wall plane: in a
     region both, and otherwise the first if that was its only listing and
-    the second if it had none. Without, the batch holds a row of block
-    bits per lattice, each bit i >= 0 in row b toggled in lattice b by
-    bitplane.toggle_bits. -1 flips nothing."""
+    the second if it had none. Without, the batch holds a block bit or
+    a row of block bits per lattice, each bit i >= 0 in row b toggled in
+    lattice b by bitplane.toggle_bits. -1 flips nothing."""
     m = n if region is None else region[2].bit_length() - 1
     base = _key_coordinates(
         np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), -1), m)
@@ -367,9 +355,10 @@ def _flips(keys, n: int, region, refs: np.ndarray, flip_key: bool):
 def _diffs(config: ExperimentConfig, flip_key: bool, flips: np.ndarray, counts):
     """The trial loop of every protocol, from its config to the bits each
     flip inverts. A trial is L lattices: its reference (text, key) first,
-    then one lattice with a key bit flipped for each index in `flips`, in
-    that order, or one lattice per row of _checkerboard_pairs(flips, n)
-    with both of its plaintext bits flipped. Trial t draws its text and
+    then one lattice for each index in `flips`, in that order, with that
+    key bit or plaintext bit flipped; or, when `flips` is every plaintext
+    bit in order, one lattice per byte pair (8j + k, 8j + 4 + k) with
+    both bits flipped (see the module docstring). Trial t draws its text and
     then its key as trial_rng(seed, t) would, through _draws. Whole trials
     share a batch of the round loop, a group of as many as fit in
     batch_size(n) lattices and at least one; a trial of L > batch_size(n)
@@ -389,11 +378,11 @@ def _diffs(config: ExperimentConfig, flip_key: bool, flips: np.ndarray, counts):
     output of the round loop in one pass into one buffer per piece, reused
     at every round count: a diff holds until the next one."""
     n = config.n
+    if not flip_key and len(flips) == 8 * config.block_len:
+        # [j, k]: bit k of cell 2j and of cell 2j + 1, both of block byte j
+        flips = flips.reshape(-1, 2, 4).swapaxes(1, 2).reshape(-1, 2)
     # -1: no flip; the reference lattice flips nothing
-    if flip_key:
-        lattice_flips = np.concatenate(([-1], flips))
-    else:
-        lattice_flips = np.concatenate(([[-1, -1]], _checkerboard_pairs(flips, n)))
+    lattice_flips = np.concatenate((np.full((1,) + flips.shape[1:], -1), flips))
     per_trial = len(lattice_flips)
     pieces = -(-per_trial // batch_size(n))
     edges = [per_trial * i // pieces for i in range(pieces + 1)]

@@ -71,28 +71,6 @@ class Lattice:
         return self.cells[row * self.side + col]
 
 
-def particle_count(lat: Lattice) -> int:
-    """Total number of particles (set bits) on the lattice."""
-    # Cell values never exceed 15, so byte popcounts cannot interact.
-    return int.from_bytes(lat.cells, "little").bit_count()
-
-
-def parity_counts(lat: Lattice) -> tuple[int, int]:
-    """Particle counts on the even and odd (row+col) sublattices."""
-    even = odd = 0
-    side = lat.side
-    i = 0
-    for r in range(side):
-        for c in range(side):
-            bits = lat.cells[i].bit_count()
-            if (r + c) & 1:
-                odd += bits
-            else:
-                even += bits
-            i += 1
-    return even, odd
-
-
 def check_walls(walls: Iterable[tuple[int, int]], n: int) -> frozenset:
     """Normalize wall coordinates and reject any outside the lattice."""
     side = 1 << n

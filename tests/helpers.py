@@ -1,7 +1,9 @@
 """Lattice, wall and wall-plane builders shared by the test modules,
-torus_distance, plane_bits, which reads the cells of a plane back one
-byte each, and ORACLE_CELL_ROUNDS, the bound on the per-cell engine's
-work per example of the hypothesis tests that run it for many rounds."""
+torus_distance, the particle counters of a per-cell lattice, plane_bits,
+which reads the cells of a plane back one byte each, collided and
+propagated, which run M and P into new planes, and ORACLE_CELL_ROUNDS,
+the bound on the per-cell engine's work per example of the hypothesis
+tests that run it for many rounds."""
 
 import numpy as np
 from hypothesis import strategies as st
@@ -47,6 +49,21 @@ def torus_distance(a, b, side):
     return min(dr, side - dr) + min(dc, side - dc)
 
 
+def particle_count(lat):
+    """Total number of particles (set bits) on the lattice."""
+    # Cell values never exceed 15, so byte popcounts cannot interact.
+    return int.from_bytes(lat.cells, "little").bit_count()
+
+
+def parity_counts(lat):
+    """Particle counts on the even and odd (row+col) sublattices."""
+    counts = [0, 0]
+    for i, cell in enumerate(lat.cells):
+        row, col = divmod(i, lat.side)
+        counts[(row + col) & 1] += cell.bit_count()
+    return tuple(counts)
+
+
 def batch_mask(wall_sets, n):
     """Wall plane of a batch, lattice b's walls from wall_sets[b], which
     may be empty or of different sizes: the wall_mask planes of the
@@ -60,3 +77,17 @@ def plane_bits(lanes, n):
     [r, b, c], cell (r, c) of lattice b."""
     bits = np.unpackbits(lanes.view(np.uint8), axis=-1, bitorder="little")
     return bits[..., :1 << n]
+
+
+def collided(planes, mask):
+    """M on a copy of the planes of a batch: collide_planes works in place."""
+    out = np.array(planes)
+    bp.collide_planes(*out, mask)
+    return out
+
+
+def propagated(planes):
+    """P of the planes of a batch into new planes."""
+    out = np.empty_like(planes)
+    bp.propagate_planes(*planes, out=out)
+    return out

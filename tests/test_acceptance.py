@@ -18,9 +18,11 @@ from hppcrypt.cipher import (
     keyspace_count,
 )
 from hppcrypt.experiments import default_config, run_protocol, trial_rng
-from hppcrypt.lattice import block_size, from_bytes, parity_counts, to_bytes
+from hppcrypt.lattice import block_size, from_bytes, to_bytes
 
-from helpers import batch_mask, random_lattice, random_walls
+from helpers import (
+    batch_mask, collided, parity_counts, particle_count, propagated, random_lattice,
+    random_walls)
 
 
 def check(num, label, ok, details):
@@ -69,21 +71,21 @@ def test_criterion_3_conservation():
         n = rnd.randint(2, 4)
         lat = random_lattice(rnd, n)
         walls = random_walls(rnd, n, rnd.randint(0, 6))
-        count = ref.particle_count(lat)
+        count = particle_count(lat)
         for out in (
             ref.collide(lat),
             ref.propagate(lat),
             ref.reflect(lat, walls),
             ref.invert_all(lat),
         ):
-            if ref.particle_count(out) != count:
+            if particle_count(out) != count:
                 bad += 1
         rounds = rnd.randint(0, 20)
         params = CipherParams(n, rounds, walls)
         block = to_bytes(lat)
         ct = encrypt_block(block, params)
         ct_lat = from_bytes(ct, n)
-        if ref.particle_count(ct_lat) != count:
+        if particle_count(ct_lat) != count:
             bad += 1
         even_in, odd_in = parity_counts(lat)
         even_out, _ = parity_counts(ct_lat)
@@ -109,10 +111,10 @@ def test_criterion_4_engine_equivalence():
         planes = bp.planes_from_block(b"".join(map(to_bytes, lats)), 6)
         mask = batch_mask(walls, 6)
         for got, want in (
-            (bp.collide_planes(*planes, 0), lambda lat, w: ref.collide(lat)),
-            (bp.collide_planes(*planes, mask),
+            (collided(planes, 0), lambda lat, w: ref.collide(lat)),
+            (collided(planes, mask),
              lambda lat, w: ref.reflect(ref.collide(lat), w)),
-            (bp.propagate_planes(*planes), lambda lat, w: ref.propagate(lat)),
+            (propagated(planes), lambda lat, w: ref.propagate(lat)),
             (bp.reflect_planes(*planes, mask), ref.reflect),
             (bp.invert_planes(*planes), lambda lat, w: ref.invert_all(lat)),
         ):

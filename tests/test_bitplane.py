@@ -32,7 +32,8 @@ from hppcrypt.experiments import flip_bit
 from hppcrypt.lattice import Lattice
 
 from helpers import (
-    ORACLE_CELL_ROUNDS, batch_mask, lattices, plane_bits, random_lattice, random_walls)
+    ORACLE_CELL_ROUNDS, batch_mask, collided, lattices, plane_bits, propagated,
+    random_lattice, random_walls)
 
 
 def to_planes(lat):
@@ -160,17 +161,17 @@ def test_plane_bits_and_repeat_follow_the_lane_layout():
 
 def check_kernels(lats, walls):
     """Every kernel on the batch of lats, lattice b under walls[b], acts
-    on each lattice as the per-cell engine does, and without out= no
-    kernel writes its input."""
+    on each lattice as the per-cell engine does; M and P run on copies, and
+    no other kernel writes its input."""
     n = lats[0].n
     blocks = b"".join(map(ref.to_bytes, lats))
     planes = bp.planes_from_block(blocks, n)
     mask = batch_mask(walls, n)
     for got, want in (
-        (bp.collide_planes(*planes, 0), [ref.collide(lat) for lat in lats]),
-        (bp.collide_planes(*planes, mask),
+        (collided(planes, 0), [ref.collide(lat) for lat in lats]),
+        (collided(planes, mask),
          [ref.reflect(ref.collide(lat), w) for lat, w in zip(lats, walls)]),
-        (bp.propagate_planes(*planes), [ref.propagate(lat) for lat in lats]),
+        (propagated(planes), [ref.propagate(lat) for lat in lats]),
         (bp.invert_planes(*planes), [ref.invert_all(lat) for lat in lats]),
         (bp.reflect_planes(*planes, mask),
          [ref.reflect(lat, w) for lat, w in zip(lats, walls)]),
@@ -216,15 +217,15 @@ def test_kernels_match_reference_on_full_and_multiword_lanes(n, count):
 def test_gold_vector_on_bitplanes():
     planes = bp.planes_from_block(bytes.fromhex("90A2F5155D100000"), 2)
     for _ in range(2):
-        planes = bp.propagate_planes(*bp.collide_planes(*planes, 0))
+        planes = propagated(collided(planes, 0))
     assert bp.planes_to_block(planes) == bytes.fromhex("179002A850F85010")
 
 
 def test_empty_lattice_fixed_point():
     planes = np.zeros((4, 8, 4, 1), dtype=np.uint8)  # four empty 8x8 lattices
     mask = batch_mask([{(1, 1)}] * 4, 3)
-    assert same(bp.collide_planes(*planes, mask), planes)
-    assert same(bp.propagate_planes(*planes), planes)
+    assert same(collided(planes, mask), planes)
+    assert same(propagated(planes), planes)
     assert same(bp.invert_planes(*planes), planes)
     assert same(bp.reflect_planes(*planes, mask), planes)
 
@@ -354,9 +355,9 @@ def test_collide_exhaustive_and_never_negative():
     lat = Lattice(3, bytes(v for v in range(16) for _ in range(2)) + bytes(32))
     planes = to_planes(lat)
     mask = bp.wall_mask(walls, 3)
-    assert to_lattices(bp.collide_planes(*planes, mask), 3) == [
+    assert to_lattices(collided(planes, mask), 3) == [
         ref.reflect(ref.collide(lat), walls)]
-    assert to_lattices(bp.collide_planes(*planes, 0), 3) == [ref.collide(lat)]
+    assert to_lattices(collided(planes, 0), 3) == [ref.collide(lat)]
     # Lanes stay unsigned words of their own dtype, never a negative
     # value, and below n = 3 every kernel keeps the bits above the row
     # 0, even where collide inverts a whole lane and a rotate shifts
@@ -372,8 +373,7 @@ def test_collide_exhaustive_and_never_negative():
                       & full).astype(dtype)
             mask = (rnd.integers(0, 2**63, (side, 9, words), dtype=np.uint64)
                     & full).astype(dtype)
-            for out in (bp.collide_planes(*planes, mask), bp.collide_planes(*planes, 0),
-                        bp.propagate_planes(*planes),
+            for out in (collided(planes, mask), collided(planes, 0), propagated(planes),
                         bp.reflect_planes(*planes, mask)):
                 for plane in out:
                     assert plane.dtype == dtype
@@ -382,26 +382,22 @@ def test_collide_exhaustive_and_never_negative():
 
 
 def test_kernels_write_out_in_place():
-    # With out= M and P write into the arrays given, the inputs
-    # themselves for M and for E and W of P, and give what they give
-    # without it.
+    # M writes the four planes it is given, P the four arrays of out=,
+    # as the round loop calls them: E and W in place, read back from the
+    # input arrays themselves, S and N into two spare planes. Each acts on
+    # every lattice of the batch as the per-cell engine does.
     rnd = random.Random(59)
     for n in (1, 3, 4, 7):
-        count = 3
-        blocks = rnd.randbytes(count * ref.block_size(n))
-        mask = batch_mask([random_walls(rnd, n, 4) for _ in range(count)], n)
-        planes = tuple(bp.planes_from_block(blocks, n))
-        want = bp.collide_planes(*planes, mask)
-        got = bp.collide_planes(*planes, mask, out=planes)
-        assert all(g is p for g, p in zip(got, planes))
-        assert same(got, want)
-        planes = bp.planes_from_block(blocks, n)
-        want = bp.propagate_planes(*planes)
+        lats = [random_lattice(rnd, n) for _ in range(3)]
+        walls = [random_walls(rnd, n, 4) for _ in lats]
+        planes = bp.planes_from_block(b"".join(map(ref.to_bytes, lats)), n)
         e, s, w, nn = planes
+        assert bp.collide_planes(e, s, w, nn, batch_mask(walls, n)) is None
+        lats = [ref.reflect(ref.collide(lat), ws) for lat, ws in zip(lats, walls)]
+        assert to_lattices(planes, n) == lats
         s_to, n_to = np.empty_like(planes[:2])
-        got = bp.propagate_planes(e, s, w, nn, out=(e, s_to, w, n_to))
-        assert all(g is o for g, o in zip(got, (e, s_to, w, n_to)))
-        assert same(got, want)
+        assert bp.propagate_planes(e, s, w, nn, out=(e, s_to, w, n_to)) is None
+        assert to_lattices((e, s_to, w, n_to), n) == [ref.propagate(lat) for lat in lats]
 
 
 @st.composite
@@ -439,9 +435,9 @@ def test_lane_kernels_match_reference_lattice_by_lattice(batch):
     assert bp.planes_to_block(planes) == blocks
     lats = to_lattices(planes, n)
     mask = batch_mask(walls, n)
-    planes = bp.collide_planes(*planes, mask)
+    planes = collided(planes, mask)
     for _ in range(rounds):
-        planes = bp.collide_planes(*bp.propagate_planes(*planes), mask)
+        planes = collided(propagated(planes), mask)
     want = []
     for lat, w in zip(lats, walls):
         lat = ref.reflect(ref.collide(lat), w)

@@ -357,10 +357,12 @@ def test_experiment_hostile_config_exits_2(tmp_path, capsys, monkeypatch, no_run
         monkeypatch.delenv("HPP_SEED", raising=False)
     else:
         monkeypatch.setenv("HPP_SEED", env_seed)
+    # the base config, each of its keys given only if the line has none
     conf = tmp_path / "exp.conf"
-    conf.write_text(
-        "protocol=avalanche-text\ntrials=1\nrounds=2\nkey_len=3\n" + line + "\n"
-    )
+    given = {entry.partition("=")[0] for entry in line.splitlines()}
+    base = ("protocol=avalanche-text", "trials=1", "rounds=2", "key_len=3")
+    conf.write_text("".join(
+        entry + "\n" for entry in base if entry.partition("=")[0] not in given) + line + "\n")
     start = time.perf_counter()
     assert run("experiment", "--config", str(conf)) == 2
     assert time.perf_counter() - start < 1.0
@@ -368,6 +370,21 @@ def test_experiment_hostile_config_exits_2(tmp_path, capsys, monkeypatch, no_run
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("protocol=strict-key\nprotocol=single-bit\n", "line 2: repeated key 'protocol'"),
+    ("protocol=single-bit\ntrials=1\n# again\n trials = 1\n",
+     "line 4: repeated key 'trials'"),
+    ("protocol=single-bit\nseed=5\nn=3\nseed=\n", "line 4: repeated key 'seed'"),
+], ids=["protocol", "same-value", "empty-value"])
+def test_experiment_config_repeated_key_exits_1(tmp_path, capsys, no_run, text, message):
+    # A key given twice is a malformed line, refused before any protocol
+    # runs, with the same value or an empty one too: no value wins.
+    conf = tmp_path / "exp.conf"
+    conf.write_text(text)
+    assert run("experiment", "--config", str(conf)) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: bad config {message}"]
 
 
 @pytest.mark.parametrize("flag", ["--config", "--walls-file"])
@@ -459,21 +476,25 @@ def test_block2img_infers_exponent(tmp_path, capsys):
 
 def test_block2img_reads_block_sizes_as_raw(tmp_path, capsys):
     # A raw block that starts with the container magic (pixels 4,8,5,0,
-    # 5,0,4,3) renders as a block with and without --n; a single-block
-    # container, whose length is no block size, still renders.
+    # 5,0,4,3) renders as a block, its n inferred from its size; a
+    # single-block container, whose length is no block size, still
+    # renders. No --n can be given: the size fixes n.
     raw = tmp_path / "magic.block"
     raw.write_bytes(b"HPPC" + bytes(4))
     out = tmp_path / "o.pgm"
-    for flags in ((), ("--n", "2")):
-        assert run("block2img", *flags, "--in", str(raw), "--out", str(out)) == 0
-        assert "4x4" in capsys.readouterr().out
-        assert read_pgm(out).pixels == bytes([4, 8, 5, 0, 5, 0, 4, 3]) + bytes(8)
+    assert run("block2img", "--in", str(raw), "--out", str(out)) == 0
+    assert "4x4" in capsys.readouterr().out
+    assert read_pgm(out).pixels == bytes([4, 8, 5, 0, 5, 0, 4, 3]) + bytes(8)
     box = tmp_path / "one.hppc"
     assert run("encrypt", "--n", "2", "--rounds", "4", "--key-hex", "0123",
                "--in", str(raw), "--out", str(box)) == 0
     assert len(box.read_bytes()) == 18 + 8
     assert run("block2img", "--in", str(box), "--out", str(out)) == 0
     assert "4x4" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        run("block2img", "--n", "2", "--in", str(box), "--out", str(out))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --n 2" in capsys.readouterr().err
 
 
 def test_img2block_rejects_non_square(tmp_path):

@@ -27,7 +27,6 @@ from hppcrypt.experiments import (
     PROTOCOLS,
     ExperimentConfig,
     ExperimentReport,
-    _checkerboard_pairs,
     _draws,
     _flips,
     _report,
@@ -583,8 +582,8 @@ STRICT_LANES = [
 
 
 def lattices_per_trial(cfg):
-    """L: the reference, then one lattice per key flip, per checkerboard
-    pair of text flips, or for single-bit's one flip."""
+    """L: the reference, then one lattice per key flip, per byte pair of
+    text flips, or for single-bit's one flip."""
     flip_key, _ = PROTOCOLS[cfg.protocol]
     if cfg.protocol == "single-bit":
         return 2
@@ -700,22 +699,26 @@ FLIP_CASES = {
 def test_flip_batches_match_flipped_blocks_and_keys(flip_key, key, n, region):
     # A group of two trials, as _diffs builds it: trial j's lattices
     # follow one another, each the trial's text under its key with one
-    # key bit flipped, or with a row of plaintext bits flipped: the
-    # (even, odd) pairs, and rows with one flip where one class runs out
-    # (a random subset of the bits leaves some).
+    # key bit flipped, or with a row of plaintext bits flipped: pairs
+    # (8j + k, 8j + 4 + k) of a block byte, in random order, or one bit a
+    # lattice, as single-bit flips.
     keys = [key, trial_rng(72, 1).bytes(len(key))]
     texts = [trial_rng(72, n).bytes(block_size(n)), trial_rng(72, 2).bytes(block_size(n))]
     refs = planes_from_block(b"".join(texts), n)
     if flip_key:
         flips, cut, none = np.arange(8 * len(key)), 5, [-1]
     else:
-        bits = 8 * block_size(n)
-        flips = _checkerboard_pairs(trial_rng(73, n).permutation(bits)[:min(bits, 96)], n)
-        cut, none = 30, [[-1, -1]]
+        pairs = np.arange(8 * block_size(n)).reshape(-1, 2, 4).swapaxes(1, 2).reshape(-1, 2)
+        flips = trial_rng(73, n).permutation(pairs)[:48]
+        cut, none = 15, [[-1, -1]]
         assert len(flips) > cut or n == 1
     build = _flips(keys, n, region, refs, flip_key)
-    # the first batch holds the reference (no flip), a later one only flips
-    for batch in (np.concatenate((none, flips[:cut])), flips[cut:]):
+    # the first batch and the one-bit batch hold the reference (no flip),
+    # the second only flips
+    batches = [np.concatenate((none, flips[:cut])), flips[cut:]]
+    if not flip_key:
+        batches.append(np.concatenate(([-1], flips[:cut, 1])))
+    for batch in batches:
         if not len(batch):
             continue
         planes, mask = build(batch)
@@ -748,35 +751,14 @@ def cell_parity(bit, n):
     return (cell // (1 << n) + cell % (1 << n)) & 1
 
 
-@pytest.mark.parametrize("n", range(1, 6))
-def test_checkerboard_pairs_cover_each_flip_once(n):
-    bits = 8 * block_size(n)
-    rng = trial_rng(74, n)
-    for flips in (np.arange(bits), rng.permutation(bits)[:bits // 3 + 1],
-                  np.array([bits - 1])):
-        pairs = _checkerboard_pairs(flips, n)
-        assert pairs.shape[1] == 2
-        assert sorted(pairs[pairs >= 0].tolist()) == sorted(flips.tolist())
-        for k in (0, 1):  # column 0 holds even cells, column 1 odd ones
-            column = pairs[:, k]
-            assert all(cell_parity(int(i), n) == k for i in column[column >= 0])
-            # each class keeps the order of the flips
-            assert column[column >= 0].tolist() == [
-                int(i) for i in flips if cell_parity(int(i), n) == k]
-        assert (pairs.max(axis=1) >= 0).all()
-        odd = sum(cell_parity(int(i), n) for i in flips)
-        assert len(pairs) == max(odd, len(flips) - odd)
-    # every cell class holds half of the bits: the full list pairs up
-    assert len(_checkerboard_pairs(np.arange(bits), n)) == bits // 2
-
-
 @pytest.mark.parametrize("protocol", ["avalanche-text", "strict-text", "single-bit"])
 def test_text_trials_flip_each_bit_once(monkeypatch, protocol):
     # Through the trial loop, on the planes its builder gives, with
     # batches forced down to 5 lattices and then to groups of two trials
     # (the last group holding one): per trial the reference flips nothing,
-    # every flip index appears in exactly one lattice, and no lattice
-    # flips two cells of one class.
+    # every flip index appears in exactly one lattice, and every other
+    # lattice flips one bit (single-bit) or a byte pair, bit k of cells 2j
+    # and 2j + 1 of block byte j, one cell of each checkerboard class.
     cfg = default_config(protocol, **dict(TINY[protocol], trials=3))
     n, side = cfg.n, 1 << cfg.n
     flips = ([cfg.bit] if protocol == "single-bit"
@@ -824,30 +806,34 @@ def test_text_trials_flip_each_bit_once(monkeypatch, protocol):
             for rows in lattices_flips:
                 assert len(rows) == per_trial
                 assert rows[0] == []
-                assert all(rows[1:])
                 assert sorted(i for row in rows for i in row) == flips
-                for row in rows:
-                    assert len({cell_parity(i, n) for i in row}) == len(row)
+                for row in rows[1:]:
+                    if protocol == "single-bit":
+                        assert row == [cfg.bit]
+                        continue
+                    assert len(row) == 2 and row[1] - row[0] == 4 and row[0] % 8 < 4
+                    assert cell_parity(row[0], n) != cell_parity(row[1], n)
             t += trials
         assert t == cfg.trials
 
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_opposite_parity_flips_invert_disjoint_bits(n):
-    # The fact the text trials rest on, checked on the per-cell engine: a
-    # flip in an even cell and one in an odd cell invert disjoint sets of
-    # ciphertext bits, and flipping both inverts exactly their union.
+    # The fact the text trials rest on, checked on the per-cell engine:
+    # the flips of bit k of the two cells of one block byte, 8j + k and
+    # 8j + 4 + k, one cell of each checkerboard class, invert disjoint
+    # sets of ciphertext bits, and flipping both inverts exactly their
+    # union.
     side = 1 << n
-    bits = 8 * block_size(n)
     rng = trial_rng(75, n)
-    even = [i for i in range(bits) if cell_parity(i, n) == 0]
-    odd = [i for i in range(bits) if cell_parity(i, n) == 1]
     region = (side // 2, 0, side // 2) if n > 1 else (0, 0, 2)
     for case in range(6):
         text = rng.bytes(block_size(n))
         key = rng.bytes(n)
         walls = _region_walls(key, n, region if case % 2 else None)
-        i, j = int(rng.choice(even)), int(rng.choice(odd))
+        i = 8 * int(rng.integers(block_size(n))) + int(rng.integers(4))
+        j = i + 4
+        assert cell_parity(i, n) != cell_parity(j, n)
         for r in (0, 1, 2, int(rng.integers(3, 4 * side))):
             params = CipherParams(n, r, walls)
 
@@ -883,9 +869,9 @@ def lattice_rounds(monkeypatch, cfg):
 
 @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
 def test_round_loop_work(monkeypatch, protocol):
-    # Text curves and strict-text run their flips two to a lattice, one
-    # from each checkerboard class; key flips and single-bit's one flip
-    # take a lattice each.
+    # Text curves and strict-text run their flips two to a lattice, a
+    # byte pair, one from each checkerboard class; key flips and
+    # single-bit's one flip take a lattice each.
     flip_key, per_bit = PROTOCOLS[protocol]
     cfg = default_config(
         protocol, n=3, key_len=3, trials=2, seed=8, bit=13,

@@ -8,15 +8,13 @@ from hppcrypt.lattice import (
     collide,
     from_bytes,
     invert_all,
-    parity_counts,
     parse_walls_text,
-    particle_count,
     propagate,
     reflect,
     to_bytes,
 )
 
-from helpers import lattices
+from helpers import lattices, parity_counts, particle_count
 
 GOLD_0 = bytes.fromhex("90A2F5155D100000")
 
