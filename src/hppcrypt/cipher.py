@@ -79,6 +79,14 @@ DECODE_GROUPS = 1 << 13
 MAX_KEYSPACE_DIGITS = 4000
 
 
+def _check_exponent(n: int) -> None:
+    """Refuse a lattice exponent outside [1, MAX_EXPONENT], the range of
+    keyspace_count and of the experiment configs: n=1 is below the
+    cipher's MIN_EXPONENT but still a lattice."""
+    if not 1 <= n <= MAX_EXPONENT:
+        raise ParameterError(f"lattice exponent must be in [1, {MAX_EXPONENT}], got {n}")
+
+
 def default_rounds(n: int) -> int:
     """Recommended round count 2^(n+1): twice the lattice's maximal
     toroidal Manhattan distance, so every wall can reach every cell with
@@ -269,10 +277,11 @@ def encrypt_stream(
     """Encrypt arbitrary-length data: zero-pad to whole blocks, encrypt
     each block independently, record the true length in the header.
 
-    Walls come from the key unless an explicit wall set is given, which
-    must not be empty. The lattice exponent and the round count must lie
-    within the bounds that :meth:`CipherContainer.from_bytes` accepts, so
-    every container written here loads again.
+    Walls come from exactly one of a key and an explicit wall set, which
+    must not be empty; both or neither is a ParameterError. The lattice
+    exponent and the round count must lie within the bounds that
+    :meth:`CipherContainer.from_bytes` accepts, so every container
+    written here loads again.
     """
     if not MIN_EXPONENT <= n <= MAX_EXPONENT:
         raise ParameterError(
@@ -292,8 +301,9 @@ def decrypt_stream(
     key: bytes | None,
     walls: frozenset | None = None,
 ) -> bytes:
-    """Decrypt a container; lattice exponent and rounds come from its
-    header."""
+    """Decrypt a container under exactly one of a key and a wall set, as
+    :func:`encrypt_stream` takes them; lattice exponent and rounds come
+    from its header."""
     params = _resolve_params(key, container.n, container.rounds, walls)
     return _encrypt_blocks(container.payload, params)[: container.original_length]
 
@@ -320,9 +330,10 @@ def _encrypt_blocks(data: bytes, params: CipherParams) -> bytes:
 def _resolve_params(
     key: bytes | None, n: int, rounds: int | None, walls: frozenset | None
 ) -> CipherParams:
+    if (key is None) == (walls is None):
+        raise ParameterError("exactly one of a key and a wall set is required, "
+                             f"got {'neither' if key is None else 'both'}")
     if walls is None:
-        if key is None:
-            raise ParameterError("either a key or an explicit wall set is required")
         walls = derive_walls(key, n)
     elif not walls:  # as derive_walls refuses a key that yields none
         raise ParameterError("wall set is empty: need at least one wall")
@@ -334,9 +345,9 @@ def keyspace_count(n: int, k: int) -> int:
     the number of size-K multisets over the 2^(2n) cells,
     C(2^(2n) + K - 1, K), computed exactly. A count of more than
     MAX_KEYSPACE_DIGITS decimal digits is refused, and one that is surely
-    that large is refused before it is computed."""
-    if n < 1:
-        raise ParameterError(f"lattice exponent must be >= 1, got {n}")
+    that large is refused before it is computed, and so is an n outside
+    [1, MAX_EXPONENT]."""
+    _check_exponent(n)
     if k < 0:
         raise ParameterError(f"wall count must be >= 0, got {k}")
     cells = 1 << (2 * n)

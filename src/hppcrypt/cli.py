@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Subcommands: encrypt, decrypt, keyspace, experiment, img2block, block2img,
-bench. The experiment's flags and its config file's keys come from one
-table, ``_EXPERIMENT_FIELDS``; encrypt and decrypt take their key or wall
-set from ``_secret``; bench times each row, layer and protocol with
-``_per_call_us``.
+bench. The CLI only parses and presents: the library call that does the
+work checks each value (``--n`` is in the range of ``encrypt_stream``,
+``keyspace_count`` or ``ExperimentConfig``). The experiment's flags and
+its config file's keys come from one table, ``_EXPERIMENT_FIELDS``;
+``_secret`` reads the one secret flag of encrypt or decrypt; bench times
+each row, layer and protocol with ``_per_call_us``.
 Diagnostics go to stderr, an error as one ``error:`` line. Exit status is
 0 on success, 2 for bad parameters or usage (a ``ParameterError``, such as
 a key that yields no walls or an empty wall set), 1 for I/O and
@@ -28,8 +30,6 @@ from . import bitplane
 from .cipher import (
     BATCH_CELLS,
     MAGIC,
-    MAX_EXPONENT,
-    MIN_EXPONENT,
     CipherContainer,
     CipherParams,
     approx_scientific,
@@ -61,24 +61,6 @@ def _integer(name: str, text: str) -> int:
         raise ParameterError(f"{name} must be an integer, got {text!r}") from None
 
 
-def _exponent(name: str, text: str) -> int:
-    n = _integer(name, text)
-    if not MIN_EXPONENT <= n <= MAX_EXPONENT:
-        raise ParameterError(
-            f"{name} must be in [{MIN_EXPONENT}, {MAX_EXPONENT}], got {n}"
-        )
-    return n
-
-
-def _exponent_flag(text: str) -> int:
-    # argparse prints the message of an ArgumentTypeError; any other error
-    # becomes a generic "invalid value" line.
-    try:
-        return _exponent("n", text)
-    except ParameterError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
@@ -89,22 +71,16 @@ def _read_text(path: str) -> str:
 
 
 def _secret(args) -> tuple[bytes | None, frozenset | None]:
-    """The key and the wall set of encrypt or decrypt, either one None
-    when its flags are absent, but not both."""
-    key = walls = None
-    if args.key_hex is not None:
-        try:
-            key = bytes.fromhex(args.key_hex)
-        except ValueError:
-            raise ParameterError(f"invalid hex key {args.key_hex!r}") from None
-    elif args.key_file is not None:
-        key = Path(args.key_file).read_bytes()
+    """The key and the wall set of encrypt or decrypt, from the one flag
+    argparse let through: the other of the two is None."""
     if args.walls_file is not None:
-        walls = parse_walls_text(_read_text(args.walls_file))
-    elif key is None:
-        raise ParameterError(
-            f"{args.command} needs --key-hex, --key-file or --walls-file")
-    return key, walls
+        return None, parse_walls_text(_read_text(args.walls_file))
+    if args.key_file is not None:
+        return Path(args.key_file).read_bytes(), None
+    try:
+        return bytes.fromhex(args.key_hex), None
+    except ValueError:
+        raise ParameterError(f"invalid hex key {args.key_hex!r}") from None
 
 
 def cmd_encrypt(args) -> int:
@@ -176,7 +152,7 @@ def _parse_region(name: str, text: str) -> tuple[int, int, int]:
 # field it sets, the parser of its text and the help of the flag of the
 # same name (--key-len for key_len), which wins over the file.
 _EXPERIMENT_FIELDS = {
-    "n": ("n", _exponent, None),
+    "n": ("n", _integer, None),
     "trials": ("trials", _integer, None),
     "rounds": ("rounds_range", _parse_rounds_range,
                "round count or start:step:stop range"),
@@ -442,15 +418,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_key_flags(p):
-        p.add_argument("--key-hex", help="secret key as a hex string")
-        p.add_argument("--key-file", help="secret key as a raw bytes file")
-        p.add_argument(
-            "--walls-file",
-            help="explicit wall list (row,col per line), overrides the key",
-        )
+        secret = p.add_mutually_exclusive_group(required=True)
+        secret.add_argument("--key-hex", help="secret key as a hex string")
+        secret.add_argument("--key-file", help="secret key as a raw bytes file")
+        secret.add_argument("--walls-file", help="explicit wall list (row,col per line)")
 
     p = sub.add_parser("encrypt", help="encrypt a file into a container")
-    p.add_argument("--n", type=_exponent_flag, required=True, help="lattice exponent")
+    p.add_argument("--n", type=int, required=True, help="lattice exponent")
     p.add_argument("--rounds", type=int, help="default 2^(n+1)")
     add_key_flags(p)
     p.add_argument("--in", dest="infile", required=True)
@@ -464,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decrypt)
 
     p = sub.add_parser("keyspace", help="count wall configurations")
-    p.add_argument("--n", type=_exponent_flag, required=True)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("-K", "--walls", type=int, required=True, help="wall count")
     p.set_defaults(func=cmd_keyspace)
 

@@ -43,7 +43,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bitplane
-from .cipher import MAX_EXPONENT, MAX_ROUNDS, _key_coordinates, _trajectory, batch_size
+from .cipher import (
+    MAX_ROUNDS, _check_exponent, _key_coordinates, _trajectory, batch_size)
 from .errors import ParameterError
 from .lattice import block_size
 
@@ -100,10 +101,7 @@ class ExperimentConfig:
         if self.protocol not in PROTOCOLS:
             raise ParameterError(f"unknown protocol {self.protocol!r}")
         flip_key, per_bit = PROTOCOLS[self.protocol]
-        # n=1 is below the cipher's MIN_EXPONENT but still a lattice
-        if not 1 <= self.n <= MAX_EXPONENT:
-            raise ParameterError(
-                f"lattice exponent must be in [1, {MAX_EXPONENT}], got {self.n}")
+        _check_exponent(self.n)
         if not 1 <= self.trials <= MAX_TRIALS:
             raise ParameterError(
                 f"trials must be in [1, {MAX_TRIALS}], got {self.trials}"
@@ -159,6 +157,9 @@ class ExperimentConfig:
                 f"key of {self.key_len} bytes does not split into "
                 f"{2 * m}-bit wall coordinates"
             )
+        if self.bit and self.protocol != "single-bit":
+            raise ParameterError(
+                f"bit is for single-bit only, got bit={self.bit} for {self.protocol}")
         if not 0 <= self.bit < 8 * self.block_len:
             raise ParameterError(f"bit index {self.bit} outside the block")
         lattices = 2 if self.protocol == "single-bit" else 1 + (
@@ -194,7 +195,9 @@ _DEFAULTS = {
 
 
 def default_key_len(n: int) -> int:
-    """Key bytes encoding 2^(n-1) walls of 2n bits each."""
+    """Key bytes encoding 2^(n-1) walls of 2n bits each, for an n that
+    a config takes."""
+    _check_exponent(n)
     bits = 2 * n * (1 << (n - 1))
     if bits % 8:
         raise ParameterError(f"no whole-byte default key for n={n}")

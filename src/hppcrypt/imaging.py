@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import FormatError, ParameterError
+from .errors import FormatError
 from .lattice import _NIBBLES, Lattice
 
 

@@ -519,6 +519,19 @@ def test_stream_explicit_walls_override():
         encrypt_stream(data, None, 3)
 
 
+def test_stream_takes_exactly_one_secret():
+    # A key and a wall set together are refused, not resolved by precedence
+    walls = frozenset({(1, 2), (7, 7)})
+    container = encrypt_stream(bytes(100), b"key", 3)
+    got = {"both": (b"key", walls), "neither": (None, None)}
+    for word, (key, given) in got.items():
+        message = f"exactly one of a key and a wall set is required, got {word}"
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            encrypt_stream(bytes(100), key, 3, walls=given)
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            decrypt_stream(container, key, walls=given)
+
+
 def test_stream_refuses_an_empty_wall_set():
     # An explicit wall set with no walls is no secret, as derive_walls
     # refuses a key that yields none; CipherParams itself still takes it.
@@ -595,8 +608,11 @@ def test_keyspace_published_magnitudes():
 
 
 def test_keyspace_validation():
-    with pytest.raises(ParameterError):
-        keyspace_count(0, 1)
+    # n is bounded as the cipher bounds it, so 2^(2n) cells stay small
+    for n in (0, 13, 10**9):
+        with pytest.raises(ParameterError,
+                           match=fr"^lattice exponent must be in \[1, 12\], got {n}$"):
+            keyspace_count(n, 1)
     with pytest.raises(ParameterError):
         keyspace_count(4, -1)
     # counts of more than 4000 digits are refused, exactly at the limit

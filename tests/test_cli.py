@@ -76,17 +76,48 @@ def test_empty_file_round_trips_without_warning(tmp_path, capsys):
 def test_invalid_hex_key_exits_2(tmp_path, capsys):
     plain = tmp_path / "p.bin"
     plain.write_bytes(b"data")
+    box = tmp_path / "c.hppc"
     code = run("encrypt", "--n", "4", "--key-hex", "not-hex",
-               "--in", str(plain), "--out", str(tmp_path / "c.hppc"))
+               "--in", str(plain), "--out", str(box))
     assert code == 2
-    assert "error" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", "error: invalid hex key 'not-hex'\n")
+    assert not box.exists()
 
 
-def test_missing_key_exits_2(tmp_path):
-    plain = tmp_path / "p.bin"
-    plain.write_bytes(b"data")
-    assert run("encrypt", "--n", "4",
-               "--in", str(plain), "--out", str(tmp_path / "c.hppc")) == 2
+def test_missing_key_exits_2(tmp_path, capsys):
+    # No secret flag is an argparse usage error, before the input is read.
+    box = tmp_path / "c.hppc"
+    with pytest.raises(SystemExit) as exc:
+        run("encrypt", "--n", "4",
+            "--in", str(tmp_path / "absent.bin"), "--out", str(box))
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "hppcrypt encrypt: error: one of the arguments --key-hex --key-file "
+        "--walls-file is required")
+    assert not box.exists()
+
+
+@pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+@pytest.mark.parametrize("first, second", [
+    ("--key-hex", "--key-file"), ("--key-hex", "--walls-file"),
+    ("--key-file", "--walls-file")], ids=["hex+file", "hex+walls", "file+walls"])
+def test_two_secret_flags_exit_2(tmp_path, capsys, command, first, second):
+    # Exactly one secret: a pair is a usage error before any file is read.
+    # Every path given is missing, so a read would exit 1, not 2.
+    values = {"--key-hex": "a1b2", "--key-file": str(tmp_path / "absent.key"),
+              "--walls-file": str(tmp_path / "absent.txt")}
+    box = tmp_path / "out.bin"
+    argv = ("--n", "3") if command == "encrypt" else ()
+    with pytest.raises(SystemExit) as exc:
+        run(command, *argv, first, values[first], second, values[second],
+            "--in", str(tmp_path / "absent.bin"), "--out", str(box))
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        f"hppcrypt {command}: error: argument {second}: "
+        f"not allowed with argument {first}")
+    assert not box.exists()
 
 
 def test_unreadable_input_exits_1(tmp_path):
@@ -129,11 +160,16 @@ def test_encrypt_round_count_limit(tmp_path, capsys):
         f"error: rounds must be at most {MAX_ROUNDS}, got {MAX_ROUNDS + 1}"
     ]
     assert not box.exists()
-    # the largest round count encrypt accepts still decrypts
+    # A container at the largest round count encrypt accepts loads and
+    # decrypts. An empty file has no block, so no round runs.
+    plain.write_bytes(b"")
     assert run("encrypt", "--n", "2", "--rounds", str(MAX_ROUNDS),
                "--key-hex", "a1", "--in", str(plain), "--out", str(box)) == 0
+    assert f"rounds={MAX_ROUNDS})" in capsys.readouterr().out
     assert run("decrypt", "--key-hex", "a1", "--in", str(box), "--out", str(back)) == 0
-    assert back.read_bytes() == plain.read_bytes()
+    assert capsys.readouterr().out == (
+        f"decrypted 0 block(s) to 0 bytes (n=2, rounds={MAX_ROUNDS})\n")
+    assert back.read_bytes() == b""
 
 
 def test_encrypt_refuses_before_it_warns(tmp_path, capsys):
@@ -242,6 +278,37 @@ def test_keyspace_published_values(capsys):
 def test_keyspace_single_wall(capsys):
     assert run("keyspace", "--n", "4", "-K", "1") == 0
     assert "256" in capsys.readouterr().out
+    assert run("keyspace", "--n", "1", "-K", "1") == 0
+    assert capsys.readouterr().out == "4\n≈ 4.0e0\n"
+
+
+def test_experiment_runs_at_n1(capsys):
+    # n=1 has no default key length, but takes one of a byte
+    assert run("experiment", "--protocol", "strict-key", "--n", "1",
+               "--key-len", "1", "--trials", "4", "--seed", "2") == 0
+    assert capsys.readouterr().out.startswith(
+        "protocol=strict-key n=1 trials=4 seed=2\nbits=16 mean=")
+
+
+@pytest.mark.parametrize("n", ["0", "13"])
+@pytest.mark.parametrize("command, message", [
+    ("encrypt", "n must be in [2, 12], got {}"),
+    ("keyspace", "lattice exponent must be in [1, 12], got {}"),
+], ids=["encrypt", "keyspace"])
+def test_exponent_range_comes_from_the_library(tmp_path, capsys, command, message, n):
+    # --n parses as an integer; encrypt_stream and keyspace_count each
+    # refuse an n outside their own range (ExperimentConfig's is checked
+    # by test_experiment_hostile_config_exits_2).
+    plain = tmp_path / "p.bin"
+    plain.write_bytes(b"data")
+    box = tmp_path / "c.hppc"
+    argv = {
+        "encrypt": ("--key-hex", "a1b2", "--in", str(plain), "--out", str(box)),
+        "keyspace": ("-K", "1"),
+    }[command]
+    assert run(command, "--n", n, *argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message.format(n)}\n")
+    assert not box.exists()
 
 
 @pytest.mark.parametrize("n, walls", [
@@ -327,8 +394,11 @@ HUGE = 1 << 70  # 1180591620717411303424
 
 @pytest.mark.parametrize("line, env_seed, message", [
     ("n=abc", None, "n must be an integer, got 'abc'"),
-    ("n=1", None, "n must be in [2, 12], got 1"),
-    ("n=13", None, "n must be in [2, 12], got 13"),
+    # n=1 is a lattice an experiment takes; the base's 3-byte key is too long
+    ("n=1", None, "key length must be in [1, 2] bytes for n=1, got 3"),
+    ("n=13", None, "lattice exponent must be in [1, 12], got 13"),
+    ("n=0", None, "lattice exponent must be in [1, 12], got 0"),
+    ("bit=5", None, "bit is for single-bit only, got bit=5 for avalanche-text"),
     ("seed=zz", None, "seed must be an integer, got 'zz'"),
     ("bit=q", None, "bit must be an integer, got 'q'"),
     ("trails=2", None, "unknown config key 'trails'; valid keys: protocol, n, trials"),
@@ -347,7 +417,7 @@ HUGE = 1 << 70  # 1180591620717411303424
      "a report of 65537 points x 65536 trials exceeds 16777216 values"),
     ("n=5\nkey_len=1", None,
      "key of 1 bytes yields no walls: need at least 10 bits"),
-], ids=["n=abc", "n=1", "n=13", "seed=zz", "bit=q", "trails=2", "HPP_SEED=xyz",
+], ids=["n=abc", "n=1", "n=13", "n=0", "bit=5", "seed=zz", "bit=q", "trails=2", "HPP_SEED=xyz",
         "key_len=huge-text", "key_len=huge-key", "trials=huge", "seed=2^64",
         "seed=-1", "HPP_SEED=2^64", "report=strict-n11", "report=curve",
         "key_len=short-text"])
@@ -678,5 +748,4 @@ def test_module_entry_point():
     done = run_module("keyspace", "--n", "13", "-K", "256")
     assert done.returncode == 2
     assert done.stdout == ""
-    assert [line for line in done.stderr.splitlines() if "error" in line] == [
-        "hppcrypt keyspace: error: argument --n: n must be in [2, 12], got 13"]
+    assert done.stderr == "error: lattice exponent must be in [1, 12], got 13\n"

@@ -506,6 +506,24 @@ def test_config_refuses_exponents_past_the_cipher():
     for n, key_len in ((1, 1), (MAX_EXPONENT, 3)):
         assert default_config("avalanche-key", n=n, trials=1, key_len=key_len,
                               rounds_range=(1, 1, 1)).n == n
+    # With no key length, the default one refuses the same n first, before
+    # it counts 2^(n-1) walls of a huge n; n=1 has no whole-byte default.
+    for n in (0, -1, 13, 10**9):
+        with pytest.raises(ParameterError,
+                           match=fr"^lattice exponent must be in \[1, 12\], got {n}$"):
+            default_config("avalanche-key", n=n)
+    with pytest.raises(ParameterError, match="no whole-byte default key for n=1"):
+        default_config("avalanche-key", n=1)
+
+
+def test_config_refuses_bit_outside_single_bit():
+    # Only single-bit flips one chosen bit; any other protocol would drop it
+    for protocol in sorted(set(PROTOCOLS) - {"single-bit"}):
+        with pytest.raises(ParameterError, match=(
+                f"^bit is for single-bit only, got bit=5 for {protocol}$")):
+            default_config(protocol, n=3, trials=1, bit=5)
+        assert default_config(protocol, n=3, trials=1, bit=0).bit == 0
+    assert default_config("single-bit", n=3, trials=1, bit=5).bit == 5
 
 
 def test_config_bounds_cell_rounds():
@@ -874,9 +892,10 @@ def test_round_loop_work(monkeypatch, protocol):
     # single-bit's one flip take a lattice each.
     flip_key, per_bit = PROTOCOLS[protocol]
     cfg = default_config(
-        protocol, n=3, key_len=3, trials=2, seed=8, bit=13,
+        protocol, n=3, key_len=3, trials=2, seed=8,
         rounds_range=(7, 1, 7) if per_bit else (0, 3, 9),
-        wall_region=(0, 4, 4) if protocol == "avalanche-key-concentrated" else None)
+        wall_region=(0, 4, 4) if protocol == "avalanche-key-concentrated" else None,
+        **({"bit": 13} if protocol == "single-bit" else {}))
     flips = 8 * (cfg.key_len if flip_key else cfg.block_len)
     if protocol == "single-bit":
         lattices = 2
