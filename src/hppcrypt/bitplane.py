@@ -1,34 +1,36 @@
 """Word-parallel HPP engine on direction bit planes, B lattices at once.
 
 Each direction (E, S, W, N) gets one plane holding one bit per cell. The
-plane of a batch of B lattices of side 2^n is a numpy array of row lanes
-of shape (side, B, words): lane [r, b] is row r of lattice b, column c
-at bit c. A lane is one uint{side} word for 3 <= n <= 6, one uint8 with
-the bits from `side` up kept 0 for n <= 2, and side/64 little-endian
-uint64 words from n = 7 on, column c at bit c % 64 of word c // 64. From
-n = 3 on the bytes of a plane in C order are the row-interleaved bit
-string: cell (r, c) of lattice b is bit (r*B + b)*side + c. One numpy
-operation on a plane advances every row of every lattice at once
-(bit-slicing, as in Biham's DES):
+plane of a batch of B lattices of side 2^n is a numpy array of shape
+(words, side, B): [w, r, b] is word w of row r of lattice b, and column
+c of a row sits at bit c // words of its word c % words. For n <= 6 a
+row is one word, column c at bit c: one uint{side} for 3 <= n <= 6, and
+one uint8 with the bits from `side` up kept 0 for n <= 2. From n = 7 on
+a row is side/64 little-endian uint64 words, column-interleaved:
+columns c and c + 1 sit at the same bit of words next to each other, and
+the words are the outermost axis. For 3 <= n <= 6 the bytes of a plane
+in C order are the row-interleaved bit string, cell (r, c) of lattice b
+at bit (r*B + b)*side + c; from n = 7 on a plane is word-major, and that
+no longer holds. One numpy operation on a plane advances every row of
+every lattice at once (bit-slicing, as in Biham's DES):
 
 * the cell-local step M (collision, then reflection on wall cells) is
   one fused kernel, :func:`collide_planes`, of 14 bitwise operations
   that write the four planes in place,
-* E/W propagation rotates every lane by one bit: a shift and the bit
-  that wraps, in three operations on one-word lanes. The shift toward
-  higher columns is an add, x + x, and on uint8 and uint16 lanes
+* E/W propagation rotates every row by one column. On one-word rows it
+  is a shift and the bit that wraps, in three operations. The shift
+  toward higher columns is an add, x + x, and on uint8 and uint16 rows
   (n <= 4) the wrapping bit's shift the other way is a multiply: the
-  same bits modulo the lane width, which numpy runs faster; below
-  n = 3 the row width is masked. From n = 7 on the plane's words are
-  shifted as one run, each word taking the carry of its neighbour in
-  one pass, and two strided passes at the ends of the lanes take out
-  the carries that crossed into the next lane and put in those that
-  wrap,
+  same bits modulo the word width, which numpy runs faster; below
+  n = 3 the row width is masked. From n = 7 on, word w of every row
+  moves to word w + 1 (or w - 1) in one contiguous copy of words - 1
+  word rows, and only the word that wraps from one end of the row to
+  the other rotates by one bit, in the same three operations,
 * N/S propagation moves whole rows: two slice copies into another
   array, row side-1 of every lattice wrapping to its row 0 at once,
 * velocity inversion just swaps plane references.
 
-A batch is its four planes, one (4, side, B, words) array (which
+A batch is its four planes, one (4, words, side, B) array (which
 unpacks like a tuple) or a tuple (e, s, w, n); every plane is
 C-contiguous, as all builders here make them. :func:`planes_from_block`
 reads B blocks of the cipher's serialization laid end to end into
@@ -60,7 +62,7 @@ from .errors import ParameterError
 from .lattice import check_walls
 
 def lane_layout(n: int) -> tuple[np.dtype, int]:
-    """The lane dtype and the words per lane of a 2^n lattice's planes."""
+    """The word dtype and the words per row of a 2^n lattice's planes."""
     if n < 1:
         raise ParameterError(f"lattice exponent must be >= 1, got {n}")
     side = 1 << n
@@ -88,6 +90,18 @@ _SPREAD = sum(
     for j in range(4)
 ) << np.arange(3, -1, -1, dtype="<u4")[:, None]
 
+# From n = 7 on, block byte q*words/2 + i of a row holds column
+# q*words + 2i in its high nibble and the next column in its low one: bit
+# q of words 2i and 2i+1 of the row. Byte p = 4h + k of _WIDE_GATHER[v] is
+# bit 7 - p of block byte v at bit 0, plane k of nibble h (0 high, 1 low);
+# shifted up by j, the bits of eight block bytes q = 8g + j gather into
+# byte g of every plane's two words. Byte j of _WIDE_SPREAD[v] is bit j
+# of v at bit 0; shifted up by 7 - p, plane byte g of word 2i + h of plane
+# k spreads over the nibble bits of its eight block bytes q = 8g + j.
+_BITS = np.arange(256, dtype=np.uint8)[:, None]
+_WIDE_GATHER = np.unpackbits(_BITS, axis=1).view("<u8")[:, 0]
+_WIDE_SPREAD = np.unpackbits(_BITS, axis=1, bitorder="little").view("<u8")[:, 0]
+
 
 def _row_words(data: np.ndarray, side: int) -> np.ndarray:
     """Lattice rows of side `side`, bytes on the last axis, viewed as
@@ -97,43 +111,104 @@ def _row_words(data: np.ndarray, side: int) -> np.ndarray:
 
 def planes_from_block(blocks: bytes, n: int) -> np.ndarray:
     """Straight from the two-cells-per-byte serialization to planes: a run
-    of B blocks of a 2^n lattice gives the (4, side, B, words) planes of a
-    batch of B."""
+    of B blocks of a 2^n lattice gives the (4, words, side, B) planes of
+    a batch of B."""
     side = 1 << n
-    dtype, _ = lane_layout(n)
+    dtype, words = lane_layout(n)
     data = np.frombuffer(blocks, dtype=np.uint8)
     rows = _row_words(data.reshape(-1, side, side // 2), side)
     lattices = rows.shape[0]
     # every lattice's rows, row-interleaved, as runs of the block bytes
     # of one plane byte
     src = np.ascontiguousarray(rows.swapaxes(0, 1))
+    if words > 1:
+        return _wide_planes(src.view(np.uint8), words)
     src = src.view(np.uint8).reshape(-1, min(4, side // 2))
     acc = _GATHER[0].take(src[:, 0])
     for j in range(1, src.shape[1]):
         acc |= _GATHER[j].take(src[:, j])
     # byte k of each acc word is plane k's
     planes = np.moveaxis(acc.view(np.uint8).reshape(side, lattices, -1, 4), -1, 0)
-    return np.ascontiguousarray(planes).view(dtype)
+    return np.ascontiguousarray(planes).view(dtype).reshape(4, 1, side, lattices)
+
+
+def _wide_planes(rows: np.ndarray, words: int) -> np.ndarray:
+    """planes_from_block from n = 7 on, of the (side, B, side/2) block
+    bytes of a batch, rows row-interleaved: eight lookups, each over one
+    block byte in eight, gather every plane byte into a uint64 word, and
+    one transposing copy moves each byte of those words to its plane."""
+    side, lattices = rows.shape[:2]
+    # [t, j, i]: block byte (8g + j)*words/2 + i of row t // 8, for g = t % 8
+    src = rows.reshape(-1, 8, words // 2)
+    acc = _WIDE_GATHER.take(src[:, 0].T)
+    for j in range(1, 8):
+        acc |= (_WIDE_GATHER << np.uint64(j)).take(src[:, j].T)
+    # [i, t, h, k]: byte g of word 2i + h of plane k
+    cells = acc.view(np.uint8).reshape(words // 2, -1, 2, 4)
+    planes = np.ascontiguousarray(cells.transpose(3, 0, 2, 1))
+    return planes.view("<u8").reshape(4, words, side, lattices)
 
 
 def planes_to_block(planes: Sequence[np.ndarray]) -> bytes:
     """Inverse of :func:`planes_from_block`: the blocks of a batch's
     planes laid end to end."""
-    lanes = np.asarray(planes).view(np.uint8)
-    side = lanes.shape[1]
-    acc = _SPREAD[0].take(lanes[0])
-    for k in range(1, 4):
-        acc |= _SPREAD[k].take(lanes[k])
-    # four block bytes per plane byte; below n = 3 a row is fewer
-    cells = acc.view(np.uint8).reshape(acc.shape[:2] + (-1,))[..., :side // 2]
-    return _row_words(cells, side).swapaxes(0, 1).tobytes()
+    lanes = np.asarray(planes)
+    _, words, side, lattices = lanes.shape
+    if words > 1:
+        rows = _wide_rows(lanes)
+    else:
+        lanes = lanes.reshape(4, side, lattices, 1).view(np.uint8)
+        acc = _SPREAD[0].take(lanes[0])
+        for k in range(1, 4):
+            acc |= _SPREAD[k].take(lanes[k])
+        # four block bytes per plane byte; below n = 3 a row is fewer
+        rows = acc.view(np.uint8).reshape(side, lattices, -1)[..., :side // 2]
+    return _row_words(rows, side).swapaxes(0, 1).tobytes()
+
+
+def _wide_rows(lanes: np.ndarray) -> np.ndarray:
+    """The (side, B, side/2) block bytes of the (4, words, side, B) planes
+    of a batch from n = 7 on, rows row-interleaved: the inverse of
+    _wide_planes, eight lookups, each over the bytes of one nibble bit of
+    every block byte, and for words > 2 copies that interleave the bytes
+    of words 2i and 2i + 1 for each i."""
+    _, words, side, lattices = lanes.shape
+    # [k, i, h, t]: byte g = t % 8 of word 2i + h of plane k
+    src = lanes.view(np.uint8).reshape(4, words // 2, 2, -1)
+    acc = (_WIDE_SPREAD << np.uint64(7)).take(src[0, :, 0])
+    for p in range(1, 8):
+        h, k = divmod(p, 4)
+        acc |= (_WIDE_SPREAD << np.uint64(7 - p)).take(src[k, :, h])
+    # [i, t, j]: block byte (8g + j)*words/2 + i of row t // 8
+    cells = acc.view(np.uint8).reshape(words // 2, -1, 8)
+    if words == 2:
+        return cells.reshape(side, lattices, -1)
+    # one strided copy per i: numpy runs these 1.5 to 5 times faster
+    # than one transposing copy of cells
+    rows = np.empty(cells.shape[1:] + (words // 2,), np.uint8)
+    for i in range(words // 2):
+        rows[..., i] = cells[i]
+    return rows.reshape(side, lattices, -1)
 
 
 def wall_mask(walls: Collection[tuple[int, int]], n: int) -> np.ndarray:
-    """Wall plane (side, 1, words) of one lattice with the wall set
+    """Wall plane (words, side, 1) of one lattice with the wall set
     `walls`, checked by :func:`hppcrypt.lattice.check_walls`."""
     coords = np.array(list(check_walls(walls, n)), dtype=np.int64).reshape(1, -1, 2)
     return coordinate_mask(coords, n)
+
+
+def _cell_bytes(plane, row, col, lattice, shape, itemsize: int):
+    """The byte offsets into C-ordered planes of `shape` (planes, words,
+    side, lattices) of words of `itemsize` bytes, and the bit masks in
+    those bytes, of cell (row, col) of lattice `lattice` in plane `plane`:
+    column c is bit c // words of word c % words."""
+    _, words, side, lattices = shape
+    if words > 1:  # row r of word w is word row w*side + r of the plane
+        row = (col & words - 1) * side + row
+        col = col >> words.bit_length() - 1
+    index = ((plane * (words * side) + row) * lattices + lattice) * itemsize
+    return index + (col >> 3), np.left_shift(1, col & 7).astype(np.uint8)
 
 
 def coordinate_mask(coords: np.ndarray, n: int, odd: bool = False) -> np.ndarray:
@@ -149,15 +224,14 @@ def coordinate_mask(coords: np.ndarray, n: int, odd: bool = False) -> np.ndarray
     if outside.size:
         check_walls([tuple(coords.reshape(-1, 2)[outside[0] // 2].tolist())], n)
     dtype, words = lane_layout(n)
-    lane_bytes = dtype.itemsize * words
-    lattices = len(coords)
-    row, col = coords[..., 0], coords[..., 1]
-    index = (row * lattices + np.arange(lattices)[:, None]) * lane_bytes + (col >> 3)
-    raw = np.zeros(side * lattices * lane_bytes, dtype=np.uint8)
+    shape = (1, words, side, len(coords))
+    lattice = np.arange(len(coords))[:, None]
+    index, bit = _cell_bytes(0, coords[..., 0], coords[..., 1], lattice, shape,
+                             dtype.itemsize)
+    raw = np.zeros(words * side * len(coords) * dtype.itemsize, dtype=np.uint8)
     # XOR leaves a cell set iff it is listed an odd number of times
-    (np.bitwise_xor if odd else np.bitwise_or).at(
-        raw, index, np.left_shift(1, col & 7).astype(np.uint8))
-    return raw.view(dtype).reshape(side, lattices, words)
+    (np.bitwise_xor if odd else np.bitwise_or).at(raw, index, bit)
+    return raw.view(dtype).reshape(shape[1:])
 
 
 def _check_indices(name: str, values, stop: int) -> None:
@@ -171,49 +245,50 @@ def _check_indices(name: str, values, stop: int) -> None:
 
 def toggle_bits(planes: np.ndarray, bits, lattice_of) -> None:
     """Toggle, in place, block bit bits[i] of lattice lattice_of[i] of the
-    (4, side, B, words) planes of a batch, the two arrays broadcast
+    (4, words, side, B) planes of a batch, the two arrays broadcast
     against each other; a bit listed twice is toggled twice. A bit
     outside the block or a lattice outside the batch raises a
-    ParameterError before any bit is toggled. One plane of shape (side,
-    B, words), as plane[None], toggles at cell c for block bit 4c."""
-    _, side, lattices, words = planes.shape
+    ParameterError before any bit is toggled. One plane of shape (words,
+    side, B), as plane[None], toggles at cell c for block bit 4c."""
+    side, lattices = planes.shape[2:]
     _check_indices("block bit", bits, 4 * side * side)
     _check_indices("lattice", lattice_of, lattices)
     # the indices are checked non-negative: shifts divide by powers of two
     cell, k = np.right_shift(bits, 2), np.bitwise_and(bits, 3)
     row, col = cell >> side.bit_length() - 1, cell & side - 1
-    index = ((k * side + row) * lattices + lattice_of) * (planes.itemsize * words)
-    np.bitwise_xor.at(planes.view(np.uint8).reshape(-1), index + (col >> 3),
-                      np.left_shift(1, col & 7).astype(np.uint8))
+    index, bit = _cell_bytes(k, row, col, lattice_of, planes.shape, planes.itemsize)
+    np.bitwise_xor.at(planes.view(np.uint8).reshape(-1), index, bit)
 
 
 def add_bit_counts(lanes: np.ndarray, counts: np.ndarray) -> None:
     """Add to counts[4c + k, t] the number of lattices l whose block bit
-    4c + k is set in lanes[t, :, :, l], the planes of T groups of L
-    lattices, group-major: (T, 4, side, L, words). counts, (block bits,
+    4c + k is set in lanes[t, :, :, :, l], the planes of T groups of L
+    lattices, group-major: (T, 4, words, side, L). counts, (block bits,
     T), may be a column slice; it is added to in place. Lattices are
     summed 255 at a time, copied lattice axis first: for j < min(8,
-    side), (lanes >> j) & 0x0101...01 leaves in byte q of a word the bit
-    of column 8q + j, and the sum of these fields in the lane dtype
-    counts each such column in its byte, which 255 lattices cannot carry
-    past 255. Temporaries: two chunk copies and a byte per cell and
+    side), (lanes >> j) & 0x0101...01 leaves in byte q of word w the bit
+    of column (8q + j)*words + w, and the sum of these fields in the word
+    dtype counts each such column in its byte, which 255 lattices cannot
+    carry past 255. Temporaries: two chunk copies and a byte per cell and
     group."""
-    groups, _, side = lanes.shape[:3]
+    groups, _, words, side = lanes.shape[:4]
     fields = min(8, side)
-    # [r, q, j, k, t]: plane k at cell (r, 8q + j) of group t, a view
-    counts = counts.reshape(side, -1, fields, 4, groups)
+    # [r, q, j, w, k, t]: plane k at cell (r, (8q + j)*words + w) of group t,
+    # a view
+    counts = counts.reshape(side, -1, fields, words, 4, groups)
     ones = lanes.dtype.type(np.iinfo(lanes.dtype).max // 255)  # 0x0101...01
-    # [j, t, r, w]: the field sums of word w of row r
-    sums = np.empty((fields, groups, side) + lanes.shape[4:], lanes.dtype)
-    for k, a in product(range(4), range(0, lanes.shape[3], 255)):
-        # [b, t, r, w]: plane k of lattice a + b of each group, b first
-        chunk = np.ascontiguousarray(np.moveaxis(lanes[:, k, :, a:a + 255], 2, 0))
+    # [j, t, w, r]: the field sums of word w of row r
+    sums = np.empty((fields, groups, words, side), lanes.dtype)
+    for k, a in product(range(4), range(0, lanes.shape[4], 255)):
+        # [b, t, w, r]: plane k of lattice a + b of each group, b first
+        chunk = np.ascontiguousarray(np.moveaxis(lanes[:, k, ..., a:a + 255], -1, 0))
         field = np.empty_like(chunk)
         for j in range(fields):
             np.bitwise_and(np.right_shift(chunk, j, out=field), ones, out=field)
             field.sum(axis=0, dtype=field.dtype, out=sums[j])
-        # byte q of a summed word: [j, t, r, q] -> [r, q, j, t]
-        counts[..., k, :] += sums.view(np.uint8).transpose(2, 3, 0, 1)
+        # byte q of a summed word: [j, t, w, r, q] -> [r, q, j, w, t]
+        counts[..., k, :] += sums.view(np.uint8).reshape(
+            sums.shape + (-1,)).transpose(3, 4, 0, 2, 1)
 
 
 def collide_planes(e, s, w, n, mask):
@@ -243,39 +318,46 @@ def collide_planes(e, s, w, n, mask):
 
 
 def _rotate(lanes, up: bool, out, top: int):
-    """Every lane of a plane rotated by one column, toward higher columns
-    if `up`, written into `out`: each word shifted by one bit, and the
-    bit it shifts out entering the next word of its lane, the last
-    word's wrapping to the first. Bit `top` of a lane's last word holds
-    its last column."""
-    # Modulo the lane width x + x is x << 1 and x * 2^top is x << top.
-    # numpy's add is faster than its left shift on every lane dtype, its
+    """Every row of a plane rotated by one column, toward higher columns
+    if `up`, written into `out`. On one-word rows that is each word
+    shifted by one bit, and the bit it shifts out wrapping to its other
+    end. On rows of several words, column c at bit c // words of word
+    c % words, word w moves to word w + 1 (w - 1), and only the word that
+    wraps round the row, the last (first), is shifted by one bit, its
+    wrapping bit entering the first (last) word. Bit `top` is the
+    highest bit of a word that holds a column."""
+    # Modulo the word width x + x is x << 1 and x * 2^top is x << top.
+    # numpy's add is faster than its left shift on every dtype, its
     # multiply only on uint8 and uint16.
+    words = len(lanes)
+    if words == 1:  # the whole plane wraps, shifted straight into out
+        wrap, into, end = lanes, out, out
+    else:  # the last (first) word row wraps round into the first (last)
+        wrap, into, end = lanes[-1 if up else 0], None, out[0 if up else -1]
     if up:
-        carry = lanes >> top
-        np.add(lanes, lanes, out=out)
+        carry = wrap >> top
+        shifted = np.add(wrap, wrap, into)
     else:
-        carry = lanes * (1 << top) if lanes.itemsize < 4 else lanes << top
-        np.right_shift(lanes, 1, out=out)
-    words = lanes.shape[-1]
-    if words == 1:
-        out |= carry
-    else:
-        # The lanes as one run of words, each taking the carry of its
-        # neighbour; then, at the ends of each lane, the carry that crossed
-        # into the next lane is taken out again (the bit was 0 before the
-        # OR) and the one that wraps is put in.
-        flat, carry = out.reshape(-1), carry.reshape(-1)
+        carry = wrap * (1 << top) if wrap.itemsize < 4 else wrap << top
+        shifted = np.right_shift(wrap, 1, into)
+    if words > 1:
+        # every other word row moves in one flat copy, which numpy runs
+        # in place, with no temporary, when out is lanes
+        step, flat, run = wrap.size, out.reshape(-1), lanes.reshape(-1)
         if up:
-            flat[1:] |= carry[:-1]
-            flat[words::words] ^= carry[words - 1:-1:words]
-            flat[::words] |= carry[words - 1::words]
+            flat[step:] = run[:-step]
         else:
-            flat[:-1] |= carry[1:]
-            flat[words - 1:-1:words] ^= carry[words::words]
-            flat[words - 1::words] |= carry[::words]
+            flat[:-step] = run[step:]
+    np.bitwise_or(shifted, carry, end)
     if top < 7:  # a row of fewer than 8 columns keeps the bits above it 0
         out &= (2 << top) - 1
+
+
+# The rows that the N/S moves copy, axis 1 of a plane, every word's, as
+# index tuples made once: made per call, the four cost about half a
+# microsecond, more than one of the copies on a one-lattice batch.
+_AFTER_FIRST, _BEFORE_LAST = np.s_[:, 1:], np.s_[:, :-1]
+_FIRST, _LAST = np.s_[:, 0], np.s_[:, -1]
 
 
 def propagate_planes(e, s, w, n, out):
@@ -285,11 +367,11 @@ def propagate_planes(e, s, w, n, out):
     other arrays."""
     oe, os_, ow, on = out
     # row r moves to r+1 (S) or r-1 (N); the edge row wraps
-    os_[1:] = s[:-1]
-    os_[0] = s[-1]
-    on[:-1] = n[1:]
-    on[-1] = n[0]
-    top = min(len(e), 64) - 1
+    os_[_AFTER_FIRST] = s[_BEFORE_LAST]
+    os_[_FIRST] = s[_LAST]
+    on[_BEFORE_LAST] = n[_AFTER_FIRST]
+    on[_LAST] = n[_FIRST]
+    top = min(e.shape[1], 64) - 1
     _rotate(e, True, oe, top)
     _rotate(w, False, ow, top)
 

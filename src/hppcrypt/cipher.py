@@ -56,7 +56,7 @@ MAX_ROUNDS = 1 << 16
 # The most lattice cells one batch of the fast engine holds, which
 # bounds the size of its planes (128 KiB each): 4096 lattices at n=4,
 # 256 at n=6, and a single lattice from n=10 on. A round costs 24 numpy
-# calls from n=3 to n=6 (26 below, 28 from n=7 on) whatever the batch
+# calls from n=3 to n=6 (26 below n=3 and from n=7 on) whatever the batch
 # size, so it pays off only on large batches, as long as a batch's
 # working set stays in one core's L2 cache: four planes, two spare
 # planes for S and N, the wall plane and M's four temporaries, about
@@ -65,9 +65,10 @@ MAX_ROUNDS = 1 << 16
 # 2^21 cells spilled the cache and were slower than 2^20 at every n. The
 # block converters run outside the round loop, each on the whole batch:
 # by tracemalloc, a full batch peaks at five block sizes (2.5 MiB) in
-# planes_from_block and four in planes_to_block from n=3 on, counting
-# the intp copies np.take makes of its byte indices, and at 13 and 16 at
-# n=1, where a plane byte takes fewer block bytes.
+# planes_from_block and four in planes_to_block from n=3 to n=6, four
+# and three from n=7 on, counting the intp copies np.take makes of its
+# byte indices, and at 13 and 16 at n=1, where a plane byte takes fewer
+# block bytes.
 BATCH_CELLS = 1 << 20
 
 # The 2n-bit key groups derive_walls decodes at once: its time grows
@@ -267,6 +268,24 @@ class CipherContainer:
         return len(self.payload) // block_size(self.n)
 
 
+def stream_rounds(n: int, rounds: int | None) -> int:
+    """The round count of a stream at lattice exponent n: `rounds`, or
+    default_rounds(n) for None. An n or a round count outside the bounds
+    that :meth:`CipherContainer.from_bytes` accepts is a ParameterError,
+    so every container written loads again; callers check before they
+    read any input."""
+    if not MIN_EXPONENT <= n <= MAX_EXPONENT:
+        raise ParameterError(
+            f"n must be in [{MIN_EXPONENT}, {MAX_EXPONENT}], got {n}"
+        )
+    rounds = default_rounds(n) if rounds is None else rounds
+    if rounds < 0:
+        raise ParameterError(f"rounds must be >= 0, got {rounds}")
+    if rounds > MAX_ROUNDS:
+        raise ParameterError(f"rounds must be at most {MAX_ROUNDS}, got {rounds}")
+    return rounds
+
+
 def encrypt_stream(
     data: bytes,
     key: bytes | None,
@@ -279,19 +298,10 @@ def encrypt_stream(
 
     Walls come from exactly one of a key and an explicit wall set, which
     must not be empty; both or neither is a ParameterError. The lattice
-    exponent and the round count must lie within the bounds that
-    :meth:`CipherContainer.from_bytes` accepts, so every container
-    written here loads again.
+    exponent and the round count are checked first, by
+    :func:`stream_rounds`.
     """
-    if not MIN_EXPONENT <= n <= MAX_EXPONENT:
-        raise ParameterError(
-            f"n must be in [{MIN_EXPONENT}, {MAX_EXPONENT}], got {n}"
-        )
-    params = _resolve_params(key, n, rounds, walls)
-    if params.rounds > MAX_ROUNDS:
-        raise ParameterError(
-            f"rounds must be at most {MAX_ROUNDS}, got {params.rounds}"
-        )
+    params = _resolve_params(key, n, stream_rounds(n, rounds), walls)
     padded = data + bytes(-len(data) % block_size(n))
     return CipherContainer(n, params.rounds, len(data), _encrypt_blocks(padded, params))
 
@@ -320,7 +330,7 @@ def _encrypt_blocks(data: bytes, params: CipherParams) -> bytes:
     out = []
     for i in range(0, len(data), step):
         lattices = min(step, len(data) - i) // bs
-        mask = np.repeat(wall, lattices, axis=1)
+        mask = np.repeat(wall, lattices, axis=-1)
         (planes,) = _trajectory(bitplane.planes_from_block(view[i:i + step], n),
                                 mask, (params.rounds,))
         out.append(bitplane.planes_to_block(planes))

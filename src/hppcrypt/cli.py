@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: encrypt, decrypt, keyspace, experiment, img2block, block2img,
-bench. The CLI only parses and presents: the library call that does the
-work checks each value (``--n`` is in the range of ``encrypt_stream``,
-``keyspace_count`` or ``ExperimentConfig``). The experiment's flags and
+bench. The CLI only parses and presents: the library checks each value
+(encrypt's ``--n`` and ``--rounds`` through ``stream_rounds``, before any
+file is read, and ``--n`` elsewhere in ``keyspace_count`` or
+``ExperimentConfig``). The experiment's flags and
 its config file's keys come from one table, ``_EXPERIMENT_FIELDS``;
 ``_secret`` reads the one secret flag of encrypt or decrypt; bench times
 each row, layer and protocol with ``_per_call_us``.
@@ -41,6 +42,7 @@ from .cipher import (
     keyspace_count,
     min_recommended_rounds,
     ones_density,
+    stream_rounds,
     _key_coordinates,
     _trajectory,
 )
@@ -84,10 +86,11 @@ def _secret(args) -> tuple[bytes | None, frozenset | None]:
 
 
 def cmd_encrypt(args) -> int:
+    n = args.n
+    rounds = stream_rounds(n, args.rounds)  # before any file is read
     data = Path(args.infile).read_bytes()
     key, walls = _secret(args)
-    n = args.n
-    container = encrypt_stream(data, key, n, args.rounds, walls)
+    container = encrypt_stream(data, key, n, rounds, walls)
     if container.rounds < min_recommended_rounds(n):
         _warn(
             f"{container.rounds} rounds is below 2^n={min_recommended_rounds(n)}: "
@@ -273,8 +276,8 @@ def cmd_block2img(args) -> int:
 
 
 # The longest --min-time bench accepts: it times six engine rows, and
-# with --json 35 layer timings (seven at each of five n) and six
-# protocols more, so a run takes at least 6 (47) times this.
+# with --json 42 layer timings (seven at each of six n) and six
+# protocols more, so a run takes at least 6 (54) times this.
 MAX_BENCH_SECONDS = 60.0
 
 
@@ -368,9 +371,10 @@ def _protocol_times(min_time: float) -> dict:
 _BENCH_ROUNDS = 16
 
 # The lattice exponents bench --json times layer by layer: one of each
-# lane kind, a uint8, uint16, uint32 or uint64 word at n = 3 to 6 and
-# eight uint64 words at n = 9, the block of a 512x512 image.
-_LAYER_EXPONENTS = (3, 4, 5, 6, 9)
+# row kind, one uint8, uint16, uint32 or uint64 word at n = 3 to 6, two
+# uint64 words at n = 7, the first row of several, and eight at n = 9,
+# the block of a 512x512 image.
+_LAYER_EXPONENTS = (3, 4, 5, 6, 7, 9)
 
 
 def _layer_times(n: int, min_time: float) -> dict:

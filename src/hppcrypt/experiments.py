@@ -330,8 +330,8 @@ def _flips(keys, n: int, region, refs: np.ndarray, flip_key: bool):
 
     def build(batch: np.ndarray):
         per_trial = len(batch)
-        planes = np.repeat(refs, per_trial, axis=2)
-        mask = np.repeat(shared, per_trial, axis=1)
+        planes = np.repeat(refs, per_trial, axis=-1)
+        mask = np.repeat(shared, per_trial, axis=-1)
         at = np.nonzero(batch >= 0)[0]
         bit = batch[batch >= 0]
         lattice = np.arange(0, trials * per_trial, per_trial)[:, None] + at
@@ -373,8 +373,8 @@ def _diffs(config: ExperimentConfig, flip_key: bool, flips: np.ndarray, counts):
     Each piece runs along one trajectory up to the largest round count,
     so a protocol costs max(counts) rounds per lattice, not the sum of its
     counts. Yield (t, ri, diff) at counts[ri] for a piece of the group of
-    trials from t on: diff is trial-major, (trials, 4, side, per_piece,
-    words), trial j's ciphertext planes (see the bitplane docstring) of
+    trials from t on: diff is trial-major, (trials, 4, words, side,
+    per_piece), trial j's ciphertext planes (see the bitplane docstring) of
     the piece XOR its reference, so a set bit is one that a flip
     inverted, and each diff[j] is whole 8-byte words. A trial's reference
     is its first lattice in the group's first piece. The XOR writes each
@@ -399,12 +399,12 @@ def _diffs(config: ExperimentConfig, flip_key: bool, flips: np.ndarray, counts):
         build = _flips(keys, n, config.wall_region, refs, flip_key)
         firsts = []  # per round count, each trial's reference ciphertext
         for a, b in zip(edges, edges[1:]):
-            diff = np.empty((trials, 4, 1 << n, b - a, words), dtype)
+            diff = np.empty((trials, 4, words, 1 << n, b - a), dtype)
             for ri, out in enumerate(_trajectory(*build(lattice_flips[a:b]), counts)):
-                out = out.reshape(out.shape[:2] + (trials, b - a, words))
+                out = out.reshape(out.shape[:3] + (trials, b - a))
                 if a == 0:  # the first piece: keep each trial's lattice 0
-                    firsts.append(out[:, :, :, :1].copy())
-                np.bitwise_xor(out, firsts[ri], out=diff.transpose(1, 2, 0, 3, 4))
+                    firsts.append(out[..., :1].copy())
+                np.bitwise_xor(out, firsts[ri], out=diff.transpose(1, 2, 3, 0, 4))
                 yield t, ri, diff
 
 

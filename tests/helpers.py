@@ -68,15 +68,19 @@ def batch_mask(wall_sets, n):
     """Wall plane of a batch, lattice b's walls from wall_sets[b], which
     may be empty or of different sizes: the wall_mask planes of the
     lattices side by side."""
-    return np.concatenate([bp.wall_mask(walls, n) for walls in wall_sets], axis=1)
+    return np.concatenate([bp.wall_mask(walls, n) for walls in wall_sets], axis=-1)
 
 
 def plane_bits(lanes, n):
-    """The cells of an array of 2^n-lattice row lanes as 0/1 bytes, of
-    shape lanes.shape[:-1] + (side,): a plane (side, B, words) gives
-    [r, b, c], cell (r, c) of lattice b."""
-    bits = np.unpackbits(lanes.view(np.uint8), axis=-1, bitorder="little")
-    return bits[..., :1 << n]
+    """The cells of planes of 2^n lattices as 0/1 bytes: an array of
+    shape (..., words, side, B) gives (..., side, B, side), [..., r, b, c]
+    cell (r, c) of lattice b. Each word is unpacked by numpy, low bit
+    first, and column c is bit c // words of word c % words."""
+    words = lanes.shape[-3]
+    raw = np.ascontiguousarray(lanes)[..., None].view(np.uint8)
+    # [..., w, r, b, q]: bit q of word w
+    bits = np.unpackbits(raw, axis=-1, bitorder="little")[..., :(1 << n) // words]
+    return np.moveaxis(bits, -4, -1).reshape(bits.shape[:-4] + bits.shape[-3:-1] + (-1,))
 
 
 def collided(planes, mask):

@@ -7,8 +7,12 @@
   lattices;
 * each kernel (collide, M, P, J and reflection) against the per-cell
   engine in hppcrypt.lattice, lattice by lattice, on one lattice and on
-  batches of two to five, and on batches of two or three with lanes
+  batches of two to five, and on batches of two or three with rows
   that fill their words: one uint8, or 2 to 8 uint64 words;
+* from n = 7 on, where a row is several words, column c at bit
+  c // words of word c % words, the kernels, the converters,
+  coordinate_mask and toggle_bits at the columns where a rotation
+  crosses from the last word of a row into the first;
 * M, rounds of P and M, then J, run by hand on the lanes of a batch,
   against the per-cell engine, with the oracle's work per example
   bounded by ORACLE_CELL_ROUNDS.
@@ -19,6 +23,7 @@ repeats the kernel check at n = 6 on 1000 lattices.
 """
 
 import random
+from itertools import product
 
 import numpy as np
 import pytest
@@ -85,7 +90,7 @@ def test_round_trip_large():
 
 
 def test_block_conversion_agrees_with_serialization():
-    # Bit c of lane r of plane k is direction k of cell (r, c) of the
+    # Column c of row r of plane k is direction k of cell (r, c) of the
     # lattice the per-cell engine reads from the block.
     rnd = random.Random(5)
     for n in (1, 2, 4, 6, 7):
@@ -95,12 +100,22 @@ def test_block_conversion_agrees_with_serialization():
         assert bp.planes_to_block(planes) == block
 
 
+def packed_planes(blocks, n, words):
+    """The unpacked bits of a batch packed again as (4, words, side, B,
+    bytes) planes, column c at bit c // words of word c % words, the
+    word's bits little-endian and padded with zero bits to whole bytes
+    (one uint8 below n = 3)."""
+    bits = unpacked_planes(blocks, n)
+    # [k, r, b, c] with c = q*words + w -> [k, w, r, b, q]
+    bits = bits.reshape(bits.shape[:3] + (-1, words)).transpose(0, 4, 1, 2, 3)
+    return np.packbits(bits, axis=-1, bitorder="little")
+
+
 def test_full_batch_conversion_matches_unpacked_bits():
     # B = 1 to 5 lattices and one full batch of the round loop at every n
     # the converters take whole: the planes are the unpacked bits packed
-    # again, column c at bit c of its lane's bytes and the row padded
-    # with zero bits to whole bytes (one uint8 below n = 3, two uint64 words
-    # at n = 7), and planes_to_block gives the blocks back.
+    # again, one word a row up to n = 6 and 2 to 16 uint64 words from
+    # n = 7 on, and planes_to_block gives the blocks back.
     rnd = np.random.default_rng(61)
     for n in range(1, 11):
         side, size = 1 << n, ref.block_size(n)
@@ -108,34 +123,44 @@ def test_full_batch_conversion_matches_unpacked_bits():
         for lattices in sorted({1, 2, 3, 4, 5, batch_size(n)}):
             blocks = rnd.bytes(lattices * size)
             planes = bp.planes_from_block(blocks, n)
-            assert planes.shape == (4, side, lattices, words)
+            assert planes.shape == (4, words, side, lattices)
             assert planes.dtype == dtype
             assert words == max(1, side // 64)
-            assert np.array_equal(planes.view(np.uint8), np.packbits(
-                unpacked_planes(blocks, n), axis=-1, bitorder="little"))
+            want = packed_planes(blocks, n, words)
+            assert np.array_equal(planes.view(np.uint8).reshape(want.shape), want)
             assert bp.planes_to_block(planes) == blocks
 
 
 def test_batch_layout_is_row_interleaved():
-    # Lane [r, b] of plane k holds direction k of row r of lattice b,
-    # column c at bit c of the lane's little-endian bytes; n = 1, where a
-    # lattice row is a single byte, and n = 7, two words a row, are the
-    # edges.
+    # Word w of row r of lattice b in plane k holds direction k of the
+    # row's columns c with c % words == w, column c at bit c // words of
+    # the word's little-endian bytes. Up to n = 6 a row is one word, and
+    # from n = 3 on the plane's bytes are the row-interleaved bit string,
+    # cell (r, c) of lattice b at bit (r*B + b)*side + c; n = 1, where a
+    # lattice row is a single byte, and n = 7 and 8, two and four words a
+    # row, are the edges.
     rnd = random.Random(41)
-    for n in range(1, 8):
+    for n in range(1, 9):
         side = 1 << n
         for count in range(1, 6 if n < 6 else 3):
             lats = [random_lattice(rnd, n) for _ in range(count)]
             blocks = b"".join(map(ref.to_bytes, lats))
             planes = bp.planes_from_block(blocks, n)
             dtype, words = bp.lane_layout(n)
-            assert planes.shape == (4, side, count, words)
+            assert planes.shape == (4, words, side, count)
             assert planes.dtype == dtype
             want = cell_bits(lats)
             assert np.array_equal(plane_bits(planes, n), want), (n, count)
             k, r, b = rnd.randrange(4), rnd.randrange(side), rnd.randrange(count)
-            lane = int.from_bytes(planes[k, r, b].tobytes(), "little")
-            assert lane == sum(int(bit) << c for c, bit in enumerate(want[k, r, b]))
+            row = want[k, r, b]
+            for w in range(words):
+                word = int.from_bytes(planes[k, w, r, b].tobytes(), "little")
+                assert word == sum(int(bit) << c // words
+                                   for c, bit in enumerate(row) if c % words == w)
+            if 3 <= n <= 6:
+                string = int.from_bytes(planes[k].tobytes(), "little")
+                assert all((string >> ((r * count + b) * side + c)) & 1 == bit
+                           for c, bit in enumerate(row))
             assert bp.planes_to_block(planes) == blocks
 
 
@@ -154,9 +179,9 @@ def test_plane_bits_and_repeat_follow_the_lane_layout():
             assert np.array_equal(plane_bits(planes, n), unpacked_planes(blocks, n))
             assert bp.planes_to_block(tuple(planes)) == blocks
             twice = b"".join(2 * blocks[i:i + size] for i in range(0, len(blocks), size))
-            tiled = np.repeat(planes, 2, axis=2)
+            tiled = np.repeat(planes, 2, axis=-1)
             assert np.array_equal(tiled, bp.planes_from_block(twice, n))
-            assert np.array_equal(tiled[:, :, ::2], planes)
+            assert np.array_equal(tiled[..., ::2], planes)
 
 
 def check_kernels(lats, walls):
@@ -214,6 +239,64 @@ def test_kernels_match_reference_on_full_and_multiword_lanes(n, count):
                   [random_walls(rnd, n, 3) | edge for edge in edges])
 
 
+def seam_columns(n):
+    """The columns at which a row of several words carries, with their
+    neighbours: words - 1 to words, bit 0 of the last word to bit 1 of
+    the first, and side - 1 round to 0, bit 63 of the last word to bit
+    0 of the first."""
+    side, words = 1 << n, bp.lane_layout(n)[1]
+    return sorted({c % side for c in (words - 2, words - 1, words, words + 1,
+                                      side - 2, side - 1, 0, 1)})
+
+
+@pytest.mark.parametrize("n", [7, 8, 9])
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_word_seams_match_reference(n, count):
+    # Rows of 2, 4 and 8 uint64 words, 1 to 3 lattices a batch. Every
+    # cell of the seam columns holds a random state, so particles cross
+    # each seam both ways, the rest of the lattice is empty, and the walls
+    # stand on seam columns. The converters and every kernel, P also in
+    # place as the round loop runs it, act on each lattice as the
+    # per-cell engine does.
+    rnd = random.Random(7 * n + count)
+    side, cols = 1 << n, seam_columns(n)
+    lats, walls = [], []
+    for _ in range(count):
+        cells = bytearray(side * side)
+        for r, c in product(range(side), cols):
+            cells[r * side + c] = rnd.randrange(16)
+        lats.append(Lattice(n, bytes(cells)))
+        walls.append({(rnd.randrange(side), rnd.choice(cols)) for _ in range(6)})
+    check_kernels(lats, walls)
+    planes = bp.planes_from_block(b"".join(map(ref.to_bytes, lats)), n)
+    e, s, w, nn = planes
+    s_to, n_to = np.empty_like(planes[:2])
+    bp.propagate_planes(e, s, w, nn, out=(e, s_to, w, n_to))
+    assert to_lattices((e, s_to, w, n_to), n) == [ref.propagate(lat) for lat in lats]
+
+
+@pytest.mark.parametrize("n", [7, 8, 9])
+def test_masks_and_toggles_at_word_seams(n):
+    # On a batch of three lattices with rows of several words,
+    # coordinate_mask sets the cells at seam columns that plane_bits reads
+    # back, and toggle_bits flips the block bits of those cells that
+    # flip_bit flips in the blocks.
+    side, size, cols = 1 << n, ref.block_size(n), seam_columns(n)
+    rnd = np.random.default_rng(70 + n)
+    coords = np.stack((rnd.integers(0, side, (3, 6)), rnd.choice(cols, (3, 6))), axis=-1)
+    want = np.zeros((side, 3, side), dtype=np.uint8)
+    for b, i in product(range(3), range(6)):
+        want[coords[b, i, 0], b, coords[b, i, 1]] = 1
+    assert np.array_equal(plane_bits(bp.coordinate_mask(coords, n), n), want)
+    blocks = [rnd.bytes(size) for _ in range(3)]
+    planes = bp.planes_from_block(b"".join(blocks), n)
+    bits = 4 * (coords[..., 0] * side + coords[..., 1]) + rnd.integers(0, 4, (3, 6))
+    bp.toggle_bits(planes, bits, np.arange(3)[:, None])
+    for b, i in product(range(3), range(6)):
+        blocks[b] = flip_bit(blocks[b], int(bits[b, i]))
+    assert np.array_equal(planes, bp.planes_from_block(b"".join(blocks), n))
+
+
 def test_gold_vector_on_bitplanes():
     planes = bp.planes_from_block(bytes.fromhex("90A2F5155D100000"), 2)
     for _ in range(2):
@@ -222,7 +305,7 @@ def test_gold_vector_on_bitplanes():
 
 
 def test_empty_lattice_fixed_point():
-    planes = np.zeros((4, 8, 4, 1), dtype=np.uint8)  # four empty 8x8 lattices
+    planes = np.zeros((4, 1, 8, 4), dtype=np.uint8)  # four empty 8x8 lattices
     mask = batch_mask([{(1, 1)}] * 4, 3)
     assert same(collided(planes, mask), planes)
     assert same(propagated(planes), planes)
@@ -238,15 +321,15 @@ def test_invert_is_plane_swap():
 
 
 def test_wall_mask_positions():
-    # wall (r, c) of lattice b is bit c of lane [r, b]
+    # wall (r, c) of lattice b is bit c of word [0, r, b]
     mask = bp.wall_mask({(0, 0), (3, 3)}, 2)
-    assert mask.shape == (4, 1, 1)
+    assert mask.shape == (1, 4, 1)
     assert np.argwhere(plane_bits(mask, 2)).tolist() == [[0, 0, 0], [3, 0, 3]]
     assert not bp.wall_mask(set(), 2).any()
     batch = batch_mask([{(3, 3)}, set(), {(0, 0), (1, 2)}], 2)
-    assert batch.shape == (4, 3, 1)
+    assert batch.shape == (1, 4, 3)
     assert np.argwhere(plane_bits(batch, 2)).tolist() == [[0, 2, 0], [1, 2, 2], [3, 0, 3]]
-    assert (batch[3, 0, 0], batch[0, 2, 0], batch[1, 2, 0]) == (8, 1, 4)
+    assert (batch[0, 3, 0], batch[0, 0, 2], batch[0, 1, 2]) == (8, 1, 4)
     with pytest.raises(ParameterError, match=r"wall \(4, 0\) outside 4x4"):
         bp.wall_mask({(4, 0)}, 2)
     with pytest.raises(ParameterError, match=r"wall \(0, -1\) outside 4x4"):
@@ -266,7 +349,7 @@ def test_coordinate_mask_counts_and_bounds():
     coords = np.array([[[1, 2], [1, 2], [3, 0]], [[1, 2], [0, 1], [0, 1]]])
 
     def side_by_side(*wall_sets):
-        return np.concatenate([bp.wall_mask(walls, 2) for walls in wall_sets], axis=1)
+        return np.concatenate([bp.wall_mask(walls, 2) for walls in wall_sets], axis=-1)
 
     # Plain: a cell listed at all is set, however often.
     assert np.array_equal(bp.coordinate_mask(coords, 2),
@@ -333,8 +416,8 @@ def test_add_bit_counts_matches_plane_bits(n):
     for count in (1, 255, 256, 600):
         if side * side * count > 1 << 22:
             continue
-        # group-major, as the protocols' differences: (T, 4, side, L, words)
-        lanes = rnd.integers(0, np.iinfo(dtype).max, (2, 4, side, count, words),
+        # group-major, as the protocols' differences: (T, 4, words, side, L)
+        lanes = rnd.integers(0, np.iinfo(dtype).max, (2, 4, words, side, count),
                              dtype=dtype, endpoint=True)
         lanes[0] = np.iinfo(dtype).max
         if n <= 2:  # the bits above the row stay 0
@@ -369,9 +452,9 @@ def test_collide_exhaustive_and_never_negative():
         side = 1 << n
         full = np.uint64(min(1 << side, 1 << 63) - 1) if side < 64 else ~np.uint64(0)
         for _ in range(5):
-            planes = (rnd.integers(0, 2**63, (4, side, 9, words), dtype=np.uint64)
+            planes = (rnd.integers(0, 2**63, (4, words, side, 9), dtype=np.uint64)
                       & full).astype(dtype)
-            mask = (rnd.integers(0, 2**63, (side, 9, words), dtype=np.uint64)
+            mask = (rnd.integers(0, 2**63, (words, side, 9), dtype=np.uint64)
                     & full).astype(dtype)
             for out in (collided(planes, mask), collided(planes, 0), propagated(planes),
                         bp.reflect_planes(*planes, mask)):

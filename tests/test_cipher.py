@@ -488,6 +488,24 @@ def test_stream_spans_batches():
     assert decrypt_stream(container, key) == data
 
 
+def test_stream_spans_multiword_batches():
+    # 65 blocks at n=7, rows of two uint64 words: a full batch of 64 and
+    # a tail of one. The first and the last block, one in each batch,
+    # are what the per-cell engine gives, and the stream decrypts back.
+    n, bs, rounds = 7, L.block_size(7), 4
+    assert batch_size(n) == 64
+    rnd = random.Random(15)
+    data = rnd.randbytes(65 * bs)
+    key = rnd.randbytes(16)
+    container = encrypt_stream(data, key, n, rounds=rounds)
+    params = CipherParams.from_key(key, n, rounds)
+    for b in (0, 64):
+        block = data[b * bs:(b + 1) * bs]
+        want = encrypt_block(block, params, "reference")
+        assert container.payload[b * bs:(b + 1) * bs] == want
+    assert decrypt_stream(container, key) == data
+
+
 def test_stream_empty_input():
     container = encrypt_stream(b"", b"\xab\xcd", 4)
     assert container.block_count() == 0

@@ -311,6 +311,24 @@ def test_exponent_range_comes_from_the_library(tmp_path, capsys, command, messag
     assert not box.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--n", "13"), "n must be in [2, 12], got 13"),
+    (("--n", "2", "--rounds", str(MAX_ROUNDS + 1)),
+     f"rounds must be at most {MAX_ROUNDS}, got {MAX_ROUNDS + 1}"),
+    (("--n", "2", "--rounds", "-1"), "rounds must be >= 0, got -1"),
+], ids=["n13", "rounds-over", "rounds-negative"])
+def test_encrypt_checks_n_and_rounds_before_any_file(tmp_path, capsys, flags, message):
+    # The key file, the input and the output directory are all missing:
+    # a bad n or round count is still what encrypt reports, with the
+    # library's message, and no output file is made.
+    missing = tmp_path / "missing"
+    out = missing / "c.hppc"
+    assert run("encrypt", *flags, "--key-file", str(missing / "key"),
+               "--in", str(missing / "p.bin"), "--out", str(out)) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists() and not missing.exists()
+
+
 @pytest.mark.parametrize("n, walls", [
     ("12", "2000"),  # 8,714 digits, beyond Python's int-to-str limit
     ("12", "1" + "0" * 100),  # C(top, 2^24 - 1): unbounded work
@@ -661,7 +679,7 @@ def test_bench_json_has_rows_layers_and_machine(bench):
         tuple(line.split()[:3]) for line in table]
     for row in report["rows"]:
         assert set(row) == {"n", "rounds", "engine", "blocks_per_s", "kB_per_s"}
-    assert set(report["layers"]) == {"3", "4", "5", "6", "9"}
+    assert set(report["layers"]) == {"3", "4", "5", "6", "7", "9"}
     for n, layer in report["layers"].items():
         assert layer["lattices"] == batch_size(int(n))
         assert set(layer["us_per_batch"]) == {

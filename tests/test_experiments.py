@@ -753,10 +753,10 @@ def test_flip_batches_match_flipped_blocks_and_keys(flip_key, key, n, region):
                         block = flip_bit(block, int(i))
                 blocks.append(block)
                 wall_sets.append(_region_walls(k, n, region))
-        assert planes.shape[2] == 2 * len(batch)
+        assert planes.shape[-1] == 2 * len(batch)
         assert np.array_equal(planes, planes_from_block(b"".join(blocks), n))
         lattices = [wall_mask(walls, n) for walls in wall_sets]
-        assert np.array_equal(mask, np.concatenate(lattices, axis=1))
+        assert np.array_equal(mask, np.concatenate(lattices, axis=-1))
         bits = plane_bits(mask, n)
         assert bits.shape == (1 << n, 2 * len(batch), 1 << n)
         for b, (walls, want) in enumerate(zip(wall_sets, lattices)):
@@ -808,7 +808,7 @@ def test_text_trials_flip_each_bit_once(monkeypatch, protocol):
             # per trial, the block bits each of its lattices flips
             lattices_flips = [[] for _ in range(trials)]
             for planes, _ in batches:
-                per = planes.shape[2] // trials
+                per = planes.shape[-1] // trials
                 for j in range(trials):
                     text = trial_rng(cfg.seed, t + j).bytes(cfg.block_len)
                     bits = [
@@ -872,7 +872,7 @@ def round_loop_calls(monkeypatch, cfg):
     calls = []
 
     def counting(planes, mask, counts):
-        calls.append((planes.shape[2], max(counts)))
+        calls.append((planes.shape[-1], max(counts)))
         return cipher._trajectory(planes, mask, counts)
 
     monkeypatch.setattr(experiments, "_trajectory", counting)
@@ -942,8 +942,8 @@ def test_strict_byte_fields_count_past_255_lattices(monkeypatch):
 
         def inverting(planes, mask, counts):
             for _ in counts:
-                out = np.repeat(ones, planes.shape[2], axis=2)
-                out.reshape(out.shape[:2] + (-1, per, out.shape[-1]))[:, :, :, 0] = 0
+                out = np.repeat(ones, planes.shape[-1], axis=-1)
+                out.reshape(out.shape[:3] + (-1, per))[..., 0] = 0
                 yield out
 
         monkeypatch.setattr(experiments, "batch_size", lambda n: size)
