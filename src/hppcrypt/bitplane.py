@@ -14,18 +14,30 @@ at bit (r*B + b)*side + c; from n = 7 on a plane is word-major, and that
 no longer holds. One numpy operation on a plane advances every row of
 every lattice at once (bit-slicing, as in Biham's DES):
 
+* each step of a round is built once as a list of (ufunc, args) calls,
+  every output given and every view, wrapping word row and shift
+  constant fixed at build time: :func:`collide_calls` for M and
+  :func:`propagate_calls` for P. The calls write only into the planes,
+  the arrays given for output and a scratch of four planes, so
+  replaying a list (:func:`run_calls`) allocates nothing; the cipher's
+  round loop builds its two round plans once, by :func:`round_plans`,
+  and replays them. A round is 24 calls from n = 3 to 6, 26 below n = 3
+  and from n = 7 on.
+  :func:`collide_planes` and :func:`propagate_planes` build and run one
+  list once, the steps' one-step entry points,
 * the cell-local step M (collision, then reflection on wall cells) is
-  one fused kernel, :func:`collide_planes`, of 14 bitwise operations
-  that write the four planes in place,
+  one fused kernel of 14 bitwise operations that write the four planes
+  in place,
 * E/W propagation rotates every row by one column. On one-word rows it
   is a shift and the bit that wraps, in three operations. The shift
   toward higher columns is an add, x + x, and on uint8 and uint16 rows
   (n <= 4) the wrapping bit's shift the other way is a multiply: the
   same bits modulo the word width, which numpy runs faster; below
-  n = 3 the row width is masked. From n = 7 on, word w of every row
-  moves to word w + 1 (or w - 1) in one contiguous copy of words - 1
-  word rows, and only the word that wraps from one end of the row to
-  the other rotates by one bit, in the same three operations,
+  n = 3 the row width is masked, one operation more. From n = 7 on,
+  word w of every row moves to word w + 1 (or w - 1) in one contiguous
+  copy of words - 1 word rows, and only the word that wraps from one
+  end of the row to the other rotates by one bit, in the same three
+  operations,
 * N/S propagation moves whole rows: two slice copies into another
   array, row side-1 of every lattice wrapping to its row 0 at once,
 * velocity inversion just swaps plane references.
@@ -291,9 +303,19 @@ def add_bit_counts(lanes: np.ndarray, counts: np.ndarray) -> None:
             sums.shape + (-1,)).transpose(3, 4, 0, 2, 1)
 
 
-def collide_planes(e, s, w, n, mask):
-    """The cell-local step M, in place on the four planes: collide every
-    cell, then reflect the wall cells in `mask` (0 for collision alone)."""
+def run_calls(calls) -> None:
+    """Make each (function, args) call of a list built by
+    :func:`collide_calls` or :func:`propagate_calls`, in order."""
+    for fn, args in calls:
+        fn(*args)
+
+
+def collide_calls(e, s, w, n, mask, scratch) -> list:
+    """The cell-local step M on the four planes, in place, as a list of
+    (ufunc, args) calls for :func:`run_calls`: collide every cell, then
+    reflect the wall cells in `mask` (0 for collision alone). Every call
+    writes its output into the planes or into scratch[0:4], four planes
+    of the planes' shape, so running the list allocates nothing."""
     # A colliding cell (exactly E+W or exactly S+N) toggles all four bits;
     # a wall cell then swaps E with W and S with N, i.e. toggles both
     # where the two differ. The collision flip
@@ -301,79 +323,113 @@ def collide_planes(e, s, w, n, mask):
     # s == n and e != s: with a = e ^ w, b = s ^ n and x = e ^ s that is
     # x & ~(a | b). a and b are also the E/W and S/N differences
     # reflection toggles, so M is 14 operations.
-    a = e ^ w
-    b = s ^ n
-    x = e ^ s
-    flip = np.bitwise_or(a, b)
-    np.invert(flip, out=flip)
-    flip &= x
-    a &= mask
-    a ^= flip
-    b &= mask
-    b ^= flip
-    e ^= a
-    s ^= b
-    w ^= a
-    n ^= b
+    a, b, x, flip = scratch[:4]
+    return [
+        (np.bitwise_xor, (e, w, a)),
+        (np.bitwise_xor, (s, n, b)),
+        (np.bitwise_xor, (e, s, x)),
+        (np.bitwise_or, (a, b, flip)),
+        (np.invert, (flip, flip)),
+        (np.bitwise_and, (flip, x, flip)),
+        (np.bitwise_and, (a, mask, a)),
+        (np.bitwise_xor, (a, flip, a)),
+        (np.bitwise_and, (b, mask, b)),
+        (np.bitwise_xor, (b, flip, b)),
+        (np.bitwise_xor, (e, a, e)),
+        (np.bitwise_xor, (s, b, s)),
+        (np.bitwise_xor, (w, a, w)),
+        (np.bitwise_xor, (n, b, n)),
+    ]
 
 
-def _rotate(lanes, up: bool, out, top: int):
+def collide_planes(e, s, w, n, mask):
+    """M in place on the four planes: :func:`collide_calls` run once."""
+    run_calls(collide_calls(e, s, w, n, mask, np.empty((4,) + e.shape, e.dtype)))
+
+
+def _rotate_calls(lanes, up: bool, out, scratch) -> list:
     """Every row of a plane rotated by one column, toward higher columns
-    if `up`, written into `out`. On one-word rows that is each word
-    shifted by one bit, and the bit it shifts out wrapping to its other
-    end. On rows of several words, column c at bit c // words of word
-    c % words, word w moves to word w + 1 (w - 1), and only the word that
-    wraps round the row, the last (first), is shifted by one bit, its
-    wrapping bit entering the first (last) word. Bit `top` is the
-    highest bit of a word that holds a column."""
+    if `up`, written into `out`, as calls. On one-word rows that is each
+    word shifted by one bit, and the bit it shifts out wrapping to its
+    other end. On rows of several words, column c at bit c // words of
+    word c % words, word w moves to word w + 1 (w - 1), and only the word
+    that wraps round the row, the last (first), is shifted by one bit,
+    its wrapping bit entering the first (last) word. The carry, and on
+    rows of several words the shifted word row, go to word row 0 of
+    scratch[0] and scratch[1]."""
     # Modulo the word width x + x is x << 1 and x * 2^top is x << top.
     # numpy's add is faster than its left shift on every dtype, its
-    # multiply only on uint8 and uint16.
-    words = len(lanes)
-    if words == 1:  # the whole plane wraps, shifted straight into out
-        wrap, into, end = lanes, out, out
-    else:  # the last (first) word row wraps round into the first (last)
-        wrap, into, end = lanes[-1 if up else 0], None, out[0 if up else -1]
+    # multiply only on uint8 and uint16. Constants are 0-d arrays of the
+    # plane's dtype, which numpy takes faster than Python ints.
+    words, side = lanes.shape[:2]
+    top = min(side, 64) - 1  # the highest bit of a word that holds a column
+    # the last (first) word row wraps round into the first (last); one-word
+    # rows are one word row, shifted straight into out
+    wrap, end = (lanes[-1:], out[:1]) if up else (lanes[:1], out[-1:])
+    carry, shifted = scratch[0][:1], end if words == 1 else scratch[1][:1]
     if up:
-        carry = wrap >> top
-        shifted = np.add(wrap, wrap, into)
+        calls = [(np.right_shift, (wrap, np.array(top, lanes.dtype), carry)),
+                 (np.add, (wrap, wrap, shifted))]
     else:
-        carry = wrap * (1 << top) if wrap.itemsize < 4 else wrap << top
-        shifted = np.right_shift(wrap, 1, into)
+        calls = [(np.multiply, (wrap, np.array(1 << top, lanes.dtype), carry))
+                 if lanes.itemsize < 4 else
+                 (np.left_shift, (wrap, np.array(top, lanes.dtype), carry)),
+                 (np.right_shift, (wrap, np.array(1, lanes.dtype), shifted))]
     if words > 1:
-        # every other word row moves in one flat copy, which numpy runs
-        # in place, with no temporary, when out is lanes
+        # every other word row moves in one flat copy, which numpy runs in
+        # place, with no temporary, when out is lanes
         step, flat, run = wrap.size, out.reshape(-1), lanes.reshape(-1)
-        if up:
-            flat[step:] = run[:-step]
-        else:
-            flat[:-step] = run[step:]
-    np.bitwise_or(shifted, carry, end)
+        to, frm = (flat[step:], run[:-step]) if up else (flat[:-step], run[step:])
+        calls.append((to.__setitem__, (Ellipsis, frm)))
+    calls.append((np.bitwise_or, (shifted, carry, end)))
     if top < 7:  # a row of fewer than 8 columns keeps the bits above it 0
-        out &= (2 << top) - 1
+        calls.append((np.bitwise_and, (out, np.array((2 << top) - 1, lanes.dtype), out)))
+    return calls
 
 
-# The rows that the N/S moves copy, axis 1 of a plane, every word's, as
-# index tuples made once: made per call, the four cost about half a
-# microsecond, more than one of the copies on a one-lattice batch.
-_AFTER_FIRST, _BEFORE_LAST = np.s_[:, 1:], np.s_[:, :-1]
-_FIRST, _LAST = np.s_[:, 0], np.s_[:, -1]
+def propagate_calls(e, s, w, n, out, scratch) -> list:
+    """The propagation step P as a list of calls for :func:`run_calls`: E
+    and W rotate every row by one column, S and N move every row by one
+    row. The calls write the planes into the four arrays of `out`, and
+    into word row 0 of scratch[0] and scratch[1], each at least a word
+    row of a plane; E and W may be written in place, S and N must go to
+    other arrays."""
+    oe, os_, ow, on = out
+    # row r moves to r+1 (S) or r-1 (N); the edge row wraps. A slice copy
+    # is a call of the view's __setitem__, which numpy makes faster than
+    # np.copyto.
+    return [
+        (os_[:, 1:].__setitem__, (Ellipsis, s[:, :-1])),
+        (os_[:, 0].__setitem__, (Ellipsis, s[:, -1])),
+        (on[:, :-1].__setitem__, (Ellipsis, n[:, 1:])),
+        (on[:, -1].__setitem__, (Ellipsis, n[:, 0])),
+        *_rotate_calls(e, True, oe, scratch),
+        *_rotate_calls(w, False, ow, scratch),
+    ]
 
 
 def propagate_planes(e, s, w, n, out):
-    """The propagation step P: E and W rotate every row by one column, S
-    and N move every row by one row. Writes the planes into the four
-    arrays of `out`; E and W may be written in place, S and N must go to
-    other arrays."""
-    oe, os_, ow, on = out
-    # row r moves to r+1 (S) or r-1 (N); the edge row wraps
-    os_[_AFTER_FIRST] = s[_BEFORE_LAST]
-    os_[_FIRST] = s[_LAST]
-    on[_BEFORE_LAST] = n[_AFTER_FIRST]
-    on[_LAST] = n[_FIRST]
-    top = min(e.shape[1], 64) - 1
-    _rotate(e, True, oe, top)
-    _rotate(w, False, ow, top)
+    """P into the four arrays of `out`: :func:`propagate_calls` run once."""
+    scratch = np.empty((2, 1) + e.shape[1:], e.dtype)
+    run_calls(propagate_calls(e, s, w, n, out, scratch))
+
+
+def round_plans(planes, mask) -> tuple[list, list]:
+    """The two plans of a round of the cipher's loop on the (4, words,
+    side, B) `planes` under the wall plane `mask`, and the two sets of
+    planes they run on: sets[0] the four planes, sets[1] E and W of them
+    with S and N in two spare planes made here. Plan k is P from sets[k]
+    into sets[1 - k], then M there, so round i runs plan i & 1 and the
+    batch is sets[r & 1] after r rounds. Both plans share a scratch of
+    four planes, also made here; every array they write exists before
+    they first run."""
+    e, s, w, n = planes
+    spare, scratch = np.empty_like(planes[:2]), np.empty_like(planes)
+    sets = [(e, s, w, n), (e, spare[0], w, spare[1])]
+    plans = [propagate_calls(*sets[k], sets[1 - k], scratch)
+             + collide_calls(*sets[1 - k], mask, scratch)
+             for k in (0, 1)]
+    return plans, sets
 
 
 def reflect_planes(e, s, w, n, mask):

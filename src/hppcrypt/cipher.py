@@ -16,17 +16,20 @@ plaintext; :func:`ones_density` exists to diagnose that leak.
 
 The bit-plane engine has one round loop, :func:`_trajectory`, which runs
 the planes of a batch of lattices under one wall plane and yields their
-ciphertext planes. :func:`_encrypt_blocks` is the one path from bytes to it:
-blocks to planes in batches of at most :func:`batch_size` blocks, the
-loop, planes back to blocks, each converter in one pass over the whole
-batch. A batch holds up to ``BATCH_CELLS`` = 2^20 lattice cells (256
-blocks at n=6): as many as keep a round's working set in one core's L2
-cache, so that the fixed cost of a round's ~24 numpy calls is shared by
-as many lattices as can gain from it; only the step from bytes to
-planes takes n (see :mod:`hppcrypt.bitplane`). :func:`encrypt_block` is
-a batch of one and the streams run whole payloads through it. The
-experiment protocols call the loop directly, with planes and wall planes
-they build themselves.
+ciphertext planes. It plans a round once: the calls of P and M, views
+and constants fixed, writing only into arrays made before the first
+round, so a round replays 24 numpy calls (26 below n = 3 and from n = 7
+on) and allocates nothing. :func:`_encrypt_blocks` is the one path from
+bytes to it: blocks to planes in batches of at most :func:`batch_size`
+blocks, the loop, planes back to blocks, each converter in one pass
+over the whole batch. A batch holds up to ``BATCH_CELLS`` = 2^20
+lattice cells (256 blocks at n=6): as many as keep a round's working
+set in one core's L2 cache, so that the fixed cost of a round's calls
+is shared by as many lattices as can gain from it; only the step from
+bytes to planes takes n (see :mod:`hppcrypt.bitplane`).
+:func:`encrypt_block` is a batch of one and the streams run whole
+payloads through it. The experiment protocols call the loop directly,
+with planes and wall planes they build themselves.
 """
 
 from __future__ import annotations
@@ -59,11 +62,12 @@ MAX_ROUNDS = 1 << 16
 # calls from n=3 to n=6 (26 below n=3 and from n=7 on) whatever the batch
 # size, so it pays off only on large batches, as long as a batch's
 # working set stays in one core's L2 cache: four planes, two spare
-# planes for S and N, the wall plane and M's four temporaries, about
-# 1.4 MiB. On a 2-core Xeon VM with 2 MiB of L2 per core, a cell-round
-# at 2^20 cells took 15-35% less time than at 2^18 from n=3 to n=8, and
-# 2^21 cells spilled the cache and were slower than 2^20 at every n. The
-# block converters run outside the round loop, each on the whole batch:
+# planes for S and N, the wall plane and a scratch of four planes, all
+# made before the first round, about 1.4 MiB. On a 2-core Xeon VM with
+# 2 MiB of L2 per core, a cell-round at 2^20 cells took 15-35% less time
+# than at 2^18 from n=3 to n=8, and 2^21 cells spilled the cache and were
+# slower than 2^20 at every n. The block converters run outside the
+# round loop, each on the whole batch:
 # by tracemalloc, a full batch peaks at five block sizes (2.5 MiB) in
 # planes_from_block and four in planes_to_block from n=3 to n=6, four
 # and three from n=7 on, counting the intp copies np.take makes of its
@@ -186,25 +190,31 @@ def _trajectory(planes, mask, counts: tuple[int, ...]) -> Iterator[np.ndarray]:
     count, as a new array of the planes' shape that later rounds do not
     write to. Up to the final J, the schedule for r rounds is a prefix of
     the one for any r' > r, so the rounds run once, in place on one copy
-    of the planes and two spare planes that S and N move into. The counts
-    must be non-negative and strictly ascending; every caller validates
-    them, and none is checked here."""
+    of the planes. A round replays one of two plans of calls built once
+    by bitplane.round_plans, P then M, which move S and N into two spare
+    planes and back in turn. Every array a round writes is made before
+    the first round: that copy, the spare planes and a scratch of four
+    planes, so a round allocates nothing. No plan is built when no round
+    runs, and the plans and their scratch are let go before the last
+    yield. The counts must be non-negative and strictly ascending; every
+    caller validates them, and none is checked here."""
     state = np.array(planes)  # the caller's planes stay as they are
     del planes  # hold one set of planes, not two, while the rounds run
     e, s, w, nn = state
     bitplane.collide_planes(e, s, w, nn, mask)
-    s_to, n_to = np.empty_like(state[:2])
-    # A round runs on one of these two sets of planes and moves S and N
-    # into the other's; E and W stay where they are.
-    now, moved = (e, s, w, nn), (e, s_to, w, n_to)
+    sets = [(e, s, w, nn)]  # the planes after r rounds are sets[r & 1]
+    if max(counts, default=0):
+        plans, sets = bitplane.round_plans(state, mask)
     done = 0
     for count in counts:
-        for _ in range(count - done):
-            bitplane.propagate_planes(*now, out=moved)
-            bitplane.collide_planes(*moved, mask)
-            now, moved = moved, now
+        for i in range(done, count):
+            bitplane.run_calls(plans[i & 1])
         done = count
-        yield np.array(bitplane.invert_planes(*now))
+        if done == counts[-1]:
+            # No round runs after this: free the scratch, so that the
+            # caller's work on the last output can reuse its memory.
+            plans = None
+        yield np.array(bitplane.invert_planes(*sets[done & 1]))
 
 
 def _encrypt_reference(block: bytes, params: CipherParams) -> bytes:

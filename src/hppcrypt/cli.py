@@ -382,7 +382,10 @@ def _layer_times(n: int, min_time: float) -> dict:
     lattice exponent n, on random blocks under the walls of a random
     16-byte key: unpacking, M, P, packing, "wall_mask" (coordinate_mask
     on every lattice's key coordinates at once) and one round, from runs
-    to _BENCH_ROUNDS rounds and to 0."""
+    to _BENCH_ROUNDS rounds and to 0. M and P are the one-step entry
+    points, which build their list of calls and a scratch on every call;
+    the round loop builds both once per run, so M plus P exceed a round
+    and do not compare with the M and P of files from before the plans."""
     lattices = batch_size(n)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(n)))
     key, data = rng.bytes(16), rng.bytes(lattices * block_size(n))

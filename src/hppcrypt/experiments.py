@@ -419,8 +419,12 @@ def _curve(config: ExperimentConfig, diffs, flip_count: int) -> ExperimentReport
     totals = np.zeros((len(rounds), config.trials), dtype=np.int64)
     for t, ri, diff in diffs:
         trials = len(diff)
+        # A trial's diff has at most 4 * per_piece * 4^n set bits, and so
+        # at most 4 * max(BATCH_CELLS, 4^n) <= 2^26 for n <= 12: its
+        # popcount sums exactly in uint32, which numpy adds faster than
+        # int64.
         totals[ri, t:t + trials] += np.bitwise_count(
-            diff.reshape(trials, -1).view(np.uint64)).sum(axis=1, dtype=np.int64)
+            diff.reshape(trials, -1).view(np.uint64)).sum(axis=1, dtype=np.uint32)
     return _report(config, rounds, totals / block_bits / flip_count)
 
 

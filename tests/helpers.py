@@ -1,9 +1,10 @@
 """Lattice, wall and wall-plane builders shared by the test modules,
 torus_distance, the particle counters of a per-cell lattice, plane_bits,
 which reads the cells of a plane back one byte each, collided and
-propagated, which run M and P into new planes, and ORACLE_CELL_ROUNDS,
-the bound on the per-cell engine's work per example of the hypothesis
-tests that run it for many rounds."""
+propagated, which run M and P into new planes, the symmetries of the
+torus written on blocks and wall sets (symmetries, apply_symmetry), and
+ORACLE_CELL_ROUNDS, the bound on the per-cell engine's work per example
+of the hypothesis tests that run it for many rounds."""
 
 import numpy as np
 from hypothesis import strategies as st
@@ -95,3 +96,54 @@ def propagated(planes):
     out = np.empty_like(planes)
     bp.propagate_planes(*planes, out=out)
     return out
+
+
+# A cell holds E, S, W and N at bits 3 to 0. The transpose relabels E as
+# S and W as N (and back), the column mirror E as W.
+_TRANSPOSED = np.array([(v & 0b1010) >> 1 | (v & 0b0101) << 1 for v in range(16)],
+                       dtype=np.uint8)
+_MIRRORED = np.array([(v & 0b1000) >> 2 | (v & 0b0010) << 2 | v & 0b0101
+                      for v in range(16)], dtype=np.uint8)
+
+
+def block_cells(data, n):
+    """The cells of a run of blocks of 2^n lattices, read by numpy, not by
+    the converters: a (blocks, side, side) uint8 array, [b, r, c] cell
+    (r, c) of block b. Block byte j holds cell 2j in its high nibble and
+    cell 2j + 1 in its low one."""
+    pairs = np.frombuffer(data, dtype=np.uint8)
+    return np.stack((pairs >> 4, pairs & 0xF), axis=-1).reshape(-1, 1 << n, 1 << n)
+
+
+def cells_to_blocks(cells):
+    """Inverse of block_cells: the blocks of a (blocks, side, side) array."""
+    pairs = cells.reshape(-1, 2)
+    return (pairs[:, 0] << 4 | pairs[:, 1]).tobytes()
+
+
+def symmetries(n):
+    """A symmetry g of the 2^n torus: a word over the transpose T and the
+    column mirror M, applied left to right, then a translation (rows,
+    columns). Words of up to four letters reach all eight maps of the
+    square, so g ranges over the whole group of 8 x 4^n elements."""
+    shift = st.integers(0, (1 << n) - 1)
+    return st.tuples(st.text(alphabet="TM", max_size=4), st.tuples(shift, shift))
+
+
+def apply_symmetry(g, data, walls, n):
+    """g of every block in `data` and of the wall set `walls`, with the
+    directions relabelled to match: the blocks as bytes and the walls as
+    a frozenset. The cipher commutes with g: E_{g(W)}(g x) = g E_W(x)."""
+    side = 1 << n
+    word, (dr, dc) = g
+    cells = block_cells(data, n)
+    for op in word:
+        if op == "T":
+            cells = _TRANSPOSED[cells.swapaxes(-2, -1)]
+            walls = {(c, r) for r, c in walls}
+        else:
+            cells = _MIRRORED[cells[..., ::-1]]
+            walls = {(r, side - 1 - c) for r, c in walls}
+    cells = np.roll(cells, (dr, dc), axis=(-2, -1))
+    return (cells_to_blocks(cells),
+            frozenset(((r + dr) % side, (c + dc) % side) for r, c in walls))

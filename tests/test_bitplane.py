@@ -23,6 +23,7 @@ repeats the kernel check at n = 6 on 1000 lattices.
 """
 
 import random
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -481,6 +482,44 @@ def test_kernels_write_out_in_place():
         s_to, n_to = np.empty_like(planes[:2])
         assert bp.propagate_planes(e, s, w, nn, out=(e, s_to, w, n_to)) is None
         assert to_lattices((e, s_to, w, n_to), n) == [ref.propagate(lat) for lat in lats]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 7, 8])
+def test_round_plans_allocate_nothing(n):
+    # A round is 24 calls from n = 3 to 6 and 26 below and from n = 7 on.
+    # Run in turn, the two plans act on each lattice as the per-cell
+    # engine does, and on a full batch replaying them allocates nothing:
+    # tracemalloc, which sees numpy's buffers, finds no temporary as
+    # large as a quarter of a word row of a plane, so every call writes
+    # into an array made before.
+    rnd = random.Random(61 + n)
+    count = max(1, min(3, ORACLE_CELL_ROUNDS >> 2 * n + 2))  # 4 rounds
+    lats = [random_lattice(rnd, n) for _ in range(count)]
+    walls = [random_walls(rnd, n, 4) for _ in lats]
+    state = bp.planes_from_block(b"".join(map(ref.to_bytes, lats)), n)
+    plans, sets = bp.round_plans(state, batch_mask(walls, n))
+    assert [len(plan) for plan in plans] == [24 if 3 <= n <= 6 else 26] * 2
+    for i in range(4):
+        bp.run_calls(plans[i & 1])
+        lats = [ref.reflect(ref.collide(ref.propagate(lat)), ws)
+                for lat, ws in zip(lats, walls)]
+    assert all(a is b for a, b in zip(sets[0][::2], sets[1][::2]))  # E and W shared
+    assert to_lattices(state, n) == lats
+
+    lattices = batch_size(n)
+    blocks = np.random.default_rng(n).bytes(lattices * ref.block_size(n))
+    state = bp.planes_from_block(blocks, n)
+    coords = np.random.default_rng(n).integers(0, 1 << n, (lattices, 4, 2))
+    plans, _ = bp.round_plans(state, bp.coordinate_mask(coords, n))
+    row_bytes = state[0, 0].nbytes
+    tracemalloc.start()
+    try:
+        for i in range(4):
+            bp.run_calls(plans[i & 1])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert row_bytes >= 8192 and peak < row_bytes // 4
 
 
 @st.composite

@@ -8,7 +8,13 @@ and the key-space count. The references:
   pair, on batches with walls per lattice or shared and n up to 9 in
   test_batched_trajectory_matches_reference;
 * derive_walls is checked against bitwise_walls, the key read bit by
-  bit, in test_derive_walls_matches_bitwise_decoder.
+  bit, in test_derive_walls_matches_bitwise_decoder;
+* at full size, where the per-cell engine cannot follow, the cipher is
+  checked against the symmetries of the torus: translated, transposed
+  or mirrored walls and blocks, with the directions relabelled, must
+  give the ciphertext moved the same way
+  (test_cipher_commutes_with_torus_symmetries, n = 2 to 10 at the
+  default rounds, and test_stream_commutes_with_torus_symmetries).
 
 Involution, conservation, engine equivalence at n = 6, the gold vector
 and the key-space enumeration are acceptance criteria, checked in
@@ -17,6 +23,7 @@ test_acceptance.py.
 
 import random
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -42,7 +49,8 @@ from hppcrypt.cipher import (
 )
 from hppcrypt.errors import FormatError, ParameterError
 
-from helpers import ORACLE_CELL_ROUNDS, batch_mask, torus_distance
+from helpers import (
+    ORACLE_CELL_ROUNDS, apply_symmetry, batch_mask, symmetries, torus_distance)
 
 ROT2 = [((v << 2) | (v >> 2)) & 0xF for v in range(16)]
 
@@ -446,6 +454,53 @@ def test_batched_trajectory_matches_reference(batch):
             assert ct[b * bs:(b + 1) * bs] == want == encrypt_block(block, params)
 
 
+def test_trajectory_holds_round_plans_only_while_rounds_run(monkeypatch):
+    # The round plans are built once per run of the loop, whatever the
+    # counts, and not at all when no round runs; they, and the scratch
+    # they write, are let go before the last yield, while the caller
+    # works on the last output.
+    class Plans(list):  # a list that a weak reference can follow
+        pass
+
+    built = []
+    real = bp.round_plans
+
+    def tracked(*args):
+        plans, sets = real(*args)
+        plans = Plans(plans)
+        built.append(weakref.ref(plans))
+        return plans, sets
+
+    monkeypatch.setattr(bp, "round_plans", tracked)
+    planes = bp.planes_from_block(bytes(range(32)), 3)
+    mask = batch_mask([{(1, 2)}], 3)
+    assert len(list(_trajectory(planes, mask, (0,)))) == 1
+    assert built == []
+    rounds = _trajectory(planes, mask, (0, 3, 8))
+    next(rounds), next(rounds)
+    assert len(built) == 1 and built[0]() is not None
+    next(rounds)
+    assert built[0]() is None
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+@given(data=st.data())
+@settings(deadline=None, max_examples=3)
+def test_cipher_commutes_with_torus_symmetries(n, data):
+    # E_{g(W)}(g x) = g E_W(x) at the default round count, for g drawn
+    # from the translations, the transpose and the column mirror: a full
+    # block at every n up to 10, every word seam crossed from n = 7 on.
+    g = data.draw(symmetries(n))
+    rnd = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    block = rnd.randbytes(L.block_size(n))
+    walls = derive_walls(rnd.randbytes(4 * n), n)
+    moved, moved_walls = apply_symmetry(g, block, walls, n)
+    rounds = default_rounds(n)
+    want, _ = apply_symmetry(g, encrypt_block(block, CipherParams(n, rounds, walls)),
+                             walls, n)
+    assert encrypt_block(moved, CipherParams(n, rounds, moved_walls)) == want
+
+
 def test_cipher_params_validation():
     with pytest.raises(ParameterError):
         CipherParams(4, -1, frozenset())
@@ -504,6 +559,22 @@ def test_stream_spans_multiword_batches():
         want = encrypt_block(block, params, "reference")
         assert container.payload[b * bs:(b + 1) * bs] == want
     assert decrypt_stream(container, key) == data
+
+
+def test_stream_commutes_with_torus_symmetries():
+    # The symmetry relation through encrypt_stream at the default rounds,
+    # on 65 blocks at n=7: a full batch of 64 and a tail of one.
+    n = 7
+    rnd = random.Random(31)
+    data = rnd.randbytes(65 * L.block_size(n))
+    walls = derive_walls(rnd.randbytes(28), n)
+    # a quarter turn, then a move by 5 rows and by 1 column, which takes
+    # every column across a word seam
+    g = ("TM", (5, 1))
+    moved, moved_walls = apply_symmetry(g, data, walls, n)
+    want, _ = apply_symmetry(g, encrypt_stream(data, None, n, walls=walls).payload,
+                             walls, n)
+    assert encrypt_stream(moved, None, n, walls=moved_walls).payload == want
 
 
 def test_stream_empty_input():
