@@ -214,11 +214,10 @@ def cmd_experiment(args) -> int:
         print(f"wrote {args.svg}")
 
     print(f"protocol={protocol} n={config.n} trials={config.trials} seed={config.seed}")
-    _, per_bit = PROTOCOLS[protocol]
-    if not per_bit:
+    if not PROTOCOLS[protocol].per_bit:
         for x, y, s in zip(report.xs, report.ys, report.stddevs):
             print(f"r={x} p={y:.5f} stddev={s:.5f}")
-    elif protocol == "single-bit":
+    elif PROTOCOLS[protocol].flips == "bit":
         zero = sum(1 for y in report.ys if y == 0.0)
         hot = [y for y in report.ys if y > 0.0]
         mean_hot = sum(hot) / len(hot) if hot else 0.0
@@ -344,26 +343,14 @@ def _per_call_us(fn, min_time: float) -> float:
     return best * 1e6
 
 
-# The trials of each protocol bench --json times, at its defaults
-# otherwise: a run of some tens of ms each.
-_BENCH_TRIALS = {
-    "avalanche-key": 1,
-    "avalanche-text": 2,
-    "avalanche-key-concentrated": 1,
-    "strict-key": 50,
-    "strict-text": 10,
-    "single-bit": 1000,
-}
-
-
 def _protocol_times(min_time: float) -> dict:
     """Wall seconds of one run_protocol call of each protocol at its
-    _BENCH_TRIALS config, with the config's fields."""
+    defaults with its record's bench_trials, with the config's fields."""
     times = {}
-    for protocol, trials in _BENCH_TRIALS.items():
-        config = default_config(protocol, trials=trials)
+    for name, record in PROTOCOLS.items():
+        config = default_config(name, trials=record.bench_trials)
         us = _per_call_us(lambda: run_protocol(config), min_time)
-        times[protocol] = dict(config=dataclasses.asdict(config), wall_s=us / 1e6)
+        times[name] = dict(config=dataclasses.asdict(config), wall_s=us / 1e6)
     return times
 
 
@@ -382,19 +369,22 @@ def _layer_times(n: int, min_time: float) -> dict:
     lattice exponent n, on random blocks under the walls of a random
     16-byte key: unpacking, M, P, packing, "wall_mask" (coordinate_mask
     on every lattice's key coordinates at once) and one round, from runs
-    to _BENCH_ROUNDS rounds and to 0. M and P are the one-step entry
-    points, which build their list of calls and a scratch on every call;
-    the round loop builds both once per run, so M plus P exceed a round
-    and do not compare with the M and P of files from before the plans."""
+    to _BENCH_ROUNDS rounds and to 0. M and P replay call lists built once
+    on one scratch, as the round loop does, so M plus P come to about a
+    round. In BENCH_plan.json they timed the one-step entry points, which
+    also built their lists and scratch, and exceeded a round."""
     lattices = batch_size(n)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(n)))
     key, data = rng.bytes(16), rng.bytes(lattices * block_size(n))
     planes = bitplane.planes_from_block(data, n)
     e, s, w, nn = planes
     s_to, n_to = np.empty_like(planes[:2])
+    scratch = np.empty_like(planes)
     walls = _key_coordinates(np.frombuffer(key, dtype=np.uint8), n)
     coords = np.tile(walls, (lattices, 1, 1))
     mask = bitplane.coordinate_mask(coords, n)
+    collide = bitplane.collide_calls(e, s, w, nn, mask, scratch)
+    propagate = bitplane.propagate_calls(e, s, w, nn, (e, s_to, w, n_to), scratch)
 
     def run_to(rounds):
         return lambda: next(_trajectory(planes, mask, (rounds,)))
@@ -403,9 +393,8 @@ def _layer_times(n: int, min_time: float) -> dict:
         name: _per_call_us(fn, min_time)
         for name, fn in (
             ("planes_from_block", lambda: bitplane.planes_from_block(data, n)),
-            ("collide_planes", lambda: bitplane.collide_planes(e, s, w, nn, mask)),
-            ("propagate_planes", lambda: bitplane.propagate_planes(
-                e, s, w, nn, out=(e, s_to, w, n_to))),
+            ("collide_planes", lambda: bitplane.run_calls(collide)),
+            ("propagate_planes", lambda: bitplane.run_calls(propagate)),
             ("planes_to_block", lambda: bitplane.planes_to_block(planes)),
             ("wall_mask", lambda: bitplane.coordinate_mask(coords, n)),
             ("round_0", run_to(0)),

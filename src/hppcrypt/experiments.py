@@ -9,14 +9,15 @@ compared only with its own reference, so a report is reproducible bit
 for bit from its config no matter how trials are scheduled or share
 batches.
 
-An :class:`ExperimentConfig` holds every input of a run and refuses a bad
-one before any work starts. :func:`run_protocol` runs all six protocols
-through one generator, :func:`_diffs`, from the config to the bits each
-flip inverts, laid out trial-major so that each trial's are whole 64-bit
-words, and counts them with one of two reducers: :func:`_curve`
-(avalanche curves over round counts, popcounts of uint64 words) or
-:func:`_strict` (per ciphertext bit at one round count: Webster and
-Tavares' strict avalanche criterion).
+Each protocol is one :class:`Protocol` record in :data:`PROTOCOLS`. An
+:class:`ExperimentConfig` holds every input of a run and refuses a bad
+one before any work starts. :func:`run_protocol` runs every record
+through one generator, :func:`_diffs`, from the config and the record's
+flips to the bits each flip inverts, laid out trial-major so that each
+trial's are whole 64-bit words, and counts them with the reducer that
+its per_bit picks: :func:`_curve` (popcounts of uint64 words, a curve
+over round counts) or :func:`_strict` (per ciphertext bit at one round
+count: Webster and Tavares' strict avalanche criterion).
 
 Plaintext flips can only ever reach half of the cells: a flipped cell
 influences only the checkerboard class of parity (row+col+rounds) mod 2,
@@ -64,25 +65,36 @@ MAX_REPORT_VALUES = 1 << 24
 # 2^33 and a round sweep to 1024 at n=8 for 2^37.
 MAX_CELL_ROUNDS = 1 << 42
 
-# protocol -> (flip_key, per_bit): whether it flips key bits rather than
-# plaintext bits, and whether it reports one probability per ciphertext
-# bit at a single round count rather than a curve over round counts.
+
+@dataclass(frozen=True)
+class Protocol:
+    """A protocol as data: no code tells protocols apart by name."""
+
+    flips: str  # what each lattice but the reference flips: "key", "text" or "bit"
+    per_bit: bool  # one value per ciphertext bit at one round count, not a curve
+    defaults: dict  # the paper-scale config; a wall region given here is required
+    bench_trials: int  # trials of the config bench --json times: some tens of ms
+
+
 PROTOCOLS = {
     # mean fraction inverted per key-bit flip; approaches 0.5
-    "avalanche-key": (True, False),
-    # per plaintext-bit flip; plateaus near 0.24, not 0.5, because a text
-    # flip reaches only one checkerboard class
-    "avalanche-text": (False, False),
-    # key avalanche with every wall drawn inside the wall region (the key
-    # is reread as region-relative coordinates)
-    "avalanche-key-concentrated": (True, False),
+    "avalanche-key": Protocol(
+        "key", False, dict(n=6, trials=5, rounds_range=(10, 10, 200)), 1),
+    # per plaintext-bit flip; plateaus near 0.24: a flip reaches one checkerboard class
+    "avalanche-text": Protocol(
+        "text", False, dict(n=4, trials=20, rounds_range=(10, 2, 208)), 2),
+    # key avalanche with every wall in the region: region-relative key coordinates
+    "avalanche-key-concentrated": Protocol("key", False, dict(
+        n=6, trials=5, rounds_range=(10, 10, 200), wall_region=(0, 0, 8)), 1),
     # over all key-bit flips every bit should sit near 0.5 (observed 0.47)
-    "strict-key": (True, True),
+    "strict-key": Protocol(
+        "key", True, dict(n=4, trials=1000, rounds_range=(64, 1, 64)), 50),
     # over all plaintext-bit flips; clusters near 0.25
-    "strict-text": (False, True),
-    # only plaintext bit `bit` flips: exactly the opposite-parity half of
-    # the bits never inverts, the rest invert about half the time
-    "single-bit": (False, True),
+    "strict-text": Protocol(
+        "text", True, dict(n=4, trials=1000, rounds_range=(64, 1, 64)), 10),
+    # only plaintext bit `bit` flips: the opposite-parity half never inverts, the rest ~0.5
+    "single-bit": Protocol(
+        "bit", True, dict(n=4, trials=1000, rounds_range=(64, 1, 64)), 1000),
 }
 
 
@@ -100,7 +112,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
             raise ParameterError(f"unknown protocol {self.protocol!r}")
-        flip_key, per_bit = PROTOCOLS[self.protocol]
+        record = PROTOCOLS[self.protocol]
         _check_exponent(self.n)
         if not 1 <= self.trials <= MAX_TRIALS:
             raise ParameterError(
@@ -120,12 +132,13 @@ class ExperimentConfig:
             raise ParameterError(f"empty rounds range {self.rounds_range}")
         if stop > MAX_ROUNDS:
             raise ParameterError(f"rounds must be at most {MAX_ROUNDS}, got {stop}")
-        if per_bit and len(range(start, stop + 1, step)) != 1:
+        counts = range(start, stop + 1, step)
+        if record.per_bit and len(counts) != 1:
             raise ParameterError(
                 "strict-avalanche protocols use a single round count, "
                 f"got range {self.rounds_range}"
             )
-        points = 8 * self.block_len if per_bit else len(range(start, stop + 1, step))
+        points = 8 * self.block_len if record.per_bit else len(counts)
         if points * self.trials > MAX_REPORT_VALUES:
             raise ParameterError(
                 f"a report of {points} points x {self.trials} trials exceeds "
@@ -145,26 +158,26 @@ class ExperimentConfig:
                     f"{side}x{side} lattice"
                 )
             m = size.bit_length() - 1
-        elif self.protocol == "avalanche-key-concentrated":
-            raise ParameterError("avalanche-key-concentrated needs a wall region")
+        elif "wall_region" in record.defaults:
+            raise ParameterError(f"{self.protocol} needs a wall region")
         if 8 * self.key_len < 2 * m:
             raise ParameterError(
                 f"key of {self.key_len} bytes yields no walls: need at least "
                 f"{2 * m} bits for one wall coordinate"
             )
-        if flip_key and (8 * self.key_len) % (2 * m):
+        if record.flips == "key" and (8 * self.key_len) % (2 * m):
             raise ParameterError(
                 f"key of {self.key_len} bytes does not split into "
                 f"{2 * m}-bit wall coordinates"
             )
-        if self.bit and self.protocol != "single-bit":
+        if self.bit and record.flips != "bit":
             raise ParameterError(
                 f"bit is for single-bit only, got bit={self.bit} for {self.protocol}")
         if not 0 <= self.bit < 8 * self.block_len:
             raise ParameterError(f"bit index {self.bit} outside the block")
-        lattices = 2 if self.protocol == "single-bit" else 1 + (
-            8 * self.key_len if flip_key else 4 * self.block_len)
-        rounds = max(1, range(start, stop + 1, step)[-1])
+        lattices = {"key": 1 + 8 * self.key_len, "text": 1 + 4 * self.block_len,
+                    "bit": 2}[record.flips]
+        rounds = max(1, counts[-1])
         if self.trials * lattices * rounds << 2 * self.n > MAX_CELL_ROUNDS:
             raise ParameterError(
                 f"a run of {self.trials} trials x {lattices} lattices x {rounds} "
@@ -181,19 +194,6 @@ class ExperimentConfig:
         return tuple(range(start, stop + 1, step))
 
 
-# Paper-scale defaults per protocol; any field can be overridden.
-_DEFAULTS = {
-    "avalanche-key": dict(n=6, trials=5, rounds_range=(10, 10, 200)),
-    "avalanche-text": dict(n=4, trials=20, rounds_range=(10, 2, 208)),
-    "avalanche-key-concentrated": dict(
-        n=6, trials=5, rounds_range=(10, 10, 200), wall_region=(0, 0, 8)
-    ),
-    "strict-key": dict(n=4, trials=1000, rounds_range=(64, 1, 64)),
-    "strict-text": dict(n=4, trials=1000, rounds_range=(64, 1, 64)),
-    "single-bit": dict(n=4, trials=1000, rounds_range=(64, 1, 64)),
-}
-
-
 def default_key_len(n: int) -> int:
     """Key bytes encoding 2^(n-1) walls of 2n bits each, for an n that
     a config takes."""
@@ -205,14 +205,12 @@ def default_key_len(n: int) -> int:
 
 
 def default_config(protocol: str, **overrides) -> ExperimentConfig:
-    if protocol not in _DEFAULTS:
+    if protocol not in PROTOCOLS:
         raise ParameterError(f"unknown protocol {protocol!r}")
-    fields = dict(_DEFAULTS[protocol])
-    fields.update(overrides)
-    n = fields["n"]
+    fields = {**PROTOCOLS[protocol].defaults, **overrides}
     fields.setdefault("seed", 0)
     if "key_len" not in fields:  # n=1 has no default, but may be given one
-        fields["key_len"] = default_key_len(n)
+        fields["key_len"] = default_key_len(fields["n"])
     return ExperimentConfig(protocol=protocol, **fields)
 
 
@@ -355,37 +353,39 @@ def _flips(keys, n: int, region, refs: np.ndarray, flip_key: bool):
     return build
 
 
-def _diffs(config: ExperimentConfig, flip_key: bool, flips: np.ndarray, counts):
-    """The trial loop of every protocol, from its config to the bits each
-    flip inverts. A trial is L lattices: its reference (text, key) first,
-    then one lattice for each index in `flips`, in that order, with that
-    key bit or plaintext bit flipped; or, when `flips` is every plaintext
-    bit in order, one lattice per byte pair (8j + k, 8j + 4 + k) with
-    both bits flipped (see the module docstring). Trial t draws its text and
-    then its key as trial_rng(seed, t) would, through _draws. Whole trials
-    share a batch of the round loop, a group of as many as fit in
-    batch_size(n) lattices and at least one; a trial of L > batch_size(n)
-    lattices is cut into ceil(L / batch_size(n)) pieces of near-equal
-    size, since a round costs about as much on a small batch as on a full
-    one. A group's reference texts are read from bytes at once, and
-    _flips builds each of its pieces as planes.
+def _diffs(config: ExperimentConfig, flips: str):
+    """The trial loop of every protocol, from its config and its record's
+    `flips` to the bits each flip inverts. A trial is L lattices: its
+    reference (text, key), then one lattice per key bit ("key"), per byte
+    pair of plaintext bits (8j + k, 8j + 4 + k; "text", see the module
+    docstring) or for the config's `bit` ("bit"), flipped. Trial t draws
+    its text and then its key as trial_rng(seed, t) would, through _draws.
+    Whole trials share a batch of the round loop, a group of as many as
+    fit in batch_size(n) lattices and at least one; a trial of L >
+    batch_size(n) lattices is cut into ceil(L / batch_size(n)) pieces of
+    near-equal size, since a round costs about as much on a small batch as
+    on a full one. A group's reference texts are read from bytes at once,
+    and _flips builds each of its pieces as planes.
 
-    Each piece runs along one trajectory up to the largest round count,
-    so a protocol costs max(counts) rounds per lattice, not the sum of its
-    counts. Yield (t, ri, diff) at counts[ri] for a piece of the group of
-    trials from t on: diff is trial-major, (trials, 4, words, side,
-    per_piece), trial j's ciphertext planes (see the bitplane docstring) of
-    the piece XOR its reference, so a set bit is one that a flip
-    inverted, and each diff[j] is whole 8-byte words. A trial's reference
-    is its first lattice in the group's first piece. The XOR writes each
-    output of the round loop in one pass into one buffer per piece, reused
-    at every round count: a diff holds until the next one."""
-    n = config.n
-    if not flip_key and len(flips) == 8 * config.block_len:
-        # [j, k]: bit k of cell 2j and of cell 2j + 1, both of block byte j
-        flips = flips.reshape(-1, 2, 4).swapaxes(1, 2).reshape(-1, 2)
-    # -1: no flip; the reference lattice flips nothing
-    lattice_flips = np.concatenate((np.full((1,) + flips.shape[1:], -1), flips))
+    Each piece runs along one trajectory to the config's last round count,
+    which is all a lattice costs, not the sum of the counts. Yield (t, ri,
+    diff) at the ri-th count for a piece of the group of trials from t on:
+    diff is trial-major, (trials, 4, words, side, per_piece), trial j's
+    ciphertext planes (see the bitplane docstring) of the piece XOR its
+    reference, so a set bit is one that a flip inverted, and each diff[j]
+    is whole 8-byte words. A trial's reference is its first lattice in the
+    group's first piece. The XOR writes each output of the round loop in
+    one pass into one buffer per piece, reused at every round count: a
+    diff holds until the next one."""
+    n, counts = config.n, config.round_values()
+    # The bit or bits each lattice flips, -1 none: the reference first.
+    if flips == "bit":
+        lattice_flips = np.array([-1, config.bit])
+    elif flips == "key":
+        lattice_flips = np.arange(-1, 8 * config.key_len)
+    else:  # [j, k]: bit k of cell 2j and of cell 2j + 1, both of block byte j
+        pairs = np.arange(8 * config.block_len).reshape(-1, 2, 4).swapaxes(1, 2)
+        lattice_flips = np.concatenate(([[-1, -1]], pairs.reshape(-1, 2)))
     per_trial = len(lattice_flips)
     pieces = -(-per_trial // batch_size(n))
     edges = [per_trial * i // pieces for i in range(pieces + 1)]
@@ -396,7 +396,7 @@ def _diffs(config: ExperimentConfig, flip_key: bool, flips: np.ndarray, counts):
         texts, keys = draw(t, min(group, config.trials - t))
         trials = len(texts)
         refs = bitplane.planes_from_block(texts.tobytes(), n)
-        build = _flips(keys, n, config.wall_region, refs, flip_key)
+        build = _flips(keys, n, config.wall_region, refs, flips == "key")
         firsts = []  # per round count, each trial's reference ciphertext
         for a, b in zip(edges, edges[1:]):
             diff = np.empty((trials, 4, words, 1 << n, b - a), dtype)
@@ -441,15 +441,13 @@ def _strict(config: ExperimentConfig, diffs, flip_count: int) -> ExperimentRepor
 
 
 def run_protocol(config: ExperimentConfig) -> ExperimentReport:
-    """Run the config's protocol; the one entry point for all six."""
-    flip_key, per_bit = PROTOCOLS[config.protocol]
-    if config.protocol == "single-bit":
-        flips = np.array([config.bit])
-    else:
-        flips = np.arange(8 * (config.key_len if flip_key else config.block_len))
-    reduce = _strict if per_bit else _curve
-    return reduce(config, _diffs(config, flip_key, flips, config.round_values()),
-                  len(flips))
+    """Run the config's protocol, the one entry point for all six: its
+    record's flips make the trials and its per_bit picks the reducer."""
+    record = PROTOCOLS[config.protocol]
+    flip_count = {"key": 8 * config.key_len, "text": 8 * config.block_len,
+                  "bit": 1}[record.flips]
+    reduce = _strict if record.per_bit else _curve
+    return reduce(config, _diffs(config, record.flips), flip_count)
 
 
 def emit_csv(report: ExperimentReport, path: str | Path) -> None:
@@ -475,7 +473,7 @@ def emit_svg_plot(report: ExperimentReport, path: str | Path) -> None:
     for per-bit protocols. Byte-deterministic for a given report."""
     if not report.xs:
         raise ParameterError("cannot emit an empty report")
-    curve = not PROTOCOLS[report.config.protocol][1]
+    curve = not PROTOCOLS[report.config.protocol].per_bit
     y_max = 0.6 if curve else 1.0
     x_max = max(max(report.xs), 1)
     plot_w = _SVG_W - _ML - _MR

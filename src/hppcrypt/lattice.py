@@ -67,9 +67,6 @@ class Lattice:
     def side(self) -> int:
         return 1 << self.n
 
-    def cell(self, row: int, col: int) -> int:
-        return self.cells[row * self.side + col]
-
 
 def check_walls(walls: Iterable[tuple[int, int]], n: int) -> frozenset:
     """Normalize wall coordinates and reject any outside the lattice."""

@@ -1,10 +1,11 @@
 """Lattice, wall and wall-plane builders shared by the test modules,
-torus_distance, the particle counters of a per-cell lattice, plane_bits,
-which reads the cells of a plane back one byte each, collided and
-propagated, which run M and P into new planes, the symmetries of the
-torus written on blocks and wall sets (symmetries, apply_symmetry), and
-ORACLE_CELL_ROUNDS, the bound on the per-cell engine's work per example
-of the hypothesis tests that run it for many rounds."""
+torus_distance, cell, which reads one cell of a per-cell lattice, the
+particle counters of one, plane_bits, which reads the cells of a plane
+back one byte each, collided and propagated, which run M and P into new
+planes, the symmetries of the torus written on blocks and wall sets
+(symmetries, apply_symmetry), and ORACLE_CELL_ROUNDS, the bound on the
+per-cell engine's work per example of the hypothesis tests that run it
+for many rounds."""
 
 import numpy as np
 from hypothesis import strategies as st
@@ -48,6 +49,11 @@ def torus_distance(a, b, side):
     dr = abs(a[0] - b[0])
     dc = abs(a[1] - b[1])
     return min(dr, side - dr) + min(dc, side - dc)
+
+
+def cell(lat, row, col):
+    """The value of cell (row, col) of a per-cell lattice."""
+    return lat.cells[row * lat.side + col]
 
 
 def particle_count(lat):

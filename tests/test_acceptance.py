@@ -21,8 +21,8 @@ from hppcrypt.experiments import default_config, run_protocol, trial_rng
 from hppcrypt.lattice import block_size, from_bytes, to_bytes
 
 from helpers import (
-    batch_mask, collided, parity_counts, particle_count, propagated, random_lattice,
-    random_walls)
+    batch_mask, cell, collided, parity_counts, particle_count, propagated,
+    random_lattice, random_walls)
 
 
 def check(num, label, ok, details):
@@ -235,7 +235,7 @@ def test_criterion_10_leak_radius():
         dr = min(abs(r - wall[0]), side - abs(r - wall[0]))
         for c in range(side):
             dc = min(abs(c - wall[1]), side - abs(c - wall[1]))
-            if original.cell(r, c) != decoded.cell(r, c):
+            if cell(original, r, c) != cell(decoded, r, c):
                 if dr + dc > rounds:
                     far_bad += 1
                 else:

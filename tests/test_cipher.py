@@ -50,7 +50,7 @@ from hppcrypt.cipher import (
 from hppcrypt.errors import FormatError, ParameterError
 
 from helpers import (
-    ORACLE_CELL_ROUNDS, apply_symmetry, batch_mask, symmetries, torus_distance)
+    ORACLE_CELL_ROUNDS, apply_symmetry, batch_mask, cell, symmetries, torus_distance)
 
 ROT2 = [((v << 2) | (v >> 2)) & 0xF for v in range(16)]
 
@@ -217,7 +217,7 @@ def test_locality_ceiling_single_wall():
         for r in range(side):
             for c in range(side):
                 if torus_distance((r, c), wall, side) > rounds:
-                    assert with_wall.cell(r, c) == without.cell(r, c)
+                    assert cell(with_wall, r, c) == cell(without, r, c)
 
 
 def test_sublattice_independence():
@@ -231,13 +231,13 @@ def test_sublattice_independence():
         bit = rnd.randrange(8 * len(block))
         flipped = bytearray(block)
         flipped[bit >> 3] ^= 0x80 >> (bit & 7)
-        cell = bit // 4
-        target = ((cell // side) + (cell % side) + params.rounds) & 1
+        flipped_cell = bit // 4
+        target = ((flipped_cell // side) + (flipped_cell % side) + params.rounds) & 1
         a = L.from_bytes(encrypt_block(block, params), n)
         b = L.from_bytes(encrypt_block(bytes(flipped), params), n)
         for r in range(side):
             for c in range(side):
-                if a.cell(r, c) != b.cell(r, c):
+                if cell(a, r, c) != cell(b, r, c):
                     assert (r + c) & 1 == target
 
 

@@ -698,7 +698,7 @@ def test_bench_json_times_every_protocol_at_its_config(bench):
     for protocol, entry in protocols.items():
         assert set(entry) == {"config", "wall_s"}
         config = entry["config"]
-        want = default_config(protocol, trials=cli._BENCH_TRIALS[protocol])
+        want = default_config(protocol, trials=PROTOCOLS[protocol].bench_trials)
         assert config == json.loads(json.dumps(vars(want)))
         assert 0 < entry["wall_s"] < 60
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -256,9 +257,17 @@ def test_key_shorter_than_one_wall_coordinate_is_refused():
         assert run_protocol(cfg).config is cfg
 
 
-def test_concentrated_requires_region():
-    with pytest.raises(ParameterError):
-        tiny_config("avalanche-key-concentrated", wall_region=None)
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_protocol_requires_region_iff_its_defaults_give_one(protocol):
+    # A record's defaults set only config fields, and a config without a
+    # wall region is refused exactly when its protocol's defaults give one.
+    defaults = PROTOCOLS[protocol].defaults
+    assert set(defaults) <= {f.name for f in dataclasses.fields(ExperimentConfig)}
+    if "wall_region" in defaults:
+        with pytest.raises(ParameterError, match=f"^{protocol} needs a wall region$"):
+            default_config(protocol, wall_region=None)
+    else:
+        assert default_config(protocol, wall_region=None).wall_region is None
 
 
 def test_region_validation():
@@ -602,7 +611,7 @@ STRICT_LANES = [
 def lattices_per_trial(cfg):
     """L: the reference, then one lattice per key flip, per byte pair of
     text flips, or for single-bit's one flip."""
-    flip_key, _ = PROTOCOLS[cfg.protocol]
+    flip_key = PROTOCOLS[cfg.protocol].flips == "key"
     if cfg.protocol == "single-bit":
         return 2
     return 1 + (8 * cfg.key_len if flip_key else 4 * cfg.block_len)
@@ -613,7 +622,8 @@ def direct_report(cfg):
     key or text bytes, walls from _region_walls, the per-cell reference
     engine at every round count, then inverted_fraction per flip for the
     curves or per-bit XOR counts for the strict protocols."""
-    flip_key, per_bit = PROTOCOLS[cfg.protocol]
+    flip_key = PROTOCOLS[cfg.protocol].flips == "key"
+    per_bit = PROTOCOLS[cfg.protocol].per_bit
     if cfg.protocol == "single-bit":
         flips = [cfg.bit]
     else:
@@ -890,7 +900,8 @@ def test_round_loop_work(monkeypatch, protocol):
     # Text curves and strict-text run their flips two to a lattice, a
     # byte pair, one from each checkerboard class; key flips and
     # single-bit's one flip take a lattice each.
-    flip_key, per_bit = PROTOCOLS[protocol]
+    flip_key = PROTOCOLS[protocol].flips == "key"
+    per_bit = PROTOCOLS[protocol].per_bit
     cfg = default_config(
         protocol, n=3, key_len=3, trials=2, seed=8,
         rounds_range=(7, 1, 7) if per_bit else (0, 3, 9),

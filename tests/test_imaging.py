@@ -14,6 +14,8 @@ from hppcrypt.imaging import (
 )
 from hppcrypt.lattice import Lattice, block_size, from_bytes, to_bytes
 
+from helpers import cell
+
 
 def random_image(rnd, side):
     return GrayImage(side, side, bytes(rnd.randrange(16) for _ in range(side * side)))
@@ -26,7 +28,7 @@ def test_lattice_image_round_trip():
     assert image.width == image.height == 64
     assert image_to_lattice(image) == lat
     # pixel x,y is cell (row y, col x)
-    assert image.pixels[9 * image.width + 5] == lat.cell(9, 5)
+    assert image.pixels[9 * image.width + 5] == cell(lat, 9, 5)
 
 
 def test_full_cell_is_brightest_pixel():

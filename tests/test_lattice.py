@@ -14,7 +14,7 @@ from hppcrypt.lattice import (
     to_bytes,
 )
 
-from helpers import lattices, parity_counts, particle_count
+from helpers import cell, lattices, parity_counts, particle_count
 
 GOLD_0 = bytes.fromhex("90A2F5155D100000")
 
@@ -48,17 +48,17 @@ def test_collide_cell_map_exhaustive():
 
 def test_propagate_moves_each_direction_with_wrap():
     # East: bit 3, moves right
-    assert propagate(single_particle(2, 1, 1, 8)).cell(1, 2) == 8
-    assert propagate(single_particle(2, 1, 3, 8)).cell(1, 0) == 8
+    assert cell(propagate(single_particle(2, 1, 1, 8)), 1, 2) == 8
+    assert cell(propagate(single_particle(2, 1, 3, 8)), 1, 0) == 8
     # South: bit 2, moves down
-    assert propagate(single_particle(2, 1, 1, 4)).cell(2, 1) == 4
-    assert propagate(single_particle(2, 3, 1, 4)).cell(0, 1) == 4
+    assert cell(propagate(single_particle(2, 1, 1, 4)), 2, 1) == 4
+    assert cell(propagate(single_particle(2, 3, 1, 4)), 0, 1) == 4
     # West: bit 1, moves left
-    assert propagate(single_particle(2, 1, 1, 2)).cell(1, 0) == 2
-    assert propagate(single_particle(2, 1, 0, 2)).cell(1, 3) == 2
+    assert cell(propagate(single_particle(2, 1, 1, 2)), 1, 0) == 2
+    assert cell(propagate(single_particle(2, 1, 0, 2)), 1, 3) == 2
     # North: bit 0, moves up
-    assert propagate(single_particle(2, 1, 1, 1)).cell(0, 1) == 1
-    assert propagate(single_particle(2, 0, 1, 1)).cell(3, 1) == 1
+    assert cell(propagate(single_particle(2, 1, 1, 1)), 0, 1) == 1
+    assert cell(propagate(single_particle(2, 0, 1, 1)), 3, 1) == 1
 
 
 def test_propagate_empty_lattice_fixed_point():
@@ -116,10 +116,10 @@ def test_cell_maps_are_involutions_on_all_nibbles():
 
 def test_reflect_cell_semantics():
     lat = single_particle(2, 1, 2, 0x9)  # E+N
-    assert reflect(lat, {(1, 2)}).cell(1, 2) == 0x6  # W+S
+    assert cell(reflect(lat, {(1, 2)}), 1, 2) == 0x6  # W+S
     # the colliding configurations are fixed by reflection
-    assert reflect(single_particle(2, 0, 0, 0xA), {(0, 0)}).cell(0, 0) == 0xA
-    assert reflect(single_particle(2, 0, 0, 0x5), {(0, 0)}).cell(0, 0) == 0x5
+    assert cell(reflect(single_particle(2, 0, 0, 0xA), {(0, 0)}), 0, 0) == 0xA
+    assert cell(reflect(single_particle(2, 0, 0, 0x5), {(0, 0)}), 0, 0) == 0x5
     # only wall cells are touched
     assert reflect(lat, {(0, 0)}) == lat
     assert reflect(lat, frozenset()) == lat
@@ -143,10 +143,10 @@ def test_invert_all_examples():
 def test_serialization_layout():
     lat = from_bytes(GOLD_0, 2)
     # 0x90 -> cells 9, 0 across the top row; high nibble first
-    assert lat.cell(0, 0) == 0x9
-    assert lat.cell(0, 1) == 0x0
-    assert lat.cell(0, 2) == 0xA
-    assert lat.cell(0, 3) == 0x2
+    assert cell(lat, 0, 0) == 0x9
+    assert cell(lat, 0, 1) == 0x0
+    assert cell(lat, 0, 2) == 0xA
+    assert cell(lat, 0, 3) == 0x2
     assert to_bytes(lat) == GOLD_0
 
 
