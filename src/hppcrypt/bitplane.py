@@ -14,17 +14,13 @@ at bit (r*B + b)*side + c; from n = 7 on a plane is word-major, and that
 no longer holds. One numpy operation on a plane advances every row of
 every lattice at once (bit-slicing, as in Biham's DES):
 
-* each step of a round is built once as a list of (ufunc, args) calls,
-  every output given and every view, wrapping word row and shift
-  constant fixed at build time: :func:`collide_calls` for M and
-  :func:`propagate_calls` for P. The calls write only into the planes,
-  the arrays given for output and a scratch of four planes, so
-  replaying a list (:func:`run_calls`) allocates nothing; the cipher's
-  round loop builds its two round plans once, by :func:`round_plans`,
-  and replays them. A round is 24 calls from n = 3 to 6, 26 below n = 3
-  and from n = 7 on.
-  :func:`collide_planes` and :func:`propagate_planes` build and run one
-  list once, the steps' one-step entry points,
+* :func:`round_plans` builds every call of the round loop once, as
+  (ufunc, args) lists with every output given and every view, wrapping
+  word row and shift constant fixed, writing only into the planes, two
+  spare planes and a scratch of four, so that replaying a list
+  (:func:`run_calls`) allocates nothing. A round is 24 calls from n = 3
+  to 6, 26 below n = 3 and from n = 7 on. :func:`collide_planes` and
+  :func:`propagate_planes` build and run one step once, for the tests,
 * the cell-local step M (collision, then reflection on wall cells) is
   one fused kernel of 14 bitwise operations that write the four planes
   in place,
@@ -305,12 +301,12 @@ def add_bit_counts(lanes: np.ndarray, counts: np.ndarray) -> None:
 
 def run_calls(calls) -> None:
     """Make each (function, args) call of a list built by
-    :func:`collide_calls` or :func:`propagate_calls`, in order."""
+    :func:`round_plans`, in order."""
     for fn, args in calls:
         fn(*args)
 
 
-def collide_calls(e, s, w, n, mask, scratch) -> list:
+def _collide_calls(e, s, w, n, mask, scratch) -> list:
     """The cell-local step M on the four planes, in place, as a list of
     (ufunc, args) calls for :func:`run_calls`: collide every cell, then
     reflect the wall cells in `mask` (0 for collision alone). Every call
@@ -343,8 +339,8 @@ def collide_calls(e, s, w, n, mask, scratch) -> list:
 
 
 def collide_planes(e, s, w, n, mask):
-    """M in place on the four planes: :func:`collide_calls` run once."""
-    run_calls(collide_calls(e, s, w, n, mask, np.empty((4,) + e.shape, e.dtype)))
+    """M in place on the four planes: :func:`_collide_calls` run once."""
+    run_calls(_collide_calls(e, s, w, n, mask, np.empty((4,) + e.shape, e.dtype)))
 
 
 def _rotate_calls(lanes, up: bool, out, scratch) -> list:
@@ -387,7 +383,7 @@ def _rotate_calls(lanes, up: bool, out, scratch) -> list:
     return calls
 
 
-def propagate_calls(e, s, w, n, out, scratch) -> list:
+def _propagate_calls(e, s, w, n, out, scratch) -> list:
     """The propagation step P as a list of calls for :func:`run_calls`: E
     and W rotate every row by one column, S and N move every row by one
     row. The calls write the planes into the four arrays of `out`, and
@@ -409,27 +405,27 @@ def propagate_calls(e, s, w, n, out, scratch) -> list:
 
 
 def propagate_planes(e, s, w, n, out):
-    """P into the four arrays of `out`: :func:`propagate_calls` run once."""
+    """P into the four arrays of `out`: :func:`_propagate_calls` run once."""
     scratch = np.empty((2, 1) + e.shape[1:], e.dtype)
-    run_calls(propagate_calls(e, s, w, n, out, scratch))
+    run_calls(_propagate_calls(e, s, w, n, out, scratch))
 
 
-def round_plans(planes, mask) -> tuple[list, list]:
-    """The two plans of a round of the cipher's loop on the (4, words,
-    side, B) `planes` under the wall plane `mask`, and the two sets of
-    planes they run on: sets[0] the four planes, sets[1] E and W of them
-    with S and N in two spare planes made here. Plan k is P from sets[k]
-    into sets[1 - k], then M there, so round i runs plan i & 1 and the
-    batch is sets[r & 1] after r rounds. Both plans share a scratch of
-    four planes, also made here; every array they write exists before
-    they first run."""
+def round_plans(planes, mask) -> tuple[list, list, list]:
+    """Every call of the cipher's loop on the (4, words, side, B) `planes`
+    under the wall plane `mask`: its first M, its two round plans and the
+    two sets of planes they run on, sets[0] the four planes and sets[1]
+    E and W of them with S and N in two spare planes. Plan k is P from
+    sets[k] into sets[1 - k], then M there, so round i runs plan i & 1,
+    the batch is sets[r & 1] after r rounds and the first M is plan 1's
+    M half. All share a scratch of four planes; every array they write
+    is made here or given."""
     e, s, w, n = planes
     spare, scratch = np.empty_like(planes[:2]), np.empty_like(planes)
     sets = [(e, s, w, n), (e, spare[0], w, spare[1])]
-    plans = [propagate_calls(*sets[k], sets[1 - k], scratch)
-             + collide_calls(*sets[1 - k], mask, scratch)
+    collide = [_collide_calls(*sets[k], mask, scratch) for k in (0, 1)]
+    plans = [_propagate_calls(*sets[k], sets[1 - k], scratch) + collide[1 - k]
              for k in (0, 1)]
-    return plans, sets
+    return collide[0], plans, sets
 
 
 def reflect_planes(e, s, w, n, mask):

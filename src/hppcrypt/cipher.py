@@ -16,10 +16,9 @@ plaintext; :func:`ones_density` exists to diagnose that leak.
 
 The bit-plane engine has one round loop, :func:`_trajectory`, which runs
 the planes of a batch of lattices under one wall plane and yields their
-ciphertext planes. It plans a round once: the calls of P and M, views
-and constants fixed, writing only into arrays made before the first
-round, so a round replays 24 numpy calls (26 below n = 3 and from n = 7
-on) and allocates nothing. :func:`_encrypt_blocks` is the one path from
+ciphertext planes, replaying calls that bitplane.round_plans builds once
+per run into arrays made before the first, so that a round allocates
+nothing. :func:`_encrypt_blocks` is the one path from
 bytes to it: blocks to planes in batches of at most :func:`batch_size`
 blocks, the loop, planes back to blocks, each converter in one pass
 over the whole batch. A batch holds up to ``BATCH_CELLS`` = 2^20
@@ -190,21 +189,17 @@ def _trajectory(planes, mask, counts: tuple[int, ...]) -> Iterator[np.ndarray]:
     count, as a new array of the planes' shape that later rounds do not
     write to. Up to the final J, the schedule for r rounds is a prefix of
     the one for any r' > r, so the rounds run once, in place on one copy
-    of the planes. A round replays one of two plans of calls built once
-    by bitplane.round_plans, P then M, which move S and N into two spare
-    planes and back in turn. Every array a round writes is made before
-    the first round: that copy, the spare planes and a scratch of four
-    planes, so a round allocates nothing. No plan is built when no round
-    runs, and the plans and their scratch are let go before the last
-    yield. The counts must be non-negative and strictly ascending; every
-    caller validates them, and none is checked here."""
+    of the planes, by the calls bitplane.round_plans builds once a run:
+    the first M, then plan i & 1 for round i, P then M, moving S and N
+    to two spare planes and back. A call writes only into that copy, the
+    spare planes and a scratch of four planes, all made before the first
+    call, and the calls and scratch are let go before the last yield.
+    The counts must be non-negative and strictly ascending; every caller
+    validates them, and none is checked here."""
     state = np.array(planes)  # the caller's planes stay as they are
     del planes  # hold one set of planes, not two, while the rounds run
-    e, s, w, nn = state
-    bitplane.collide_planes(e, s, w, nn, mask)
-    sets = [(e, s, w, nn)]  # the planes after r rounds are sets[r & 1]
-    if max(counts, default=0):
-        plans, sets = bitplane.round_plans(state, mask)
+    first, plans, sets = bitplane.round_plans(state, mask)
+    bitplane.run_calls(first)
     done = 0
     for count in counts:
         for i in range(done, count):
@@ -213,7 +208,7 @@ def _trajectory(planes, mask, counts: tuple[int, ...]) -> Iterator[np.ndarray]:
         if done == counts[-1]:
             # No round runs after this: free the scratch, so that the
             # caller's work on the last output can reuse its memory.
-            plans = None
+            first = plans = None
         yield np.array(bitplane.invert_planes(*sets[done & 1]))
 
 

@@ -7,7 +7,8 @@ file is read, and ``--n`` elsewhere in ``keyspace_count`` or
 ``ExperimentConfig``). The experiment's flags and
 its config file's keys come from one table, ``_EXPERIMENT_FIELDS``;
 ``_secret`` reads the one secret flag of encrypt or decrypt; bench times
-each row, layer and protocol with ``_per_call_us``.
+each row, layer and protocol with ``_per_call_us``. A command checks its
+parameters, then its output paths (``_check_outputs``), then works.
 Diagnostics go to stderr, an error as one ``error:`` line. Exit status is
 0 on success, 2 for bad parameters or usage (a ``ParameterError``, such as
 a key that yields no walls or an empty wall set), 1 for I/O and
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import os
 import platform
@@ -72,6 +74,12 @@ def _read_text(path: str) -> str:
         ) from None
 
 
+def _check_outputs(*paths) -> None:
+    for path in filter(None, paths):
+        if not Path(path).parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def _secret(args) -> tuple[bytes | None, frozenset | None]:
     """The key and the wall set of encrypt or decrypt, from the one flag
     argparse let through: the other of the two is None."""
@@ -88,6 +96,7 @@ def _secret(args) -> tuple[bytes | None, frozenset | None]:
 def cmd_encrypt(args) -> int:
     n = args.n
     rounds = stream_rounds(n, args.rounds)  # before any file is read
+    _check_outputs(args.outfile)
     data = Path(args.infile).read_bytes()
     key, walls = _secret(args)
     container = encrypt_stream(data, key, n, rounds, walls)
@@ -111,6 +120,7 @@ def cmd_encrypt(args) -> int:
 
 
 def cmd_decrypt(args) -> int:
+    _check_outputs(args.outfile)
     raw = Path(args.infile).read_bytes()
     key, walls = _secret(args)
     container = CipherContainer.from_bytes(raw)
@@ -204,14 +214,13 @@ def cmd_experiment(args) -> int:
         overrides["seed"] = _integer("HPP_SEED", os.environ.get("HPP_SEED", "0"))
 
     config = default_config(protocol, **overrides)
+    _check_outputs(args.csv, args.svg)
     report = run_protocol(config)
 
-    if args.csv:
-        emit_csv(report, args.csv)
-        print(f"wrote {args.csv}")
-    if args.svg:
-        emit_svg_plot(report, args.svg)
-        print(f"wrote {args.svg}")
+    for path, emit in ((args.csv, emit_csv), (args.svg, emit_svg_plot)):
+        if path:
+            emit(report, path)
+            print(f"wrote {path}")
 
     print(f"protocol={protocol} n={config.n} trials={config.trials} seed={config.seed}")
     if not PROTOCOLS[protocol].per_bit:
@@ -236,6 +245,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_img2block(args) -> int:
+    _check_outputs(args.outfile)
     image = read_pgm(args.infile)
     block = to_bytes(image_to_lattice(image))
     Path(args.outfile).write_bytes(block)
@@ -251,6 +261,7 @@ def _infer_exponent(length: int) -> int:
 
 
 def cmd_block2img(args) -> int:
+    _check_outputs(args.outfile)
     block = Path(args.infile).read_bytes()
     try:
         n = _infer_exponent(len(block))
@@ -286,6 +297,7 @@ def cmd_bench(args) -> int:
             f"--min-time must be in (0, {MAX_BENCH_SECONDS:g}] seconds, "
             f"got {args.min_time}"
         )
+    _check_outputs(args.json)
     print(f"{'n':>3} {'rounds':>6} {'engine':>10} {'blocks/s':>10} {'kB/s':>10}")
     rows = []
     for n in (4, 5, 6):
@@ -369,22 +381,18 @@ def _layer_times(n: int, min_time: float) -> dict:
     lattice exponent n, on random blocks under the walls of a random
     16-byte key: unpacking, M, P, packing, "wall_mask" (coordinate_mask
     on every lattice's key coordinates at once) and one round, from runs
-    to _BENCH_ROUNDS rounds and to 0. M and P replay call lists built once
-    on one scratch, as the round loop does, so M plus P come to about a
-    round. In BENCH_plan.json they timed the one-step entry points, which
-    also built their lists and scratch, and exceeded a round."""
+    to _BENCH_ROUNDS rounds and to 0, both of which build their calls.
+    M and P replay the round loop's own calls from bitplane.round_plans,
+    its first M and plan 0 without its M half, so they add up to most of
+    a round."""
     lattices = batch_size(n)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(n)))
     key, data = rng.bytes(16), rng.bytes(lattices * block_size(n))
     planes = bitplane.planes_from_block(data, n)
-    e, s, w, nn = planes
-    s_to, n_to = np.empty_like(planes[:2])
-    scratch = np.empty_like(planes)
-    walls = _key_coordinates(np.frombuffer(key, dtype=np.uint8), n)
-    coords = np.tile(walls, (lattices, 1, 1))
+    coords = np.tile(_key_coordinates(np.frombuffer(key, np.uint8), n), (lattices, 1, 1))
     mask = bitplane.coordinate_mask(coords, n)
-    collide = bitplane.collide_calls(e, s, w, nn, mask, scratch)
-    propagate = bitplane.propagate_calls(e, s, w, nn, (e, s_to, w, n_to), scratch)
+    collide, plans, _ = bitplane.round_plans(planes, mask)
+    propagate = plans[0][:-len(collide)]
 
     def run_to(rounds):
         return lambda: next(_trajectory(planes, mask, (rounds,)))

@@ -324,7 +324,8 @@ def _flips(keys, n: int, region, refs: np.ndarray, flip_key: bool):
     # region-relative cell plus the region's first, as neither sum carries.
     relative = base[..., 0] << n | base[..., 1]
     corner = offset[0] << n | offset[1]
-    listed = (relative + corner).T[:, None, :, None]  # [g, 0, j, 0]: trial j's g-th
+    row = np.arange(trials)[:, None] << 2 * n  # trial j's cell c is at j << 2n | c
+    listings = np.bincount((row | relative + corner).ravel(), minlength=trials << 2 * n)
 
     def build(batch: np.ndarray):
         per_trial = len(batch)
@@ -343,8 +344,7 @@ def _flips(keys, n: int, region, refs: np.ndarray, flip_key: bool):
         toggle = 1 << (m - 1 - k % m + n * (k < m))
         # [0 or 1, j, f]: the cells flip f of trial j moves a listing from, and to
         cells = np.stack((relative[:, group], relative[:, group] ^ toggle)) + corner
-        listings = (cells == listed).sum(axis=0)
-        toggled = odd | (listings == np.array([1, 0])[:, None, None])
+        toggled = odd | (listings[row | cells] == np.array([1, 0])[:, None, None])
         # a wall plane is a batch of one plane, its cell c at block bit 4c
         bitplane.toggle_bits(mask[None], 4 * cells[toggled],
                              np.broadcast_to(lattice, cells.shape)[toggled])

@@ -1,7 +1,7 @@
 """tools/ab.py, the one-process A/B of two source trees, run on copies of
-src/: it imports both, runs a tiny workload or rounds on each in turn,
-prints both sides and says whether their outputs were equal. No timing
-is asserted."""
+src/: it imports both, runs a tiny workload or rounds on each in turn, or
+times a tiny workload's set-up in fresh processes, prints both sides and
+says whether their outputs were equal. No timing is asserted."""
 
 import shutil
 import subprocess
@@ -50,3 +50,18 @@ def test_ab_reports_outputs_that_differ(tmp_path):
     assert done.stdout.splitlines()[0] == (
         "one round at n=3, runs to 16 rounds: 2 repetitions, "
         "sides alternating first, outputs equal in 0/2")
+
+
+def test_ab_times_fresh_set_ups(tmp_path):
+    old, new = copy_tree(tmp_path / "old"), copy_tree(tmp_path / "new")
+    done = run_ab(old, new, "--workload", "strict-key", "--scale", "tiny",
+                  "--setup", "--reps", "2")
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == ("set-up of workload strict-key (tiny, seed 0) in fresh "
+                        "processes: 2 repetitions, sides alternating first")
+    sides = [line.split() for line in lines[2:4]]
+    assert [row[0] for row in sides] == ["old", "new"]
+    assert [row[-1] for row in sides] == [str(old), str(new)]
+    assert lines[4].startswith("new/old: ") and len(lines) == 5
+    assert not list(tmp_path.rglob("__pycache__"))  # neither tree is written to

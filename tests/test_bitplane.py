@@ -497,7 +497,7 @@ def test_round_plans_allocate_nothing(n):
     lats = [random_lattice(rnd, n) for _ in range(count)]
     walls = [random_walls(rnd, n, 4) for _ in lats]
     state = bp.planes_from_block(b"".join(map(ref.to_bytes, lats)), n)
-    plans, sets = bp.round_plans(state, batch_mask(walls, n))
+    _, plans, sets = bp.round_plans(state, batch_mask(walls, n))
     assert [len(plan) for plan in plans] == [24 if 3 <= n <= 6 else 26] * 2
     for i in range(4):
         bp.run_calls(plans[i & 1])
@@ -510,7 +510,7 @@ def test_round_plans_allocate_nothing(n):
     blocks = np.random.default_rng(n).bytes(lattices * ref.block_size(n))
     state = bp.planes_from_block(blocks, n)
     coords = np.random.default_rng(n).integers(0, 1 << n, (lattices, 4, 2))
-    plans, _ = bp.round_plans(state, bp.coordinate_mask(coords, n))
+    _, plans, _ = bp.round_plans(state, bp.coordinate_mask(coords, n))
     row_bytes = state[0, 0].nbytes
     tracemalloc.start()
     try:

@@ -456,9 +456,9 @@ def test_batched_trajectory_matches_reference(batch):
 
 def test_trajectory_holds_round_plans_only_while_rounds_run(monkeypatch):
     # The round plans are built once per run of the loop, whatever the
-    # counts, and not at all when no round runs; they, and the scratch
-    # they write, are let go before the last yield, while the caller
-    # works on the last output.
+    # counts, a run of no round included, as they hold its first M; they,
+    # and the scratch they write, are let go before the last yield, while
+    # the caller works on the last output.
     class Plans(list):  # a list that a weak reference can follow
         pass
 
@@ -466,21 +466,23 @@ def test_trajectory_holds_round_plans_only_while_rounds_run(monkeypatch):
     real = bp.round_plans
 
     def tracked(*args):
-        plans, sets = real(*args)
+        first, plans, sets = real(*args)
         plans = Plans(plans)
         built.append(weakref.ref(plans))
-        return plans, sets
+        return first, plans, sets
 
     monkeypatch.setattr(bp, "round_plans", tracked)
     planes = bp.planes_from_block(bytes(range(32)), 3)
     mask = batch_mask([{(1, 2)}], 3)
-    assert len(list(_trajectory(planes, mask, (0,)))) == 1
-    assert built == []
+    zero = _trajectory(planes, mask, (0,))
+    next(zero)
+    assert len(built) == 1 and built[0]() is None
+    assert list(zero) == []  # that was the run's only yield
     rounds = _trajectory(planes, mask, (0, 3, 8))
     next(rounds), next(rounds)
-    assert len(built) == 1 and built[0]() is not None
+    assert len(built) == 2 and built[1]() is not None
     next(rounds)
-    assert built[0]() is None
+    assert built[1]() is None
 
 
 @pytest.mark.parametrize("n", range(2, 11))

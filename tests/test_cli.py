@@ -407,6 +407,32 @@ def no_run(monkeypatch):
     monkeypatch.setattr("hppcrypt.cli.run_protocol", no_work)
 
 
+@pytest.mark.parametrize("argv", [
+    ("experiment", "--protocol", "strict-key", "--csv", "{tmp}/ok.csv",
+     "--svg", "{tmp}/gone/x.svg"),
+    ("experiment", "--protocol", "avalanche-text", "--csv", "{tmp}/gone/x.csv"),
+    ("bench", "--json", "{tmp}/gone/x.json"),
+    ("encrypt", "--n", "4", "--key-hex", "aa", "--in", "{tmp}/absent.bin",
+     "--out", "{tmp}/gone/c.hppc"),
+    ("decrypt", "--key-hex", "aa", "--in", "{tmp}/absent.hppc", "--out", "{tmp}/gone/p"),
+    ("img2block", "--in", "{tmp}/absent.pgm", "--out", "{tmp}/gone/b"),
+    ("block2img", "--in", "{tmp}/absent.block", "--out", "{tmp}/gone/i.pgm"),
+])
+def test_output_in_a_missing_directory_is_refused_before_any_work(
+        tmp_path, capsys, monkeypatch, no_run, argv):
+    def no_timing(*args, **kwargs):
+        raise AssertionError("bench timed with an output it cannot write")
+
+    monkeypatch.setattr(cli, "_per_call_us", no_timing)
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert run(*argv) == 1
+    out, err = capsys.readouterr()
+    missing = next(arg for arg in argv if "/gone/" in arg)
+    assert out == ""
+    assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    assert list(tmp_path.iterdir()) == []  # no CSV, no output of any kind
+
+
 HUGE = 1 << 70  # 1180591620717411303424
 
 

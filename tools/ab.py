@@ -1,6 +1,7 @@
 """One-process A/B timing of two hppcrypt source trees.
 
     python tools/ab.py OLD_ROOT NEW_ROOT --workload avalanche-text
+    python tools/ab.py OLD_ROOT NEW_ROOT --workload strict-key --setup
     python tools/ab.py OLD_ROOT NEW_ROOT --round 7
 
 Each ROOT is a directory holding src/hppcrypt, such as a `git archive`
@@ -10,14 +11,18 @@ machine's state at each moment, and a drift of the machine's speed
 reaches both alike. A workload is built, as the benchmark builds it,
 from perfbench/workloads.py next to this directory; one round of the
 round loop on a full batch at lattice exponent N (--round N) is timed
-as `hppcrypt bench --json` times its round layer. Each repetition runs
-both sides once, the side that goes first alternating, and checks that
-their outputs are equal and that each passes its workload's check. The
-run prints, per side, the median and quartiles of its times and the
-repetitions in which it was the faster, then the ratio of the two
-medians and the median ratio of the two times of one repetition. It
-exits with status 1 if any output differed or failed a check. No
-bytecode is written, so neither tree nor perfbench/ is edited.
+as `hppcrypt bench --json` times its round layer. With --setup, a
+workload's set-up is timed instead, as perfbench/run.py's set_up does
+it: in a fresh Python process, the import of the tree and then the
+workload's prepare and warm_up; set-ups have no outputs to compare.
+Each repetition runs both sides once, the side that goes first
+alternating, and checks that their outputs are equal and that each
+passes its workload's check. The run prints, per side, the median and
+quartiles of its times and the repetitions in which it was the faster,
+then the ratio of the two medians and the median ratio of the two
+times of one repetition. It exits with status 1 if any output differed
+or failed a check. No bytecode is written, so neither tree nor
+perfbench/ is edited.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import dataclasses
 import importlib
 import importlib.util
 import statistics
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -35,6 +41,7 @@ from types import SimpleNamespace
 
 HERE = Path(__file__).resolve().parent
 WORKLOADS = HERE.parent / "perfbench" / "workloads.py"
+SPANS = HERE.parent / "perfbench" / "spans.py"
 MODULES = ("bitplane", "cipher", "cli", "experiments", "imaging", "lattice")
 SIDES = ("old", "new")
 # One round: CALLS runs to the tree's cli._BENCH_ROUNDS rounds and as
@@ -53,14 +60,15 @@ def load_module(name: str, path: Path, package: bool = False):
     return module
 
 
-def load_program(root: Path, name: str) -> SimpleNamespace:
-    """The hppcrypt tree under root/src as the package `name`, with its
-    modules as attributes, as perfbench's workloads take it."""
+def load_program(root: Path, name: str, modules=MODULES) -> SimpleNamespace:
+    """The hppcrypt tree under root/src as the package `name`, with the
+    modules named in `modules` as attributes, as perfbench's workloads
+    take it."""
     init = root / "src" / "hppcrypt" / "__init__.py"
     if not init.is_file():
         raise SystemExit(f"error: no hppcrypt sources under {root / 'src'}")
     package = load_module(name, init, package=True)
-    modules = {m: importlib.import_module(f"{name}.{m}") for m in MODULES}
+    modules = {m: importlib.import_module(f"{name}.{m}") for m in modules}
     return SimpleNamespace(package=package, **modules)
 
 
@@ -89,6 +97,37 @@ def workload_side(args, workloads, hpp, workdir: Path):
         checks = workloads.Checks()
         workload.check(hpp, state, rep, out, checks)
         return seconds, plain(out), checks.failures
+
+    return measure
+
+
+def time_set_up(root: str, workload: str, scale: str) -> None:
+    """Print the seconds this process takes to set `workload` up on the
+    tree at `root`, as perfbench/run.py's set_up does: the import of the
+    modules that perfbench's tracer wraps, then prepare and warm_up.
+    Run in a fresh process by set_up_side."""
+    workloads = load_module("perfbench_workloads", WORKLOADS)
+    modules = tuple(load_module("perfbench_spans", SPANS).TARGETS)
+    work = workloads.make(workload, scale)
+    with tempfile.TemporaryDirectory(prefix="hppcrypt-ab-") as tmp:
+        start = perf_counter()
+        hpp = load_program(Path(root), "hppcrypt", modules)
+        work.warm_up(hpp, work.prepare(hpp, 0, Path(tmp)))
+        print(perf_counter() - start)
+
+
+def set_up_side(args, root: Path):
+    """measure(rep) -> (seconds, None, []) of one set-up of the workload
+    on the tree at root, in a fresh process (time_set_up)."""
+    code = (f"import sys; sys.path.insert(0, {str(HERE)!r}); import ab; "
+            f"ab.time_set_up({str(root)!r}, {args.workload!r}, {args.scale!r})")
+
+    def measure(rep):
+        done = subprocess.run([sys.executable, "-B", "-c", code],
+                              capture_output=True, text=True, timeout=300)
+        if done.returncode:
+            raise SystemExit(f"error: set-up on {root} failed:\n{done.stderr}")
+        return float(done.stdout), None, []
 
     return measure
 
@@ -144,6 +183,9 @@ def parse_args(argv=None):
     target.add_argument("--round", type=int, metavar="N",
                         help="one round of the round loop on a full batch "
                         "at lattice exponent N")
+    parser.add_argument("--setup", action="store_true",
+                        help="with --workload, time a fresh process's set-up "
+                        "of the workload instead of its body")
     parser.add_argument("--scale", choices=("full", "tiny"), default="full",
                         help="workload size, as perfbench/run.py takes it")
     parser.add_argument("--reps", type=int, default=11,
@@ -151,6 +193,8 @@ def parse_args(argv=None):
     args = parser.parse_args(argv)
     if args.reps < 1:
         parser.error("--reps must be at least 1")
+    if args.setup and args.workload is None:
+        parser.error("--setup needs --workload")
     return args
 
 
@@ -164,6 +208,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="hppcrypt-ab-") as tmp:
         measures = {}
         for side, root in zip(SIDES, (args.old, args.new)):
+            if args.setup:
+                measures[side] = set_up_side(args, root.resolve())
+                continue
             hpp = load_program(root.resolve(), f"hppcrypt_{side}")
             if args.workload is None:
                 measures[side] = round_side(args, hpp)
@@ -190,9 +237,10 @@ def main(argv=None) -> int:
         unit, scale = "us", 1e6
     else:
         what = f"workload {args.workload} ({args.scale}, seed 0)"
+        what = f"set-up of {what} in fresh processes" if args.setup else what
         unit, scale = "ms", 1e3
-    print(f"{what}: {args.reps} repetitions, sides alternating first, "
-          f"outputs equal in {equal}/{args.reps}")
+    outputs = "" if args.setup else f", outputs equal in {equal}/{args.reps}"
+    print(f"{what}: {args.reps} repetitions, sides alternating first{outputs}")
     print(f"{'side':<5} {'median':>12} {'q1':>12} {'q3':>12} {'wins':>5}  root")
     medians = {}
     for side, root in zip(SIDES, (args.old, args.new)):
